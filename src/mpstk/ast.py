@@ -16,6 +16,10 @@ class SessionTypeError(Exception):
     """Ill-formed input: duplicate labels, unguarded recursion, p -> p, ..."""
 
 
+class BudgetExceeded(Exception):
+    """A search exceeded its budget of states, judgements or steps."""
+
+
 # ---------------------------------------------------------------------------
 # Sorts
 

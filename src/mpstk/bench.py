@@ -12,15 +12,14 @@ import math
 import time
 from dataclasses import dataclass
 
-from .ast import size
+from .ast import BudgetExceeded, size
 from .inference import branch_cycle_length, gen_lcm_process, infer
 from .projection import (
     FULL, PLAIN, WorkCounter, gen_lowerbound_family, merge_full_naive,
     project_inductive, project_subset, project_tirore,
 )
 from .subtyping import (
-    BudgetExceeded, gen_coprime_pair, gen_exponential_pair,
-    subtype_inductive, subtype_sim,
+    gen_coprime_pair, gen_exponential_pair, subtype_inductive, subtype_sim,
 )
 
 

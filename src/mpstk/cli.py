@@ -12,9 +12,9 @@ import json
 import sys
 
 from . import context as ctx_mod
-from .ast import SessionTypeError, size
+from .ast import BudgetExceeded, SessionTypeError, size
 from .bench import CSV_COLUMNS, bench_family, write_csv
-from .context import BudgetExceeded, brute_force_liveness
+from .context import brute_force_liveness
 from .hardness import (
     eval_qbf, gen_qbf_context, parse_qbf, protocol_summary, validate_reduction,
 )
@@ -126,15 +126,9 @@ def cmd_check_context(args) -> int:
                 "live": ctx_mod.check_liveness}
     v = checkers[args.prop](ctx, args.budget)
     if args.dot:
-        rg = ctx_mod.reachable_graph(ctx, args.budget)
-        marked = set()
-        if v.trace is not None:
-            marked = {
-                i for i, s in enumerate(rg.states)
-                if any(_ctx_state_eq(rg, i, c) for c, _ in v.trace.steps)
-            }
+        marked = set(v.trace.states()) if v.trace is not None else set()
         with open(args.dot, "w") as fh:
-            fh.write(ctx_mod.dot_context_graph(rg, marked))
+            fh.write(ctx_mod.dot_context_graph(v.graph, marked))
     payload = {"prop": args.prop, "holds": v.holds, "states": v.states, "edges": v.edges}
     lines = [f"{args.prop}: {'holds' if v.holds else 'violated'} "
              f"({v.states} states, {v.edges} edges)"]
@@ -143,20 +137,17 @@ def cmd_check_context(args) -> int:
         payload["oracle"] = oracle
         lines.append(f"oracle: {'live' if oracle else 'not live'}")
     if v.trace is not None and args.trace:
-        payload["trace"] = [
-            {"context": show_context(c), "label": str(lab)} for c, lab in v.trace.steps
-        ]
-        payload["cycle_start"] = v.trace.cycle_start
-        for i, (c, lab) in enumerate(v.trace.steps):
-            marker = " (cycle)" if v.trace.cycle_start is not None and i >= v.trace.cycle_start else ""
-            lines.append(f"  {show_context(c)}  --[{lab}]-->{marker}")
-        lines.append(f"  {show_context(v.trace.final)}")
+        shown = v.trace.rendered()  # one string per state, final last
+        labels = [str(lab) for _, lab in v.trace.steps]
+        cycle_start = v.trace.cycle_start
+        payload["trace"] = [{"context": text, "label": lab} for text, lab in zip(shown, labels)]
+        payload["cycle_start"] = cycle_start
+        for i, (text, lab) in enumerate(zip(shown, labels)):
+            marker = " (cycle)" if cycle_start is not None and i >= cycle_start else ""
+            lines.append(f"  {text}  --[{lab}]-->{marker}")
+        lines.append(f"  {shown[-1]}")
     _emit(args, payload, "\n".join(lines))
     return OK if v.holds else REJECT
-
-
-def _ctx_state_eq(rg, i, ctx) -> bool:
-    return rg.lts.context_of(rg.states[i]) == ctx
 
 
 def cmd_check_session(args) -> int:

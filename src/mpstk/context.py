@@ -22,14 +22,13 @@ counterwitness conditions literally and serves as the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .ast import TypingContext, typing_context
-from .typegraph import Action, BRA, ENDK, IN, OUT, SEL, graph_to_type, local_graph
-
-
-class BudgetExceeded(Exception):
-    pass
+from .ast import BudgetExceeded, LocalT, TypingContext, typing_context
+from .printer import show_local
+from .typegraph import (
+    Action, BRA, ENDK, IN, OUT, SEL, _extract_type, local_graph, validate_type_graph,
+)
 
 
 @dataclass(frozen=True)
@@ -80,18 +79,51 @@ State = tuple  # tuple of node ids, aligned with ContextLTS.participants
 
 
 class ContextLTS:
+    """The LTS of a typing context.  A participant's local type at graph
+    node n is extracted from its graph and printed at most once per LTS:
+    `local_type` and `show_state` memoise both per (participant, node)."""
+
     def __init__(self, ctx: TypingContext):
         self.ctx = ctx
         self.participants = [n for n, _ in ctx.entries]
         self.graphs = [local_graph(t) for _, t in ctx.entries]
         self.init: State = tuple(g.init for g in self.graphs)
+        self._index = {p: i for i, p in enumerate(self.participants)}
+        # participant positions in name order, the order typing_context sorts into
+        self._by_name = sorted(range(len(self.participants)),
+                               key=lambda i: self.participants[i])
         self._sync_cache: dict[State, list] = {}
+        self._validated: set[int] = set()
+        self._types: dict[tuple[int, int], LocalT] = {}
+        self._shown: dict[tuple[int, int], str] = {}
+
+    def local_type(self, i: int, n: int) -> LocalT:
+        """The local type of participant i at node n of its graph; the graph
+        is validated on its first extraction."""
+        t = self._types.get((i, n))
+        if t is None:
+            if i not in self._validated:
+                validate_type_graph(self.graphs[i])
+                self._validated.add(i)
+            t = self._types[i, n] = _extract_type(self.graphs[i], n)
+        return t
 
     def context_of(self, state: State) -> TypingContext:
         return typing_context(
-            (p, graph_to_type(g, n))
-            for p, g, n in zip(self.participants, self.graphs, state)
+            (p, self.local_type(i, n))
+            for i, (p, n) in enumerate(zip(self.participants, state))
         )
+
+    def show_state(self, state: State) -> str:
+        """show_context(self.context_of(state)), byte for byte, from the
+        memoised per-participant strings."""
+        parts = []
+        for i in self._by_name:
+            text = self._shown.get((i, state[i]))
+            if text is None:
+                text = self._shown[i, state[i]] = show_local(self.local_type(i, state[i]))
+            parts.append(f"{self.participants[i]}: {text}")
+        return ", ".join(parts)
 
     def single_moves(self, state: State):
         """All E-IO / E-BS moves: (Label, successor state)."""
@@ -114,7 +146,7 @@ class ContextLTS:
         cached = self._sync_cache.get(state)
         if cached is not None:
             return cached
-        idx = {p: i for i, p in enumerate(self.participants)}
+        idx = self._index
         out = []
         for i, (p, g) in enumerate(zip(self.participants, self.graphs)):
             kind = g.kind(state[i])
@@ -244,18 +276,43 @@ def is_safe_state(ctx: TypingContext) -> bool:
 
 @dataclass
 class Trace:
-    steps: list[tuple[TypingContext, Label]]
-    final: TypingContext
-    cycle_start: int | None = None  # index into steps where the lasso cycle begins
+    """A counterexample path, kept as state ids of `graph` and rendered on
+    demand.
+
+    `steps` holds (state index, label taken from that state) pairs, `final`
+    the index of the state the path ends in, and `cycle_start` the index
+    into `steps` where the lasso cycle begins (None for a finite path).
+    `contexts()` and `rendered()` give the typing context, or its text, of
+    every state along the path, `final` last; the text is
+    `graph.lts.show_state`, memoised per (participant, node)."""
+
+    graph: ContextGraph = field(repr=False, compare=False)
+    steps: list[tuple[int, Label]]
+    final: int
+    cycle_start: int | None = None
+
+    def states(self) -> list[int]:
+        return [i for i, _ in self.steps] + [self.final]
+
+    def contexts(self) -> list[TypingContext]:
+        rg = self.graph
+        return [rg.lts.context_of(rg.states[i]) for i in self.states()]
+
+    def rendered(self) -> list[str]:
+        rg = self.graph
+        return [rg.lts.show_state(rg.states[i]) for i in self.states()]
 
 
 @dataclass
 class Verdict:
+    """`graph` is the reachable context graph the verdict was decided on."""
+
     prop: str
     holds: bool
     trace: Trace | None
     states: int
     edges: int
+    graph: ContextGraph = field(repr=False, compare=False)
 
     def __bool__(self):
         return self.holds
@@ -272,36 +329,30 @@ def _path_to(rg: ContextGraph, target: int) -> list[tuple[int, Label]]:
     return list(reversed(rev))
 
 
-def _make_trace(rg: ContextGraph, steps: list[tuple[int, Label]], final: int,
-                cycle_start: int | None = None) -> Trace:
-    ctx_steps = [(rg.lts.context_of(rg.states[i]), lab) for i, lab in steps]
-    return Trace(ctx_steps, rg.lts.context_of(rg.states[final]), cycle_start)
+def _verdict(prop: str, rg: ContextGraph, trace: Trace | None = None) -> Verdict:
+    return Verdict(prop, trace is None, trace, len(rg.states), rg.edge_count(), rg)
 
 
 def check_safety(ctx: TypingContext, budget: int = 1_000_000) -> Verdict:
     rg = reachable_graph(ctx, budget)
     for i, s in enumerate(rg.states):
         if not rg.lts.is_safe_state(s):
-            return Verdict("safety", False, _make_trace(rg, _path_to(rg, i), i),
-                           len(rg.states), rg.edge_count())
-    return Verdict("safety", True, None, len(rg.states), rg.edge_count())
+            return _verdict("safety", rg, Trace(rg, _path_to(rg, i), i))
+    return _verdict("safety", rg)
 
 
 def check_deadlock_freedom(ctx: TypingContext, budget: int = 1_000_000) -> Verdict:
     rg = reachable_graph(ctx, budget)
     for i, s in enumerate(rg.states):
         if rg.lts.is_stuck(s) and not rg.lts.all_end(s):
-            return Verdict("df", False, _make_trace(rg, _path_to(rg, i), i),
-                           len(rg.states), rg.edge_count())
-    return Verdict("df", True, None, len(rg.states), rg.edge_count())
+            return _verdict("df", rg, Trace(rg, _path_to(rg, i), i))
+    return _verdict("df", rg)
 
 
 def dot_context_graph(rg: ContextGraph, highlight: set[int] | None = None,
                       title: str = "contexts") -> str:
     """DOT rendering of the reachable context graph; unsafe and stuck
-    states are coloured, `highlight` marks counterexample states."""
-    from .printer import show_context
-
+    states are coloured, `highlight` marks counterexample states by index."""
     highlight = highlight or set()
     lines = [f'digraph "{title}" {{', "  rankdir=LR;"]
     for i, s in enumerate(rg.states):
@@ -312,7 +363,7 @@ def dot_context_graph(rg: ContextGraph, highlight: set[int] | None = None,
             attrs.append("style=filled fillcolor=orange")
         elif i in highlight:
             attrs.append("style=filled fillcolor=lightblue")
-        label = show_context(rg.lts.context_of(s)).replace('"', "'")
+        label = rg.lts.show_state(s).replace('"', "'")
         lines.append(f'  n{i} [shape=box {" ".join(attrs)} label="{label}"];')
     for i, out in enumerate(rg.edges):
         for lab, j in out:
@@ -462,11 +513,9 @@ def check_liveness(ctx: TypingContext, budget: int = 1_000_000) -> Verdict:
     """Not live iff a reachable stuck non-end state exists (finite
     counterwitness) or some barb admits a starving fair lasso."""
     rg = reachable_graph(ctx, budget)
-    n_states, n_edges = len(rg.states), rg.edge_count()
     for i, s in enumerate(rg.states):
         if rg.lts.is_stuck(s) and not rg.lts.all_end(s):
-            return Verdict("live", False, _make_trace(rg, _path_to(rg, i), i),
-                           n_states, n_edges)
+            return _verdict("live", rg, Trace(rg, _path_to(rg, i), i))
     all_barbs = set()
     for s in rg.states:
         all_barbs |= rg.lts.barbs(s)
@@ -477,9 +526,8 @@ def check_liveness(ctx: TypingContext, budget: int = 1_000_000) -> Verdict:
         comp, member = found
         stem = _path_to(rg, member)
         cycle = _cover_walk(rg, comp, member)
-        trace = _make_trace(rg, stem + cycle, member, cycle_start=len(stem))
-        return Verdict("live", False, trace, n_states, n_edges)
-    return Verdict("live", True, None, n_states, n_edges)
+        return _verdict("live", rg, Trace(rg, stem + cycle, member, len(stem)))
+    return _verdict("live", rg)
 
 
 # ---------------------------------------------------------------------------

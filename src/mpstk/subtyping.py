@@ -19,14 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ast import (
-    INT, LocalT, TBra, TEnd, TIn, TOut, TRec, TSel, TVar, subst, tsel,
-    validate_local,
+    INT, BudgetExceeded, LocalT, TBra, TEnd, TIn, TOut, TRec, TSel, TVar, subst,
+    tsel, validate_local,
 )
 from .typegraph import BRA, ENDK, IN, OUT, SEL, TypeGraph, local_graph
-
-
-class BudgetExceeded(Exception):
-    """Raised when the inductive algorithm exceeds its judgement budget."""
 
 
 @dataclass

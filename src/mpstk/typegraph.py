@@ -174,7 +174,12 @@ def graph_to_type(g: TypeGraph, root: int | None = None) -> LocalT:
     rec binders for back edges.  local_graph(result) is graph-equivalent to
     g restricted to what is reachable from `root`."""
     validate_type_graph(g)
-    root = g.init if root is None else root
+    return _extract_type(g, g.init if root is None else root)
+
+
+def _extract_type(g: TypeGraph, root: int) -> LocalT:
+    """graph_to_type without the well-formedness check, for callers that
+    have run validate_type_graph on `g` already."""
     counter = [0]
     active: dict[int, list] = {}  # node -> [binder name or None]
 

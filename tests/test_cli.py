@@ -1,10 +1,16 @@
 """CLI smoke tests: exit codes, JSON output, file plumbing."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from mpstk.cli import main
+from mpstk.context import check_liveness, check_safety
+from mpstk.parse import parse
+
+GOLDEN = Path(__file__).parent / "golden" / "check_context"
 
 G_IF = "rec t. q->r{l1: r->p{l1: t}, l2: r->p{l2: end}}"
 
@@ -81,6 +87,51 @@ def test_check_context(files, capsys):
     assert main(["--json", "check-context", f, "--prop", "live", "--oracle"]) == 1
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert out["holds"] is False and out["oracle"] is False
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("prop", ["safety", "df", "live"])
+def test_check_context_trace_golden(prop, fmt, capsys):
+    """Pinned `check-context --trace` output, text and --json: a false QBF
+    gadget (`A x. (x | x | x)`) for safety and df, and a fair-lasso
+    liveness violation."""
+    argv = ["check-context", str(GOLDEN / f"{prop}.ctx"), "--prop", prop, "--trace"]
+    if fmt == "json":
+        argv.insert(0, "--json")
+    assert main(argv) == 1
+    assert capsys.readouterr().out == (GOLDEN / f"{prop}.{fmt}").read_text()
+
+
+def _highlighted(dot_path) -> set[int]:
+    text = open(dot_path).read()
+    return {int(n) for n in re.findall(r"^  n(\d+) \[.*fillcolor=lightblue", text, re.M)}
+
+
+def test_check_context_dot_marks_trace_states(files, tmp_path, capsys):
+    # States 0 and 2 differ only in p's node, `rec t. q!; q!; t` or its
+    # one-step unfolding, which print the same; only state 0 is on the trace.
+    text = ("a: b!(int); b!(bool); end, b: a?(int); a?(int); end,"
+            " p: rec t. q!(int); q!(int); t, q: rec t. p?(int); t")
+    dot = str(tmp_path / "out.dot")
+    assert main(["check-context", files("c.mpst", text), "--prop", "safety", "--dot", dot]) == 1
+    v = check_safety(parse("context", text))
+    lts, states = v.graph.lts, v.graph.states
+    assert lts.show_state(states[0]) == lts.show_state(states[2])
+    assert v.trace.states() == [0, 1]
+    assert _highlighted(dot) == {0, 1}
+
+    live = str(GOLDEN / "live.ctx")
+    assert main(["check-context", live, "--prop", "live", "--dot", dot]) == 1
+    v = check_liveness(parse("context", open(live).read()))
+    assert v.trace.cycle_start is not None
+    assert _highlighted(dot) == set(v.trace.states())
+
+
+def test_subtype_inductive_budget_exit_code(files, capsys):
+    a = files("a.mpst", "rec t. p!(int); p!(int); t")
+    b = files("b.mpst", "rec t. p!(int); t")
+    assert main(["--budget", "1", "subtype", a, b, "--algo", "inductive"]) == 3
+    assert "budget exceeded" in capsys.readouterr().err
 
 
 def test_check_session(files):

@@ -6,12 +6,13 @@ import pytest
 
 from conftest import rand_local
 
-from mpstk.ast import is_closed, size, typing_context
+from mpstk.ast import TypingContext, is_closed, size, typing_context
 from mpstk.context import (
     Barb, BudgetExceeded, ContextLTS, Label, barbs, brute_force_liveness,
     check_deadlock_freedom, check_liveness, check_safety, ctx_step,
     observations, reachable_graph,
 )
+from mpstk.hardness import all_small_qbfs, gen_qbf_context
 from mpstk.parse import parse
 from mpstk.printer import show, show_context
 from mpstk.subtyping import graph_equiv
@@ -130,9 +131,9 @@ def test_liveness_lasso_trace_replays():
 
 
 def _assert_trace_replays(verdict):
-    steps = verdict.trace.steps
-    contexts = [c for c, _ in steps] + [verdict.trace.final]
-    for (ctx, lab), nxt in zip(steps, contexts[1:]):
+    contexts = verdict.trace.contexts()
+    labels = [lab for _, lab in verdict.trace.steps]
+    for ctx, lab, nxt in zip(contexts, labels, contexts[1:]):
         succs = [c for l2, c in ctx_step(ctx) if l2 == lab]
         assert succs, f"label {lab} not enabled at {show_context(ctx)}"
         assert any(_ctx_equiv(c, nxt) for c in succs)
@@ -146,6 +147,22 @@ def _ctx_equiv(a, b):
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         reachable_graph(D5, budget=1)
+
+
+def test_show_state_equals_show_context(rng):
+    """The memoised state text is the printed context, byte for byte, on
+    every reachable state of random contexts and of QBF gadgets."""
+    contexts = [D5, D6, D7, D8, D9, ALICE_BOB_SELLER]
+    contexts.append(TypingContext(tuple(reversed(D5.entries))))  # not in name order
+    contexts += [c for c in (_rand_context(rng) for _ in range(150)) if c is not None]
+    qbfs = list(all_small_qbfs(2))
+    for f in rng.sample(qbfs, 12):
+        for prop in ("safety", "df", "live"):
+            contexts.append(gen_qbf_context(f, prop))
+    for ctx in contexts:
+        rg = reachable_graph(ctx)
+        for s in rg.states:
+            assert rg.lts.show_state(s) == show_context(rg.lts.context_of(s))
 
 
 # ---------------------------------------------------------------------------
