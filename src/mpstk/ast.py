@@ -551,20 +551,6 @@ def participants(g) -> frozenset[str]:
     raise TypeError(f"participants: unsupported node {g!r}")
 
 
-def local_peers(t) -> frozenset[str]:
-    """Peers mentioned anywhere in a local type."""
-    if isinstance(t, (TEnd, TVar)):
-        return frozenset()
-    if isinstance(t, TRec):
-        return local_peers(t.body)
-    if isinstance(t, (TOut, TIn)):
-        return local_peers(t.cont) | {t.peer}
-    out = frozenset([t.peer])
-    for _, b in t.branches:
-        out |= local_peers(b)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Alpha handling
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .ast import BudgetExceeded, size
 from .inference import branch_cycle_length, gen_lcm_process, infer
 from .projection import (
-    FULL, PLAIN, WorkCounter, gen_lowerbound_family, merge_full_naive,
-    project_inductive, project_subset, project_tirore,
+    _LOCAL_MK, FULL, PLAIN, WorkCounter, _project, gen_lowerbound_family,
+    merge_full_naive, project_inductive, project_subset, project_tirore,
 )
 from .subtyping import (
     gen_coprime_pair, gen_exponential_pair, subtype_inductive, subtype_sim,
@@ -140,48 +140,14 @@ def bench_family(family: str, params, budget: int = 10_000_000) -> list[BenchRec
 def _naive_merge_ops(g, p) -> int:
     """Projection with the naive (plain-AST) full merge, counting visited
     nodes during merging."""
-    from .ast import GChoice, GEnd, GMsg, GRec, GVar, TEnd, TRec, TVar, is_closed, participants
-    from .ast import size as tsize
-
-    ops = [0]
+    c = WorkCounter()
 
     def naive_merge(a, b):
-        ops[0] += min(tsize(a), tsize(b))
+        c.tick(min(size(a), size(b)))
         return merge_full_naive(a, b)
 
-    def go(g):
-        if isinstance(g, GEnd):
-            return TEnd()
-        if isinstance(g, GVar):
-            return TVar(g.var)
-        if isinstance(g, GMsg):
-            cont = go(g.cont)
-            from .ast import TIn, TOut
-
-            if p == g.frm:
-                return TOut(g.to, g.payload, cont)
-            if p == g.to:
-                return TIn(g.frm, g.payload, cont)
-            return cont
-        if isinstance(g, GChoice):
-            from .ast import TBra, TSel
-
-            if p == g.frm:
-                return TSel(g.to, tuple((l, go(b)) for l, b in g.branches))
-            if p == g.to:
-                return TBra(g.frm, tuple((l, go(b)) for l, b in g.branches))
-            parts = [go(b) for _, b in g.branches]
-            out = parts[0]
-            for t in parts[1:]:
-                out = naive_merge(out, t)
-            return out
-        if isinstance(g, GRec):
-            if p not in participants(g.body) and is_closed(g):
-                return TEnd()
-            return TRec(g.var, go(g.body))
-
-    go(g)
-    return ops[0]
+    _project(g, p, _LOCAL_MK, naive_merge)
+    return c.ops
 
 
 def _first_primes(k: int) -> list[int]:

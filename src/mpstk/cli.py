@@ -25,7 +25,7 @@ from .printer import show, show_context, show_local
 from .projection import NotBalanced, ProjUndefined, project_inductive, project_subset, project_tirore
 from .semantics import explore_session
 from .subtyping import subtype_inductive, subtype_sim
-from .typegraph import dot_global_graph, dot_type_graph, global_graph, local_graph
+from .typegraph import dot_global_graph, dot_type_graph, global_graph, graph_to_type, local_graph
 
 OK, REJECT, INPUT_ERROR, BUDGET = 0, 1, 2, 3
 
@@ -76,8 +76,6 @@ def cmd_project(args) -> int:
     try:
         if args.algo == "subset":
             graph = project_subset(g, args.role)
-            from .typegraph import graph_to_type
-
             t = graph_to_type(graph)
             payload = {"defined": True, "type": show_local(t),
                        "graph_nodes": len(graph.real_nodes())}

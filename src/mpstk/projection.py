@@ -13,6 +13,11 @@ Four algorithms:
   p-closures of sets of global subformulas; sound and complete for the
   coinductive projection with full merging on balanced global types.
 
+The three inductive projections, and the naive-merge oracle of the bench
+harness, are one recursion, `_project`, which differs between them only in
+the constructors it builds with and the merge it folds the branches of a
+choice with when p takes no part in that choice.
+
 `project_inductive`/`project_tirore` raise ProjUndefined when the
 projection does not exist; `project_subset` additionally raises NotBalanced
 when its precondition fails.
@@ -22,12 +27,13 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import partial
 
 from .ast import (
     GChoice, GEnd, GMsg, GRec, GVar, GlobalT,
     LocalT, SessionTypeError, Sort,
     TBra, TEnd, TIn, TOut, TRec, TSel, TVar, TypingContext,
-    alpha_canon, check_guarded, is_closed, participants, unfold,
+    alpha_canon, check_guarded, is_closed, participants, size, subst, unfold,
 )
 from .printer import show_global, show_local
 from .subtyping import subtype_sim
@@ -67,16 +73,10 @@ class WorkCounter:
 def merge_plain(t1: LocalT, t2: LocalT, counter: WorkCounter | None = None) -> LocalT:
     """T |_| T = T; operands must be equal up to alpha-renaming."""
     if counter is not None:
-        counter.tick(min(_tsize(t1), _tsize(t2)))
+        counter.tick(min(size(t1), size(t2)))
     if alpha_canon(t1) != alpha_canon(t2):
         raise _merge_fail(t1, t2, "plain merge requires equal branches")
     return t1
-
-
-def _tsize(t) -> int:
-    from .ast import size
-
-    return size(t)
 
 
 def _merge_fail(t1, t2, why):
@@ -120,15 +120,9 @@ def merge_full_naive(t1: LocalT, t2: LocalT) -> LocalT:
                 out.append((l, b1.get(l, b2.get(l))))
         return TBra(t1.peer, tuple(out))
     if isinstance(t1, TRec) and isinstance(t2, TRec):
-        body2 = t2.body if t2.var == t1.var else _rename_var(t2.body, t2.var, t1.var)
+        body2 = t2.body if t2.var == t1.var else subst(t2.body, t2.var, TVar(t1.var))
         return TRec(t1.var, merge_full_naive(t1.body, body2))
     raise _merge_fail(t1, t2, "incompatible heads in full merge")
-
-
-def _rename_var(t, old, new):
-    from .ast import subst
-
-    return subst(t, old, TVar(new))
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +223,14 @@ class MRec(MTree):
     body: MTree
 
 
+def _mbra(peer: str, pairs) -> MBra:
+    """A treap-backed branching on (label, MTree) pairs."""
+    tree = None
+    for l, b in pairs:
+        tree = treap_insert(tree, l, b, lambda old, new: new)
+    return MBra(peer, tree, _tsz(tree))
+
+
 def mt_of_local(t: LocalT) -> MTree:
     if isinstance(t, TEnd):
         return MEnd()
@@ -242,10 +244,7 @@ def mt_of_local(t: LocalT) -> MTree:
         return MRec(t.var, mt_of_local(t.body))
     if isinstance(t, TSel):
         return MSel(t.peer, tuple((l, mt_of_local(b)) for l, b in t.branches))
-    tree = None
-    for l, b in t.branches:
-        tree = treap_insert(tree, l, mt_of_local(b), lambda a, b: b)
-    return MBra(t.peer, tree, len(t.branches))
+    return _mbra(t.peer, tuple((l, mt_of_local(b)) for l, b in t.branches))
 
 
 def mt_to_local(m: MTree) -> LocalT:
@@ -273,10 +272,7 @@ def _mt_rename(m: MTree, old: str, new: str) -> MTree:
     if isinstance(m, MSel):
         return MSel(m.peer, tuple((l, _mt_rename(b, old, new)) for l, b in m.branches))
     if isinstance(m, MBra):
-        tree = None
-        for l, b in treap_items(m.tree):
-            tree = treap_insert(tree, l, _mt_rename(b, old, new), lambda a, b: b)
-        return MBra(m.peer, tree, m.size)
+        return _mbra(m.peer, tuple((l, _mt_rename(b, old, new)) for l, b in treap_items(m.tree)))
     return m
 
 
@@ -321,7 +317,59 @@ def merge_full_optimized(t1: LocalT, t2: LocalT, counter: WorkCounter | None = N
 
 
 # ---------------------------------------------------------------------------
-# Inductive projection
+# Inductive projection: one recursion, parameterised by the result's
+# constructors and by the merge of the branches p takes no part in.
+
+# (end, var, out, in, sel, bra, rec); sel and bra take (peer, pairs)
+_LOCAL_MK = (TEnd, TVar, TOut, TIn, TSel, TBra, TRec)
+_MTREE_MK = (MEnd, MVar, partial(MIO, OUT), partial(MIO, IN), MSel, _mbra, MRec)
+
+
+def _project(g: GlobalT, p: str, mk, merge):
+    """Project `g` onto `p`, building the result with the constructors `mk`.
+
+    Where p takes no part in a choice, the projections of all its branches
+    are computed, then folded left to right with the binary `merge`; a
+    failing merge raises ProjUndefined.  `merge=None` keeps the first
+    branch without projecting the others, so shared subterms of the
+    dropped branches cost nothing.
+    """
+    end, var, out, inp, sel, bra, rec = mk
+
+    def go(g):
+        if isinstance(g, GEnd):
+            return end()
+        if isinstance(g, GVar):
+            return var(g.var)
+        if isinstance(g, GMsg):
+            cont = go(g.cont)
+            if p == g.frm:
+                return out(g.to, g.payload, cont)
+            if p == g.to:
+                return inp(g.frm, g.payload, cont)
+            return cont
+        if isinstance(g, GChoice):
+            if p == g.frm:
+                return sel(g.to, tuple((l, go(b)) for l, b in g.branches))
+            if p == g.to:
+                return bra(g.frm, tuple((l, go(b)) for l, b in g.branches))
+            if merge is None:
+                return go(g.branches[0][1])
+            parts = [go(b) for _, b in g.branches]
+            acc = parts[0]
+            for t in parts[1:]:
+                try:
+                    acc = merge(acc, t)
+                except SessionTypeError as e:
+                    raise ProjUndefined(p, str(e), show_global(g))
+            return acc
+        if isinstance(g, GRec):
+            if p not in participants(g.body) and is_closed(g):
+                return end()
+            return rec(g.var, go(g.body))
+        raise TypeError(f"project: {g!r}")
+
+    return go(g)
 
 
 def project_inductive(
@@ -329,9 +377,10 @@ def project_inductive(
 ) -> LocalT:
     """Inductive projection of `g` onto `p` with plain or full merging."""
     if kind == PLAIN:
-        out = _proj_plain(g, p, counter)
+        out = _project(g, p, _LOCAL_MK, lambda a, b: merge_plain(a, b, counter))
     elif kind == FULL:
-        out = mt_to_local(_proj_full(g, p, counter))
+        m = _project(g, p, _MTREE_MK, lambda a, b: merge_full_opt(a, b, counter))
+        out = mt_to_local(m)
     else:
         raise ValueError(f"unknown merge kind {kind!r}")
     try:
@@ -339,80 +388,6 @@ def project_inductive(
     except SessionTypeError as e:
         raise ProjUndefined(p, f"projection is unguarded ({e})", show_global(g))
     return out
-
-
-def _proj_plain(g: GlobalT, p: str, counter) -> LocalT:
-    if isinstance(g, GEnd):
-        return TEnd()
-    if isinstance(g, GVar):
-        return TVar(g.var)
-    if isinstance(g, GMsg):
-        cont = _proj_plain(g.cont, p, counter)
-        if p == g.frm:
-            return TOut(g.to, g.payload, cont)
-        if p == g.to:
-            return TIn(g.frm, g.payload, cont)
-        return cont
-    if isinstance(g, GChoice):
-        if p == g.frm:
-            return TSel(g.to, tuple((l, _proj_plain(b, p, counter)) for l, b in g.branches))
-        if p == g.to:
-            return TBra(g.frm, tuple((l, _proj_plain(b, p, counter)) for l, b in g.branches))
-        parts = [_proj_plain(b, p, counter) for _, b in g.branches]
-        out = parts[0]
-        for t in parts[1:]:
-            try:
-                out = merge_plain(out, t, counter)
-            except SessionTypeError as e:
-                raise ProjUndefined(p, str(e), show_global(g))
-        return out
-    if isinstance(g, GRec):
-        if p not in participants(g.body) and is_closed(g):
-            return TEnd()
-        return TRec(g.var, _proj_plain(g.body, p, counter))
-    raise TypeError(f"project: {g!r}")
-
-
-def _proj_full(g: GlobalT, p: str, counter) -> MTree:
-    if isinstance(g, GEnd):
-        return MEnd()
-    if isinstance(g, GVar):
-        return MVar(g.var)
-    if isinstance(g, GMsg):
-        cont = _proj_full(g.cont, p, counter)
-        if p == g.frm:
-            return MIO(OUT, g.to, g.payload, cont)
-        if p == g.to:
-            return MIO(IN, g.frm, g.payload, cont)
-        return cont
-    if isinstance(g, GChoice):
-        if p == g.frm:
-            return MSel(g.to, tuple((l, _proj_full(b, p, counter)) for l, b in g.branches))
-        if p == g.to:
-            tree = None
-            for l, b in g.branches:
-                tree = treap_insert(tree, l, _proj_full(b, p, counter), lambda a, b: b)
-            return MBra(g.frm, tree, len(g.branches))
-        parts = [_proj_full(b, p, counter) for _, b in g.branches]
-        out = parts[0]
-        for m in parts[1:]:
-            try:
-                out = merge_full_opt(out, m, counter)
-            except SessionTypeError as e:
-                raise ProjUndefined(p, str(e), show_global(g))
-        return out
-    if isinstance(g, GRec):
-        if p not in participants(g.body) and is_closed(g):
-            return MEnd()
-        return MRec(g.var, _proj_full(g.body, p, counter))
-    raise TypeError(f"project: {g!r}")
-
-
-def projects(g: GlobalT, p: str, kind: str = FULL) -> LocalT | None:
-    try:
-        return project_inductive(g, p, kind)
-    except ProjUndefined:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -423,27 +398,7 @@ def ptrans(g: GlobalT, p: str) -> LocalT:
     """Candidate projection: inductive projection whose merge keeps the left
     operand.  Always total; the result may be unguarded, which the check
     below rejects."""
-    if isinstance(g, GEnd):
-        return TEnd()
-    if isinstance(g, GVar):
-        return TVar(g.var)
-    if isinstance(g, GMsg):
-        if p == g.frm:
-            return TOut(g.to, g.payload, ptrans(g.cont, p))
-        if p == g.to:
-            return TIn(g.frm, g.payload, ptrans(g.cont, p))
-        return ptrans(g.cont, p)
-    if isinstance(g, GChoice):
-        if p == g.frm:
-            return TSel(g.to, tuple((l, ptrans(b, p)) for l, b in g.branches))
-        if p == g.to:
-            return TBra(g.frm, tuple((l, ptrans(b, p)) for l, b in g.branches))
-        return ptrans(g.branches[0][1], p)
-    if isinstance(g, GRec):
-        if p not in participants(g.body) and is_closed(g):
-            return TEnd()
-        return TRec(g.var, ptrans(g.body, p))
-    raise TypeError(f"ptrans: {g!r}")
+    return _project(g, p, _LOCAL_MK, None)
 
 
 def project_tirore(g: GlobalT, p: str) -> LocalT:
@@ -584,9 +539,6 @@ def project_subset(g: GlobalT, p: str) -> TypeGraph:
             todo.append((n, s))
         return n
 
-    def describe(s):
-        return "{" + "; ".join(show_global(gg.nodes[u]) for u in sorted(s)) + "}"
-
     init = intern(p_closure(gg, frozenset([gg.init]), p))
     while todo:
         n, s = todo.pop()
@@ -604,7 +556,7 @@ def project_subset(g: GlobalT, p: str) -> TypeGraph:
             peers = {h.to if p == h.frm else h.frm for h in heads}
             payloads = {h.payload for h in heads}
             if len(outgoing) != 1 or len(peers) != 1 or len(payloads) != 1:
-                raise ProjUndefined(p, "mixed message heads", describe(s))
+                raise ProjUndefined(p, "mixed message heads", desc[n])
             act = Action(OUT if outgoing.pop() else IN, peers.pop(), payloads.pop())
             succ = p_closure(
                 gg, frozenset(gg.succ[u][0] for u in inv), p
@@ -615,7 +567,7 @@ def project_subset(g: GlobalT, p: str) -> TypeGraph:
             selecting = {p == h.frm for h in heads}
             peers = {h.to if p == h.frm else h.frm for h in heads}
             if len(selecting) != 1 or len(peers) != 1:
-                raise ProjUndefined(p, "mixed choice heads", describe(s))
+                raise ProjUndefined(p, "mixed choice heads", desc[n])
             sel = selecting.pop()
             peer = peers.pop()
             per_label: dict[str, set[int]] = {}
@@ -629,7 +581,7 @@ def project_subset(g: GlobalT, p: str) -> TypeGraph:
                 # selections must carry identical label sets (merge on
                 # internal choice never widens)
                 if any(ls != label_sets[0] for ls in label_sets):
-                    raise ProjUndefined(p, "selection label sets differ", describe(s))
+                    raise ProjUndefined(p, "selection label sets differ", desc[n])
                 labs = label_sets[0]
             else:
                 labs = sorted(per_label)
@@ -637,7 +589,7 @@ def project_subset(g: GlobalT, p: str) -> TypeGraph:
                 succ = p_closure(gg, frozenset(per_label[l]), p)
                 edges[n].append((Action(SEL if sel else BRA, peer, l), intern(succ)))
             continue
-        raise ProjUndefined(p, "mixed communication heads", describe(s))
+        raise ProjUndefined(p, "mixed communication heads", desc[n])
 
     graph = TypeGraph(init, edges, skip[0], desc)
     try:

@@ -6,7 +6,8 @@ equal payload sorts):
 * subtype_sim: quadratic simulation check over the product of the two type
   graphs.  A product node is inconsistent when it immediately violates the
   simulation clauses; closure edges follow matched actions, selections from
-  the left and branchings from the right.
+  the left and branchings from the right.  The walk is `_product_walk`,
+  which subtype_sim_matching shares with payload-unifying steps.
 * subtype_inductive: the Gay-Hole style assumption-set algorithm, worst-case
   exponential, with Alg-RecL given priority over Alg-RecR and no memoisation
   beyond the assumption set.
@@ -19,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ast import (
-    INT, BudgetExceeded, LocalT, TBra, TEnd, TIn, TOut, TRec, TSel, TVar, subst,
-    tsel, validate_local,
+    INT, BudgetExceeded, LocalT, SortVar, TBra, TEnd, TIn, TOut, TRec, TSel, TVar,
+    subst, tsel, validate_local,
 )
 from .typegraph import BRA, ENDK, IN, OUT, SEL, TypeGraph, local_graph
 
@@ -55,48 +56,51 @@ _LEFT_KINDS = (SEL, ENDK, IN, OUT)
 _RIGHT_KINDS = (BRA, ENDK)
 
 
-def subtype_sim(t1, t2) -> SimResult:
-    """Decide t1 <= t2 by exploring the product graph, rejecting as soon as
-    an inconsistent node is reached.  nodes_visited <= |t1| * |t2|."""
-    g1, g2 = to_type_graph(t1), to_type_graph(t2)
+def _product_walk(g1: TypeGraph, g2: TypeGraph, step1, step2):
+    """Walk the product of g1 and g2 depth first from the pair of initial
+    nodes, stopping at the first inconsistent node.  `step2(n2, a)` matches
+    a left-driven action of g1 in g2 and `step1(n1, a)` a right-driven
+    action of g2 in g1; each returns the successor node or None.
+
+    Returns (ok, visited product nodes, edges followed)."""
     start = (g1.init, g2.init)
     visited = {start}
     stack = [start]
-    edges_visited = 0
-    ok = True
-    while stack and ok:
+    edges = 0
+    while stack:
         n1, n2 = stack.pop()
         # a branching node is only consistent facing another branching:
         # neither simulation clause constrains it against an active head
         if g1.kind(n1) == BRA and g2.kind(n2) != BRA:
-            ok = False
-            break
+            return False, visited, edges
         succs = []
         for a, m1 in g1.out(n1):
             if a.kind in _LEFT_KINDS:
-                m2 = g2.step(n2, a)
+                m2 = step2(n2, a)
                 if m2 is None:
-                    ok = False
-                    break
+                    return False, visited, edges
                 succs.append((m1, m2))
-        if not ok:
-            break
         for a, m2 in g2.out(n2):
             if a.kind in _RIGHT_KINDS:
-                m1 = g1.step(n1, a)
+                m1 = step1(n1, a)
                 if m1 is None:
-                    ok = False
-                    break
+                    return False, visited, edges
                 succs.append((m1, m2))
-        if not ok:
-            break
         for pair in succs:
-            edges_visited += 1
+            edges += 1
             if pair not in visited:
                 visited.add(pair)
                 stack.append(pair)
+    return True, visited, edges
+
+
+def subtype_sim(t1, t2) -> SimResult:
+    """Decide t1 <= t2 by exploring the product graph, rejecting as soon as
+    an inconsistent node is reached.  nodes_visited <= |t1| * |t2|."""
+    g1, g2 = to_type_graph(t1), to_type_graph(t2)
+    ok, visited, edges = _product_walk(g1, g2, g1.step, g2.step)
     real = sum(1 for a, _ in visited if a != g1.skip)
-    return SimResult(ok, real, edges_visited)
+    return SimResult(ok, real, edges)
 
 
 def graph_equiv(t1, t2) -> bool:
@@ -109,8 +113,6 @@ def subtype_sim_matching(t1, t2) -> tuple[bool, dict]:
     right-hand payload sorts during the walk (consistently across the whole
     graph).  Decides whether some sort substitution pi gives t1 pi <= t2;
     used to compare inferred minimum types against concrete candidates."""
-    from .ast import SortVar
-
     g1, g2 = to_type_graph(t1), to_type_graph(t2)
     binding: dict = {}
 
@@ -132,31 +134,12 @@ def subtype_sim_matching(t1, t2) -> tuple[bool, dict]:
             return None
         return g.step(n, act)
 
-    start = (g1.init, g2.init)
-    visited = {start}
-    stack = [start]
-    while stack:
-        n1, n2 = stack.pop()
-        if g1.kind(n1) == BRA and g2.kind(n2) != BRA:
-            return False, binding
-        succs = []
-        for a, m1 in g1.out(n1):
-            if a.kind in _LEFT_KINDS:
-                m2 = step_matching(g2, n2, a, flip=False)
-                if m2 is None:
-                    return False, binding
-                succs.append((m1, m2))
-        for a, m2 in g2.out(n2):
-            if a.kind in _RIGHT_KINDS:
-                m1 = step_matching(g1, n1, a, flip=True)
-                if m1 is None:
-                    return False, binding
-                succs.append((m1, m2))
-        for pair in succs:
-            if pair not in visited:
-                visited.add(pair)
-                stack.append(pair)
-    return True, binding
+    ok, _, _ = _product_walk(
+        g1, g2,
+        lambda n1, a: step_matching(g1, n1, a, flip=True),
+        lambda n2, a: step_matching(g2, n2, a, flip=False),
+    )
+    return ok, binding
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Projections: the four algorithms, merges, lattice inclusions, families."""
 
 import random
+import time
 
 import pytest
 
 from conftest import balanced_globals, mutate_local, rand_global, rand_local
 
 from mpstk.ast import (
-    GEnd, GMsg, INT, TBra, TEnd, TSel, TVar, TRec,
+    GChoice, GEnd, GMsg, INT, TBra, TEnd, TSel, TVar, TRec,
     is_closed, participants, size,
 )
 from mpstk.parse import parse
@@ -139,6 +140,18 @@ def test_tirore_rejects_unguarded_candidate():
         project_tirore(g, "p")
 
 
+def test_ptrans_linear_on_shared_subterms():
+    # 40 levels, each sharing one subterm object between both branches: a
+    # projection that visited the dropped branches would take 2^40 steps
+    g = GMsg("p", "q", INT, GEnd())
+    for _ in range(40):
+        g = GChoice("r", "s", (("a", g), ("b", g)))
+    t0 = time.perf_counter()
+    assert show(ptrans(g, "p")) == "q!(int); end"
+    assert show(project_tirore(g, "p")) == "q!(int); end"
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_tirore_vs_inductive_incomparable():
     # G_cp: Tirore succeeds, both inductive merges fail
     assert project_tirore(G_CP, "p")
@@ -174,6 +187,15 @@ def test_subset_not_balanced():
     g = parse("global", "rec t. p->q{l: t, l2: q->r{l3: end}}")
     with pytest.raises(NotBalanced):
         project_subset(g, "r")
+
+
+def test_subset_mixed_heads_names_the_state():
+    g = parse("global", "q->r{l1: p->q(int); end, l2: q->p(int); end}")
+    with pytest.raises(ProjUndefined) as e:
+        project_subset(g, "p")
+    assert e.value.reason == "mixed message heads"
+    assert e.value.where == (
+        "{q->r{l1: p->q(int); end, l2: q->p(int); end}, p->q(int); end, q->p(int); end}")
 
 
 def _cf_state_oracle(periods):
