@@ -1,0 +1,149 @@
+"""Exact structure of the type graphs every builder produces.
+
+The values were captured from the implementation and pin it: node
+numbering (the order in which nodes are first seen), where the Skip sink
+lands, edge order, node descriptions and DOT text.  A refactor of the graph
+builders that keeps the graphs isomorphic but renumbers them fails here.
+"""
+
+from mpstk.inference import gen_lcm_process, infer
+from mpstk.parse import parse
+from mpstk.projection import gen_lowerbound_family, project_subset
+from mpstk.typegraph import dot_type_graph, global_graph, local_graph
+
+T1 = "rec t. p!(int); q&{a: t, b: rec u. q?(bool); r+{x: u, y: end}}"
+T2 = "rec t. p+{l1: rec s. p?(nat); s, l2: q!(int); t, l3: end}"
+
+
+def _edges(g):
+    return [[(str(a), m) for a, m in out] for out in g.edges]
+
+
+def _labels(g):
+    return [g.label(n) for n in range(g.node_count())]
+
+
+def test_local_graph_structure():
+    g = local_graph(parse("local", T1))
+    assert (g.init, g.skip) == (0, 5)
+    assert _edges(g) == [
+        [("!p(int)", 1)],
+        [("&q a", 0), ("&q b", 2)],
+        [("?q(bool)", 3)],
+        [("(+)r x", 2), ("(+)r y", 4)],
+        [("end", 5)],
+        [],
+    ]
+    assert _labels(g) == [
+        T1,
+        "q&{a: rec t. p!(int); q&{a: t, b: rec u. q?(bool); r+{x: u, y: end}},"
+        " b: rec u. q?(bool); r+{x: u, y: end}}",
+        "rec u. q?(bool); r+{x: u, y: end}",
+        "r+{x: rec u. q?(bool); r+{x: u, y: end}, y: end}",
+        "end",
+        "Skip",
+    ]
+
+    g = local_graph(parse("local", T2))
+    assert (g.init, g.skip) == (0, 4)
+    assert _edges(g) == [
+        [("(+)p l1", 1), ("(+)p l2", 2), ("(+)p l3", 3)],
+        [("?p(nat)", 1)],
+        [("!q(int)", 0)],
+        [("end", 4)],
+        [],
+    ]
+    assert _labels(g) == [
+        T2,
+        "rec s. p?(nat); s",
+        f"q!(int); {T2}",
+        "end",
+        "Skip",
+    ]
+
+
+def test_global_graph_structure():
+    gg = global_graph(parse("global", "rec t. p->q{a: q->r(int); t, b: r->p{c: end, d: t}}"))
+    assert gg.init == 0
+    assert gg.succ == [[1, 2], [0], [3, 0], []]
+
+
+def test_subset_projection_structure():
+    # the Skip sink is created while the worklist is half done, so it is
+    # numbered between two closure states
+    g = project_subset(gen_lowerbound_family("cf_primes", [2, 3]), "q")
+    assert (g.init, g.skip) == (0, 3)
+    assert _edges(g) == [
+        [("&p a", 1), ("&p b", 2)],
+        [("&p a", 4)],
+        [("end", 3)],
+        [],
+        [("&p a", 5), ("&p b", 2)],
+        [("&p a", 6), ("&p b", 2)],
+        [("&p a", 7), ("&p b", 2)],
+        [("&p a", 8)],
+        [("&p a", 1), ("&p b", 2)],
+    ]
+    l2 = "rec t. p->q{a: p->q{a: t}, b: end}"
+    l3 = "rec t. p->q{a: p->q{a: p->q{a: t}}, b: end}"
+    assert _labels(g) == [
+        f"{{p->r{{l0: {l2}, l1: {l3}}}, {l2}, {l3}}}",
+        f"{{p->q{{a: p->q{{a: {l3}}}}}, p->q{{a: {l2}}}}}",
+        "{end}",
+        "Skip",
+        f"{{{l2}, p->q{{a: {l3}}}}}",
+        f"{{{l3}, p->q{{a: {l2}}}}}",
+        f"{{{l2}, p->q{{a: p->q{{a: {l3}}}}}}}",
+        f"{{p->q{{a: {l3}}}, p->q{{a: {l2}}}}}",
+        f"{{{l2}, {l3}}}",
+    ]
+
+
+def test_min_graph_structure():
+    mg = infer(gen_lcm_process([2, 3])).min_graph
+    assert (mg.graph.init, mg.graph.skip) == (0, None)
+    assert _edges(mg.graph) == [
+        [("&p l1", 1)],
+        [("&p l1", 2)],
+        [("&p l1", 3)],
+        [("&p l1", 4)],
+        [("&p l1", 5)],
+        [("&p l1", 6), ("&p l2", 6)],
+        [("&p l1", 1)],
+    ]
+    assert [sorted(s) for s in mg.node_sets] == [
+        ["x1"], ["x3", "x8"], ["x4", "x7"], ["x2", "x8"],
+        ["x3", "x7"], ["x4", "x8"], ["x2", "x7"],
+    ]
+
+    # payload sort variables are numbered in worklist order; Skip's set is empty
+    mg = infer(parse("process", "p?(x); if x then q!<1>; 0 else q!<2>; 0")).min_graph
+    assert (mg.graph.init, mg.graph.skip) == (0, 3)
+    assert _edges(mg.graph) == [[("?p('a1)", 1)], [("!q('a2)", 2)], [("end", 3)], []]
+    assert mg.node_sets == [
+        frozenset({"x1"}), frozenset({"x2"}), frozenset({"x4", "x6"}), frozenset(),
+    ]
+    assert _labels(mg.graph) == ["{x1}", "{x2}", "{x4, x6}", "Skip"]
+
+
+def test_dot_type_graph_text():
+    dot = dot_type_graph(local_graph(parse("local", T1)), "t1")
+    assert dot == "\n".join([
+        'digraph "t1" {',
+        "  rankdir=LR;",
+        f'  n0 [shape=box style=bold label="{T1}"];',
+        '  n1 [shape=box label="q&{a: rec t. p!(int); q&{a: t, b: rec u. q?(bool);'
+        ' r+{x: u, y: end}}, b: rec u. q?(bool); r+{x: u, y: end}}"];',
+        '  n2 [shape=box label="rec u. q?(bool); r+{x: u, y: end}"];',
+        '  n3 [shape=box label="r+{x: rec u. q?(bool); r+{x: u, y: end}, y: end}"];',
+        '  n4 [shape=box label="end"];',
+        '  n5 [shape=doublecircle label="Skip"];',
+        '  n0 -> n1 [label="!p(int)"];',
+        '  n1 -> n0 [label="&q a"];',
+        '  n1 -> n2 [label="&q b"];',
+        '  n2 -> n3 [label="?q(bool)"];',
+        '  n3 -> n2 [label="(+)r x"];',
+        '  n3 -> n4 [label="(+)r y"];',
+        '  n4 -> n5 [label="end"];',
+        "}",
+    ])
