@@ -9,7 +9,7 @@ alpha-insensitive comparison goes through :func:`alpha_canon`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class SessionTypeError(Exception):
@@ -649,10 +649,8 @@ def uniquify_binders(t, taken: set[str] | None = None):
 
 
 def _install_hash_cache(*classes):
-    import dataclasses as _dc
-
     for cls in classes:
-        names = tuple(f.name for f in _dc.fields(cls))
+        names = tuple(f.name for f in fields(cls))
 
         def _h(self, _names=names, _cls=cls):
             h = self.__dict__.get("_hash")

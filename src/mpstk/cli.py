@@ -120,9 +120,7 @@ def cmd_infer(args) -> int:
 
 def cmd_check_context(args) -> int:
     ctx = parse("context", _read(args.file))
-    checkers = {"safety": ctx_mod.check_safety, "df": ctx_mod.check_deadlock_freedom,
-                "live": ctx_mod.check_liveness}
-    v = checkers[args.prop](ctx, args.budget)
+    v = ctx_mod.CHECKERS[args.prop](ctx, args.budget)
     if args.dot:
         marked = set(v.trace.states()) if v.trace is not None else set()
         with open(args.dot, "w") as fh:
@@ -276,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-context")
     p.add_argument("file")
-    p.add_argument("--prop", choices=["safety", "df", "live"], required=True)
+    p.add_argument("--prop", choices=list(ctx_mod.CHECKERS), required=True)
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--oracle-bound", type=int, default=8)
     p.add_argument("--trace", action="store_true")
@@ -292,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen")
     p.add_argument("what", choices=["qbf"])
     p.add_argument("--formula", required=True)
-    p.add_argument("--prop", choices=["safety", "df", "live"], default="safety")
+    p.add_argument("--prop", choices=list(ctx_mod.CHECKERS), default="safety")
     p.add_argument("--validate", action="store_true")
     p.set_defaults(fn=cmd_gen)
 
@@ -304,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bottomup")
     p.add_argument("session")
-    p.add_argument("--prop", choices=["safety", "df", "live"], default="safety")
+    p.add_argument("--prop", choices=list(ctx_mod.CHECKERS), default="safety")
     p.set_defaults(fn=cmd_bottomup)
 
     p = sub.add_parser("bench")

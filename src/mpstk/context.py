@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from .ast import BudgetExceeded, LocalT, TypingContext, typing_context
 from .printer import show_local
 from .typegraph import (
-    Action, BRA, ENDK, IN, OUT, SEL, _extract_type, local_graph, validate_type_graph,
+    Action, BRA, ENDK, IN, OUT, SEL, _extract_type, local_graph, sccs, validate_type_graph,
 )
 
 
@@ -376,53 +376,6 @@ def dot_context_graph(rg: ContextGraph, highlight: set[int] | None = None,
 # Liveness
 
 
-def _sccs(nodes: list[int], succ: dict[int, list[int]]) -> list[list[int]]:
-    """Tarjan, iterative."""
-    indexof: dict[int, int] = {}
-    low: dict[int, int] = {}
-    onstack: set[int] = set()
-    stack: list[int] = []
-    out: list[list[int]] = []
-    counter = [0]
-    for root in nodes:
-        if root in indexof:
-            continue
-        work = [(root, iter(succ.get(root, [])))]
-        indexof[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        onstack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in indexof:
-                    indexof[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(succ.get(w, []))))
-                    advanced = True
-                    break
-                if w in onstack:
-                    low[v] = min(low[v], indexof[w])
-            if not advanced:
-                work.pop()
-                if work:
-                    pv = work[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                if low[v] == indexof[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        onstack.discard(w)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    out.append(comp)
-    return out
-
-
 def _starving_component(rg: ContextGraph, barb: Barb):
     """States that can sustain a fair cycle never observing `barb`.
 
@@ -443,7 +396,7 @@ def _starving_component(rg: ContextGraph, barb: Barb):
         succ = {
             i: [j for lab, j in rg.edges[i] if j in alive] for i in alive
         }
-        comps = _sccs(sorted(alive), succ)
+        comps = sccs(sorted(alive), succ)
         removed = False
         for comp in comps:
             compset = set(comp)
@@ -462,7 +415,8 @@ def _starving_component(rg: ContextGraph, barb: Barb):
                     removed = True
         if not removed:
             break
-    for comp in _sccs(sorted(alive), {i: [j for lab, j in rg.edges[i] if j in alive] for i in alive}):
+    # nothing was removed, so `comps` are the components of `alive`
+    for comp in comps:
         for i in comp:
             if barb in rg.lts.barbs(rg.states[i]):
                 return comp, i
@@ -528,6 +482,9 @@ def check_liveness(ctx: TypingContext, budget: int = 1_000_000) -> Verdict:
         cycle = _cover_walk(rg, comp, member)
         return _verdict("live", rg, Trace(rg, stem + cycle, member, len(stem)))
     return _verdict("live", rg)
+
+
+CHECKERS = {"safety": check_safety, "df": check_deadlock_freedom, "live": check_liveness}
 
 
 # ---------------------------------------------------------------------------

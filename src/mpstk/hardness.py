@@ -18,7 +18,7 @@ from .ast import (
     BOOL, INT, LocalT, SessionTypeError,
     TBra, TEnd, TIn, TOut, TRec, TSel, TVar, TypingContext, typing_context,
 )
-from .context import check_deadlock_freedom, check_liveness, check_safety
+from .context import CHECKERS
 
 SAFETY, DF, LIVE = "safety", "df", "live"
 
@@ -226,15 +226,8 @@ def protocol_summary(f: QBF) -> str:
     return "\n".join(lines)
 
 
-_CHECKERS = {
-    SAFETY: check_safety,
-    DF: check_deadlock_freedom,
-    LIVE: check_liveness,
-}
-
-
 def check_property(ctx: TypingContext, prop: str, budget: int = 1_000_000):
-    return _CHECKERS[prop](ctx, budget)
+    return CHECKERS[prop](ctx, budget)
 
 
 def validate_reduction(f: QBF, prop: str, budget: int = 1_000_000) -> bool:

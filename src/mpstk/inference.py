@@ -19,9 +19,9 @@ from .ast import (
     BOOL, INT, NAT,
     EAdd, EInt, ENat, ENeg, ENonDet, ENot, EOr, ETrue, EFalse, EVar,
     LocalT, PBra, PCond, PInact, PRec, PRecv, PSel, PSend, PVar, Proc,
-    SessionTypeError, Sort, SortVar,
+    SessionTypeError, Sort, SortVar, uniquify_binders,
 )
-from .typegraph import Action, END_ACT, IN, OUT, SEL, BRA, TypeGraph, graph_to_type
+from .typegraph import Action, END_ACT, IN, OUT, SEL, BRA, TypeGraph, explore, graph_to_type
 
 
 class Untypable(SessionTypeError):
@@ -346,28 +346,9 @@ class MinGraphBuilder:
         return SortVar(f"a{self._alpha}")
 
     def build(self, start: frozenset[str]) -> MinGraph:
-        ids: dict[frozenset[str], int] = {}
-        edges: list[list[tuple[Action, int]]] = []
-        sets: list[frozenset[str]] = []
-        desc: list = []
-        todo: list[tuple[int, frozenset[str]]] = []
         eqs = list(self.base_eqs)
-        skip = [None]
 
-        def intern(s: frozenset[str]) -> int:
-            n = ids.get(s)
-            if n is None:
-                n = len(edges)
-                ids[s] = n
-                edges.append([])
-                sets.append(s)
-                desc.append("{" + ", ".join(sorted(s)) + "}")
-                todo.append((n, s))
-            return n
-
-        init = intern(start)
-        while todo:
-            n, s = todo.pop()
+        def expand(n: int, s: frozenset[str]):
             deps = []
             for v in sorted(s):
                 cs = self.by_rhs.get(v)
@@ -376,13 +357,8 @@ class MinGraphBuilder:
                 deps.extend(cs)
             kinds = {type(c) for c in deps}
             if kinds == {CEnd}:
-                if skip[0] is None:
-                    skip[0] = len(edges)
-                    edges.append([])
-                    sets.append(frozenset())
-                    desc.append("Skip")
-                edges[n].append((END_ACT, skip[0]))
-                continue
+                yield END_ACT, None
+                return
             if len(kinds) != 1:
                 raise Untypable("mixed dependency heads", s)
             peers = {c.peer for c in deps}
@@ -394,10 +370,9 @@ class MinGraphBuilder:
                 alpha = self._fresh_alpha()
                 for c in deps:
                     eqs.append(CSortEq(alpha, c.payload))
-                succ = frozenset(c.cont for c in deps)
                 act = Action(IN if k is CIn else OUT, peer, alpha)
-                edges[n].append((act, intern(succ)))
-                continue
+                yield act, frozenset(c.cont for c in deps)
+                return
             # selections union their labels, branchings intersect them
             label_sets = [set(l for l, _ in c.branches) for c in deps]
             if k is CSel:
@@ -409,11 +384,13 @@ class MinGraphBuilder:
                 labels_here = sorted(inter)
             act_kind = SEL if k is CSel else BRA
             for l in labels_here:
-                succ = frozenset(
-                    v for c in deps for lab, v in c.branches if lab == l
-                )
-                edges[n].append((Action(act_kind, peer, l), intern(succ)))
-        return MinGraph(TypeGraph(init, edges, skip[0], desc), sets, eqs)
+                succ = frozenset(v for c in deps for lab, v in c.branches if lab == l)
+                yield Action(act_kind, peer, l), succ
+
+        init, edges, states, skip = explore(start, expand)
+        sets = [frozenset() if s is None else s for s in states]
+        desc = ["Skip" if s is None else "{" + ", ".join(sorted(s)) + "}" for s in states]
+        return MinGraph(TypeGraph(init, edges, skip, desc), sets, eqs)
 
 
 def build_min_graph(tr_constraints: list, root: str) -> MinGraph:
@@ -471,14 +448,14 @@ def apply_sort_subst(graph: TypeGraph, subst: dict) -> TypeGraph:
     """Rewrite edge payloads through the sort substitution and rename the
     surviving sort variables canonically (a, b, ...) in edge order."""
     canon: dict[SortVar, SortVar] = {}
-    names = list(string.ascii_lowercase) + [f"a{i}" for i in range(100)]
 
     def conv(payload):
         if isinstance(payload, SortVar):
             payload = subst.get(payload, payload)
         if isinstance(payload, SortVar):
             if payload not in canon:
-                canon[payload] = SortVar(names[len(canon)])
+                i = len(canon)  # a..z, then a0, a1, ...
+                canon[payload] = SortVar(string.ascii_lowercase[i] if i < 26 else f"a{i - 26}")
             return canon[payload]
         return payload
 
@@ -551,8 +528,6 @@ def branch_cycle_process(d: int) -> Proc:
 def gen_lcm_process(divisors: list[int]) -> Proc:
     """Nested conditionals over branch cycles; the inferred minimum type
     graph has a branch cycle of length lcm(divisors)."""
-    from .ast import ETrue, EFalse, ENonDet, uniquify_binders
-
     if not divisors:
         raise ValueError("need at least one divisor")
     p: Proc = branch_cycle_process(divisors[0])

@@ -18,9 +18,11 @@ from .ast import (
     Proc, Session, typing_context,
     TBra, TEnd, TIn, TOut, TRec, TVar, participants, uniquify_binders,
 )
-from .context import check_deadlock_freedom, check_liveness, check_safety
+from .context import CHECKERS
 from .inference import Untypable, infer
-from .projection import NotBalanced, ProjUndefined, project_inductive, project_subset
+from .projection import (
+    NotBalanced, ProjUndefined, project_inductive, project_subset, project_tirore,
+)
 from .subtyping import subtype_sim_matching
 
 
@@ -107,8 +109,6 @@ def run_topdown(sess: Session, g, kind: str = "full") -> PipelineReport:
     projections: dict[str, object] = {}
 
     def project_all():
-        from .projection import project_tirore
-
         for p in sorted(pts):
             if kind == "subset":
                 projections[p] = project_subset(g, p)
@@ -151,9 +151,6 @@ def run_topdown(sess: Session, g, kind: str = "full") -> PipelineReport:
     return report
 
 
-_PROPS = {"safety": check_safety, "df": check_deadlock_freedom, "live": check_liveness}
-
-
 def run_bottomup(sess: Session, prop: str = "safety", budget: int = 1_000_000) -> PipelineReport:
     report = PipelineReport(accepted=False)
     minima: dict[str, LocalT] = {}
@@ -172,7 +169,7 @@ def run_bottomup(sess: Session, prop: str = "safety", budget: int = 1_000_000) -
 
     ctx = typing_context(minima.items())
     t0 = time.perf_counter()
-    verdict = _PROPS[prop](ctx, budget)
+    verdict = CHECKERS[prop](ctx, budget)
     ms = (time.perf_counter() - t0) * 1000.0
     report.stages.append(StageReport(f"check-{prop}", verdict.holds,
                                      "" if verdict.holds else "property violated", ms))

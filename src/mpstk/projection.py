@@ -39,7 +39,7 @@ from .printer import show_global, show_local
 from .subtyping import subtype_sim
 from .typegraph import (
     Action, BRA, END_ACT, ENDK, IN, OUT, SEL, TypeGraph,
-    global_graph, involves, is_balanced, local_graph, validate_type_graph,
+    explore, global_graph, involves, is_balanced, local_graph, validate_type_graph,
 )
 
 PLAIN, FULL = "plain", "full"
@@ -523,51 +523,29 @@ def project_subset(g: GlobalT, p: str) -> TypeGraph:
         raise ProjUndefined(p, "participant does not occur in the global type")
     gg = global_graph(g)
 
-    ids: dict[frozenset[int], int] = {}
-    edges: list[list[tuple[Action, int]]] = []
-    desc: list = []
-    todo: list[tuple[int, frozenset[int]]] = []
-    skip = [None]
+    def describe(s: frozenset[int]) -> str:
+        return "{" + ", ".join(show_global(gg.nodes[u]) for u in sorted(s)) + "}"
 
-    def intern(s: frozenset[int]) -> int:
-        n = ids.get(s)
-        if n is None:
-            n = len(edges)
-            ids[s] = n
-            desc.append("{" + ", ".join(show_global(gg.nodes[u]) for u in sorted(s)) + "}")
-            edges.append([])
-            todo.append((n, s))
-        return n
-
-    init = intern(p_closure(gg, frozenset([gg.init]), p))
-    while todo:
-        n, s = todo.pop()
+    def expand(n: int, s: frozenset[int]):
         inv = [u for u in sorted(s) if involves(gg.nodes[u], p)]
         if not inv:
-            if skip[0] is None:
-                skip[0] = len(edges)
-                edges.append([])
-                desc.append("Skip")
-            edges[n].append((END_ACT, skip[0]))
-            continue
+            yield END_ACT, None
+            return
         heads = [unfold(gg.nodes[u]) for u in inv]
         if all(isinstance(h, GMsg) for h in heads):
             outgoing = {p == h.frm for h in heads}
             peers = {h.to if p == h.frm else h.frm for h in heads}
             payloads = {h.payload for h in heads}
             if len(outgoing) != 1 or len(peers) != 1 or len(payloads) != 1:
-                raise ProjUndefined(p, "mixed message heads", desc[n])
+                raise ProjUndefined(p, "mixed message heads", describe(s))
             act = Action(OUT if outgoing.pop() else IN, peers.pop(), payloads.pop())
-            succ = p_closure(
-                gg, frozenset(gg.succ[u][0] for u in inv), p
-            )
-            edges[n].append((act, intern(succ)))
-            continue
+            yield act, p_closure(gg, frozenset(gg.succ[u][0] for u in inv), p)
+            return
         if all(isinstance(h, GChoice) for h in heads):
             selecting = {p == h.frm for h in heads}
             peers = {h.to if p == h.frm else h.frm for h in heads}
             if len(selecting) != 1 or len(peers) != 1:
-                raise ProjUndefined(p, "mixed choice heads", desc[n])
+                raise ProjUndefined(p, "mixed choice heads", describe(s))
             sel = selecting.pop()
             peer = peers.pop()
             per_label: dict[str, set[int]] = {}
@@ -581,17 +559,18 @@ def project_subset(g: GlobalT, p: str) -> TypeGraph:
                 # selections must carry identical label sets (merge on
                 # internal choice never widens)
                 if any(ls != label_sets[0] for ls in label_sets):
-                    raise ProjUndefined(p, "selection label sets differ", desc[n])
+                    raise ProjUndefined(p, "selection label sets differ", describe(s))
                 labs = label_sets[0]
             else:
                 labs = sorted(per_label)
             for l in labs:
-                succ = p_closure(gg, frozenset(per_label[l]), p)
-                edges[n].append((Action(SEL if sel else BRA, peer, l), intern(succ)))
-            continue
-        raise ProjUndefined(p, "mixed communication heads", desc[n])
+                act = Action(SEL if sel else BRA, peer, l)
+                yield act, p_closure(gg, frozenset(per_label[l]), p)
+            return
+        raise ProjUndefined(p, "mixed communication heads", describe(s))
 
-    graph = TypeGraph(init, edges, skip[0], desc)
+    init, edges, states, skip = explore(p_closure(gg, frozenset([gg.init]), p), expand)
+    graph = TypeGraph(init, edges, skip, ["Skip" if s is None else describe(s) for s in states])
     try:
         validate_type_graph(graph)
     except SessionTypeError as e:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .ast import (
     EAdd, EInt, ENat, ENeg, ENonDet, ENot, EOr, ETrue, EFalse, EVar, Expr,
-    PBra, PCond, PInact, PRec, PRecv, PSel, PSend, PVar, Proc,
+    BudgetExceeded, PBra, PCond, PInact, PRec, PRecv, PSel, PSend, PVar, Proc,
     Session, SessionTypeError, session,
 )
 
@@ -257,7 +257,8 @@ def _all_inact(sess: Session) -> bool:
 def explore_session(sess: Session, depth: int = 12, runs: int = 0,
                     seed: int = 0, budget: int = 200_000) -> ExploreReport:
     """Exhaustive BFS to `depth` plus `runs` seeded random walks; reports
-    whether an error state or a stuck non-inact state was reached."""
+    whether an error state or a stuck non-inact state was reached.  Raises
+    BudgetExceeded once the BFS has taken more than `budget` steps."""
     report = ExploreReport()
     start = SessionState(sess)
     seen = {start}
@@ -269,7 +270,7 @@ def explore_session(sess: Session, depth: int = 12, runs: int = 0,
             succs = session_step(st)
             report.steps += len(succs)
             if report.steps > budget:
-                raise SessionTypeError("exploration budget exceeded")
+                raise BudgetExceeded("exploration budget exceeded")
             if not succs and not st.error and not _all_inact(st.sess):
                 report.stuck_nonterminal = True
                 if len(report.stuck_examples) < 3:

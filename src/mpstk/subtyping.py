@@ -17,6 +17,7 @@ Plus generators for the worst-case families used by the benchmarks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .ast import (
@@ -237,8 +238,6 @@ def gen_exponential_pair(k: int) -> tuple[LocalT, LocalT]:
 
 
 def _exp_family(k: int) -> LocalT:
-    import itertools
-
     names = (f"w{i}" for i in itertools.count())
 
     def t_c() -> LocalT:

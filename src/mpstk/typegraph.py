@@ -4,6 +4,11 @@ A local type graph has one node per (alpha-canonical) subformula reachable
 from the root, a single shared Skip sink, and action-labelled edges obtained
 by unfolding each node's head.  Node ids are dense ints so the product
 constructions elsewhere can work on int pairs.
+
+`explore` is the single graph builder: local and global type graphs, the
+subset projection's closure states and the minimum type graph's variable
+sets are all interned through it.  `sccs` is the single strongly-connected
+component routine, used for the balance check and for liveness.
 """
 
 from __future__ import annotations
@@ -134,39 +139,53 @@ def head_actions(t: LocalT) -> list[tuple[Action, LocalT]]:
     raise SessionTypeError(f"open local type in graph construction: {h!r}")
 
 
+def explore(start, expand, key=None):
+    """Intern every state reachable from `start` as a dense node id.
+
+    `expand(n, s)` yields the (Action, successor) pairs of state `s`, which
+    is node `n`.  Nodes are numbered in the order they are first seen from a
+    last-in first-out worklist; every END_ACT edge goes to one shared Skip
+    sink, created on first use, whose state is None.  States are interned by
+    `key(s)` (alpha-canonical form for types), or by themselves when `key`
+    is None.  Returns (init, edges, states, skip)."""
+    ids: dict = {}
+    edges: list[list[tuple[Action, int]]] = []
+    states: list = []
+    todo: list = []
+    skip = None
+
+    def nid(s) -> int:
+        k = s if key is None else key(s)
+        n = ids.get(k)
+        if n is None:
+            n = len(states)
+            ids[k] = n
+            states.append(s)
+            edges.append([])
+            todo.append((n, s))
+        return n
+
+    init = nid(start)
+    while todo:
+        n, s = todo.pop()
+        out = edges[n]
+        for act, succ in expand(n, s):
+            if act is END_ACT:
+                if skip is None:
+                    skip = len(states)
+                    states.append(None)
+                    edges.append([])
+                out.append((act, skip))
+            else:
+                out.append((act, nid(succ)))
+    return init, edges, states, skip
+
+
 def local_graph(t: LocalT) -> TypeGraph:
     """G(T): the graph reachable from T by the transition rules.  Nodes are
     interned by alpha-canonical form, so |nodes| <= |Sub(T)| <= |T|."""
-    ids: dict = {}
-    edges: list[list[tuple[Action, int]]] = []
-    desc: list = []
-    todo: list[tuple[int, LocalT]] = []
-    skip = [None]
-
-    def nid(u: LocalT) -> int:
-        key = alpha_canon(u)
-        n = ids.get(key)
-        if n is None:
-            n = len(edges)
-            ids[key] = n
-            edges.append([])
-            desc.append(u)
-            todo.append((n, u))
-        return n
-
-    init = nid(t)
-    while todo:
-        n, u = todo.pop()
-        for act, cont in head_actions(u):
-            if act.kind == ENDK:
-                if skip[0] is None:
-                    skip[0] = len(edges)
-                    edges.append([])
-                    desc.append("Skip")
-                edges[n].append((act, skip[0]))
-            else:
-                edges[n].append((act, nid(cont)))
-    return TypeGraph(init, edges, skip[0], desc)
+    init, edges, states, skip = explore(t, lambda n, u: head_actions(u), alpha_canon)
+    return TypeGraph(init, edges, skip, ["Skip" if u is None else u for u in states])
 
 
 def graph_to_type(g: TypeGraph, root: int | None = None) -> LocalT:
@@ -247,59 +266,64 @@ def head_conts(g: GlobalT) -> list[GlobalT]:
 
 
 def global_graph(g: GlobalT) -> GlobalGraph:
-    ids: dict = {}
-    succ: list[list[int]] = []
-    nodes: list[GlobalT] = []
-    todo: list[tuple[int, GlobalT]] = []
-
-    def nid(u: GlobalT) -> int:
-        key = alpha_canon(u)
-        n = ids.get(key)
-        if n is None:
-            n = len(succ)
-            ids[key] = n
-            succ.append([])
-            nodes.append(u)
-            todo.append((n, u))
-        return n
-
-    init = nid(g)
-    while todo:
-        n, u = todo.pop()
-        succ[n] = [nid(c) for c in head_conts(u)]
-    return GlobalGraph(init, succ, nodes)
+    init, edges, states, _ = explore(
+        g, lambda n, u: [(None, c) for c in head_conts(u)], alpha_canon)
+    return GlobalGraph(init, [[m for _, m in out] for out in edges], states)
 
 
-def _has_cycle(nodes: set[int], succ) -> bool:
-    """Cycle detection restricted to `nodes` (iterative colouring DFS)."""
-    colour = {n: 0 for n in nodes}  # 0 white, 1 on stack, 2 done
-    for start in nodes:
-        if colour[start] != 0:
+def sccs(nodes: list[int], succ: dict[int, list[int]]) -> list[list[int]]:
+    """Strongly connected components of the graph `succ` restricted to the
+    nodes reachable from `nodes` (Tarjan, iterative), in completion order."""
+    indexof: dict[int, int] = {}
+    low: dict[int, int] = {}
+    onstack: set[int] = set()
+    stack: list[int] = []
+    out: list[list[int]] = []
+    counter = [0]
+    for root in nodes:
+        if root in indexof:
             continue
-        stack = [(start, iter([m for m in succ[start] if m in nodes]))]
-        colour[start] = 1
-        while stack:
-            n, it = stack[-1]
+        work = [(root, iter(succ.get(root, [])))]
+        indexof[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        onstack.add(root)
+        while work:
+            v, it = work[-1]
             advanced = False
-            for m in it:
-                if colour[m] == 1:
-                    return True
-                if colour[m] == 0:
-                    colour[m] = 1
-                    stack.append((m, iter([k for k in succ[m] if k in nodes])))
+            for w in it:
+                if w not in indexof:
+                    indexof[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    onstack.add(w)
+                    work.append((w, iter(succ.get(w, []))))
                     advanced = True
                     break
+                if w in onstack:
+                    low[v] = min(low[v], indexof[w])
             if not advanced:
-                colour[n] = 2
-                stack.pop()
-    return False
+                work.pop()
+                if work:
+                    pv = work[-1][0]
+                    low[pv] = min(low[pv], low[v])
+                if low[v] == indexof[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        onstack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(comp)
+    return out
 
 
 def is_balanced(g: GlobalT) -> bool:
     """Balanced check: G is unbalanced iff for some participant p there is a
     cycle of nodes not involving p from which a p-involving node is still
-    reachable.  Per-participant backward reachability plus cycle detection,
-    O(|G|^2) overall."""
+    reachable.  Per-participant backward reachability plus an SCC search for
+    a cycle among the candidates, O(|G|^2) overall."""
     gg = global_graph(g)
     n = gg.node_count()
     preds: list[list[int]] = [[] for _ in range(n)]
@@ -318,7 +342,8 @@ def is_balanced(g: GlobalT) -> bool:
                     reach_p.add(w)
                     stack.append(w)
         candidates = {u for u in reach_p if not involves(gg.nodes[u], p)}
-        if _has_cycle(candidates, gg.succ):
+        sub = {u: [v for v in gg.succ[u] if v in candidates] for u in candidates}
+        if any(len(c) > 1 or c[0] in sub[c[0]] for c in sccs(sorted(candidates), sub)):
             return False
     return True
 

@@ -269,6 +269,13 @@ def test_lcm_family():
         assert branch_cycle_length(r.graph) == want
 
 
+def test_many_free_sort_variables_get_names():
+    p = parse("process", "".join(f"p?(x{i}); " for i in range(130)) + "0")
+    names = show(infer_min_type(p)).replace("p?('", "").split("); ")
+    assert names[:27] == [*"abcdefghijklmnopqrstuvwxyz", "a0"]
+    assert names[125:] == ["a99", "a100", "a101", "a102", "a103", "end"]
+
+
 def test_branch_cycle_process_size():
     for d in (1, 2, 5):
         assert size(branch_cycle_process(d)) == d + 3

@@ -7,7 +7,7 @@ import pytest
 from conftest import balanced_globals
 
 from mpstk.ast import (
-    ENat, PInact, participants, session,
+    BudgetExceeded, ENat, PInact, participants, session,
 )
 from mpstk.parse import parse
 from mpstk.printer import show
@@ -88,6 +88,13 @@ def test_explore_reports_stuck():
     s = parse("session", "p::q?(x); 0 | q::p?(x); 0")
     r = explore_session(s, depth=3)
     assert r.stuck_nonterminal and not r.error_reached
+
+
+def test_explore_budget_exceeded():
+    s = parse("session", "p::q!<0>; rec X. q?(y); q!<y + (1 (+) 2)>; X"
+                         " | q::rec Y. p?(z); p!<z>; Y")
+    with pytest.raises(BudgetExceeded):
+        explore_session(s, depth=100, budget=10)
 
 
 def test_subst_value_shadowing():
