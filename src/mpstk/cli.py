@@ -15,9 +15,7 @@ from . import context as ctx_mod
 from .ast import BudgetExceeded, SessionTypeError, size
 from .bench import CSV_COLUMNS, bench_family, write_csv
 from .context import brute_force_liveness
-from .hardness import (
-    eval_qbf, gen_qbf_context, parse_qbf, protocol_summary, validate_reduction,
-)
+from .hardness import check_property, eval_qbf, gen_qbf_context, parse_qbf, protocol_summary
 from .inference import infer, show_constraint
 from .parse import parse
 from .pipeline import run_bottomup, run_topdown
@@ -148,7 +146,7 @@ def cmd_check_context(args) -> int:
 
 def cmd_check_session(args) -> int:
     sess = parse("session", _read(args.file))
-    rep = explore_session(sess, depth=args.depth, runs=args.runs, seed=args.seed)
+    rep = explore_session(sess, args.depth, args.runs, args.seed, args.budget)
     payload = {
         "error_reached": rep.error_reached,
         "stuck_nonterminal": rep.stuck_nonterminal,
@@ -172,7 +170,7 @@ def cmd_gen(args) -> int:
                "qbf_true": eval_qbf(f)}
     lines = [show_context(ctx), "", protocol_summary(f)]
     if args.validate:
-        ok = validate_reduction(f, args.prop, args.budget)
+        ok = check_property(ctx, args.prop, args.budget).holds == payload["qbf_true"]
         payload["reduction_valid"] = ok
         lines.append(f"reduction valid: {ok}")
         _emit(args, payload, "\n".join(lines))

@@ -13,16 +13,21 @@ witness, which also refutes deadlock-freedom) or some barb can be starved
 along a fair lasso.  A lasso is fair here in the strong, per-label sense
 of the counterwitness definition: the set of labels it keeps taking must
 equal the set of labels enabled anywhere along it, choice labels being
-distinguished by their label.  The search prunes, per barb, to states none
-of whose enabled reductions would discharge the barb, then keeps only
-strongly-connected regions that can cover all labels enabled inside them.
-A brute-force enumerator of bounded paths and lassos checks the same two
-counterwitness conditions literally and serves as the oracle.
+distinguished by their label.  The search builds its tables once per
+check.  A barb's starting set is the states none of whose enabled
+reductions would discharge it; each distinct starting set is refined
+once, shared by the barbs giving it, by a worklist that keeps non-trivial
+SCCs covering every label enabled in them and splits again only an SCC
+that lost a state.  A brute-force enumerator of bounded paths and lassos
+checks the same two counterwitness conditions literally and serves as the
+oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .ast import BudgetExceeded, LocalT, TypingContext, typing_context
 from .printer import show_local
@@ -76,6 +81,7 @@ def observations(label: Label) -> frozenset[Barb]:
 
 
 State = tuple  # tuple of node ids, aligned with ContextLTS.participants
+_BARB_KINDS = {OUT: "out", IN: "in", SEL: "sel", BRA: "bra"}
 
 
 class ContextLTS:
@@ -96,6 +102,7 @@ class ContextLTS:
         self._validated: set[int] = set()
         self._types: dict[tuple[int, int], LocalT] = {}
         self._shown: dict[tuple[int, int], str] = {}
+        self._barbs: dict[tuple[int, int], Barb | None] = {}
 
     def local_type(self, i: int, n: int) -> LocalT:
         """The local type of participant i at node n of its graph; the graph
@@ -173,13 +180,14 @@ class ContextLTS:
         return out
 
     def barbs(self, state: State) -> frozenset[Barb]:
-        out = set()
-        for i, (p, g) in enumerate(zip(self.participants, self.graphs)):
-            kind = g.kind(state[i])
-            if kind in (OUT, IN, SEL, BRA):
-                peer = g.out(state[i])[0][0].peer
-                out.add(Barb({OUT: "out", IN: "in", SEL: "sel", BRA: "bra"}[kind], p, peer))
-        return frozenset(out)
+        return frozenset(filter(None, map(self._barb, range(len(state)), state)))
+
+    def _barb(self, i: int, n: int) -> Barb | None:
+        """The barb of participant i at node n of its graph, memoised."""
+        if (i, n) not in self._barbs:
+            g, kind = self.graphs[i], _BARB_KINDS.get(self.graphs[i].kind(n))
+            self._barbs[i, n] = kind and Barb(kind, self.participants[i], g.out(n)[0][0].peer)
+        return self._barbs[i, n]
 
     def is_stuck(self, state: State) -> bool:
         return not self.sync_steps(state)
@@ -376,51 +384,71 @@ def dot_context_graph(rg: ContextGraph, highlight: set[int] | None = None,
 # Liveness
 
 
-def _starving_component(rg: ContextGraph, barb: Barb):
-    """States that can sustain a fair cycle never observing `barb`.
+class _FairCycles:
+    """The fair-cycle search of one reachable graph: each distinct label is
+    one bit (its `observations` taken once), each state keeps its (label
+    bit, successor) edges and enabled-label mask, each barb its states, and
+    cores are cached by starting set (`!pq` and `?qp` share one)."""
 
-    Restrict to states with no enabled reduction observing the barb (a fair
-    path through such a state would have to take that reduction), then
-    iteratively drop states whose enabled labels cannot all be covered
-    inside their strongly-connected component.  Returns (component, member
-    with the barb) or None.
-    """
-    enabled: dict[int, set[Label]] = {}
-    alive = set()
-    for i in range(len(rg.states)):
-        labs = {lab for lab, _ in rg.edges[i]}
-        enabled[i] = labs
-        if not any(barb in observations(lab) for lab in labs):
-            alive.add(i)
-    while True:
-        succ = {
-            i: [j for lab, j in rg.edges[i] if j in alive] for i in alive
-        }
-        comps = sccs(sorted(alive), succ)
-        removed = False
-        for comp in comps:
-            compset = set(comp)
-            internal = {
-                lab
-                for i in comp
-                for lab, j in rg.edges[i]
-                if j in compset
-            }
-            trivial = len(comp) == 1 and not any(
-                j == comp[0] for lab, j in rg.edges[comp[0]]
-            )
-            for i in comp:
-                if trivial or not enabled[i] <= internal:
-                    alive.discard(i)
-                    removed = True
-        if not removed:
-            break
-    # nothing was removed, so `comps` are the components of `alive`
-    for comp in comps:
-        for i in comp:
-            if barb in rg.lts.barbs(rg.states[i]):
-                return comp, i
-    return None
+    def __init__(self, rg: ContextGraph):
+        bits: dict[Label, int] = {}
+        self.out = [[(bits.setdefault(lab, 1 << len(bits)), j) for lab, j in row]
+                    for row in rg.edges]
+        self.enabled = [reduce(or_, (b for b, _ in row), 0) for row in self.out]
+        self.observed: dict[Barb, int] = {}  # barb -> the labels observing it
+        for lab, b in bits.items():
+            for barb in observations(lab):
+                self.observed[barb] = self.observed.get(barb, 0) | b
+        self.members: dict[Barb, list[int]] = {}  # barb -> the states offering it
+        for i, s in enumerate(rg.states):
+            for barb in rg.lts.barbs(s):
+                self.members.setdefault(barb, []).append(i)
+        self.cores: dict[tuple[int, ...], list[int]] = {}
+
+    def _sccs(self, nodes: list[int]) -> list[list[int]]:
+        inside = set(nodes)
+        return sccs(nodes, {i: [j for _, j in self.out[i] if j in inside] for i in nodes})
+
+    def core(self, barb: Barb) -> list[int]:
+        """Greatest subset of the barb's starting set whose states each lie
+        in a non-trivial SCC whose internal labels cover their enabled ones.
+        Split each group into SCCs and drop trivial ones and the states they
+        cannot cover; a component that lost nothing is final, the rest form
+        a new group.  Removal is monotone, so the fixpoint is unique."""
+        k = self.observed.get(barb, 0)
+        start = tuple(i for i, m in enumerate(self.enabled) if not m & k)
+        if start in self.cores:
+            return self.cores[start]
+        core = self.cores[start] = []
+        work = [list(start)]
+        while work:
+            for comp in self._sccs(work.pop()):
+                inside = set(comp)
+                internal = reduce(or_, (b for i in comp for b, j in self.out[i] if j in inside), 0)
+                if not internal:  # trivial: one state, no self-loop
+                    continue
+                keep = [i for i in comp if not self.enabled[i] & ~internal]
+                if len(keep) == len(comp):
+                    core.extend(comp)
+                elif keep:
+                    work.append(keep)
+        return core
+
+    def starving(self, barb: Barb):
+        """(component, member with the barb) of a fair cycle that never
+        observes `barb`, or None: the first member in Tarjan order over the
+        sorted core.  Refines nothing if no member is in the starting set."""
+        k = self.observed.get(barb, 0)
+        if all(self.enabled[i] & k for i in self.members[barb]):
+            return None
+        core = self.core(barb)
+        members = set(self.members[barb]).intersection(core)
+        if members:
+            for comp in self._sccs(sorted(core)):
+                for i in comp:
+                    if i in members:
+                        return comp, i
+        return None
 
 
 def _cover_walk(rg: ContextGraph, comp: list[int], start: int) -> list[tuple[int, Label]]:
@@ -470,11 +498,9 @@ def check_liveness(ctx: TypingContext, budget: int = 1_000_000) -> Verdict:
     for i, s in enumerate(rg.states):
         if rg.lts.is_stuck(s) and not rg.lts.all_end(s):
             return _verdict("live", rg, Trace(rg, _path_to(rg, i), i))
-    all_barbs = set()
-    for s in rg.states:
-        all_barbs |= rg.lts.barbs(s)
-    for barb in sorted(all_barbs, key=str):
-        found = _starving_component(rg, barb)
+    fair = _FairCycles(rg)
+    for barb in sorted(fair.members, key=str):
+        found = fair.starving(barb)
         if found is None:
             continue
         comp, member = found

@@ -141,6 +141,31 @@ def test_check_session(files):
     assert main(["check-session", bad]) == 1
 
 
+def test_check_session_honours_budget(files, capsys):
+    s = files("s3.mpst", "p::q!<0>; rec X. q?(y); q!<y + (1 (+) 2)>; X"
+                         " | q::rec Y. p?(z); p!<z>; Y")
+    assert main(["check-session", s, "--depth", "50"]) == 0
+    assert main(["--budget", "10", "check-session", s, "--depth", "50"]) == 3
+    assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_gen_qbf_validate_builds_and_evaluates_once(monkeypatch, capsys):
+    import mpstk.cli as cli
+    import mpstk.hardness as hardness
+
+    calls = []
+    for mod in (cli, hardness):
+        for name in ("gen_qbf_context", "eval_qbf"):
+            fn = getattr(hardness, name)
+            monkeypatch.setattr(mod, name, lambda *a, fn=fn, n=name: calls.append(n) or fn(*a))
+    for formula, prop, code in [("A x. E y. (x | ~y | y)", "live", 0),
+                                ("A x. (x | x | x)", "df", 0)]:
+        calls.clear()
+        assert main(["gen", "qbf", "--formula", formula, "--prop", prop, "--validate"]) == code
+        assert sorted(calls) == ["eval_qbf", "gen_qbf_context"]
+    assert capsys.readouterr().out.count("reduction valid: True") == 2
+
+
 def test_gen_qbf(capsys):
     assert main(["gen", "qbf", "--formula", "E x. (x | x | x)",
                  "--prop", "safety", "--validate"]) == 0

@@ -1,4 +1,5 @@
-"""Exact liveness verdicts and counterexample traces.
+"""Exact liveness verdicts and counterexample traces, and the fair core
+against the round-based refinement it replaced.
 
 The digest and the explicit traces were captured from the round-based
 fair-cycle refinement and pin the checker: a change to the liveness search
@@ -9,15 +10,18 @@ inputs are seeded, so the digest is the same under any PYTHONHASHSEED.
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import balanced_globals, rand_context
+from mpstk import context
 from mpstk.ast import participants, typing_context
-from mpstk.context import check_liveness
-from mpstk.hardness import QBF, gen_qbf_context
+from mpstk.context import _FairCycles, check_liveness, observations, reachable_graph
+from mpstk.hardness import QBF, gen_qbf_context, parse_qbf
 from mpstk.parse import parse
 from mpstk.projection import FULL, ProjUndefined, project_inductive
+from mpstk.typegraph import sccs
 
 
 def _rand_qbf(rng: random.Random, n: int, m: int) -> QBF:
@@ -95,3 +99,94 @@ def test_fair_lasso_trace_is_exact(text, steps, final, cycle_start):
     t = v.trace
     assert [(i, str(lab)) for i, lab in t.steps] == steps
     assert (t.final, t.cycle_start) == (final, cycle_start)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the round-based refinement
+
+
+def _reference_core(rg, barb):
+    """Test oracle, the refinement the checker used before the incremental
+    fair core.  Restrict to the states with no enabled reduction observing
+    `barb`, then rerun Tarjan on all surviving states and drop the states
+    whose enabled labels their component cannot cover (and trivial
+    components) until a round drops nothing.  Returns the sorted surviving
+    states, (component, first member with the barb) or None, and the number
+    of rounds."""
+    enabled = {}
+    alive = set()
+    for i in range(len(rg.states)):
+        labs = {lab for lab, _ in rg.edges[i]}
+        enabled[i] = labs
+        if not any(barb in observations(lab) for lab in labs):
+            alive.add(i)
+    rounds = 0
+    while True:
+        rounds += 1
+        succ = {i: [j for lab, j in rg.edges[i] if j in alive] for i in alive}
+        comps = sccs(sorted(alive), succ)
+        removed = False
+        for comp in comps:
+            compset = set(comp)
+            internal = {lab for i in comp for lab, j in rg.edges[i] if j in compset}
+            trivial = len(comp) == 1 and not any(j == comp[0] for lab, j in rg.edges[comp[0]])
+            for i in comp:
+                if trivial or not enabled[i] <= internal:
+                    alive.discard(i)
+                    removed = True
+        if not removed:
+            break
+    for comp in comps:
+        for i in comp:
+            if barb in rg.lts.barbs(rg.states[i]):
+                return sorted(alive), (comp, i), rounds
+    return sorted(alive), None, rounds
+
+
+# a component that loses a state, and whose survivor then loses its cycle
+RESPLIT = ("p: rec t. q+{a: t, b: rec u. q+{c: u, d: t, e: end}}, "
+           "q: rec t. p&{a: t, b: rec u. p&{c: u, d: t, e: end}}, r: s?(bool); end")
+
+
+def test_fair_core_equals_reference_on_every_barb():
+    rng = random.Random(11)
+    graphs = [reachable_graph(parse("context", RESPLIT))]
+    while len(graphs) < 301:
+        ctx = rand_context(rng, rng.choice([5, 6, 7, 8]))
+        if ctx is not None:
+            graphs.append(reachable_graph(ctx))
+    for _ in range(30):
+        f = _rand_qbf(rng, rng.randint(1, 3), rng.randint(1, 2))
+        graphs.append(reachable_graph(gen_qbf_context(f, "live")))
+    seen = Counter()
+    for rg in graphs:
+        fair = _FairCycles(rg)
+        for barb in sorted(fair.members, key=str):
+            core, found, rounds = _reference_core(rg, barb)
+            assert sorted(fair.core(barb)) == core
+            assert fair.starving(barb) == found
+            seen.update(barbs=1, nonempty=bool(core), found=found is not None,
+                        resplit=rounds > 2)
+    assert seen == Counter(barbs=1651, nonempty=67, found=7, resplit=9)
+
+
+def test_liveness_shares_labels_and_starting_sets(monkeypatch):
+    """`observations` runs once per distinct label and each distinct
+    starting set is split by Tarjan at most once, on a true-live gadget:
+    fewer times than half the number of barbs."""
+    ctx = gen_qbf_context(parse_qbf("A x1. E x2. A x3. (x1 | x2 | x3) & (~x1 | ~x2 | x3)"), "live")
+    observed = Counter()
+    monkeypatch.setattr(context, "observations",
+                        lambda lab: observed.update([lab]) or observations(lab))
+    groups = []
+    monkeypatch.setattr(context, "sccs",
+                        lambda nodes, succ: groups.append(tuple(nodes)) or sccs(nodes, succ))
+    v = check_liveness(ctx)
+    assert v.holds
+    rg = v.graph
+    assert observed == Counter({lab for row in rg.edges for lab, _ in row})
+    barbs = set().union(*map(rg.lts.barbs, rg.states))
+    starts = {tuple(i for i, row in enumerate(rg.edges)
+                    if not any(b in observations(lab) for lab, _ in row)) for b in barbs}
+    split = Counter(g for g in groups if g in starts)
+    assert set(split.values()) == {1} and len(split) < len(barbs) // 2
