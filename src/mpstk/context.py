@@ -14,13 +14,12 @@ along a fair lasso.  A lasso is fair here in the strong, per-label sense
 of the counterwitness definition: the set of labels it keeps taking must
 equal the set of labels enabled anywhere along it, choice labels being
 distinguished by their label.  The search builds its tables once per
-check.  A barb's starting set is the states none of whose enabled
-reductions would discharge it; each distinct starting set is refined
-once, shared by the barbs giving it, by a worklist that keeps non-trivial
-SCCs covering every label enabled in them and splits again only an SCC
-that lost a state.  A brute-force enumerator of bounded paths and lassos
-checks the same two counterwitness conditions literally and serves as the
-oracle.
+check and refines each distinct starting set of a barb (the states none
+of whose enabled reductions would discharge it) once, by a worklist that
+keeps non-trivial SCCs covering every label enabled in them and splits
+again only an SCC that lost a state.  A brute-force enumerator of bounded
+paths and lassos checks the same two counterwitness conditions literally
+and serves as the oracle.
 """
 
 from __future__ import annotations
@@ -185,7 +184,8 @@ class ContextLTS:
     def _barb(self, i: int, n: int) -> Barb | None:
         """The barb of participant i at node n of its graph, memoised."""
         if (i, n) not in self._barbs:
-            g, kind = self.graphs[i], _BARB_KINDS.get(self.graphs[i].kind(n))
+            g = self.graphs[i]
+            kind = _BARB_KINDS.get(g.kind(n))
             self._barbs[i, n] = kind and Barb(kind, self.participants[i], g.out(n)[0][0].peer)
         return self._barbs[i, n]
 
@@ -403,7 +403,7 @@ class _FairCycles:
         for i, s in enumerate(rg.states):
             for barb in rg.lts.barbs(s):
                 self.members.setdefault(barb, []).append(i)
-        self.cores: dict[tuple[int, ...], list[int]] = {}
+        self._cores: dict[tuple[int, ...], list[int]] = {}
 
     def _sccs(self, nodes: list[int]) -> list[list[int]]:
         inside = set(nodes)
@@ -417,9 +417,9 @@ class _FairCycles:
         a new group.  Removal is monotone, so the fixpoint is unique."""
         k = self.observed.get(barb, 0)
         start = tuple(i for i, m in enumerate(self.enabled) if not m & k)
-        if start in self.cores:
-            return self.cores[start]
-        core = self.cores[start] = []
+        if start in self._cores:
+            return self._cores[start]
+        core = self._cores[start] = []
         work = [list(start)]
         while work:
             for comp in self._sccs(work.pop()):

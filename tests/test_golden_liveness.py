@@ -17,7 +17,7 @@ import pytest
 from conftest import balanced_globals, rand_context
 from mpstk import context
 from mpstk.ast import participants, typing_context
-from mpstk.context import _FairCycles, check_liveness, observations, reachable_graph
+from mpstk.context import check_liveness, observations, reachable_graph
 from mpstk.hardness import QBF, gen_qbf_context, parse_qbf
 from mpstk.parse import parse
 from mpstk.projection import FULL, ProjUndefined, project_inductive
@@ -160,7 +160,7 @@ def test_fair_core_equals_reference_on_every_barb():
         graphs.append(reachable_graph(gen_qbf_context(f, "live")))
     seen = Counter()
     for rg in graphs:
-        fair = _FairCycles(rg)
+        fair = context._FairCycles(rg)
         for barb in sorted(fair.members, key=str):
             core, found, rounds = _reference_core(rg, barb)
             assert sorted(fair.core(barb)) == core
