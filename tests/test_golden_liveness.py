@@ -1,5 +1,6 @@
-"""Exact liveness verdicts and counterexample traces, and the fair core
-against the round-based refinement it replaced.
+"""Exact liveness verdicts and counterexample traces, exact safety and
+deadlock-freedom verdicts on the same corpus, and the fair core against the
+round-based refinement it replaced.
 
 The digest and the explicit traces were captured from the round-based
 fair-cycle refinement and pin the checker: a change to the liveness search
@@ -17,7 +18,9 @@ import pytest
 from conftest import balanced_globals, rand_context
 from mpstk import context
 from mpstk.ast import participants, typing_context
-from mpstk.context import check_liveness, observations, reachable_graph
+from mpstk.context import (
+    check_deadlock_freedom, check_liveness, check_safety, observations, reachable_graph,
+)
 from mpstk.hardness import QBF, gen_qbf_context, parse_qbf
 from mpstk.parse import parse
 from mpstk.projection import FULL, ProjUndefined, project_inductive
@@ -77,6 +80,35 @@ def test_liveness_dump_is_exact():
     assert sum(r[5] is not None for r in records) == 25  # fair lassos
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == DUMP_SHA256
+
+
+def _finite_record(v):
+    t = v.trace
+    if t is None:
+        return (v.holds, v.states, v.edges, None, None)
+    return (v.holds, v.states, v.edges, [(i, str(lab)) for i, lab in t.steps], t.final)
+
+
+SAFETY_DF_SHA256 = "e773cc8aa4fd0379b14f0b20a6c94d59e68d5c0036561231c345e61d686528bf"
+
+
+def test_safety_and_df_dump_is_exact():
+    """Safety and deadlock-freedom verdicts and their finite traces on the
+    liveness corpus, plus every reachable state's safe and stuck flags."""
+    records = []
+    flags = Counter()
+    for ctx in _contexts():
+        safety, df = check_safety(ctx), check_deadlock_freedom(ctx)
+        records.append((_finite_record(safety), _finite_record(df)))
+        lts = safety.graph.lts
+        for s in safety.graph.states:
+            flags.update(states=1, unsafe=not lts.is_safe_state(s),
+                         stuck=lts.is_stuck(s) and not lts.all_end(s))
+    assert sum(s[0] for s, _ in records) == 1655  # safe
+    assert sum(d[0] for _, d in records) == 853  # deadlock-free
+    assert flags == Counter(states=6286, unsafe=55, stuck=857)
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == SAFETY_DF_SHA256
 
 
 FAIR_LASSOS = [
