@@ -421,21 +421,28 @@ def subst(t, var: str, repl):
 
     All substitutions performed here plug in closed recursions, so a free
     variable of `repl` can never be captured; we only respect shadowing.
+    A node none of whose children changed is returned itself, so only the
+    spine down to each occurrence of `var` is copied.
     """
     if isinstance(t, (TVar, GVar)):
         return repl if t.var == var else t
     if isinstance(t, (TRec, GRec)):
-        if t.var == var:
+        body = t.body if t.var == var else subst(t.body, var, repl)
+        return t if body is t.body else type(t)(t.var, body)
+    if isinstance(t, (TOut, TIn, GMsg)):
+        cont = subst(t.cont, var, repl)
+        if cont is t.cont:
             return t
-        return type(t)(t.var, subst(t.body, var, repl))
-    if isinstance(t, (TOut, TIn)):
-        return type(t)(t.peer, t.payload, subst(t.cont, var, repl))
-    if isinstance(t, GMsg):
-        return GMsg(t.frm, t.to, t.payload, subst(t.cont, var, repl))
-    if isinstance(t, (TSel, TBra)):
-        return type(t)(t.peer, tuple((l, subst(b, var, repl)) for l, b in t.branches))
-    if isinstance(t, GChoice):
-        return GChoice(t.frm, t.to, tuple((l, subst(b, var, repl)) for l, b in t.branches))
+        if isinstance(t, GMsg):
+            return GMsg(t.frm, t.to, t.payload, cont)
+        return type(t)(t.peer, t.payload, cont)
+    if isinstance(t, (TSel, TBra, GChoice)):
+        pairs = tuple((l, subst(b, var, repl)) for l, b in t.branches)
+        if all(b is b0 for (_, b), (_, b0) in zip(pairs, t.branches)):
+            return t
+        if isinstance(t, GChoice):
+            return GChoice(t.frm, t.to, pairs)
+        return type(t)(t.peer, pairs)
     return t
 
 
@@ -573,7 +580,7 @@ def alpha_canon(t):
             off = env.get(u.var)
             return type(u)(u.var if off is None else f"%{depth - off}")
         key = (u, tuple(sorted(
-            (v, depth - env[v]) for v in free_vars(u) if v in env)))
+            (v, depth - env[v]) for v in free_vars(u) if v in env)) if env else ())
         hit = _canon_memo.get(key)
         if hit is not None:
             return hit
