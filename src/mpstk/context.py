@@ -27,11 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
+from typing import NamedTuple
 
 from .ast import BudgetExceeded, LocalT, TypingContext, typing_context
 from .printer import show_local
 from .typegraph import (
-    Action, BRA, ENDK, IN, OUT, SEL, _extract_type, local_graph, sccs, validate_type_graph,
+    BRA, ENDK, IN, OUT, SEL, _extract_type, local_graph, sccs, validate_type_graph,
 )
 
 
@@ -81,12 +82,27 @@ def observations(label: Label) -> frozenset[Barb]:
 
 State = tuple  # tuple of node ids, aligned with ContextLTS.participants
 _BARB_KINDS = {OUT: "out", IN: "in", SEL: "sel", BRA: "bra"}
+_DUAL = {OUT: IN, SEL: BRA}
+
+
+class _Head(NamedTuple):
+    """A participant at one node of its graph: the head kind, the peer's
+    index (None if the peer is absent or the participant itself), the
+    {arg: target} map, the sync edges (arg, Label, target) of an output or
+    a selection, and the barb."""
+
+    kind: str
+    peer: int | None
+    targets: dict
+    sync: list | tuple
+    barb: Barb | None
 
 
 class ContextLTS:
     """The LTS of a typing context.  A participant's local type at graph
     node n is extracted from its graph and printed at most once per LTS:
-    `local_type` and `show_state` memoise both per (participant, node)."""
+    `local_type` and `show_state` memoise both per (participant, node).
+    `_heads[i][n]` is the `_Head` of participant i at node n, built once."""
 
     def __init__(self, ctx: TypingContext):
         self.ctx = ctx
@@ -101,7 +117,20 @@ class ContextLTS:
         self._validated: set[int] = set()
         self._types: dict[tuple[int, int], LocalT] = {}
         self._shown: dict[tuple[int, int], str] = {}
-        self._barbs: dict[tuple[int, int], Barb | None] = {}
+        self._heads = [[self._head(i, g.kind(n), g.out(n)) for n in range(g.node_count())]
+                       for i, g in enumerate(self.graphs)]
+
+    def _head(self, i: int, kind: str, edges) -> _Head:
+        if kind not in _BARB_KINDS:  # end or Skip
+            return _Head(kind, None, {}, (), None)
+        p, q = self.participants[i], edges[0][0].peer
+        j = self._index.get(q)
+        targets: dict = {}
+        for a, m in edges:
+            targets.setdefault(a.arg, m)
+        sync = [(a.arg, Label("comm", p, q) if kind == OUT else Label("choice", p, q, a.arg), m)
+                for a, m in edges] if kind in _DUAL else ()
+        return _Head(kind, None if j == i else j, targets, sync, Barb(_BARB_KINDS[kind], p, q))
 
     def local_type(self, i: int, n: int) -> LocalT:
         """The local type of participant i at node n of its graph; the graph
@@ -152,68 +181,46 @@ class ContextLTS:
         cached = self._sync_cache.get(state)
         if cached is not None:
             return cached
-        idx = self._index
+        heads = self._heads
         out = []
-        for i, (p, g) in enumerate(zip(self.participants, self.graphs)):
-            kind = g.kind(state[i])
-            if kind not in (OUT, SEL):
+        for i, n in enumerate(state):
+            kind, j, _, sync, _ = heads[i][n]
+            if not sync or j is None:
                 continue
-            for a, m in g.out(state[i]):
-                j = idx.get(a.peer)
-                if j is None or j == i:
-                    continue
-                gq = self.graphs[j]
-                if kind == OUT:
-                    m2 = gq.step(state[j], Action(IN, p, a.arg))
-                    if m2 is not None:
-                        succ = list(state)
-                        succ[i], succ[j] = m, m2
-                        out.append((Label("comm", p, a.peer), tuple(succ)))
-                else:
-                    m2 = gq.step(state[j], Action(BRA, p, a.arg))
-                    if m2 is not None:
-                        succ = list(state)
-                        succ[i], succ[j] = m, m2
-                        out.append((Label("choice", p, a.peer, a.arg), tuple(succ)))
+            kq, jq, targets, _, _ = heads[j][state[j]]
+            if kq != _DUAL[kind] or jq != i:
+                continue
+            for arg, lab, m in sync:
+                m2 = targets.get(arg)
+                if m2 is not None:
+                    succ = list(state)
+                    succ[i], succ[j] = m, m2
+                    out.append((lab, tuple(succ)))
         self._sync_cache[state] = out
         return out
 
     def barbs(self, state: State) -> frozenset[Barb]:
-        return frozenset(filter(None, map(self._barb, range(len(state)), state)))
-
-    def _barb(self, i: int, n: int) -> Barb | None:
-        """The barb of participant i at node n of its graph, memoised."""
-        if (i, n) not in self._barbs:
-            g = self.graphs[i]
-            kind = _BARB_KINDS.get(g.kind(n))
-            self._barbs[i, n] = kind and Barb(kind, self.participants[i], g.out(n)[0][0].peer)
-        return self._barbs[i, n]
+        return frozenset(filter(None, (self._heads[i][n].barb for i, n in enumerate(state))))
 
     def is_stuck(self, state: State) -> bool:
         return not self.sync_steps(state)
 
     def all_end(self, state: State) -> bool:
-        return all(g.kind(state[i]) == ENDK for i, g in enumerate(self.graphs))
+        return all(self._heads[i][n].kind == ENDK for i, n in enumerate(state))
 
     def is_safe_state(self, state: State) -> bool:
         """Clause 1: an output facing an input must be able to communicate.
         Clause 2: if the branching side offers anything, every label the
         selector may pick must be accepted (selection side is universal,
         branching side existential)."""
-        heads: dict[str, tuple[str, str, list]] = {}
-        for i, (p, g) in enumerate(zip(self.participants, self.graphs)):
-            kind = g.kind(state[i])
-            if kind in (OUT, IN, SEL, BRA):
-                edges = g.out(state[i])
-                heads[p] = (kind, edges[0][0].peer, [a.arg for a, _ in edges])
-        for p, (kind, q, args) in heads.items():
-            other = heads.get(q)
-            if kind == OUT and other and other[0] == IN and other[1] == p:
-                if args[0] != other[2][0]:
-                    return False
-            if kind == SEL and other and other[0] == BRA and other[1] == p:
-                if not set(args) <= set(other[2]):
-                    return False
+        heads = self._heads
+        for i, n in enumerate(state):
+            kind, j, targets, sync, _ = heads[i][n]
+            if not sync or j is None:
+                continue
+            kq, jq, offered, _, _ = heads[j][state[j]]
+            if kq == _DUAL[kind] and jq == i and not targets.keys() <= offered.keys():
+                return False
         return True
 
 
