@@ -412,9 +412,32 @@ class _FairCycles:
                 self.members.setdefault(barb, []).append(i)
         self._cores: dict[tuple[int, ...], list[int]] = {}
 
-    def _sccs(self, nodes: list[int]) -> list[list[int]]:
-        inside = set(nodes)
-        return sccs(nodes, {i: [j for _, j in self.out[i] if j in inside] for i in nodes})
+    def _split(self, group: list[int]) -> list[list[int]]:
+        """SCCs of the edges inside `group`, after trimming to a fixpoint the
+        states with no successor or no predecessor there (none lies on a
+        cycle).  Trimming keeps the order of `group` and of each edge list."""
+        inside = set(group)
+        succ = {i: [j for _, j in self.out[i] if j in inside] for i in group}
+        pred: dict[int, list[int]] = {i: [] for i in group}
+        for i in group:
+            for j in succ[i]:
+                pred[j].append(i)
+        n_out = {i: len(succ[i]) for i in group}
+        n_in = {i: len(pred[i]) for i in group}
+        drop = [i for i in group if not n_out[i] or not n_in[i]]
+        gone = set(drop)
+        while drop:
+            i = drop.pop()
+            for degree, near in ((n_in, succ[i]), (n_out, pred[i])):
+                for j in near:
+                    degree[j] -= 1
+                    if not degree[j] and j not in gone:
+                        gone.add(j)
+                        drop.append(j)
+        if gone:
+            group = [i for i in group if i not in gone]
+            succ = {i: [j for j in succ[i] if j not in gone] for i in group}
+        return sccs(group, succ)
 
     def core(self, barb: Barb) -> list[int]:
         """Greatest subset of the barb's starting set whose states each lie
@@ -429,7 +452,7 @@ class _FairCycles:
         core = self._cores[start] = []
         work = [list(start)]
         while work:
-            for comp in self._sccs(work.pop()):
+            for comp in self._split(work.pop()):
                 inside = set(comp)
                 internal = reduce(or_, (b for i in comp for b, j in self.out[i] if j in inside), 0)
                 if not internal:  # trivial: one state, no self-loop
@@ -451,7 +474,7 @@ class _FairCycles:
         core = self.core(barb)
         members = set(self.members[barb]).intersection(core)
         if members:
-            for comp in self._sccs(sorted(core)):
+            for comp in self._split(sorted(core)):
                 for i in comp:
                     if i in members:
                         return comp, i

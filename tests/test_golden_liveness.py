@@ -204,15 +204,17 @@ def test_fair_core_equals_reference_on_every_barb():
 
 def test_liveness_shares_labels_and_starting_sets(monkeypatch):
     """`observations` runs once per distinct label and each distinct
-    starting set is split by Tarjan at most once, on a true-live gadget:
-    fewer times than half the number of barbs."""
+    starting set enters the refinement (trim, then Tarjan) at most once, on
+    a true-live gadget: fewer times than half the number of barbs, and
+    exactly once when every barb's core is asked for."""
     ctx = gen_qbf_context(parse_qbf("A x1. E x2. A x3. (x1 | x2 | x3) & (~x1 | ~x2 | x3)"), "live")
     observed = Counter()
     monkeypatch.setattr(context, "observations",
                         lambda lab: observed.update([lab]) or observations(lab))
     groups = []
-    monkeypatch.setattr(context, "sccs",
-                        lambda nodes, succ: groups.append(tuple(nodes)) or sccs(nodes, succ))
+    split = context._FairCycles._split
+    monkeypatch.setattr(context._FairCycles, "_split",
+                        lambda self, group: groups.append(tuple(group)) or split(self, group))
     v = check_liveness(ctx)
     assert v.holds
     rg = v.graph
@@ -220,5 +222,13 @@ def test_liveness_shares_labels_and_starting_sets(monkeypatch):
     barbs = set().union(*map(rg.lts.barbs, rg.states))
     starts = {tuple(i for i, row in enumerate(rg.edges)
                     if not any(b in observations(lab) for lab, _ in row)) for b in barbs}
-    split = Counter(g for g in groups if g in starts)
-    assert set(split.values()) == {1} and len(split) < len(barbs) // 2
+    refined = Counter(g for g in groups if g in starts)
+    assert set(refined.values()) == {1} and len(refined) < len(barbs) // 2
+    # asked for the core of every barb, a fresh search still refines each
+    # distinct starting set exactly once
+    fair = context._FairCycles(rg)
+    groups.clear()
+    for barb in barbs:
+        fair.core(barb)
+    refined = Counter(g for g in groups if g in starts)
+    assert set(refined.values()) == {1} and len(refined) == len(starts) < len(barbs)
