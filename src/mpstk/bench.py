@@ -108,7 +108,7 @@ def bench_family(family: str, params, budget: int = 10_000_000) -> list[BenchRec
             g = gen_lowerbound_family("cf_primes", primes)
 
             def run(g=g):
-                graph = project_subset(g, "q")
+                graph = project_subset(g, "q", budget)
                 return len(graph.real_nodes()), "defined"
 
             out.append(_record(family, k, size(g), run))
@@ -126,7 +126,7 @@ def bench_family(family: str, params, budget: int = 10_000_000) -> list[BenchRec
             p = gen_lcm_process(list(divisors))
 
             def run(p=p):
-                r = infer(p)
+                r = infer(p, budget)
                 if not r.typable:
                     return 0, "untypable"
                 return branch_cycle_length(r.graph), "typable"

@@ -73,7 +73,7 @@ def cmd_project(args) -> int:
     g = parse("global", _read(args.file))
     try:
         if args.algo == "subset":
-            graph = project_subset(g, args.role)
+            graph = project_subset(g, args.role, args.budget)
             t = graph_to_type(graph)
             payload = {"defined": True, "type": show_local(t),
                        "graph_nodes": len(graph.real_nodes())}
@@ -98,7 +98,7 @@ def cmd_project(args) -> int:
 
 def cmd_infer(args) -> int:
     p = parse("process", _read(args.file))
-    r = infer(p)
+    r = infer(p, args.budget)
     payload = {"typable": r.typable}
     if args.emit_constraints:
         payload["constraints"] = [show_constraint(c) for c in r.derivation.constraints]
@@ -166,9 +166,9 @@ def cmd_gen(args) -> int:
         return INPUT_ERROR
     f = parse_qbf(args.formula)
     ctx = gen_qbf_context(f, args.prop)
-    payload = {"context": show_context(ctx), "participants": ctx.participants(),
-               "qbf_true": eval_qbf(f)}
-    lines = [show_context(ctx), "", protocol_summary(f)]
+    text = show_context(ctx)
+    payload = {"context": text, "participants": ctx.participants(), "qbf_true": eval_qbf(f)}
+    lines = [text, "", protocol_summary(f)]
     if args.validate:
         ok = check_property(ctx, args.prop, args.budget).holds == payload["qbf_true"]
         payload["reduction_valid"] = ok

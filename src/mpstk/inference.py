@@ -345,7 +345,8 @@ class MinGraphBuilder:
         self._alpha += 1
         return SortVar(f"a{self._alpha}")
 
-    def build(self, start: frozenset[str]) -> MinGraph:
+    def build(self, start: frozenset[str], budget: int = 1_000_000) -> MinGraph:
+        """More than `budget` graph nodes, Skip included, raise BudgetExceeded."""
         eqs = list(self.base_eqs)
 
         def expand(n: int, s: frozenset[str]):
@@ -387,14 +388,14 @@ class MinGraphBuilder:
                 succ = frozenset(v for c in deps for lab, v in c.branches if lab == l)
                 yield Action(act_kind, peer, l), succ
 
-        init, edges, states, skip = explore(start, expand)
+        init, edges, states, skip = explore(start, expand, budget=budget)
         sets = [frozenset() if s is None else s for s in states]
         desc = ["Skip" if s is None else "{" + ", ".join(sorted(s)) + "}" for s in states]
         return MinGraph(TypeGraph(init, edges, skip, desc), sets, eqs)
 
 
-def build_min_graph(tr_constraints: list, root: str) -> MinGraph:
-    return MinGraphBuilder(tr_constraints).build(frozenset([root]))
+def build_min_graph(tr_constraints: list, root: str, budget: int = 1_000_000) -> MinGraph:
+    return MinGraphBuilder(tr_constraints).build(frozenset([root]), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +486,13 @@ class InferResult:
     failure_node: frozenset | None = None
 
 
-def infer(p: Proc) -> InferResult:
+def infer(p: Proc, budget: int = 1_000_000) -> InferResult:
+    """More than `budget` minimum-graph nodes, Skip included, raise
+    BudgetExceeded."""
     d = derive_constraints(p)
     tr, root = eliminate_transitive(d.constraints, d.root)
     try:
-        mg = build_min_graph(tr, root)
+        mg = build_min_graph(tr, root, budget)
         subst = solve_sorts(mg.sort_eqs)
     except Untypable as e:
         return InferResult(

@@ -509,13 +509,14 @@ def p_closure(gg, ids: frozenset[int], p: str) -> frozenset[int]:
     return frozenset(out)
 
 
-def project_subset(g: GlobalT, p: str) -> TypeGraph:
+def project_subset(g: GlobalT, p: str, budget: int = 1_000_000) -> TypeGraph:
     """Subset construction: the determinised local view of `g` from `p`.
 
     States are p-closures; on each state the heads of all p-involving
     members must agree (same direction and peer; equal payload for values,
     identical label sets for selections, unioned label sets for
     branchings).  Undefined when some state mixes incompatible heads.
+    More than `budget` graph nodes, Skip included, raise BudgetExceeded.
     """
     if not is_balanced(g):
         raise NotBalanced(f"global type is not balanced: {show_global(g)}")
@@ -569,7 +570,8 @@ def project_subset(g: GlobalT, p: str) -> TypeGraph:
             return
         raise ProjUndefined(p, "mixed communication heads", describe(s))
 
-    init, edges, states, skip = explore(p_closure(gg, frozenset([gg.init]), p), expand)
+    init, edges, states, skip = explore(p_closure(gg, frozenset([gg.init]), p), expand,
+                                        budget=budget)
     graph = TypeGraph(init, edges, skip, ["Skip" if s is None else describe(s) for s in states])
     try:
         validate_type_graph(graph)

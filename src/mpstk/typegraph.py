@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .ast import (
-    GChoice, GMsg, GlobalT,
+    BudgetExceeded, GChoice, GMsg, GlobalT,
     LocalT, SessionTypeError,
     TBra, TEnd, TIn, TOut, TRec, TSel, TVar,
     alpha_canon, participants, unfold,
@@ -139,7 +139,7 @@ def head_actions(t: LocalT) -> list[tuple[Action, LocalT]]:
     raise SessionTypeError(f"open local type in graph construction: {h!r}")
 
 
-def explore(start, expand, key=None):
+def explore(start, expand, key=None, budget: int | None = None):
     """Intern every state reachable from `start` as a dense node id.
 
     `expand(n, s)` yields the (Action, successor) pairs of state `s`, which
@@ -147,21 +147,26 @@ def explore(start, expand, key=None):
     last-in first-out worklist; every END_ACT edge goes to one shared Skip
     sink, created on first use, whose state is None.  States are interned by
     `key(s)` (alpha-canonical form for types), or by themselves when `key`
-    is None.  Returns (init, edges, states, skip)."""
+    is None.  More than `budget` nodes, Skip included, raise BudgetExceeded.
+    Returns (init, edges, states, skip)."""
     ids: dict = {}
     edges: list[list[tuple[Action, int]]] = []
     states: list = []
     todo: list = []
     skip = None
 
+    def new(s) -> int:
+        if budget is not None and len(states) >= budget:
+            raise BudgetExceeded(f"more than {budget} graph nodes")
+        states.append(s)
+        edges.append([])
+        return len(states) - 1
+
     def nid(s) -> int:
         k = s if key is None else key(s)
         n = ids.get(k)
         if n is None:
-            n = len(states)
-            ids[k] = n
-            states.append(s)
-            edges.append([])
+            n = ids[k] = new(s)
             todo.append((n, s))
         return n
 
@@ -172,9 +177,7 @@ def explore(start, expand, key=None):
         for act, succ in expand(n, s):
             if act is END_ACT:
                 if skip is None:
-                    skip = len(states)
-                    states.append(None)
-                    edges.append([])
+                    skip = new(None)
                 out.append((act, skip))
             else:
                 out.append((act, nid(succ)))

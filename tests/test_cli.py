@@ -134,6 +134,22 @@ def test_subtype_inductive_budget_exit_code(files, capsys):
     assert "budget exceeded" in capsys.readouterr().err
 
 
+def test_project_subset_honours_budget(files, capsys):
+    """The subset construction counts its 8 closure states plus Skip."""
+    g = files("g.mpst", "p->r{l0: rec t. p->q{a: p->q{a: t}, b: end}, "
+                        "l1: rec u. p->q{a: p->q{a: p->q{a: u}}, b: end}}")
+    assert main(["--budget", "9", "project", g, "--role", "q", "--algo", "subset"]) == 0
+    assert main(["--budget", "8", "project", g, "--role", "q", "--algo", "subset"]) == 3
+    assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_infer_honours_budget(files, capsys):
+    f = files("p.mpst", "rec X. p?(x); p!<x>; X")  # a minimum graph of 2 nodes
+    assert main(["--budget", "2", "infer", f]) == 0
+    assert main(["--budget", "1", "infer", f]) == 3
+    assert "budget exceeded" in capsys.readouterr().err
+
+
 def test_check_session(files):
     ok = files("s.mpst", "p::q!<1>; 0 | q::p?(x); 0")
     assert main(["check-session", ok]) == 0
