@@ -182,7 +182,7 @@ def cmd_gen(args) -> int:
 def cmd_topdown(args) -> int:
     sess = parse("session", _read(args.session))
     g = parse("global", _read(args.global_file))
-    rep = run_topdown(sess, g, args.kind)
+    rep = run_topdown(sess, g, args.kind, args.budget)
     payload = {"accepted": rep.accepted,
                "stages": [{"name": s.name, "ok": s.ok, "detail": s.detail,
                            "millis": round(s.millis, 3)} for s in rep.stages]}

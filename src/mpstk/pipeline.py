@@ -94,8 +94,9 @@ def _timed(report: PipelineReport, name: str, fn):
     return out, ok
 
 
-def run_topdown(sess: Session, g, kind: str = "full") -> PipelineReport:
-    """kind: plain | full | tbc | subset."""
+def run_topdown(sess: Session, g, kind: str = "full", budget: int = 1_000_000) -> PipelineReport:
+    """kind: plain | full | tbc | subset.  `budget` bounds the subset
+    construction and each minimum type graph."""
     report = PipelineReport(accepted=False)
     roles = dict(sess.roles)
     pts = participants(g)
@@ -111,7 +112,7 @@ def run_topdown(sess: Session, g, kind: str = "full") -> PipelineReport:
     def project_all():
         for p in sorted(pts):
             if kind == "subset":
-                projections[p] = project_subset(g, p)
+                projections[p] = project_subset(g, p, budget)
             elif kind == "tbc":
                 projections[p] = project_tirore(g, p)
             else:
@@ -126,7 +127,7 @@ def run_topdown(sess: Session, g, kind: str = "full") -> PipelineReport:
 
     def infer_all():
         for p in sorted(pts):
-            r = infer(roles[p])
+            r = infer(roles[p], budget)
             if not r.typable:
                 raise Untypable(f"{p}: {r.failure}")
             minima[p] = r.min_type
@@ -157,7 +158,7 @@ def run_bottomup(sess: Session, prop: str = "safety", budget: int = 1_000_000) -
 
     def infer_all():
         for p, q in sess.roles:
-            r = infer(q)
+            r = infer(q, budget)
             if not r.typable:
                 raise Untypable(f"{p}: {r.failure}")
             minima[p] = r.min_type

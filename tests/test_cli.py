@@ -201,6 +201,7 @@ def test_topdown_bottomup(files):
     )
     assert main(["topdown", sess, g, "--kind", "full"]) == 0
     assert main(["topdown", sess, g, "--kind", "plain"]) == 1
+    assert main(["--budget", "2", "topdown", sess, g, "--kind", "subset"]) == 3
     assert main(["bottomup", sess, "--prop", "safety"]) == 0
     assert main(["bottomup", sess, "--prop", "live"]) == 0
 
