@@ -94,7 +94,7 @@ class _Head(NamedTuple):
     kind: str
     peer: int | None
     targets: dict
-    sync: list | tuple
+    sync: tuple
     barb: Barb | None
 
 
@@ -128,8 +128,9 @@ class ContextLTS:
         targets: dict = {}
         for a, m in edges:
             targets.setdefault(a.arg, m)
-        sync = [(a.arg, Label("comm", p, q) if kind == OUT else Label("choice", p, q, a.arg), m)
-                for a, m in edges] if kind in _DUAL else ()
+        sync = () if kind not in _DUAL else tuple(
+            (a.arg, Label("comm", p, q) if kind == OUT else Label("choice", p, q, a.arg), m)
+            for a, m in edges)
         return _Head(kind, None if j == i else j, targets, sync, Barb(_BARB_KINDS[kind], p, q))
 
     def local_type(self, i: int, n: int) -> LocalT:
