@@ -6,7 +6,9 @@ The digest and the explicit traces were captured from the round-based
 fair-cycle refinement and pin the checker: a change to the liveness search
 that keeps the verdicts but starves a different barb, picks another
 component or member, or walks the cycle in another order fails here.  The
-inputs are seeded, so the digest is the same under any PYTHONHASHSEED.
+safety and deadlock-freedom digest was captured from the context LTS that
+re-derived each participant's head per state.  The inputs are seeded, so
+the digests are the same under any PYTHONHASHSEED.
 """
 
 import hashlib

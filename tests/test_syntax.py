@@ -238,9 +238,9 @@ def _subterms(t):
 @pytest.mark.parametrize("gen", [rand_local, rand_global])
 def test_subst_equals_copying_oracle_and_shares(rng, gen):
     """subst agrees with the copying oracle on every subterm of random types,
-    for every recursion variable (plugging in its binder, as unfold does, or
-    another closed type) and for an absent one, and returns the term itself
-    whenever the variable is not free in it."""
+    for the variable of every recursion binder in the type (plugging in that
+    binder, as unfold does) and for an absent variable, and returns the
+    term itself whenever the variable is not free in it."""
     seen = {"open": 0, "shared": 0}
     for _ in range(300):
         t = gen(rng, 14)
