@@ -7,8 +7,10 @@ fair-cycle refinement and pin the checker: a change to the liveness search
 that keeps the verdicts but starves a different barb, picks another
 component or member, or walks the cycle in another order fails here.  The
 safety and deadlock-freedom digest was captured from the context LTS that
-re-derived each participant's head per state.  The inputs are seeded, so
-the digests are the same under any PYTHONHASHSEED.
+re-derived each participant's head per state, and the rendering digest
+(trace text and DOT) from the LTS that built and printed a local type per
+(participant, node).  The inputs are seeded, so the digests are the same
+under any PYTHONHASHSEED.
 """
 
 import hashlib
@@ -234,3 +236,31 @@ def test_liveness_shares_labels_and_starting_sets(monkeypatch):
         fair.core(barb)
     refined = Counter(g for g in groups if g in starts)
     assert set(refined.values()) == {1} and len(refined) == len(starts) < len(barbs)
+
+
+def _rendering_digest():
+    """sha256 over every `Trace.rendered()` string of the safety, df and
+    live verdicts on the corpus, and the DOT of the reachable graph, with
+    the trace's states highlighted, for every 10th context."""
+    h = hashlib.sha256()
+    for k, ctx in enumerate(_contexts()):
+        for prop, check in context.CHECKERS.items():
+            v = check(ctx)
+            marked = set()
+            if v.trace is not None:
+                h.update(f"{k} {prop}\n".encode())
+                for text in v.trace.rendered():
+                    h.update(f"{text}\n".encode())
+                marked = set(v.trace.states())
+            if k % 10 == 0:
+                h.update(context.dot_context_graph(v.graph, marked).encode())
+    return h.hexdigest()
+
+
+RENDERING_SHA256 = "1812bc3575b71ac9f0d1c0ffa2bb23b2e9dd0b4207daa402f60568be56fc6e36"
+
+
+def test_rendered_traces_and_dot_are_exact():
+    """Traces and DOT text as the context LTS printed them when it built
+    and printed a local type per (participant, node)."""
+    assert _rendering_digest() == RENDERING_SHA256
