@@ -23,7 +23,7 @@ from .printer import show, show_context, show_local
 from .projection import NotBalanced, ProjUndefined, project_inductive, project_subset, project_tirore
 from .semantics import explore_session
 from .subtyping import subtype_inductive, subtype_sim
-from .typegraph import dot_global_graph, dot_type_graph, global_graph, graph_to_type, local_graph
+from .typegraph import dot_global_graph, dot_type_graph, global_graph, graph_text, local_graph
 
 OK, REJECT, INPUT_ERROR, BUDGET = 0, 1, 2, 3
 
@@ -73,9 +73,8 @@ def cmd_project(args) -> int:
     g = parse("global", _read(args.file))
     try:
         if args.algo == "subset":
-            graph = project_subset(g, args.role, args.budget)
-            t = graph_to_type(graph)
-            payload = {"defined": True, "type": show_local(t),
+            graph = project_subset(g, args.role, args.budget)  # validated
+            payload = {"defined": True, "type": graph_text(graph, graph.init),
                        "graph_nodes": len(graph.real_nodes())}
             if args.dot:
                 with open(args.dot, "w") as fh:

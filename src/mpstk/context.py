@@ -30,9 +30,9 @@ from operator import or_
 from typing import NamedTuple
 
 from .ast import BudgetExceeded, LocalT, TypingContext, typing_context
-from .printer import show_local
 from .typegraph import (
-    BRA, ENDK, IN, OUT, SEL, _extract_type, local_graph, sccs, validate_type_graph,
+    BRA, ENDK, IN, OUT, SEL, _extract_type, graph_text, local_graph, sccs, text_rows,
+    validate_type_graph,
 )
 
 
@@ -100,8 +100,9 @@ class _Head(NamedTuple):
 
 class ContextLTS:
     """The LTS of a typing context.  A participant's local type at graph
-    node n is extracted from its graph and printed at most once per LTS:
-    `local_type` and `show_state` memoise both per (participant, node).
+    node n is extracted from its graph, or printed from its text rows, at
+    most once per LTS: `local_type` and `show_state` memoise both per
+    (participant, node); each graph is validated on its first use.
     `_heads[i][n]` is the `_Head` of participant i at node n, built once."""
 
     def __init__(self, ctx: TypingContext):
@@ -115,6 +116,7 @@ class ContextLTS:
                                key=lambda i: self.participants[i])
         self._sync_cache: dict[State, list] = {}
         self._validated: set[int] = set()
+        self._rows: dict[int, list] = {}  # participant -> text_rows of its graph
         self._types: dict[tuple[int, int], LocalT] = {}
         self._shown: dict[tuple[int, int], str] = {}
         self._heads = [[self._head(i, g.kind(n), g.out(n)) for n in range(g.node_count())]
@@ -133,15 +135,18 @@ class ContextLTS:
             for a, m in edges)
         return _Head(kind, None if j == i else j, targets, sync, Barb(_BARB_KINDS[kind], p, q))
 
+    def _graph(self, i: int):
+        """Participant i's graph, validated on first use."""
+        if i not in self._validated:
+            validate_type_graph(self.graphs[i])
+            self._validated.add(i)
+        return self.graphs[i]
+
     def local_type(self, i: int, n: int) -> LocalT:
-        """The local type of participant i at node n of its graph; the graph
-        is validated on its first extraction."""
+        """The local type of participant i at node n of its graph."""
         t = self._types.get((i, n))
         if t is None:
-            if i not in self._validated:
-                validate_type_graph(self.graphs[i])
-                self._validated.add(i)
-            t = self._types[i, n] = _extract_type(self.graphs[i], n)
+            t = self._types[i, n] = _extract_type(self._graph(i), n)
         return t
 
     def context_of(self, state: State) -> TypingContext:
@@ -152,12 +157,15 @@ class ContextLTS:
 
     def show_state(self, state: State) -> str:
         """show_context(self.context_of(state)), byte for byte, from the
-        memoised per-participant strings."""
+        memoised per-participant strings, printed by `graph_text`."""
         parts = []
         for i in self._by_name:
-            text = self._shown.get((i, state[i]))
+            n = state[i]
+            text = self._shown.get((i, n))
             if text is None:
-                text = self._shown[i, state[i]] = show_local(self.local_type(i, state[i]))
+                if i not in self._rows:
+                    self._rows[i] = text_rows(self._graph(i))
+                text = self._shown[i, n] = graph_text(self.graphs[i], n, self._rows[i])
             parts.append(f"{self.participants[i]}: {text}")
         return ", ".join(parts)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from itertools import count
 
 from .ast import (
     BudgetExceeded, GChoice, GMsg, GlobalT,
@@ -234,6 +235,66 @@ def _extract_type(g: TypeGraph, root: int) -> LocalT:
         return body
 
     return build(root)
+
+
+def text_rows(g: TypeGraph) -> list:
+    """The text `graph_text` joins at each node of a well-formed graph:
+    (head, (prefix, successor) pairs in edge order, closing text, and None
+    if that is the label order, else the edge indices in label order)."""
+    rows: list = [None] * len(g.edges)  # Skip has no row
+    for n in g.real_nodes():
+        out = g.edges[n]
+        a, m = out[0]
+        if a.kind == ENDK:
+            rows[n] = ("end", (), "", None)
+        elif a.kind in (IN, OUT):
+            rows[n] = (f"{a.peer}{'?' if a.kind == IN else '!'}({show_sort(a.arg)}); ",
+                       (("", m),), "", None)
+        else:
+            order = sorted(range(len(out)), key=lambda k: out[k][0].arg)
+            succ = tuple((f"{', ' if k != order[0] else ''}{b.arg}: ", t)
+                         for k, (b, t) in enumerate(out))
+            rows[n] = (f"{a.peer}{'+' if a.kind == SEL else '&'}{{", succ, "}",
+                       None if order == sorted(order) else order)
+    return rows
+
+
+def graph_text(g: TypeGraph, root: int, rows: list | None = None) -> str:
+    """show_local(_extract_type(g, root)), byte for byte, with no type built:
+    the same depth-first walk, in edge order, with the same rec binders,
+    joining the rows of `text_rows(g)` (computed here if not given)."""
+    rows = text_rows(g) if rows is None else rows
+    binders = count()
+    active: dict[int, str | None] = {}  # node -> its binder name, once used
+    text: list[str] = []
+
+    def walk(n: int) -> None:
+        if n in active:
+            if active[n] is None:
+                active[n] = f"t{next(binders)}"
+            text.append(active[n])
+            return
+        active[n] = None
+        at = len(text)
+        head, succ, close, order = rows[n]
+        text.append(head)
+        if order is None:
+            for pre, m in succ:
+                text.append(pre)
+                walk(m)
+        else:  # walk in edge order, then put the branches' text in label order
+            for pre, m in succ:
+                start = len(text)
+                walk(m)
+                text[start:] = [pre + "".join(text[start:])]
+            text[at + 1:] = [text[at + 1 + k] for k in order]
+        text.append(close)
+        name = active.pop(n)
+        if name is not None:
+            text[at] = f"rec {name}. {head}"
+
+    walk(root)
+    return "".join(text)
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,19 @@ def rand_context(rng: random.Random, fuel: int = 5):
         return None
 
 
+def rand_qbf(rng: random.Random, n: int, m: int):
+    """Random QBF with `n` variables and `m` three-literal clauses."""
+    from mpstk.hardness import QBF
+
+    variables = [f"x{i + 1}" for i in range(n)]
+    prefix = tuple((rng.choice("EA"), v) for v in variables)
+    clauses = tuple(
+        tuple((rng.choice(variables), rng.random() < 0.5) for _ in range(3))
+        for _ in range(m)
+    )
+    return QBF(prefix, clauses)
+
+
 def balanced_globals(rng: random.Random, count: int, fuel: int):
     """Generate `count` balanced closed global types."""
     from mpstk.typegraph import is_balanced

@@ -19,27 +19,16 @@ from collections import Counter
 
 import pytest
 
-from conftest import balanced_globals, rand_context
+from conftest import balanced_globals, rand_context, rand_qbf
 from mpstk import context
 from mpstk.ast import participants, typing_context
 from mpstk.context import (
     check_deadlock_freedom, check_liveness, check_safety, observations, reachable_graph,
 )
-from mpstk.hardness import QBF, gen_qbf_context, parse_qbf
+from mpstk.hardness import gen_qbf_context, parse_qbf
 from mpstk.parse import parse
 from mpstk.projection import FULL, ProjUndefined, project_inductive
 from mpstk.typegraph import sccs
-
-
-def _rand_qbf(rng: random.Random, n: int, m: int) -> QBF:
-    """Random QBF with `n` variables and `m` three-literal clauses."""
-    variables = [f"x{i + 1}" for i in range(n)]
-    prefix = tuple((rng.choice("EA"), v) for v in variables)
-    clauses = tuple(
-        tuple((rng.choice(variables), rng.random() < 0.5) for _ in range(3))
-        for _ in range(m)
-    )
-    return QBF(prefix, clauses)
 
 
 def _contexts():
@@ -48,7 +37,7 @@ def _contexts():
     rng = random.Random(7)
     out = []
     for _ in range(100):
-        f = _rand_qbf(rng, rng.randint(1, 2), rng.randint(1, 2))
+        f = rand_qbf(rng, rng.randint(1, 2), rng.randint(1, 2))
         out.append(gen_qbf_context(f, "live"))
     for _ in range(1500):
         ctx = rand_context(rng, 5)
@@ -192,7 +181,7 @@ def test_fair_core_equals_reference_on_every_barb():
         if ctx is not None:
             graphs.append(reachable_graph(ctx))
     for _ in range(30):
-        f = _rand_qbf(rng, rng.randint(1, 3), rng.randint(1, 2))
+        f = rand_qbf(rng, rng.randint(1, 3), rng.randint(1, 2))
         graphs.append(reachable_graph(gen_qbf_context(f, "live")))
     seen = Counter()
     for rg in graphs:

@@ -4,16 +4,16 @@ import random
 
 import pytest
 
-from conftest import rand_global, rand_local
+from conftest import balanced_globals, rand_global, rand_local, rand_process, rand_qbf
 
 from mpstk.ast import INT, GMsg, GEnd, TEnd, is_closed, participants, size, unfold
 from mpstk.parse import parse
-from mpstk.printer import show
+from mpstk.printer import show, show_local
 from mpstk.subtyping import graph_equiv
 from mpstk.typegraph import (
     Action, BRA, ENDK, IN, OUT, SEL, MalformedGraph, TypeGraph,
-    dot_type_graph, global_graph, graph_to_type, involves, is_balanced,
-    local_graph, validate_type_graph,
+    _extract_type, dot_type_graph, global_graph, graph_text, graph_to_type, involves,
+    is_balanced, local_graph, text_rows, validate_type_graph,
 )
 
 
@@ -81,6 +81,60 @@ def test_graph_to_type_subset_example():
     )
     t = graph_to_type(project_subset(g, "r"))
     assert show(t) == "q?(int); q&{l3: p!(int); end, l4: p!(bool); end}"
+
+
+def _text_corpus():
+    """Well-formed graphs of every origin: random local types, the
+    participants of 30 QBF gadgets, minimum type graphs with a Skip node
+    and subset projections; each again with every node's edges reversed,
+    so that edge order and label order differ."""
+    from mpstk.context import ContextLTS
+    from mpstk.hardness import gen_qbf_context
+    from mpstk.inference import infer
+    from mpstk.projection import ProjUndefined, project_subset
+
+    rng = random.Random(2024)
+    graphs = {"local": [], "qbf": [], "infer": [], "subset": []}
+    while len(graphs["local"]) < 300:
+        t = rand_local(rng, rng.randint(3, 14))
+        if is_closed(t):
+            graphs["local"].append(local_graph(t))
+    for k in range(30):
+        f = rand_qbf(rng, rng.randint(1, 3), rng.randint(1, 2))
+        graphs["qbf"] += ContextLTS(gen_qbf_context(f, ("safety", "df", "live")[k % 3])).graphs
+    while len(graphs["infer"]) < 100:
+        r = infer(rand_process(rng, rng.randint(3, 10)))
+        if r.typable and r.graph.skip is not None:
+            graphs["infer"].append(r.graph)
+    for g in balanced_globals(rng, 60, 8):
+        for p in sorted(participants(g)):
+            try:
+                graphs["subset"].append(project_subset(g, p))
+            except ProjUndefined:
+                continue
+    for origin in list(graphs):
+        graphs[f"{origin}, reversed"] = [
+            TypeGraph(g.init, [out[::-1] for out in g.edges], g.skip) for g in graphs[origin]]
+    return graphs
+
+
+def test_graph_text_equals_printed_extraction():
+    """graph_text renders every node's type exactly as show_local prints the
+    type _extract_type builds: binder names, label order, rec placement."""
+    seen = {}
+    for origin, graphs in _text_corpus().items():
+        for g in graphs:
+            validate_type_graph(g)
+            rows = text_rows(g)
+            for n in g.real_nodes():
+                assert graph_text(g, n, rows) == show_local(_extract_type(g, n)), (origin, n)
+        seen[origin] = sum(len(g.real_nodes()) for g in graphs)
+    assert min(seen.values()) > 250
+    # binders are numbered in the order of first use along the edges
+    g = local_graph(parse("local", "rec a. p&{x: rec b. p&{u: a, v: b}, y: end}"))
+    back = TypeGraph(g.init, [out[::-1] for out in g.edges], g.skip)
+    assert graph_text(g, g.init) == "rec t0. p&{x: rec t1. p&{u: t0, v: t1}, y: end}"
+    assert graph_text(back, back.init) == "rec t1. p&{x: rec t0. p&{u: t1, v: t0}, y: end}"
 
 
 def test_malformed_graph_rejected():
