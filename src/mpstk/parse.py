@@ -36,6 +36,7 @@ _TOKEN_RE = re.compile(
     )""",
     re.VERBOSE,
 )
+_SPACE_RE = re.compile(r"\s*")
 
 KEYWORDS = {"end", "rec", "true", "false", "if", "then", "else", "neg", "bool", "nat", "int"}
 
@@ -45,7 +46,8 @@ def tokenize(text: str):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            if text[pos:].strip() == "":
+            pos = _SPACE_RE.match(text, pos).end()  # report the character, not the space
+            if pos == len(text):
                 break
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         pos = m.end()

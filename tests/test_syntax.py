@@ -65,6 +65,18 @@ def test_parse_position_in_errors():
         parse("local", "p!(int)")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("p!(int); $ end", "unexpected character '$' (at offset 9)"),
+    ("p!(int);\t\n #", "unexpected character '#' (at offset 11)"),
+    ("p!(int);$ end", "unexpected character '$' (at offset 8)"),
+])
+def test_tokenizer_error_names_the_bad_character(text, message):
+    """The offending character and its own offset, past any whitespace."""
+    with pytest.raises(ParseError) as err:
+        parse("local", text)
+    assert str(err.value) == message
+
+
 def test_nested_rec_unfold_head():
     t = parse("local", "rec t. rec u. p!(int); t")
     assert isinstance(unfold(t), TOut)
