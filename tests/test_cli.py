@@ -1,7 +1,10 @@
 """CLI smoke tests: exit codes, JSON output, file plumbing."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,17 @@ def test_parse_ok(files, capsys):
     f = files("t.mpst", "rec t. p+{l1: t, l2: end}")
     assert main(["parse", "local", f]) == 0
     assert "rec t" in capsys.readouterr().out
+
+
+def test_python_m_mpstk(files):
+    """`python -m mpstk` runs the same frontend as the `mpstk` script."""
+    f = files("t.mpst", "rec t. p+{l1: t, l2: end}")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-m", "mpstk", "parse", "local", f],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "rec t. p+{l1: t, l2: end}"
 
 
 def test_parse_error_exit_code(files, capsys):
