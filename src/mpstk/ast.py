@@ -2,14 +2,16 @@
 sessions and typing contexts, plus the structural metrics used everywhere
 else (size, subformulas, unfolding, free variables, guardedness).
 
-All nodes are immutable; structural equality is plain field equality, and
-alpha-insensitive comparison goes through :func:`alpha_canon`.
+All nodes are immutable and hash-consed: constructing a node equal to a
+live one returns the live one, so equality and hashing are object identity.
+Alpha-insensitive comparison goes through :func:`alpha_canon`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+import weakref
+from dataclasses import dataclass
 
 
 class SessionTypeError(Exception):
@@ -21,19 +23,42 @@ class BudgetExceeded(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Hash-consing (Filliatre & Conchon, Type-Safe Modular Hash-Consing, 2006)
+
+
+_live = weakref.WeakValueDictionary()  # (class, *fields) -> the live node
+
+
+class _Interned(type):
+    """Metaclass of the AST roots: a node is keyed by its class and its
+    positional fields, and a live node with that key is returned instead of
+    a new one.  Children are interned already, so the key hashes and
+    compares them by identity."""
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs:
+            raise TypeError(f"{cls.__name__} takes its fields positionally")
+        key = (cls, *args)
+        node = _live.get(key)
+        if node is None:
+            node = _live[key] = super().__call__(*args)
+        return node
+
+
+# ---------------------------------------------------------------------------
 # Sorts
 
 
-@dataclass(frozen=True)
-class Sort:
+@dataclass(frozen=True, eq=False)
+class Sort(metaclass=_Interned):
     name: str
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class SortVar:
+@dataclass(frozen=True, eq=False)
+class SortVar(metaclass=_Interned):
     """Sort variable; produced only by inference, never by the parser."""
 
     name: str
@@ -53,48 +78,48 @@ SORTS = {"bool": BOOL, "nat": NAT, "int": INT}
 # Local types
 
 
-class LocalT:
+class LocalT(metaclass=_Interned):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TEnd(LocalT):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TOut(LocalT):
     peer: str
     payload: Sort | SortVar
     cont: LocalT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TIn(LocalT):
     peer: str
     payload: Sort | SortVar
     cont: LocalT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TSel(LocalT):
     peer: str
     branches: tuple[tuple[str, LocalT], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TBra(LocalT):
     peer: str
     branches: tuple[tuple[str, LocalT], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TRec(LocalT):
     var: str
     body: LocalT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TVar(LocalT):
     var: str
 
@@ -125,16 +150,16 @@ def tbra(peer, pairs):
 # Global types
 
 
-class GlobalT:
+class GlobalT(metaclass=_Interned):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GEnd(GlobalT):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GMsg(GlobalT):
     frm: str
     to: str
@@ -142,20 +167,20 @@ class GMsg(GlobalT):
     cont: GlobalT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GChoice(GlobalT):
     frm: str
     to: str
     branches: tuple[tuple[str, GlobalT], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GRec(GlobalT):
     var: str
     body: GlobalT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GVar(GlobalT):
     var: str
 
@@ -179,59 +204,59 @@ def gchoice(frm, to, pairs):
 # Expressions
 
 
-class Expr:
+class Expr(metaclass=_Interned):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ETrue(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EFalse(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ENat(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EInt(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EVar(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EOr(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ENot(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EAdd(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ENonDet(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ENeg(Expr):
     arg: Expr
 
@@ -244,56 +269,56 @@ FALSE = EFalse()
 # Processes and sessions
 
 
-class Proc:
+class Proc(metaclass=_Interned):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PInact(Proc):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PSend(Proc):
     peer: str
     expr: Expr
     cont: Proc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PRecv(Proc):
     peer: str
     var: str
     cont: Proc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PSel(Proc):
     peer: str
     label: str
     cont: Proc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PBra(Proc):
     peer: str
     branches: tuple[tuple[str, Proc], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PCond(Proc):
     cond: Expr
     then: Proc
     orelse: Proc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PRec(Proc):
     var: str
     body: Proc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PVar(Proc):
     var: str
 
@@ -301,12 +326,8 @@ class PVar(Proc):
 INACT = PInact()
 
 
-def pbra(peer, pairs):
-    return PBra(peer, branches(pairs))
-
-
-@dataclass(frozen=True)
-class Session:
+@dataclass(frozen=True, eq=False)
+class Session(metaclass=_Interned):
     """Parallel composition as a map participant -> process."""
 
     roles: tuple[tuple[str, Proc], ...]
@@ -326,8 +347,8 @@ def session(pairs) -> Session:
     return Session(tuple(sorted(pairs, key=lambda kv: kv[0])))
 
 
-@dataclass(frozen=True)
-class TypingContext:
+@dataclass(frozen=True, eq=False)
+class TypingContext(metaclass=_Interned):
     """Map participant -> closed local type; the state of the context LTS."""
 
     entries: tuple[tuple[str, LocalT], ...]
@@ -568,7 +589,7 @@ _canon_memo: dict = {}
 def alpha_canon(t):
     """De Bruijn style canonical form: every binder is renamed to "%" and
     every variable to its binding distance, so two types are
-    alpha-equivalent iff their canonical forms are structurally equal.
+    alpha-equivalent iff their canonical forms are one object.
 
     Distances are context-free, which lets subtree canonicalisation be
     memoised on (subtree, relative offsets of its free variables); graph
@@ -603,7 +624,7 @@ def alpha_canon(t):
 
 
 def alpha_eq(a, b) -> bool:
-    return alpha_canon(a) == alpha_canon(b)
+    return alpha_canon(a) is alpha_canon(b)
 
 
 def uniquify_binders(t, taken: set[str] | None = None):
@@ -648,35 +669,6 @@ def uniquify_binders(t, taken: set[str] | None = None):
         return u
 
     return walk(t, {})
-
-
-# Hash values are cached on first use: the ASTs are immutable and deep, and
-# the checkers put them in sets heavily, so the default recursive dataclass
-# hash would dominate.
-
-
-def _install_hash_cache(*classes):
-    for cls in classes:
-        names = tuple(f.name for f in fields(cls))
-
-        def _h(self, _names=names, _cls=cls):
-            h = self.__dict__.get("_hash")
-            if h is None:
-                h = hash((_cls, *[getattr(self, n) for n in _names]))
-                object.__setattr__(self, "_hash", h)
-            return h
-
-        cls.__hash__ = _h
-
-
-_install_hash_cache(
-    Sort, SortVar,
-    TEnd, TOut, TIn, TSel, TBra, TRec, TVar,
-    GEnd, GMsg, GChoice, GRec, GVar,
-    ETrue, EFalse, ENat, EInt, EVar, EOr, ENot, EAdd, ENonDet, ENeg,
-    PInact, PSend, PRecv, PSel, PBra, PCond, PRec, PVar,
-    Session, TypingContext,
-)
 
 
 def validate_local(t: LocalT, require_closed: bool = True) -> LocalT:

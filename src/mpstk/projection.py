@@ -74,7 +74,7 @@ def merge_plain(t1: LocalT, t2: LocalT, counter: WorkCounter | None = None) -> L
     """T |_| T = T; operands must be equal up to alpha-renaming."""
     if counter is not None:
         counter.tick(min(size(t1), size(t2)))
-    if alpha_canon(t1) != alpha_canon(t2):
+    if alpha_canon(t1) is not alpha_canon(t2):
         raise _merge_fail(t1, t2, "plain merge requires equal branches")
     return t1
 

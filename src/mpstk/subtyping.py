@@ -151,8 +151,8 @@ _unfold1_memo: dict = {}
 
 
 def _unfold1(t: TRec) -> LocalT:
-    """One unfolding step, memoised so equal recursions share one object
-    (keeps assumption-set lookups cheap)."""
+    """One unfolding step, memoised: the proof search unfolds the same
+    recursions again and again."""
     u = _unfold1_memo.get(t)
     if u is None:
         u = subst(t.body, t.var, t)

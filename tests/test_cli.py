@@ -45,6 +45,17 @@ def test_python_m_mpstk(files):
     assert run.stdout.strip() == "rec t. p+{l1: t, l2: end}"
 
 
+def test_parse_20000_deep_local_type(files):
+    """A 20,000-deep chain of outputs parses and prints (exit 0)."""
+    f = files("deep.mpst", "p!(int); " * 20_000 + "end")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-m", "mpstk", "parse", "local", f],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.count("p!(int); ") == 20_000
+
+
 def test_parse_error_exit_code(files, capsys):
     f = files("bad.mpst", "rec t. t")
     assert main(["parse", "local", f]) == 2

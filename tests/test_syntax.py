@@ -1,18 +1,20 @@
 """Syntax module: parsing, printing, metrics and their independent oracles."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from conftest import rand_expr, rand_global, rand_local, rand_process
 
 from mpstk.ast import (
-    INT, SessionTypeError,
+    END, INT, SessionTypeError,
     GChoice, GEnd, GMsg, GRec, GVar,
     PBra, PCond, PRec, PSel, PSend, PVar,
     TBra, TEnd, TIn, TOut, TRec, TSel, TVar,
     alpha_canon, alpha_eq, free_vars, participants, session, size,
-    subformulas, subst, typing_context, unfold,
+    subformulas, subst, typing_context, unfold, uniquify_binders,
 )
 from mpstk.parse import ParseError, parse
 from mpstk.printer import show
@@ -214,6 +216,52 @@ def test_unfold_fixtures():
     u = unfold(t1)
     assert u == TSel("p", (("l1", TSel("p", (("l1", t1),))), ("l2", TEnd())))
     assert unfold(TEnd()) == TEnd()
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing: equality is identity
+
+
+@pytest.mark.parametrize("category,gen", [
+    ("local", lambda r: rand_local(r, 9)),
+    ("global", lambda r: rand_global(r, 9)),
+])
+def test_parsing_twice_gives_one_object(category, gen):
+    rng = random.Random(11)
+    for _ in range(300):
+        text = show(uniquify_binders(gen(rng)))
+        assert parse(category, text) is parse(category, text), text
+
+
+def test_alpha_canon_of_renamed_types_is_one_object():
+    a = parse("local", "rec x. p!(int); x")
+    b = parse("local", "rec y. p!(int); y")
+    assert a is not b
+    assert alpha_canon(a) is alpha_canon(b)
+    assert alpha_eq(a, b)
+
+
+def test_unfold_returns_the_nodes_built_by_hand():
+    t = TRec("t", TSel("p", (("l1", TSel("p", (("l1", TVar("t")),))), ("l2", TEnd()))))
+    u = unfold(t)
+    assert u is TSel("p", (("l1", TSel("p", (("l1", t),))), ("l2", TEnd())))
+    assert u.branches[1][1] is END
+
+
+def test_intern_table_keeps_no_dead_node():
+    """Built by constructors only, with no memo touched: the node is shared
+    while it lives, and the table does not keep it alive."""
+    node = TOut("intern-probe", INT, TIn("intern-probe", INT, END))
+    assert TOut("intern-probe", INT, TIn("intern-probe", INT, END)) is node
+    ref = weakref.ref(node)
+    del node
+    gc.collect()
+    assert ref() is None
+
+
+def test_constructors_take_positional_fields_only():
+    with pytest.raises(TypeError):
+        TVar(var="t")
 
 
 def _reference_subst(t, var, repl):
