@@ -39,7 +39,7 @@ from .printer import show_global, show_local
 from .subtyping import subtype_sim
 from .typegraph import (
     Action, BRA, END_ACT, ENDK, IN, OUT, SEL, TypeGraph,
-    explore, global_graph, involves, is_balanced, local_graph, validate_type_graph,
+    explore, global_graph, involves, is_balanced, local_graph, reaching, validate_type_graph,
 )
 
 PLAIN, FULL = "plain", "full"
@@ -418,7 +418,7 @@ def project_tirore(g: GlobalT, p: str) -> LocalT:
         raise ProjUndefined(p, "candidate does not unravel (unguarded)", show_global(g))
     gg = global_graph(g)
     lg = local_graph(cand)
-    pt_node = _node_participants(gg)
+    live = reaching(gg, p)  # nodes where p still takes part
 
     start = (gg.init, lg.init)
     seen = {start}
@@ -427,7 +427,7 @@ def project_tirore(g: GlobalT, p: str) -> LocalT:
         u, v = stack.pop()
         node = gg.nodes[u]
         h = unfold(node)
-        if p not in pt_node[u]:
+        if u not in live:
             if lg.kind(v) != ENDK:
                 raise ProjUndefined(
                     p, "participant absent but local type is not end", show_global(node)
@@ -466,27 +466,6 @@ def project_tirore(g: GlobalT, p: str) -> LocalT:
                 seen.add(pair)
                 stack.append(pair)
     return cand
-
-
-def _node_participants(gg) -> list[frozenset[str]]:
-    """Participants reachable from each node of a global graph (fixpoint)."""
-    n = gg.node_count()
-    base = []
-    for u in range(n):
-        h = unfold(gg.nodes[u])
-        base.append(frozenset((h.frm, h.to)) if isinstance(h, (GMsg, GChoice)) else frozenset())
-    out = list(base)
-    changed = True
-    while changed:
-        changed = False
-        for u in range(n):
-            acc = out[u]
-            for v in gg.succ[u]:
-                acc |= out[v]
-            if acc != out[u]:
-                out[u] = acc
-                changed = True
-    return out
 
 
 # ---------------------------------------------------------------------------

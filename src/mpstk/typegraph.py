@@ -383,29 +383,31 @@ def sccs(nodes: list[int], succ: dict[int, list[int]]) -> list[list[int]]:
     return out
 
 
+def reaching(gg: GlobalGraph, p: str) -> set[int]:
+    """The nodes of `gg` from which a node whose head involves p can still
+    be reached, those nodes included: a backward search from them."""
+    preds: list[list[int]] = [[] for _ in gg.succ]
+    for u, out in enumerate(gg.succ):
+        for v in out:
+            preds[v].append(u)
+    found = {u for u, node in enumerate(gg.nodes) if involves(node, p)}
+    stack = list(found)
+    while stack:
+        for w in preds[stack.pop()]:
+            if w not in found:
+                found.add(w)
+                stack.append(w)
+    return found
+
+
 def is_balanced(g: GlobalT) -> bool:
     """Balanced check: G is unbalanced iff for some participant p there is a
     cycle of nodes not involving p from which a p-involving node is still
     reachable.  Per-participant backward reachability plus an SCC search for
     a cycle among the candidates, O(|G|^2) overall."""
     gg = global_graph(g)
-    n = gg.node_count()
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        for v in gg.succ[u]:
-            preds[v].append(u)
     for p in sorted(participants(g)):
-        involving = [u for u in range(n) if involves(gg.nodes[u], p)]
-        # nodes from which p is reachable
-        reach_p = set(involving)
-        stack = list(involving)
-        while stack:
-            u = stack.pop()
-            for w in preds[u]:
-                if w not in reach_p:
-                    reach_p.add(w)
-                    stack.append(w)
-        candidates = {u for u in reach_p if not involves(gg.nodes[u], p)}
+        candidates = {u for u in reaching(gg, p) if not involves(gg.nodes[u], p)}
         sub = {u: [v for v in gg.succ[u] if v in candidates] for u in candidates}
         if any(len(c) > 1 or c[0] in sub[c[0]] for c in sccs(sorted(candidates), sub)):
             return False
