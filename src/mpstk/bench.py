@@ -10,7 +10,9 @@ from __future__ import annotations
 import csv
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ast import BudgetExceeded, size
 from .inference import branch_cycle_length, gen_lcm_process, infer
@@ -49,92 +51,107 @@ def _record(family, n, sz, fn) -> BenchRecord:
     return BenchRecord(family, n, sz, dt, work, outcome)
 
 
+def _coprime(point, budget):
+    n1, n2 = point
+    t1, t2 = gen_coprime_pair(n1, n2)
+
+    def run():
+        r = subtype_sim(t1, t2)
+        return r.nodes_visited, "true" if r.result else "false"
+
+    return f"{n1}x{n2}", size(t1) + size(t2), run
+
+
+def _inductive_blowup(k, budget):
+    t1, t2 = gen_exponential_pair(k)
+
+    def run():
+        r = subtype_inductive(t1, t2, budget)
+        return r.judgements, "true" if r.result else "false"
+
+    return k, size(t1) + size(t2), run
+
+
+def _merge_ops(name, role, kind):
+    """A projection family whose work is the merge counter of
+    project_inductive onto `role`."""
+
+    def point(n, budget):
+        g = gen_lowerbound_family(name, n)
+
+        def run():
+            c = WorkCounter()
+            project_inductive(g, role, kind, c)
+            return c.ops, "defined"
+
+        return n, size(g), run
+
+    return point
+
+
+def _fullmerge_naive(n, budget):
+    g = gen_lowerbound_family("fullmerge_quadratic", n)
+    return n, size(g), lambda: (_naive_merge_ops(g, "p"), "defined")
+
+
+def _subset_primes(k, budget):
+    g = gen_lowerbound_family("cf_primes", _first_primes(k))
+    return k, size(g), lambda: (len(project_subset(g, "q", budget).real_nodes()), "defined")
+
+
+def _tirore(n, budget):
+    g = gen_lowerbound_family("tirore_quadratic", n)
+    return n, size(g), lambda: (size(project_tirore(g, "p")), "defined")
+
+
+def _lcm(divisors, budget):
+    p = gen_lcm_process(list(divisors))
+
+    def run():
+        r = infer(p, budget)
+        if not r.typable:
+            return 0, "untypable"
+        return branch_cycle_length(r.graph), "typable"
+
+    return "x".join(map(str, divisors)), size(p), run
+
+
+def _ints(raw: str) -> list[int]:
+    return [int(x) for x in raw.split(",")]
+
+
+def _products(raw: str) -> list[tuple[int, ...]]:
+    return [tuple(int(x) for x in chunk.split("x")) for chunk in raw.split(",")]
+
+
+class Family(NamedTuple):
+    """`params` reads the CLI's --params text into points; `point(x, budget)`
+    builds point x's input and returns (n, size, run), where the timed
+    `run()` returns (work, outcome)."""
+
+    params: Callable[[str], list]
+    point: Callable
+
+
+# the bench families, in the order of the CLI's --family choices
+FAMILIES = {
+    "coprime": Family(_products, _coprime),
+    "inductive-blowup": Family(_ints, _inductive_blowup),
+    "plain-nlogn": Family(_ints, _merge_ops("plain_nlogn", "r", PLAIN)),
+    "fullmerge-naive": Family(_ints, _fullmerge_naive),
+    "fullmerge-opt": Family(_ints, _merge_ops("fullmerge_quadratic", "p", FULL)),
+    "fullmerge-nlog2": Family(_ints, _merge_ops("fullmerge_nlog2", "r", FULL)),
+    "subset-primes": Family(_ints, _subset_primes),
+    "tirore": Family(_ints, _tirore),
+    "lcm": Family(_products, _lcm),
+}
+
+
 def bench_family(family: str, params, budget: int = 10_000_000) -> list[BenchRecord]:
-    out = []
-    if family == "coprime":
-        for n1, n2 in params:
-            t1, t2 = gen_coprime_pair(n1, n2)
-
-            def run(t1=t1, t2=t2):
-                r = subtype_sim(t1, t2)
-                return r.nodes_visited, "true" if r.result else "false"
-
-            out.append(_record(family, f"{n1}x{n2}", size(t1) + size(t2), run))
-    elif family == "inductive-blowup":
-        for k in params:
-            t1, t2 = gen_exponential_pair(k)
-
-            def run(t1=t1, t2=t2):
-                r = subtype_inductive(t1, t2, budget)
-                return r.judgements, "true" if r.result else "false"
-
-            out.append(_record(family, k, size(t1) + size(t2), run))
-    elif family == "plain-nlogn":
-        for n in params:
-            g = gen_lowerbound_family("plain_nlogn", n)
-
-            def run(g=g):
-                c = WorkCounter()
-                project_inductive(g, "r", PLAIN, c)
-                return c.ops, "defined"
-
-            out.append(_record(family, n, size(g), run))
-    elif family in ("fullmerge-naive", "fullmerge-opt"):
-        for n in params:
-            g = gen_lowerbound_family("fullmerge_quadratic", n)
-
-            def run(g=g):
-                if family == "fullmerge-opt":
-                    c = WorkCounter()
-                    project_inductive(g, "p", FULL, c)
-                    return c.ops, "defined"
-                ops = _naive_merge_ops(g, "p")
-                return ops, "defined"
-
-            out.append(_record(family, n, size(g), run))
-    elif family == "fullmerge-nlog2":
-        for k in params:
-            g = gen_lowerbound_family("fullmerge_nlog2", k)
-
-            def run(g=g):
-                c = WorkCounter()
-                project_inductive(g, "r", FULL, c)
-                return c.ops, "defined"
-
-            out.append(_record(family, k, size(g), run))
-    elif family == "subset-primes":
-        for k in params:
-            primes = _first_primes(k)
-            g = gen_lowerbound_family("cf_primes", primes)
-
-            def run(g=g):
-                graph = project_subset(g, "q", budget)
-                return len(graph.real_nodes()), "defined"
-
-            out.append(_record(family, k, size(g), run))
-    elif family == "tirore":
-        for n in params:
-            g = gen_lowerbound_family("tirore_quadratic", n)
-
-            def run(g=g):
-                t = project_tirore(g, "p")
-                return size(t), "defined"
-
-            out.append(_record(family, n, size(g), run))
-    elif family == "lcm":
-        for divisors in params:
-            p = gen_lcm_process(list(divisors))
-
-            def run(p=p):
-                r = infer(p, budget)
-                if not r.typable:
-                    return 0, "untypable"
-                return branch_cycle_length(r.graph), "typable"
-
-            out.append(_record(family, "x".join(map(str, divisors)), size(p), run))
-    else:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    return out
+    point = FAMILIES[family].point
+    return [_record(family, *point(x, budget)) for x in params]
 
 
 def _naive_merge_ops(g, p) -> int:

@@ -13,7 +13,7 @@ import sys
 
 from . import context as ctx_mod
 from .ast import BudgetExceeded, SessionTypeError, size
-from .bench import CSV_COLUMNS, bench_family, write_csv
+from .bench import CSV_COLUMNS, FAMILIES, bench_family, write_csv
 from .context import brute_force_liveness
 from .hardness import check_property, eval_qbf, gen_qbf_context, parse_qbf, protocol_summary
 from .inference import infer, show_constraint
@@ -201,16 +201,8 @@ def cmd_bottomup(args) -> int:
     return OK if rep.accepted else REJECT
 
 
-def _parse_params(family: str, raw: str):
-    if family == "coprime":
-        return [tuple(int(x) for x in chunk.split("x")) for chunk in raw.split(",")]
-    if family == "lcm":
-        return [[int(x) for x in chunk.split("x")] for chunk in raw.split(",")]
-    return [int(x) for x in raw.split(",")]
-
-
 def cmd_bench(args) -> int:
-    records = bench_family(args.family, _parse_params(args.family, args.params),
+    records = bench_family(args.family, FAMILIES[args.family].params(args.params),
                            budget=args.budget)
     if args.out:
         write_csv(records, args.out)
@@ -303,10 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bottomup)
 
     p = sub.add_parser("bench")
-    p.add_argument("--family", required=True,
-                   choices=["coprime", "inductive-blowup", "plain-nlogn",
-                            "fullmerge-naive", "fullmerge-opt", "fullmerge-nlog2",
-                            "subset-primes", "tirore", "lcm"])
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--params", required=True,
                    help="comma-separated points; coprime: 3x4,5x7; lcm: 2x3,2x3x5")
     p.add_argument("--out", help="CSV output path")
