@@ -174,15 +174,9 @@ class ContextLTS:
         out = []
         for i, (p, g) in enumerate(zip(self.participants, self.graphs)):
             for a, m in g.out(state[i]):
-                succ = state[:i] + (m,) + state[i + 1:]
-                if a.kind == OUT:
-                    out.append((Label("out", p, a.peer, a.arg), succ))
-                elif a.kind == IN:
-                    out.append((Label("in", p, a.peer, a.arg), succ))
-                elif a.kind == SEL:
-                    out.append((Label("sel", p, a.peer, a.arg), succ))
-                elif a.kind == BRA:
-                    out.append((Label("bra", p, a.peer, a.arg), succ))
+                if a.kind in _BARB_KINDS:
+                    succ = state[:i] + (m,) + state[i + 1:]
+                    out.append((Label(_BARB_KINDS[a.kind], p, a.peer, a.arg), succ))
         return out
 
     def sync_steps(self, state: State):
