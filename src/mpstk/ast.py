@@ -9,7 +9,6 @@ Alpha-insensitive comparison goes through :func:`alpha_canon`.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass
 
@@ -627,20 +626,46 @@ def alpha_eq(a, b) -> bool:
     return alpha_canon(a) is alpha_canon(b)
 
 
-def uniquify_binders(t, taken: set[str] | None = None):
-    """Rename recursion binders so every binder in the term is distinct.
-    Keeps user names when possible; applied once at parse time."""
-    taken = set() if taken is None else taken
+class Renaming:
+    """Fresh recursion-binder names for one term.  A binder keeps its name
+    if no earlier binder of the term has it; otherwise it gets the first of
+    name_1, name_2, ... that is neither an identifier of the input nor given
+    already, so a renamed binder never captures a free variable."""
 
-    def fresh(name):
-        if name not in taken:
-            taken.add(name)
+    def __init__(self, idents):
+        self.taken = set(idents)  # every binder name is an identifier too
+        self.bound: set[str] = set()
+        self.suffix: dict[str, int] = {}  # name -> the last suffix given
+
+    def fresh(self, name: str) -> str:
+        if name not in self.bound:
+            self.bound.add(name)
             return name
-        for i in itertools.count(1):
-            cand = f"{name}_{i}"
-            if cand not in taken:
-                taken.add(cand)
-                return cand
+        i = self.suffix.get(name, 0) + 1
+        while f"{name}_{i}" in self.taken:
+            i += 1
+        self.suffix[name] = i
+        self.taken.add(f"{name}_{i}")
+        return f"{name}_{i}"
+
+
+def uniquify_binders(t, idents=None):
+    """Rename recursion binders so every binder in the term is distinct,
+    by `Renaming` over `idents` (by default every variable name in t)."""
+    if idents is None:
+        idents = set()
+
+        def names(u):
+            if isinstance(u, (TVar, GVar, PVar, TRec, GRec, PRec)):
+                idents.add(u.var)
+            for attr in ("cont", "body", "then", "orelse"):
+                if hasattr(u, attr):
+                    names(getattr(u, attr))
+            for _, b in getattr(u, "branches", ()):
+                names(b)
+
+        names(t)
+    fresh = Renaming(idents).fresh
 
     def walk(u, env):
         if isinstance(u, (TVar, GVar, PVar)):

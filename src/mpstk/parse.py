@@ -65,6 +65,7 @@ class _P:
     def __init__(self, text):
         self.toks = tokenize(text)
         self.i = 0
+        self.idents = {t[2] for t in self.toks if t[0] == "IDENT"}
 
     def peek(self):
         return self.toks[self.i]
@@ -332,14 +333,14 @@ def parse_local(text: str) -> LocalT:
     p = _P(text)
     t = p.local()
     p.done()
-    return validate_local(uniquify_binders(t))
+    return validate_local(uniquify_binders(t, p.idents))
 
 
 def parse_global(text: str) -> GlobalT:
     p = _P(text)
     g = p.global_()
     p.done()
-    return validate_global(uniquify_binders(g))
+    return validate_global(uniquify_binders(g, p.idents))
 
 
 def parse_expr(text: str):
@@ -353,7 +354,7 @@ def parse_process(text: str) -> Proc:
     p = _P(text)
     proc = p.process()
     p.done()
-    proc = uniquify_binders(proc)
+    proc = uniquify_binders(proc, p.idents)
     check_guarded_proc(proc)
     return proc
 
@@ -362,7 +363,7 @@ def parse_session(text: str) -> Session:
     p = _P(text)
     s = p.session()
     p.done()
-    out = session((n, uniquify_binders(q)) for n, q in s.roles)
+    out = session((n, uniquify_binders(q, p.idents)) for n, q in s.roles)
     for _, q in out.roles:
         check_guarded_proc(q)
     return out
@@ -373,7 +374,7 @@ def parse_context(text: str) -> TypingContext:
     c = p.context()
     p.done()
     return typing_context(
-        (n, validate_local(uniquify_binders(t))) for n, t in c.entries
+        (n, validate_local(uniquify_binders(t, p.idents))) for n, t in c.entries
     )
 
 

@@ -62,6 +62,34 @@ def test_parse_rejects_open_types():
         parse("local", "p!(int); t")
 
 
+@pytest.mark.parametrize("category,text", [
+    ("local", "rec t. p!(int); rec t. p!(int); t_1"),
+    ("global", "rec t. p->q(int); rec t. p->q(int); t_1"),
+    ("context", "p: rec t. q!(int); rec t. q!(int); t_1, q: end"),
+])
+def test_renamed_binder_captures_no_free_variable(category, text):
+    """t_1 is free in the input, so renaming the second binder t must not
+    bind it: the input is open, as `p!(int); t_1` is."""
+    with pytest.raises(SessionTypeError, match=r"free type variables \['t_1'\]"):
+        parse(category, text)
+
+
+def test_renamed_process_binder_captures_no_free_variable():
+    from mpstk.inference import Untypable, infer
+
+    p = parse("process", "rec X. q!<1>; rec X. q!<2>; X_1")
+    with pytest.raises(Untypable, match="free process variable X_1"):
+        infer(p)
+
+
+def test_renaming_skips_the_identifiers_of_the_input():
+    assert show(parse("local", "rec t. p!(int); rec t. p!(int); t")) == \
+        "rec t. p!(int); rec t_1. p!(int); t_1"
+    # the user's own t_1 keeps its name; the renamed t takes the next one
+    assert show(parse("local", "rec t. p!(int); rec t. p!(int); rec t_1. p?(int); t_1")) == \
+        "rec t. p!(int); rec t_2. p!(int); rec t_1. p?(int); t_1"
+
+
 def test_parse_position_in_errors():
     with pytest.raises(ParseError):
         parse("local", "p!(int)")
