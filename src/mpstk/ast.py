@@ -375,8 +375,9 @@ def typing_context(pairs) -> TypingContext:
 
 
 def size(t) -> int:
-    """Inductive size |t| of a local type, global type, process, expression
-    or session, following the per-category definitions."""
+    """Inductive size |t| of a local type, global type, process, expression,
+    session or typing context, following the per-category definitions: a
+    session or context counts each entry plus one, and the separators."""
     if isinstance(t, (TEnd, TVar, GEnd, GVar, PInact, PVar)):
         return 1
     if isinstance(t, (TRec, GRec, PRec)):
@@ -401,6 +402,8 @@ def size(t) -> int:
         return 1 + size(t.lhs) + size(t.rhs)
     if isinstance(t, Session):
         return sum(size(p) + 1 for _, p in t.roles) + max(0, len(t.roles) - 1)
+    if isinstance(t, TypingContext):
+        return sum(size(u) + 1 for _, u in t.entries) + max(0, len(t.entries) - 1)
     raise TypeError(f"size: unsupported node {t!r}")
 
 

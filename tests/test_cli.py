@@ -34,6 +34,14 @@ def test_parse_ok(files, capsys):
     assert "rec t" in capsys.readouterr().out
 
 
+def test_parse_context(files, capsys):
+    """A context prints, with its size: each entry plus one, and the comma."""
+    f = files("c.ctx", "q: end, p: q!(int); end")
+    assert main(["--json", "parse", "context", f]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["pretty"] == "p: q!(int); end, q: end" and out["size"] == 6
+
+
 def test_python_m_mpstk(files):
     """`python -m mpstk` runs the same frontend as the `mpstk` script."""
     f = files("t.mpst", "rec t. p+{l1: t, l2: end}")
