@@ -9,8 +9,10 @@ Alpha-insensitive comparison goes through :func:`alpha_canon`.
 
 from __future__ import annotations
 
+import dataclasses
 import weakref
 from dataclasses import dataclass
+from operator import attrgetter, is_
 
 
 class SessionTypeError(Exception):
@@ -371,47 +373,190 @@ def typing_context(pairs) -> TypingContext:
 
 
 # ---------------------------------------------------------------------------
+# The child table and the one walk over it
+
+# class -> its positional fields that hold children, in order.  A field
+# named in _PAIRS holds (name, child) pairs; any other holds one child.
+CHILDREN = {
+    TOut: ("cont",), TIn: ("cont",), TSel: ("branches",), TBra: ("branches",),
+    TRec: ("body",),
+    GMsg: ("cont",), GChoice: ("branches",), GRec: ("body",),
+    ENot: ("arg",), ENeg: ("arg",),
+    EOr: ("lhs", "rhs"), EAdd: ("lhs", "rhs"), ENonDet: ("lhs", "rhs"),
+    PSend: ("expr", "cont"), PRecv: ("cont",), PSel: ("cont",), PBra: ("branches",),
+    PCond: ("cond", "then", "orelse"), PRec: ("body",),
+    Session: ("roles",), TypingContext: ("entries",),
+}
+_PAIRS = {"branches", "roles", "entries"}
+
+
+def _accessors(cls, names):
+    """(the children of a node, the node with new children) for class `cls`,
+    read off its dataclass fields."""
+    fields = [f.name for f in dataclasses.fields(cls)]
+    at = [fields.index(n) for n in names]
+    get = attrgetter(*names)
+    if names[0] in _PAIRS:
+        def kids(t):
+            return tuple([b for _, b in get(t)])
+    elif len(names) == 1:
+        def kids(t):
+            return (get(t),)
+    else:
+        kids = get
+
+    def make(t, new):
+        args = [getattr(t, f) for f in fields]
+        if names[0] in _PAIRS:
+            new = [tuple(zip([l for l, _ in args[at[0]]], new))]
+        for i, k in zip(at, new):
+            args[i] = k
+        return cls(*args)
+
+    return kids, make
+
+
+_KIDS, _MAKE = {}, {}
+for _cls, _names in CHILDREN.items():
+    _KIDS[_cls], _MAKE[_cls] = _accessors(_cls, _names)
+# class -> the getter of its only child, for the classes that have one
+ONLY_CHILD = {c: attrgetter(n[0]) for c, n in CHILDREN.items() if len(n) == 1 and n[0] not in _PAIRS}
+
+
+def children(t) -> tuple:
+    """The children of node t, in the order of its fields."""
+    kids = _KIDS.get(type(t))
+    return kids(t) if kids else ()
+
+
+def rebuild(t, new, env=None):
+    """Node t with its children replaced by `new`, or t itself if none
+    changed (hash-consing would find t again; this skips the lookup).  As a
+    fold's post, it copies the spine down to the children that changed."""
+    if all(map(is_, new, children(t))):
+        return t
+    return _MAKE[type(t)](t, new)
+
+
+class Done:
+    """A pre hook's answer: `value` is the node's result, and its children
+    are not visited."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
+class Visit:
+    """A hook's answer: fold `kids`, in this order, in `env`.  From pre they
+    replace the node's children; from post they are folded as well, and
+    post is called again with the results of all the children so far."""
+
+    __slots__ = ("kids", "env")
+
+    def __init__(self, kids, env):
+        self.kids = kids
+        self.env = env
+
+
+def fold(t, post, pre=None, env=None, memo=None):
+    """The one walk over ASTs: a post-order fold with an explicit stack, so
+    no depth of input reaches the interpreter's recursion limit.
+
+    `post(node, results, env)` gives a node's result from the results of
+    its children, in order.  `pre(node, env)`, if given, runs when the node
+    is reached and returns the env its children are folded in (which post
+    receives too), or a Done or a Visit.  `memo` maps nodes to results: a
+    node found there is not visited again, and every result is stored."""
+    # A node waiting for its children: (node, env) if it has one, else
+    # [node, env, kids, the next kid's index, where its results start].
+    frames: list = []
+    out: list = []  # results of the children before the one being folded
+    push, pop = frames.append, frames.pop
+    node = t
+    while True:
+        # reach `node` in `env`: r is its result, unless it has children
+        if memo is not None and node in memo:
+            r = memo[node]
+        else:
+            if pre is not None:
+                env = pre(node, env)
+            if type(env) is Done:
+                r = env.value
+            else:
+                if type(env) is Visit:
+                    kids, env = env.kids, env.env
+                elif type(node) in ONLY_CHILD:
+                    push((node, env))
+                    node = ONLY_CHILD[type(node)](node)
+                    continue
+                else:
+                    kids = _KIDS.get(type(node))
+                    kids = kids(node) if kids else ()
+                if kids:
+                    push((node, env) if len(kids) == 1 else [node, env, kids, 1, len(out)])
+                    node = kids[0]
+                    continue
+                r = post(node, (), env)
+                if type(r) is Visit:
+                    push([node, r.env, r.kids, 1, len(out)])
+                    node, env = r.kids[0], r.env
+                    continue
+                if memo is not None:
+                    memo[node] = r
+        # hand r to the innermost frame: visit its next child, or finish it
+        while frames:
+            f = frames[-1]
+            if type(f) is tuple:
+                pop()
+                vals, base = (r,), len(out)
+            else:
+                kids, i = f[2], f[3]
+                if i < len(kids):
+                    out.append(r)
+                    f[3] = i + 1
+                    node, env = kids[i], f[1]
+                    break
+                pop()
+                base = f[4]
+                vals = out[base:]
+                del out[base:]
+                vals.append(r)
+            r = post(f[0], vals, f[1])
+            if type(r) is Visit:
+                out.extend(vals)  # for post's next call
+                push([f[0], r.env, r.kids, 1, base])
+                node, env = r.kids[0], r.env
+                break
+            if memo is not None:
+                memo[f[0]] = r
+        else:
+            return r
+# ---------------------------------------------------------------------------
 # Size
+
+# AST classes are never subclassed, so walks test `type(u) in` these sets
+_VARS = {TVar, GVar, PVar}
+_RECS = {TRec, GRec, PRec}
+_EXPRS = set(Expr.__subclasses__())
 
 
 def size(t) -> int:
     """Inductive size |t| of a local type, global type, process, expression,
     session or typing context, following the per-category definitions: a
     session or context counts each entry plus one, and the separators."""
-    if isinstance(t, (TEnd, TVar, GEnd, GVar, PInact, PVar)):
-        return 1
-    if isinstance(t, (TRec, GRec, PRec)):
-        return 1 + size(t.body)
-    if isinstance(t, (TOut, TIn, GMsg)):
-        return 1 + size(t.cont)
-    if isinstance(t, (TSel, TBra, GChoice, PBra)):
-        return 1 + sum(size(b) for _, b in t.branches)
-    if isinstance(t, PSend):
-        return 1 + size(t.expr) + size(t.cont)
-    if isinstance(t, PRecv):
-        return 1 + size(t.cont)
-    if isinstance(t, PSel):
-        return 1 + size(t.cont)
-    if isinstance(t, PCond):
-        return 1 + size(t.cond) + size(t.then) + size(t.orelse)
-    if isinstance(t, (ETrue, EFalse, ENat, EInt, EVar)):
-        return 1
-    if isinstance(t, (ENot, ENeg)):
-        return 1 + size(t.arg)
-    if isinstance(t, (EOr, EAdd, ENonDet)):
-        return 1 + size(t.lhs) + size(t.rhs)
-    if isinstance(t, Session):
-        return sum(size(p) + 1 for _, p in t.roles) + max(0, len(t.roles) - 1)
-    if isinstance(t, TypingContext):
-        return sum(size(u) + 1 for _, u in t.entries) + max(0, len(t.entries) - 1)
-    raise TypeError(f"size: unsupported node {t!r}")
+    return fold(t, _size, memo={})
+
+
+def _size(u, vals, env):
+    if type(u) is Session or type(u) is TypingContext:
+        return sum(vals) + 2 * len(vals) - 1
+    return 1 + sum(vals)
 
 
 # ---------------------------------------------------------------------------
 # Free variables, substitution, unfolding
-
-_LOCAL_COMM = (TOut, TIn, TSel, TBra)
-_GLOBAL_COMM = (GMsg, GChoice)
 
 
 _fv_memo: dict = {}
@@ -419,20 +564,17 @@ _fv_memo: dict = {}
 
 def free_vars(t) -> frozenset[str]:
     out = _fv_memo.get(t)
-    if out is not None:
-        return out
-    if isinstance(t, (TVar, GVar)):
-        out = frozenset([t.var])
-    elif isinstance(t, (TRec, GRec)):
-        out = free_vars(t.body) - {t.var}
-    elif isinstance(t, (TOut, TIn, GMsg)):
-        out = free_vars(t.cont)
-    elif isinstance(t, (TSel, TBra, GChoice)):
-        out = frozenset().union(*(free_vars(b) for _, b in t.branches))
-    else:
-        out = frozenset()
-    _fv_memo[t] = out
-    return out
+    return out if out is not None else fold(t, _free, memo=_fv_memo)
+
+
+_NONE: frozenset[str] = frozenset()
+
+
+def _free(u, vals, env):
+    if type(u) in _VARS:
+        return frozenset([u.var])
+    out = vals[0].union(*vals[1:]) if vals else _NONE
+    return out - {u.var} if type(u) in _RECS else out
 
 
 def is_closed(t) -> bool:
@@ -440,33 +582,23 @@ def is_closed(t) -> bool:
 
 
 def subst(t, var: str, repl):
-    """Capture-avoiding substitution of `repl` for the free variable `var`.
+    """Capture-avoiding substitution of `repl` for the free recursion
+    variable `var` of a type or process.
 
     All substitutions performed here plug in closed recursions, so a free
     variable of `repl` can never be captured; we only respect shadowing.
     A node none of whose children changed is returned itself, so only the
     spine down to each occurrence of `var` is copied.
     """
-    if isinstance(t, (TVar, GVar)):
-        return repl if t.var == var else t
-    if isinstance(t, (TRec, GRec)):
-        body = t.body if t.var == var else subst(t.body, var, repl)
-        return t if body is t.body else type(t)(t.var, body)
-    if isinstance(t, (TOut, TIn, GMsg)):
-        cont = subst(t.cont, var, repl)
-        if cont is t.cont:
-            return t
-        if isinstance(t, GMsg):
-            return GMsg(t.frm, t.to, t.payload, cont)
-        return type(t)(t.peer, t.payload, cont)
-    if isinstance(t, (TSel, TBra, GChoice)):
-        pairs = tuple((l, subst(b, var, repl)) for l, b in t.branches)
-        if all(b is b0 for (_, b), (_, b0) in zip(pairs, t.branches)):
-            return t
-        if isinstance(t, GChoice):
-            return GChoice(t.frm, t.to, pairs)
-        return type(t)(t.peer, pairs)
-    return t
+
+    def enter(u, env):
+        if type(u) in _VARS:
+            return Done(repl if u.var == var else u)
+        if type(u) in _EXPRS or type(u) in _RECS and u.var == var:
+            return Done(u)
+        return env
+
+    return fold(t, rebuild, enter)
 
 
 _unfold_memo: dict = {}
@@ -474,69 +606,62 @@ _unfold_memo: dict = {}
 
 def unfold(t):
     """unfold(mu t.T) = unfold(T[mu t.T / t]); identity on other heads.
+    Process unfoldings are not memoised: a process is unfolded as it runs.
 
-    Terminates on guarded types only.
+    Terminates on guarded terms only.
     """
     out = _unfold_memo.get(t)
     if out is not None:
         return out
     u = t
     steps = 0
-    while isinstance(u, (TRec, GRec)):
+    while type(u) in _RECS:
         u = subst(u.body, u.var, u)
         steps += 1
         if steps > 10_000:
-            raise SessionTypeError("unguarded recursion in unfold")
-    _unfold_memo[t] = u
+            raise SessionTypeError(
+                "unguarded process recursion" if isinstance(t, Proc)
+                else "unguarded recursion in unfold")
+    if not isinstance(t, Proc):
+        _unfold_memo[t] = u
     return u
 
 
 # ---------------------------------------------------------------------------
 # Guardedness
 
+_PREFIXES = {TOut, TIn, TSel, TBra, GMsg, GChoice, PSend, PRecv, PSel, PBra}
+
+
 def check_guarded(t) -> None:
     """Reject recursion binders whose variable occurs without an intervening
-    communication prefix.  mu t.t is out; mu t.mu u.p!(int);t is fine."""
-
-    def walk(u, pending: frozenset[str]):
-        if isinstance(u, (TVar, GVar)):
-            if u.var in pending:
-                raise SessionTypeError(f"unguarded recursion variable {u.var}")
-        elif isinstance(u, (TRec, GRec)):
-            walk(u.body, pending | {u.var})
-        elif isinstance(u, (TOut, TIn, GMsg)):
-            walk(u.cont, frozenset())
-        elif isinstance(u, (TSel, TBra, GChoice)):
-            for _, b in u.branches:
-                walk(b, frozenset())
-
-    walk(t, frozenset())
-
-
-def check_guarded_proc(p) -> None:
-    """Process recursion variables must occur under a communication prefix.
+    communication prefix.  mu t.t is out; mu t.mu u.p!(int);t is fine.
 
     Conditionals do not count as guards: mu X. if e then X else X would
     reduce forever without communicating and yields an unconstrained
     inference variable, so it is rejected as input.
     """
 
-    def walk(u, pending: frozenset[str]):
-        if isinstance(u, PVar):
+    def enter(u, pending: frozenset[str]):
+        if type(u) in _VARS:
             if u.var in pending:
-                raise SessionTypeError(f"unguarded process variable {u.var}")
-        elif isinstance(u, PRec):
-            walk(u.body, pending | {u.var})
-        elif isinstance(u, (PSend, PRecv, PSel)):
-            walk(u.cont, frozenset())
-        elif isinstance(u, PBra):
-            for _, b in u.branches:
-                walk(b, frozenset())
-        elif isinstance(u, PCond):
-            walk(u.then, pending)
-            walk(u.orelse, pending)
+                kind = "process" if type(u) is PVar else "recursion"
+                raise SessionTypeError(f"unguarded {kind} variable {u.var}")
+            return _DONE
+        if type(u) in _RECS:
+            return pending | {u.var}
+        if type(u) in _EXPRS:
+            return _DONE
+        return _NONE if type(u) in _PREFIXES else pending
 
-    walk(p, frozenset())
+    fold(t, _nothing, enter, _NONE)
+
+
+def _nothing(u, vals, env):
+    return None
+
+
+_DONE = Done(None)
 
 
 # ---------------------------------------------------------------------------
@@ -546,19 +671,13 @@ def check_guarded_proc(p) -> None:
 def subformulas(t) -> frozenset:
     """Sub(t) for closed local or global types.  The Rec clause substitutes
     the whole binder into each body subformula, so members are closed."""
-    if isinstance(t, (TEnd, TVar, GEnd, GVar)):
-        return frozenset([t])
-    if isinstance(t, (TOut, TIn, GMsg)):
-        return frozenset([t]) | subformulas(t.cont)
-    if isinstance(t, (TSel, TBra, GChoice)):
-        out = frozenset([t])
-        for _, b in t.branches:
-            out |= subformulas(b)
-        return out
-    if isinstance(t, (TRec, GRec)):
-        inner = subformulas(t.body)
-        return frozenset([t]) | frozenset(subst(s, t.var, t) for s in inner)
-    raise TypeError(f"subformulas: unsupported node {t!r}")
+    return fold(t, _subformulas)
+
+
+def _subformulas(u, vals, env):
+    if type(u) in _RECS:
+        return frozenset([u]) | frozenset(subst(s, u.var, u) for s in vals[0])
+    return frozenset([u]).union(*vals)
 
 
 # ---------------------------------------------------------------------------
@@ -567,18 +686,12 @@ def subformulas(t) -> frozenset:
 
 def participants(g) -> frozenset[str]:
     """pt(G): participants of a global type (pt(end) = pt(t) = {})."""
-    if isinstance(g, (GEnd, GVar)):
-        return frozenset()
-    if isinstance(g, GRec):
-        return participants(g.body)
-    if isinstance(g, GMsg):
-        return participants(g.cont) | {g.frm, g.to}
-    if isinstance(g, GChoice):
-        out = frozenset([g.frm, g.to])
-        for _, b in g.branches:
-            out |= participants(b)
-        return out
-    raise TypeError(f"participants: unsupported node {g!r}")
+    return fold(g, _participants, memo={})
+
+
+def _participants(u, vals, env):
+    out = vals[0].union(*vals[1:]) if vals else _NONE
+    return out | {u.frm, u.to} if type(u) is GMsg or type(u) is GChoice else out
 
 
 # ---------------------------------------------------------------------------
@@ -597,32 +710,29 @@ def alpha_canon(t):
     memoised on (subtree, relative offsets of its free variables); graph
     interning over heavily shared subformulas stays near-linear.
     """
+    hit = _canon_memo.get((t, ()))
+    return hit if hit is not None else fold(t, _canon, _canon_enter, ({}, 0, None))
 
-    def walk(u, env: dict, depth: int):
-        if isinstance(u, (TVar, GVar)):
-            off = env.get(u.var)
-            return type(u)(u.var if off is None else f"%{depth - off}")
-        key = (u, tuple(sorted(
-            (v, depth - env[v]) for v in free_vars(u) if v in env)) if env else ())
-        hit = _canon_memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(u, (TRec, GRec)):
-            out = type(u)("%", walk(u.body, {**env, u.var: depth}, depth + 1))
-        elif isinstance(u, (TOut, TIn)):
-            out = type(u)(u.peer, u.payload, walk(u.cont, env, depth))
-        elif isinstance(u, GMsg):
-            out = GMsg(u.frm, u.to, u.payload, walk(u.cont, env, depth))
-        elif isinstance(u, (TSel, TBra)):
-            out = type(u)(u.peer, tuple((l, walk(b, env, depth)) for l, b in u.branches))
-        elif isinstance(u, GChoice):
-            out = GChoice(u.frm, u.to, tuple((l, walk(b, env, depth)) for l, b in u.branches))
-        else:
-            out = u
-        _canon_memo[key] = out
-        return out
 
-    return walk(t, {}, 0)
+def _canon_enter(u, env):
+    """The env of a node: (binder depths, its depth, its memo key)."""
+    names, depth, _ = env
+    if type(u) in _VARS:
+        off = names.get(u.var)
+        return Done(type(u)(u.var if off is None else f"%{depth - off}"))
+    key = (u, tuple(sorted(
+        (v, depth - names[v]) for v in free_vars(u) if v in names)) if names else ())
+    hit = _canon_memo.get(key)
+    if hit is not None:
+        return Done(hit)
+    if type(u) in _RECS:
+        return {**names, u.var: depth}, depth + 1, key
+    return names, depth, key
+
+
+def _canon(u, vals, env):
+    out = _canon_memo[env[2]] = type(u)("%", vals[0]) if type(u) in _RECS else rebuild(u, vals)
+    return out
 
 
 def alpha_eq(a, b) -> bool:
@@ -652,62 +762,27 @@ class Renaming:
         return f"{name}_{i}"
 
 
-def uniquify_binders(t, idents=None):
-    """Rename recursion binders so every binder in the term is distinct,
-    by `Renaming` over `idents` (by default every variable name in t)."""
-    if idents is None:
-        idents = set()
+def uniquify_binders(t):
+    """Rename the recursion binders of a type or process built by hand so
+    that every binder in it is distinct, by `Renaming` over its variable
+    names (the parser renames as it reads)."""
+    idents = set()
 
-        def names(u):
-            if isinstance(u, (TVar, GVar, PVar, TRec, GRec, PRec)):
-                idents.add(u.var)
-            for attr in ("cont", "body", "then", "orelse"):
-                if hasattr(u, attr):
-                    names(getattr(u, attr))
-            for _, b in getattr(u, "branches", ()):
-                names(b)
+    def name(u, vals, env):
+        if type(u) in _VARS or type(u) in _RECS:
+            idents.add(u.var)
 
-        names(t)
+    fold(t, name)
     fresh = Renaming(idents).fresh
 
-    def walk(u, env):
-        if isinstance(u, (TVar, GVar, PVar)):
-            return type(u)(env.get(u.var, u.var))
-        if isinstance(u, (TRec, GRec, PRec)):
-            name = fresh(u.var)
-            return type(u)(name, walk(u.body, {**env, u.var: name}))
-        if isinstance(u, (TOut, TIn)):
-            return type(u)(u.peer, u.payload, walk(u.cont, env))
-        if isinstance(u, GMsg):
-            return GMsg(u.frm, u.to, u.payload, walk(u.cont, env))
-        if isinstance(u, (TSel, TBra)):
-            return type(u)(u.peer, tuple((l, walk(b, env)) for l, b in u.branches))
-        if isinstance(u, GChoice):
-            return GChoice(u.frm, u.to, tuple((l, walk(b, env)) for l, b in u.branches))
-        if isinstance(u, PSend):
-            return PSend(u.peer, u.expr, walk(u.cont, env))
-        if isinstance(u, PRecv):
-            return PRecv(u.peer, u.var, walk(u.cont, env))
-        if isinstance(u, PSel):
-            return PSel(u.peer, u.label, walk(u.cont, env))
-        if isinstance(u, PBra):
-            return PBra(u.peer, tuple((l, walk(b, env)) for l, b in u.branches))
-        if isinstance(u, PCond):
-            return PCond(u.cond, walk(u.then, env), walk(u.orelse, env))
-        return u
+    def enter(u, env):
+        if type(u) in _VARS:
+            return Done(type(u)(env.get(u.var, u.var)))
+        if type(u) in _RECS:
+            return {**env, u.var: fresh(u.var)}
+        return Done(u) if type(u) in _EXPRS else env
 
-    return walk(t, {})
+    def leave(u, vals, env):
+        return type(u)(env[u.var], vals[0]) if type(u) in _RECS else rebuild(u, vals)
 
-
-def validate_local(t: LocalT, require_closed: bool = True) -> LocalT:
-    check_guarded(t)
-    if require_closed and not is_closed(t):
-        raise SessionTypeError(f"free type variables {sorted(free_vars(t))}")
-    return t
-
-
-def validate_global(g: GlobalT, require_closed: bool = True) -> GlobalT:
-    check_guarded(g)
-    if require_closed and not is_closed(g):
-        raise SessionTypeError(f"free type variables {sorted(free_vars(g))}")
-    return g
+    return fold(t, leave, enter, {})

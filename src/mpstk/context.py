@@ -604,7 +604,8 @@ def brute_force_liveness(ctx: TypingContext, bound: int = 8,
     steps = [0]
 
     def dfs(path_states, path_labels) -> bool:
-        """True if a counterwitness extends the current path."""
+        """True if a counterwitness extends the current path.  Recursive:
+        one level per step, at most `bound`."""
         steps[0] += 1
         if steps[0] > budget:
             raise BudgetExceeded("brute-force liveness budget exceeded")

@@ -58,7 +58,7 @@ def eval_qbf(f: QBF, _limit: int = 20) -> bool:
             any(assign[v] == pos for v, pos in clause) for clause in f.clauses
         )
 
-    def go(i, assign) -> bool:
+    def go(i, assign) -> bool:  # recursive: one level per variable, at most _limit
         if i == len(f.prefix):
             return matrix(assign)
         q, v = f.prefix[i]

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 from .ast import (
     BOOL, INT, NAT,
-    EAdd, EInt, ENat, ENeg, ENonDet, ENot, EOr, ETrue, EFalse, EVar,
+    Done, EAdd, EInt, ENat, ENeg, ENonDet, ENot, EOr, ETrue, EFalse, EVar, Expr,
     LocalT, PBra, PCond, PInact, PRec, PRecv, PSel, PSend, PVar, Proc,
-    SessionTypeError, Sort, SortVar, uniquify_binders,
+    SessionTypeError, Sort, SortVar, Visit, fold, uniquify_binders,
 )
 from .typegraph import Action, END_ACT, IN, OUT, SEL, BRA, TypeGraph, explore, graph_to_type
 
@@ -130,107 +130,95 @@ class Derivation:
 def derive_constraints(p: Proc) -> Derivation:
     """Run the constraint inference rules on a closed process.  Fresh
     variables are numbered deterministically; the judgement count is the
-    number of rule applications (bounded by |P|)."""
+    number of rule applications (bounded by |P|).
+
+    One fold: a process node takes its type variable when it is reached,
+    an input its payload's sort variable too; a literal or an operator
+    takes its sort variable once its operands are done.  The env of a node
+    is (variables in scope, the type variable its binder forces on it, its
+    own type variable, its input's sort variable)."""
     fresh = _Fresh()
     out: list = []
     seen: set = set()
     count = [0]
 
-    def emit(c):
+    def emit(*cs):
         # constraint sets are sets: C-True and C-Cond may both contribute
         # the same sort equation
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
+        for c in cs:
+            if c not in seen:
+                seen.add(c)
+                out.append(c)
 
-    def expr(e, env) -> SortVar:
+    def enter(u, env):
         count[0] += 1
-        if isinstance(e, EVar):
+        scope, forced = env[0], env[1]
+        if type(u) is EVar:
             try:
-                return env[e.name]
+                return Done(scope[u.name])
             except KeyError:
-                raise Untypable(f"free value variable {e.name}") from None
-        if isinstance(e, (ETrue, EFalse)):
-            a = fresh.svar()
-            emit(CSortEq(a, BOOL))
-            return a
-        if isinstance(e, ENat):
-            a = fresh.svar()
-            emit(CSortEq(a, NAT))
-            return a
-        if isinstance(e, EInt):
-            a = fresh.svar()
-            emit(CSortEq(a, INT))
-            return a
-        if isinstance(e, ENot):
-            a = expr(e.arg, env)
-            emit(CSortEq(a, BOOL))
-            return a
-        if isinstance(e, ENeg):
-            a = expr(e.arg, env)
-            emit(CSortEq(a, INT))
-            return a
-        if isinstance(e, (EOr, EAdd, ENonDet)):
-            a1 = expr(e.lhs, env)
-            a2 = expr(e.rhs, env)
-            b = fresh.svar()
-            if isinstance(e, EOr):
-                for c in (CSortEq(a1, BOOL), CSortEq(a2, BOOL), CSortEq(b, BOOL)):
-                    emit(c)
-            elif isinstance(e, EAdd):
-                for c in (CSortEq(a1, b), CSortEq(a2, b), CSortEq(b, INT)):
-                    emit(c)
-            else:
-                for c in (CSortEq(a1, b), CSortEq(a2, b)):
-                    emit(c)
-            return b
-        raise TypeError(f"expr constraints: {e!r}")
-
-    def proc(p, env, forced: str | None = None) -> str:
-        count[0] += 1
-        if isinstance(p, PRec):
-            xi = forced if forced is not None else fresh.tvar()
-            proc(p.body, {**env, p.var: xi}, forced=xi)
-            return xi
+                raise Untypable(f"free value variable {u.name}") from None
+        if isinstance(u, Expr):
+            return env
         xi = forced if forced is not None else fresh.tvar()
-        if isinstance(p, PInact):
+        if type(u) is PRec:
+            return {**scope, u.var: xi}, xi, xi, None
+        if type(u) is PInact:
             emit(CEnd(xi))
-            return xi
-        if isinstance(p, PVar):
+            return Done(xi)
+        if type(u) is PVar:
             try:
-                psi = env[p.var]
+                psi = scope[u.var]
             except KeyError:
-                raise Untypable(f"free process variable {p.var}") from None
+                raise Untypable(f"free process variable {u.var}") from None
             emit(CVarLe(psi, xi))
-            return xi
-        if isinstance(p, PRecv):
+            return Done(xi)
+        if type(u) is PRecv:
             a = fresh.svar()
-            psi = proc(p.cont, {**env, p.var: a})
-            emit(CIn(p.peer, a, psi, xi))
-            return xi
-        if isinstance(p, PSend):
-            psi = proc(p.cont, env)
-            a = expr(p.expr, env)
-            emit(COut(p.peer, a, psi, xi))
-            return xi
-        if isinstance(p, PSel):
-            psi = proc(p.cont, env)
-            emit(CSel(p.peer, ((p.label, psi),), xi))
-            return xi
-        if isinstance(p, PBra):
-            vs = tuple((l, proc(b, env)) for l, b in p.branches)
-            emit(CBra(p.peer, vs, xi))
-            return xi
-        if isinstance(p, PCond):
-            psi1 = proc(p.then, env)
-            psi2 = proc(p.orelse, env)
-            a = expr(p.cond, env)
-            for c in (CSortEq(a, BOOL), CVarLe(psi1, xi), CVarLe(psi2, xi)):
-                emit(c)
-            return xi
-        raise TypeError(f"proc constraints: {p!r}")
+            return {**scope, u.var: a}, None, xi, a
+        if type(u) is PSend:
+            return Visit((u.cont, u.expr), (scope, None, xi, None))
+        if type(u) is PCond:
+            return Visit((u.then, u.orelse, u.cond), (scope, None, xi, None))
+        if type(u) in (PSel, PBra):
+            return scope, None, xi, None
+        raise TypeError(f"proc constraints: {u!r}")
 
-    root = proc(p, {})
+    def leave(u, vals, env) -> str | SortVar:
+        if isinstance(u, Expr):
+            if type(u) in (ETrue, EFalse, ENat, EInt):
+                a = fresh.svar()
+                emit(CSortEq(a, BOOL if type(u) in (ETrue, EFalse) else
+                             NAT if type(u) is ENat else INT))
+                return a
+            if type(u) in (ENot, ENeg):
+                emit(CSortEq(vals[0], BOOL if type(u) is ENot else INT))
+                return vals[0]
+            a1, a2 = vals
+            b = fresh.svar()
+            if type(u) is EOr:
+                emit(CSortEq(a1, BOOL), CSortEq(a2, BOOL), CSortEq(b, BOOL))
+            elif type(u) is EAdd:
+                emit(CSortEq(a1, b), CSortEq(a2, b), CSortEq(b, INT))
+            elif type(u) is ENonDet:
+                emit(CSortEq(a1, b), CSortEq(a2, b))
+            else:
+                raise TypeError(f"expr constraints: {u!r}")
+            return b
+        xi = env[2]
+        if type(u) is PRecv:
+            emit(CIn(u.peer, env[3], vals[0], xi))
+        elif type(u) is PSend:
+            emit(COut(u.peer, vals[1], vals[0], xi))
+        elif type(u) is PSel:
+            emit(CSel(u.peer, ((u.label, vals[0]),), xi))
+        elif type(u) is PBra:
+            emit(CBra(u.peer, tuple(zip([l for l, _ in u.branches], vals)), xi))
+        elif type(u) is PCond:
+            emit(CSortEq(vals[2], BOOL), CVarLe(vals[0], xi), CVarLe(vals[1], xi))
+        return xi
+
+    root = fold(p, leave, enter, ({}, None))
     return Derivation(root, out, count[0])
 
 

@@ -1,10 +1,18 @@
-"""Parsers for the textual surface syntax.
+"""The parser of the textual surface syntax.
 
 Categories: local and global types, expressions, processes, sessions and
 typing contexts.  Whitespace-insensitive; participants and labels are
-identifiers [A-Za-z][A-Za-z0-9_]*.  Recursion binders are made unique and
-all well-formedness invariants (distinct labels, guardedness, p != p,
-closedness where required) are enforced here.
+identifiers [A-Za-z][A-Za-z0-9_]*.
+
+One pass over the token list, in a loop with an explicit stack of frames,
+so no depth of input reaches the interpreter's recursion limit.  A frame
+is the rest of a production, waiting for the term it asked for.  As it
+reads, the loop renames recursion binders apart (`ast.Renaming`) and notes,
+per entry, the first variable that occurs unguarded and the free type
+variables.  Those two errors are raised once the whole text has parsed,
+entry by entry in participant order, so syntax errors come first.
+Distinct labels, p != p and distinct participants are checked as each
+term is built.
 """
 
 from __future__ import annotations
@@ -14,11 +22,10 @@ import re
 from .ast import (
     FALSE, INACT, SORTS, TRUE,
     EAdd, EInt, ENat, ENeg, ENonDet, ENot, EOr, EVar,
-    GEnd, GlobalT, GRec, GVar, gchoice, gmsg,
-    LocalT, PBra, PCond, PRec, PRecv, PSel, PSend, PVar, Proc,
-    SessionTypeError, Session, TypingContext, TEnd, TIn, TOut, TRec, TVar,
-    check_guarded_proc, session, tbra, tsel, typing_context,
-    uniquify_binders, validate_global, validate_local,
+    GEnd, GRec, GVar, gchoice, gmsg,
+    PBra, PCond, PRec, PRecv, PSel, PSend, PVar,
+    Renaming, SessionTypeError, TEnd, TIn, TOut, TRec, TVar,
+    session, tbra, tsel, typing_context,
 )
 
 
@@ -33,366 +40,317 @@ _TOKEN_RE = re.compile(
         (?P<sym>\(\+\)|->|::|\\/|[!?+&{}():;,.<>|*-])
       | (?P<num>\d+)
       | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+      | (?P<bad>\S)
     )""",
     re.VERBOSE,
 )
-_SPACE_RE = re.compile(r"\s*")
 
 KEYWORDS = {"end", "rec", "true", "false", "if", "then", "else", "neg", "bool", "nat", "int"}
 
 
-def tokenize(text: str):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            pos = _SPACE_RE.match(text, pos).end()  # report the character, not the space
-            if pos == len(text):
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        pos = m.end()
-        if m.group("sym"):
-            out.append((m.group("sym"), m.start()))
-        elif m.group("num"):
-            out.append(("NUM", m.start(), int(m.group("num"))))
+def tokenize(text: str) -> list[tuple]:
+    """(kind, offset, value) per token, then ("EOF", len(text), None).  The
+    kind of a symbol is the symbol itself, else "NUM" or "IDENT"."""
+    out = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "sym":
+            out.append((m[kind], m.start(), None))
+        elif kind == "ident":
+            out.append(("IDENT", m.start(), m[kind]))
+        elif kind == "num":
+            out.append(("NUM", m.start(), int(m[kind])))
         else:
-            out.append(("IDENT", m.start(), m.group("ident")))
-    out.append(("EOF", len(text)))
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+    out.append(("EOF", len(text), None))
     return out
 
 
-class _P:
-    def __init__(self, text):
-        self.toks = tokenize(text)
-        self.i = 0
-        self.idents = {t[2] for t in self.toks if t[0] == "IDENT"}
+# What the loop reads next: a term of one category, or an operand of an
+# expression (its prefix operators, then an atom).
+LOCAL, GLOBAL, PROCESS, OPERAND = range(4)
+_TERMS = {LOCAL: (TVar, TRec), GLOBAL: (GVar, GRec), PROCESS: (PVar, PRec)}
 
-    def peek(self):
-        return self.toks[self.i]
+# The frames, by what they wait for: the whole text's term, an entry of a
+# session or context, a binder's body, a prefix's continuation, a branch,
+# a sent expression, a condition, a then-branch, an else-branch, the right
+# operand of a binary operator, the operand of ! or neg, a parenthesised
+# expression.
+(_TOP, _ENTRY, _REC, _PREFIX, _BRANCH, _SEND, _IF, _THEN, _ELSE,
+ _BINARY, _NOT, _NEG, _PAREN) = range(13)
 
-    def kind(self):
-        return self.toks[self.i][0]
-
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, kind):
-        t = self.next()
-        if t[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {t[0]!r}", t[1])
-        return t
-
-    def ident(self, what="identifier"):
-        t = self.expect("IDENT")
-        if t[2] in KEYWORDS:
-            raise ParseError(f"expected {what}, found keyword {t[2]!r}", t[1])
-        return t[2]
-
-    def at_ident(self, word=None):
-        t = self.peek()
-        return t[0] == "IDENT" and (word is None or t[2] == word)
-
-    def eat_ident(self, word):
-        if self.at_ident(word):
-            self.next()
-            return True
-        return False
-
-    def done(self):
-        t = self.peek()
-        if t[0] != "EOF":
-            raise ParseError(f"trailing input {t[0]!r}", t[1])
-
-    # -- sorts --------------------------------------------------------------
-
-    def sort(self):
-        t = self.expect("IDENT")
-        if t[2] not in SORTS:
-            raise ParseError(f"unknown sort {t[2]!r}", t[1])
-        return SORTS[t[2]]
-
-    # -- local types ---------------------------------------------------------
-
-    def local(self) -> LocalT:
-        if self.eat_ident("end"):
-            return TEnd()
-        if self.eat_ident("rec"):
-            var = self.ident("type variable")
-            self.expect(".")
-            return TRec(var, self.local())
-        name = self.ident("participant or type variable")
-        k = self.kind()
-        if k == "!":
-            self.next()
-            self.expect("(")
-            s = self.sort()
-            self.expect(")")
-            self.expect(";")
-            return TOut(name, s, self.local())
-        if k == "?":
-            self.next()
-            self.expect("(")
-            s = self.sort()
-            self.expect(")")
-            self.expect(";")
-            return TIn(name, s, self.local())
-        if k == "+":
-            self.next()
-            return tsel(name, self.local_branches())
-        if k == "&":
-            self.next()
-            return tbra(name, self.local_branches())
-        return TVar(name)
-
-    def local_branches(self):
-        self.expect("{")
-        pairs = []
-        while True:
-            lab = self.ident("label")
-            self.expect(":")
-            pairs.append((lab, self.local()))
-            if self.kind() == ",":
-                self.next()
-                continue
-            self.expect("}")
-            return pairs
-
-    # -- global types ----------------------------------------------------
-
-    def global_(self) -> GlobalT:
-        if self.eat_ident("end"):
-            return GEnd()
-        if self.eat_ident("rec"):
-            var = self.ident("type variable")
-            self.expect(".")
-            return GRec(var, self.global_())
-        name = self.ident("participant or type variable")
-        if self.kind() == "->":
-            self.next()
-            to = self.ident("participant")
-            if self.kind() == "(":
-                self.next()
-                s = self.sort()
-                self.expect(")")
-                self.expect(";")
-                return gmsg(name, to, s, self.global_())
-            self.expect("{")
-            pairs = []
-            while True:
-                lab = self.ident("label")
-                self.expect(":")
-                pairs.append((lab, self.global_()))
-                if self.kind() == ",":
-                    self.next()
-                    continue
-                self.expect("}")
-                return gchoice(name, to, pairs)
-        return GVar(name)
-
-    # -- expressions ------------------------------------------------------
-    # precedence: \/ < (+) < + < prefix (!, neg) < atom
-
-    def expr(self):
-        e = self.expr_nondet()
-        while self.kind() == "\\/":
-            self.next()
-            e = EOr(e, self.expr_nondet())
-        return e
-
-    def expr_nondet(self):
-        e = self.expr_add()
-        while self.kind() == "(+)":
-            self.next()
-            e = ENonDet(e, self.expr_add())
-        return e
-
-    def expr_add(self):
-        e = self.expr_prefix()
-        while self.kind() == "+":
-            self.next()
-            e = EAdd(e, self.expr_prefix())
-        return e
-
-    def expr_prefix(self):
-        k = self.peek()
-        if k[0] == "!":
-            self.next()
-            return ENot(self.expr_prefix())
-        if self.at_ident("neg"):
-            self.next()
-            return ENeg(self.expr_prefix())
-        return self.expr_atom()
-
-    def expr_atom(self):
-        t = self.peek()
-        if t[0] == "(":
-            self.next()
-            e = self.expr()
-            self.expect(")")
-            return e
-        if t[0] == "NUM":
-            self.next()
-            return ENat(t[2])
-        if t[0] == "-":
-            self.next()
-            n = self.expect("NUM")
-            return EInt(-n[2])
-        if t[0] == "IDENT":
-            if t[2] == "true":
-                self.next()
-                return TRUE
-            if t[2] == "false":
-                self.next()
-                return FALSE
-            return EVar(self.ident("variable"))
-        raise ParseError(f"expected expression, found {t[0]!r}", t[1])
-
-    # -- processes ----------------------------------------------------------
-
-    def process(self) -> Proc:
-        t = self.peek()
-        if t[0] == "NUM" and t[2] == 0:
-            self.next()
-            return INACT
-        if self.eat_ident("if"):
-            cond = self.expr()
-            if not self.eat_ident("then"):
-                raise ParseError("expected 'then'", self.peek()[1])
-            then = self.process()
-            if not self.eat_ident("else"):
-                raise ParseError("expected 'else'", self.peek()[1])
-            return PCond(cond, then, self.process())
-        if self.eat_ident("rec"):
-            var = self.ident("process variable")
-            self.expect(".")
-            return PRec(var, self.process())
-        name = self.ident("participant or process variable")
-        k = self.kind()
-        if k == "!":
-            self.next()
-            self.expect("<")
-            e = self.expr()
-            self.expect(">")
-            self.expect(";")
-            return PSend(name, e, self.process())
-        if k == "?":
-            self.next()
-            self.expect("(")
-            var = self.ident("value variable")
-            self.expect(")")
-            self.expect(";")
-            return PRecv(name, var, self.process())
-        if k == "(+)":
-            self.next()
-            lab = self.ident("label")
-            self.expect(";")
-            return PSel(name, lab, self.process())
-        if k == "&":
-            self.next()
-            self.expect("{")
-            pairs = []
-            while True:
-                lab = self.ident("label")
-                self.expect(":")
-                pairs.append((lab, self.process()))
-                if self.kind() == ",":
-                    self.next()
-                    continue
-                self.expect("}")
-                return PBra(name, tuple(pairs))
-        return PVar(name)
-
-    # -- sessions and contexts ------------------------------------------
-
-    def session(self) -> Session:
-        pairs = []
-        while True:
-            name = self.ident("participant")
-            self.expect("::")
-            pairs.append((name, self.process()))
-            if self.kind() == "|":
-                self.next()
-                continue
-            return session(pairs)
-
-    def context(self) -> TypingContext:
-        pairs = []
-        while True:
-            name = self.ident("participant")
-            self.expect(":")
-            pairs.append((name, self.local()))
-            if self.kind() == ",":
-                self.next()
-                continue
-            return typing_context(pairs)
+# binary operators: precedence \/ < (+) < +, all left-associative
+_PREC = {"\\/": 1, "(+)": 2, "+": 3}
+_BINOP = {"\\/": EOr, "(+)": ENonDet, "+": EAdd}
 
 
-def parse_local(text: str) -> LocalT:
-    p = _P(text)
-    t = p.local()
-    p.done()
-    return validate_local(uniquify_binders(t, p.idents))
-
-
-def parse_global(text: str) -> GlobalT:
-    p = _P(text)
-    g = p.global_()
-    p.done()
-    return validate_global(uniquify_binders(g, p.idents))
-
-
-def parse_expr(text: str):
-    p = _P(text)
-    e = p.expr()
-    p.done()
-    return e
-
-
-def parse_process(text: str) -> Proc:
-    p = _P(text)
-    proc = p.process()
-    p.done()
-    proc = uniquify_binders(proc, p.idents)
-    check_guarded_proc(proc)
-    return proc
-
-
-def parse_session(text: str) -> Session:
-    p = _P(text)
-    s = p.session()
-    p.done()
-    out = session((n, uniquify_binders(q, p.idents)) for n, q in s.roles)
-    for _, q in out.roles:
-        check_guarded_proc(q)
-    return out
-
-
-def parse_context(text: str) -> TypingContext:
-    p = _P(text)
-    c = p.context()
-    p.done()
-    return typing_context(
-        (n, validate_local(uniquify_binders(t, p.idents))) for n, t in c.entries
-    )
-
-
-_CATEGORIES = {
-    "local": parse_local,
-    "global": parse_global,
-    "expr": parse_expr,
-    "process": parse_process,
-    "session": parse_session,
-    "context": parse_context,
-}
+def _pbra(peer, pairs):
+    return PBra(peer, tuple(pairs))
 
 
 def parse(category: str, text: str):
     """Parse `text` as one of local | global | expr | process | session |
     context, enforcing all structural invariants."""
-    try:
-        fn = _CATEGORIES[category]
-    except KeyError:
-        raise ValueError(f"unknown category {category!r}") from None
-    return fn(text)
+    if category not in ("local", "global", "expr", "process", "session", "context"):
+        raise ValueError(f"unknown category {category!r}")
+    toks = tokenize(text)
+    idents = {v for k, _, v in toks if k == "IDENT"}
+    i = 0
+
+    def expect(kind):
+        nonlocal i
+        t = toks[i]
+        i += 1
+        if t[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {t[0]!r}", t[1])
+        return t
+
+    def ident(what):
+        t = expect("IDENT")
+        if t[2] in KEYWORDS:
+            raise ParseError(f"expected {what}, found keyword {t[2]!r}", t[1])
+        return t[2]
+
+    def sort():
+        t = expect("IDENT")
+        if t[2] not in SORTS:
+            raise ParseError(f"unknown sort {t[2]!r}", t[1])
+        return SORTS[t[2]]
+
+    # Per entry: its renaming, the binders in scope (user name -> (new
+    # name, guard)) and [participant, the unguardedness error, the free
+    # variables].  `guard` numbers the innermost communication prefix.
+    checks: list = []
+    renaming = scope = entry = None
+    guard = prefixes = 0
+
+    def new_entry(name):
+        nonlocal renaming, scope, entry
+        renaming, scope, entry = Renaming(idents), {}, [name, None, set()]
+        checks.append(entry)
+
+    stack: list = [(_TOP,)]
+    if category in ("session", "context"):
+        sep, colon, goal = ("|", "::", PROCESS) if category == "session" else (",", ":", LOCAL)
+        name = ident("participant")
+        expect(colon)
+        stack.append((_ENTRY, sep, colon, goal, name, []))
+        new_entry(name)
+    elif category == "expr":
+        stack.append((_BINARY, 1, None, None))
+        goal = OPERAND
+    else:
+        goal = {"local": LOCAL, "global": GLOBAL, "process": PROCESS}[category]
+        new_entry(None)
+
+    value = None
+    while True:
+        if goal is not None:  # read the start of a term
+            t = toks[i]
+            k = t[0]
+            if goal == OPERAND:
+                if k == "!" or k == "IDENT" and t[2] == "neg":
+                    i += 1
+                    stack.append((_NOT,) if k == "!" else (_NEG,))
+                    continue
+                if k == "(":
+                    i += 1
+                    stack.append((_PAREN,))
+                    stack.append((_BINARY, 1, None, None))
+                    continue
+                if k == "NUM":
+                    i += 1
+                    value = ENat(t[2])
+                elif k == "-":
+                    i += 1
+                    value = EInt(-expect("NUM")[2])
+                elif k == "IDENT" and t[2] in ("true", "false"):
+                    i += 1
+                    value = TRUE if t[2] == "true" else FALSE
+                elif k == "IDENT":
+                    value = EVar(ident("variable"))
+                else:
+                    raise ParseError(f"expected expression, found {k!r}", t[1])
+                goal = None
+                continue
+            if goal == PROCESS and k == "NUM" and t[2] == 0:
+                i += 1
+                value, goal = INACT, None
+                continue
+            if goal == PROCESS and k == "IDENT" and t[2] == "if":
+                i += 1
+                stack.append((_IF,))
+                stack.append((_BINARY, 1, None, None))
+                goal = OPERAND
+                continue
+            if goal != PROCESS and k == "IDENT" and t[2] == "end":
+                i += 1
+                value, goal = (TEnd() if goal == LOCAL else GEnd()), None
+                continue
+            var_cls, rec_cls = _TERMS[goal]
+            if k == "IDENT" and t[2] == "rec":
+                i += 1
+                user = ident("process variable" if goal == PROCESS else "type variable")
+                expect(".")
+                new = renaming.fresh(user)
+                stack.append((_REC, rec_cls, user, new, scope.get(user)))
+                scope[user] = (new, guard)
+                continue
+            name = ident("participant or process variable" if goal == PROCESS
+                         else "participant or type variable")
+            k = toks[i][0]
+            if goal == LOCAL and k in ("!", "?"):
+                i += 1
+                expect("(")
+                s = sort()
+                expect(")")
+                expect(";")
+                stack.append((_PREFIX, TOut if k == "!" else TIn, (name, s), guard))
+            elif goal == LOCAL and k in ("+", "&"):
+                i += 1
+                expect("{")
+                label = ident("label")
+                expect(":")
+                stack.append((_BRANCH, tsel if k == "+" else tbra, (name,), [], label,
+                              guard, LOCAL))
+            elif goal == GLOBAL and k == "->":
+                i += 1
+                to = ident("participant")
+                if toks[i][0] == "(":
+                    i += 1
+                    s = sort()
+                    expect(")")
+                    expect(";")
+                    stack.append((_PREFIX, gmsg, (name, to, s), guard))
+                else:
+                    expect("{")
+                    label = ident("label")
+                    expect(":")
+                    stack.append((_BRANCH, gchoice, (name, to), [], label, guard, GLOBAL))
+            elif goal == PROCESS and k == "!":
+                i += 1
+                expect("<")
+                stack.append((_SEND, name))
+                stack.append((_BINARY, 1, None, None))
+                goal = OPERAND
+                continue
+            elif goal == PROCESS and k == "?":
+                i += 1
+                expect("(")
+                var = ident("value variable")
+                expect(")")
+                expect(";")
+                stack.append((_PREFIX, PRecv, (name, var), guard))
+            elif goal == PROCESS and k == "(+)":
+                i += 1
+                label = ident("label")
+                expect(";")
+                stack.append((_PREFIX, PSel, (name, label), guard))
+            elif goal == PROCESS and k == "&":
+                i += 1
+                expect("{")
+                label = ident("label")
+                expect(":")
+                stack.append((_BRANCH, _pbra, (name,), [], label, guard, PROCESS))
+            else:  # a variable
+                bound = scope.get(name)
+                if bound is None:
+                    entry[2].add(name)
+                    value = var_cls(name)
+                else:
+                    if bound[1] == guard and entry[1] is None:
+                        kind = "process" if goal == PROCESS else "recursion"
+                        entry[1] = f"unguarded {kind} variable {bound[0]}"
+                    value = var_cls(bound[0])
+                goal = None
+                continue
+            prefixes += 1
+            guard = prefixes
+            continue
+
+        # `value` is a finished term: hand it to the frame that asked for it
+        f = stack.pop()
+        tag = f[0]
+        if tag == _PREFIX:
+            guard = f[3]
+            value = f[1](*f[2], value)
+        elif tag == _REC:
+            _, rec_cls, user, new, outer = f
+            if outer is None:
+                del scope[user]
+            else:
+                scope[user] = outer
+            value = rec_cls(new, value)
+        elif tag == _BRANCH:
+            f[3].append((f[4], value))
+            if toks[i][0] == ",":
+                i += 1
+                label = ident("label")
+                expect(":")
+                stack.append(f[:4] + (label,) + f[5:])
+                goal = f[6]
+                continue
+            expect("}")
+            guard = f[5]
+            value = f[1](*f[2], f[3])
+        elif tag == _BINARY:
+            _, least, lhs, op = f
+            if op is not None:
+                value = _BINOP[op](lhs, value)
+            k = toks[i][0]
+            if _PREC.get(k, 0) >= least:
+                i += 1
+                stack.append((_BINARY, least, value, k))
+                stack.append((_BINARY, _PREC[k] + 1, None, None))
+                goal = OPERAND
+        elif tag == _NOT:
+            value = ENot(value)
+        elif tag == _NEG:
+            value = ENeg(value)
+        elif tag == _PAREN:
+            expect(")")
+        elif tag == _SEND:
+            expect(">")
+            expect(";")
+            stack.append((_PREFIX, PSend, (f[1], value), guard))
+            prefixes += 1
+            guard = prefixes
+            goal = PROCESS
+        elif tag == _IF:
+            if not (toks[i][0] == "IDENT" and toks[i][2] == "then"):
+                raise ParseError("expected 'then'", toks[i][1])
+            i += 1
+            stack.append((_THEN, value))
+            goal = PROCESS
+        elif tag == _THEN:
+            if not (toks[i][0] == "IDENT" and toks[i][2] == "else"):
+                raise ParseError("expected 'else'", toks[i][1])
+            i += 1
+            stack.append((_ELSE, f[1], value))
+            goal = PROCESS
+        elif tag == _ELSE:
+            value = PCond(f[1], f[2], value)
+        elif tag == _ENTRY:
+            _, sep, colon, term, name, pairs = f
+            pairs.append((name, value))
+            if toks[i][0] == sep:
+                i += 1
+                name = ident("participant")
+                expect(colon)
+                stack.append(f[:4] + (name, pairs))
+                new_entry(name)
+                goal = term
+            else:
+                value = (session if sep == "|" else typing_context)(pairs)
+        else:  # _TOP
+            break
+
+    t = toks[i]
+    if t[0] != "EOF":
+        raise ParseError(f"trailing input {t[0]!r}", t[1])
+    for _, unguarded, free in sorted(checks, key=lambda c: c[0] or ""):
+        if unguarded is not None:
+            raise SessionTypeError(unguarded)
+        if free and category in ("local", "global", "context"):
+            raise SessionTypeError(f"free type variables {sorted(free)}")
+    return value

@@ -16,7 +16,7 @@ from .ast import (
     BOOL, FALSE, INACT, INT, NAT, TRUE,
     EInt, ENat, ENonDet, LocalT, PBra, PCond, PRec, PRecv, PSel, PSend, PVar,
     Proc, Session, typing_context,
-    TBra, TEnd, TIn, TOut, TRec, TVar, participants, uniquify_binders,
+    TBra, TEnd, TIn, TOut, TRec, TVar, fold, participants, uniquify_binders,
 )
 from .context import CHECKERS
 from .inference import Untypable, infer
@@ -30,7 +30,10 @@ def synth_process(t: LocalT) -> Proc:
     """A process realizing a local type: literals witness the payload sorts
     and a nondeterministic conditional chain drives multi-label selections."""
 
-    def literal(s):
+    def literal(u, env):
+        if not type(u) is TOut:
+            return None
+        s = u.payload
         if s == BOOL:
             return TRUE
         if s == NAT:
@@ -39,26 +42,26 @@ def synth_process(t: LocalT) -> Proc:
             return EInt(-1)
         raise ValueError(f"cannot synthesise a literal of sort {s}")
 
-    def go(t) -> Proc:
-        if isinstance(t, TEnd):
+    def realize(t, kids, lit) -> Proc:
+        if type(t) is TEnd:
             return INACT
-        if isinstance(t, TVar):
+        if type(t) is TVar:
             return PVar(t.var)
-        if isinstance(t, TRec):
-            return PRec(t.var, go(t.body))
-        if isinstance(t, TIn):
-            return PRecv(t.peer, "x", go(t.cont))
-        if isinstance(t, TOut):
-            return PSend(t.peer, literal(t.payload), go(t.cont))
-        if isinstance(t, TBra):
-            return PBra(t.peer, tuple((l, go(b)) for l, b in t.branches))
-        arms = [PSel(t.peer, l, go(b)) for l, b in t.branches]
+        if type(t) is TRec:
+            return PRec(t.var, kids[0])
+        if type(t) is TIn:
+            return PRecv(t.peer, "x", kids[0])
+        if type(t) is TOut:
+            return PSend(t.peer, lit, kids[0])
+        if type(t) is TBra:
+            return PBra(t.peer, tuple(zip([l for l, _ in t.branches], kids)))
+        arms = [PSel(t.peer, l, k) for (l, _), k in zip(t.branches, kids)]
         out = arms[-1]
         for arm in reversed(arms[:-1]):
             out = PCond(ENonDet(TRUE, FALSE), arm, out)
         return out
 
-    return uniquify_binders(go(t))
+    return uniquify_binders(fold(t, realize, literal))
 
 
 @dataclass

@@ -1,4 +1,10 @@
-"""Pretty-printers producing the surface syntax accepted by parse.py."""
+"""Pretty-printers producing the surface syntax accepted by parse.py.
+
+Every printer is one `ast.fold` that appends the text of a term, left to
+right, to one list and joins it once, so printing costs time linear in the
+text at any depth.  `_TEXTS` gives each node's text as the pieces around
+its children: the text before each child, then the text after the last.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +12,120 @@ from .ast import (
     EAdd, EInt, ENat, ENeg, ENonDet, ENot, EOr, ETrue, EFalse, EVar,
     GEnd, GChoice, GMsg, GRec, GVar,
     PBra, PCond, PInact, PRec, PRecv, PSel, PSend, PVar,
-    Session, Sort, SortVar, TypingContext,
-    TBra, TEnd, TIn, TOut, TRec, TSel, TVar,
+    ONLY_CHILD, Done, Session, TypingContext, Visit,
+    TBra, TEnd, TIn, TOut, TRec, TSel, TVar, children, fold,
 )
+
+
+def _labels(head, pairs, sep, colon, tail):
+    """The texts around the children of a node with (name, child) pairs."""
+    names = [name for name, _ in pairs]
+    return (f"{head}{names[0]}{colon}", *[f"{sep}{n}{colon}" for n in names[1:]], tail)
+
+
+# Binary expression operands are parenthesised unless atomic, which keeps
+# the printer independent of the precedence table in the parser.
+_ATOMS = (ETrue, EFalse, ENat, EInt, EVar)
+
+
+def _open(e):
+    return "" if isinstance(e, _ATOMS) else "("
+
+
+def _close(e):
+    return "" if isinstance(e, _ATOMS) else ")"
+
+
+def _unary(e, op):
+    (arg,) = children(e)
+    return f"{op}{_open(arg)}", _close(arg)
+
+
+def _binary(e, op):
+    lhs, rhs = children(e)
+    return _open(lhs), f"{_close(lhs)}{op}{_open(rhs)}", _close(rhs)
+
+
+# class -> node -> the texts before, between and after its children
+_TEXTS = {
+    TEnd: lambda u: ("end",),
+    GEnd: lambda u: ("end",),
+    TVar: lambda u: (u.var,),
+    GVar: lambda u: (u.var,),
+    PVar: lambda u: (u.var,),
+    TRec: lambda u: (f"rec {u.var}. ", ""),
+    GRec: lambda u: (f"rec {u.var}. ", ""),
+    PRec: lambda u: (f"rec {u.var}. ", ""),
+    TOut: lambda u: (f"{u.peer}!({u.payload}); ", ""),
+    TIn: lambda u: (f"{u.peer}?({u.payload}); ", ""),
+    TSel: lambda u: _labels(f"{u.peer}+{{", u.branches, ", ", ": ", "}"),
+    TBra: lambda u: _labels(f"{u.peer}&{{", u.branches, ", ", ": ", "}"),
+    GMsg: lambda u: (f"{u.frm}->{u.to}({u.payload}); ", ""),
+    GChoice: lambda u: _labels(f"{u.frm}->{u.to}{{", u.branches, ", ", ": ", "}"),
+    ETrue: lambda u: ("true",),
+    EFalse: lambda u: ("false",),
+    # non-negative integers only arise as runtime values and are never
+    # parsed back, so plain digits are fine for display
+    ENat: lambda u: (str(u.value),),
+    EInt: lambda u: (str(u.value),),
+    EVar: lambda u: (u.name,),
+    ENot: lambda u: _unary(u, "!"),
+    ENeg: lambda u: _unary(u, "neg "),
+    EOr: lambda u: _binary(u, " \\/ "),
+    EAdd: lambda u: _binary(u, " + "),
+    ENonDet: lambda u: _binary(u, " (+) "),
+    PInact: lambda u: ("0",),
+    PSend: lambda u: (f"{u.peer}!<", ">; ", ""),
+    PRecv: lambda u: (f"{u.peer}?({u.var}); ", ""),
+    PSel: lambda u: (f"{u.peer}(+){u.label}; ", ""),
+    PBra: lambda u: _labels(f"{u.peer}&{{", u.branches, ", ", ": ", "}"),
+    PCond: lambda u: ("if ", " then ", " else ", ""),
+    Session: lambda u: _labels("", u.roles, " | ", "::", ""),
+    TypingContext: lambda u: _labels("", u.entries, ", ", ": ", ""),
+}
+
+
+def _enter(item, env):
+    """item: (text before the node, the node); env: (the text so far, the
+    texts after the nodes the visit of its parent opened).  A run of nodes
+    with one child each is printed in one visit."""
+    text, u = item
+    out, afters = env[0], []
+    while True:
+        out.append(text)
+        texts = _TEXTS.get(type(u), _sort)(u)
+        if texts[-1]:
+            afters.append(texts[-1])
+        if len(texts) != 2:
+            break
+        one = ONLY_CHILD.get(type(u))
+        text, u = texts[0], one(u) if one else children(u)[0]
+    if len(texts) == 1:
+        out.extend(reversed(afters))
+        return _DONE
+    return Visit(tuple(zip(texts, children(u))), (out, afters))
+
+
+def _sort(s):
+    return (str(s),)
+
+
+def _leave(item, vals, env):
+    env[0].extend(reversed(env[1]))
+
+
+_DONE = Done(None)
+
+
+def _text(x) -> str:
+    out: list[str] = []
+    fold(("", x), _leave, _enter, (out, None))
+    return "".join(out)
+
+
+def show(x) -> str:
+    """The surface syntax of any term or sort."""
+    return _text(x)
 
 
 def show_sort(s) -> str:
@@ -16,115 +133,24 @@ def show_sort(s) -> str:
 
 
 def show_local(t) -> str:
-    if isinstance(t, TEnd):
-        return "end"
-    if isinstance(t, TVar):
-        return t.var
-    if isinstance(t, TRec):
-        return f"rec {t.var}. {show_local(t.body)}"
-    if isinstance(t, TOut):
-        return f"{t.peer}!({show_sort(t.payload)}); {show_local(t.cont)}"
-    if isinstance(t, TIn):
-        return f"{t.peer}?({show_sort(t.payload)}); {show_local(t.cont)}"
-    op = "+" if isinstance(t, TSel) else "&"
-    inner = ", ".join(f"{l}: {show_local(b)}" for l, b in t.branches)
-    return f"{t.peer}{op}{{{inner}}}"
+    return _text(t)
 
 
 def show_global(g) -> str:
-    if isinstance(g, GEnd):
-        return "end"
-    if isinstance(g, GVar):
-        return g.var
-    if isinstance(g, GRec):
-        return f"rec {g.var}. {show_global(g.body)}"
-    if isinstance(g, GMsg):
-        return f"{g.frm}->{g.to}({show_sort(g.payload)}); {show_global(g.cont)}"
-    inner = ", ".join(f"{l}: {show_global(b)}" for l, b in g.branches)
-    return f"{g.frm}->{g.to}{{{inner}}}"
-
-
-# Binary expression operands are parenthesised unless atomic, which keeps
-# the printer independent of the precedence table in the parser.
-
-def _atom(e) -> bool:
-    return isinstance(e, (ETrue, EFalse, ENat, EInt, EVar))
-
-
-def _sub(e) -> str:
-    s = show_expr(e)
-    return s if _atom(e) else f"({s})"
+    return _text(g)
 
 
 def show_expr(e) -> str:
-    if isinstance(e, ETrue):
-        return "true"
-    if isinstance(e, EFalse):
-        return "false"
-    if isinstance(e, ENat):
-        return str(e.value)
-    if isinstance(e, EInt):
-        # non-negative integers only arise as runtime values and are never
-        # parsed back, so plain digits are fine for display
-        return str(e.value)
-    if isinstance(e, EVar):
-        return e.name
-    if isinstance(e, ENot):
-        return f"!{_sub(e.arg)}"
-    if isinstance(e, ENeg):
-        return f"neg {_sub(e.arg)}"
-    if isinstance(e, EOr):
-        return f"{_sub(e.lhs)} \\/ {_sub(e.rhs)}"
-    if isinstance(e, EAdd):
-        return f"{_sub(e.lhs)} + {_sub(e.rhs)}"
-    if isinstance(e, ENonDet):
-        return f"{_sub(e.lhs)} (+) {_sub(e.rhs)}"
-    raise TypeError(f"show_expr: {e!r}")
+    return _text(e)
 
 
 def show_process(p) -> str:
-    if isinstance(p, PInact):
-        return "0"
-    if isinstance(p, PVar):
-        return p.var
-    if isinstance(p, PRec):
-        return f"rec {p.var}. {show_process(p.body)}"
-    if isinstance(p, PSend):
-        return f"{p.peer}!<{show_expr(p.expr)}>; {show_process(p.cont)}"
-    if isinstance(p, PRecv):
-        return f"{p.peer}?({p.var}); {show_process(p.cont)}"
-    if isinstance(p, PSel):
-        return f"{p.peer}(+){p.label}; {show_process(p.cont)}"
-    if isinstance(p, PBra):
-        inner = ", ".join(f"{l}: {show_process(b)}" for l, b in p.branches)
-        return f"{p.peer}&{{{inner}}}"
-    if isinstance(p, PCond):
-        return (
-            f"if {show_expr(p.cond)} then {show_process(p.then)} "
-            f"else {show_process(p.orelse)}"
-        )
-    raise TypeError(f"show_process: {p!r}")
+    return _text(p)
 
 
 def show_session(s: Session) -> str:
-    return " | ".join(f"{n}::{show_process(p)}" for n, p in s.roles)
+    return _text(s)
 
 
 def show_context(c: TypingContext) -> str:
-    return ", ".join(f"{n}: {show_local(t)}" for n, t in c.entries)
-
-
-def show(x) -> str:
-    if isinstance(x, Session):
-        return show_session(x)
-    if isinstance(x, TypingContext):
-        return show_context(x)
-    if isinstance(x, (TEnd, TVar, TRec, TOut, TIn, TSel, TBra)):
-        return show_local(x)
-    if isinstance(x, (GEnd, GVar, GRec, GMsg, GChoice)):
-        return show_global(x)
-    if isinstance(x, (PInact, PVar, PRec, PSend, PRecv, PSel, PBra, PCond)):
-        return show_process(x)
-    if isinstance(x, (Sort, SortVar)):
-        return show_sort(x)
-    return show_expr(x)
+    return _text(c)

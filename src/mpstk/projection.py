@@ -33,7 +33,8 @@ from .ast import (
     GChoice, GEnd, GMsg, GRec, GVar, GlobalT,
     LocalT, SessionTypeError, Sort,
     TBra, TEnd, TIn, TOut, TRec, TSel, TVar, TypingContext,
-    alpha_canon, check_guarded, is_closed, participants, size, subst, unfold,
+    Done, Visit, alpha_canon, check_guarded, fold, is_closed, participants, size, subst,
+    unfold,
 )
 from .printer import show_global, show_local
 from .subtyping import subtype_sim
@@ -90,39 +91,49 @@ def _merge_fail(t1, t2, why):
 def merge_full_naive(t1: LocalT, t2: LocalT) -> LocalT:
     """Inductive full merge: identical prefixes merge pointwise, selections
     need identical label sets, branchings take the union of their labels.
-    Recursions merge by congruence after aligning the binders."""
-    if isinstance(t1, TEnd) and isinstance(t2, TEnd):
-        return t1
-    if isinstance(t1, TVar) and isinstance(t2, TVar) and t1.var == t2.var:
-        return t1
-    if (
-        isinstance(t1, (TIn, TOut))
-        and type(t1) is type(t2)
-        and t1.peer == t2.peer
-        and t1.payload == t2.payload
-    ):
-        return type(t1)(t1.peer, t1.payload, merge_full_naive(t1.cont, t2.cont))
-    if isinstance(t1, TSel) and isinstance(t2, TSel) and t1.peer == t2.peer:
-        if [l for l, _ in t1.branches] != [l for l, _ in t2.branches]:
-            raise _merge_fail(t1, t2, "selection merge needs equal label sets")
-        b2 = dict(t2.branches)
-        return TSel(
-            t1.peer, tuple((l, merge_full_naive(b, b2[l])) for l, b in t1.branches)
-        )
-    if isinstance(t1, TBra) and isinstance(t2, TBra) and t1.peer == t2.peer:
-        b1, b2 = dict(t1.branches), dict(t2.branches)
-        labels = sorted(set(b1) | set(b2))
-        out = []
-        for l in labels:
-            if l in b1 and l in b2:
-                out.append((l, merge_full_naive(b1[l], b2[l])))
-            else:
-                out.append((l, b1.get(l, b2.get(l))))
-        return TBra(t1.peer, tuple(out))
-    if isinstance(t1, TRec) and isinstance(t2, TRec):
-        body2 = t2.body if t2.var == t1.var else subst(t2.body, t2.var, TVar(t1.var))
-        return TRec(t1.var, merge_full_naive(t1.body, body2))
-    raise _merge_fail(t1, t2, "incompatible heads in full merge")
+    Recursions merge by congruence after aligning the binders.  One fold
+    over pairs of subterms, merged in depth-first order."""
+
+    def enter(pair, env):
+        t1, t2 = pair
+        if type(t1) is TEnd and type(t2) is TEnd:
+            return Done(t1)
+        if type(t1) is TVar and type(t2) is TVar and t1.var == t2.var:
+            return Done(t1)
+        if (
+            type(t1) in (TIn, TOut)
+            and type(t1) is type(t2)
+            and t1.peer == t2.peer
+            and t1.payload == t2.payload
+        ):
+            return Visit(((t1.cont, t2.cont),), env)
+        if type(t1) is TSel and type(t2) is TSel and t1.peer == t2.peer:
+            if [l for l, _ in t1.branches] != [l for l, _ in t2.branches]:
+                raise _merge_fail(t1, t2, "selection merge needs equal label sets")
+            return Visit(tuple(zip([b for _, b in t1.branches], [b for _, b in t2.branches])), env)
+        if type(t1) is TBra and type(t2) is TBra and t1.peer == t2.peer:
+            b1, b2 = dict(t1.branches), dict(t2.branches)
+            return Visit(tuple((b1[l], b2[l]) for l in sorted(set(b1) & set(b2))), env)
+        if type(t1) is TRec and type(t2) is TRec:
+            body2 = t2.body if t2.var == t1.var else subst(t2.body, t2.var, TVar(t1.var))
+            return Visit(((t1.body, body2),), env)
+        raise _merge_fail(t1, t2, "incompatible heads in full merge")
+
+    def leave(pair, kids, env):
+        t1, t2 = pair
+        if type(t1) in (TIn, TOut):
+            return type(t1)(t1.peer, t1.payload, kids[0])
+        if type(t1) is TSel:
+            return TSel(t1.peer, tuple(zip([l for l, _ in t1.branches], kids)))
+        if type(t1) is TBra:
+            b1, b2 = dict(t1.branches), dict(t2.branches)
+            merged = dict(zip(sorted(set(b1) & set(b2)), kids))
+            return TBra(t1.peer, tuple(
+                (l, merged[l] if l in merged else b1.get(l, b2.get(l)))
+                for l in sorted(set(b1) | set(b2))))
+        return TRec(t1.var, kids[0])
+
+    return fold((t1, t2), leave, enter)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +165,8 @@ def _mk(key, prio, value, left, right):
 
 def treap_insert(n, key, value, combine, counter=None):
     """Insert or combine; O(log n) expected, counted as one tree op per
-    visited node."""
+    visited node.  Recursive, as the depth of a treap is logarithmic in its
+    size with high probability."""
     if counter is not None:
         counter.tick()
     if n is None:
@@ -175,11 +187,20 @@ def treap_insert(n, key, value, combine, counter=None):
 
 
 def treap_items(n):
+    """The (key, value) pairs in key order; recursive, as the depth of a
+    treap is logarithmic in its size with high probability."""
     if n is None:
         return
     yield from treap_items(n.left)
     yield (n.key, n.value)
     yield from treap_items(n.right)
+
+
+def treap_get(n, key):
+    """The value at `key`, or None."""
+    while n is not None and n.key != key:
+        n = n.left if key < n.key else n.right
+    return None if n is None else n.value
 
 
 class MTree:
@@ -227,88 +248,149 @@ def _mbra(peer: str, pairs) -> MBra:
     """A treap-backed branching on (label, MTree) pairs."""
     tree = None
     for l, b in pairs:
-        tree = treap_insert(tree, l, b, lambda old, new: new)
+        tree = treap_insert(tree, l, b, _keep_new)
     return MBra(peer, tree, _tsz(tree))
 
 
-def mt_of_local(t: LocalT) -> MTree:
-    if isinstance(t, TEnd):
+def _mt_pairs(m) -> tuple:
+    """The (label, child) pairs of a selection or branching tree."""
+    return m.branches if type(m) is MSel else tuple(treap_items(m.tree))
+
+
+def _mt_kids(m) -> tuple:
+    if type(m) is MIO:
+        return (m.cont,)
+    if type(m) is MRec:
+        return (m.body,)
+    if type(m) in (MSel, MBra):
+        return tuple(b for _, b in _mt_pairs(m))
+    return ()
+
+
+def _mt_enter(m, env):
+    return Visit(_mt_kids(m), env)
+
+
+def _of_local(t, kids, env) -> MTree:
+    if type(t) is TEnd:
         return MEnd()
-    if isinstance(t, TVar):
+    if type(t) is TVar:
         return MVar(t.var)
-    if isinstance(t, TIn):
-        return MIO(IN, t.peer, t.payload, mt_of_local(t.cont))
-    if isinstance(t, TOut):
-        return MIO(OUT, t.peer, t.payload, mt_of_local(t.cont))
-    if isinstance(t, TRec):
-        return MRec(t.var, mt_of_local(t.body))
-    if isinstance(t, TSel):
-        return MSel(t.peer, tuple((l, mt_of_local(b)) for l, b in t.branches))
-    return _mbra(t.peer, tuple((l, mt_of_local(b)) for l, b in t.branches))
+    if type(t) in (TIn, TOut):
+        return MIO(IN if type(t) is TIn else OUT, t.peer, t.payload, kids[0])
+    if type(t) is TRec:
+        return MRec(t.var, kids[0])
+    pairs = tuple(zip([l for l, _ in t.branches], kids))
+    return MSel(t.peer, pairs) if type(t) is TSel else _mbra(t.peer, pairs)
+
+
+def mt_of_local(t: LocalT) -> MTree:
+    return fold(t, _of_local)
+
+
+def _to_local(m, kids, env) -> LocalT:
+    if type(m) is MEnd:
+        return TEnd()
+    if type(m) is MVar:
+        return TVar(m.var)
+    if type(m) is MIO:
+        return (TIn if m.kind == IN else TOut)(m.peer, m.payload, kids[0])
+    if type(m) is MRec:
+        return TRec(m.var, kids[0])
+    pairs = tuple(zip([l for l, _ in _mt_pairs(m)], kids))
+    return TSel(m.peer, pairs) if type(m) is MSel else TBra(m.peer, pairs)
 
 
 def mt_to_local(m: MTree) -> LocalT:
-    if isinstance(m, MEnd):
-        return TEnd()
-    if isinstance(m, MVar):
-        return TVar(m.var)
-    if isinstance(m, MIO):
-        ctor = TIn if m.kind == IN else TOut
-        return ctor(m.peer, m.payload, mt_to_local(m.cont))
-    if isinstance(m, MRec):
-        return TRec(m.var, mt_to_local(m.body))
-    if isinstance(m, MSel):
-        return TSel(m.peer, tuple((l, mt_to_local(b)) for l, b in m.branches))
-    return TBra(m.peer, tuple((l, mt_to_local(b)) for l, b in treap_items(m.tree)))
+    return fold(m, _to_local, _mt_enter)
 
 
 def _mt_rename(m: MTree, old: str, new: str) -> MTree:
-    if isinstance(m, MVar):
-        return MVar(new) if m.var == old else m
-    if isinstance(m, MRec):
-        return m if m.var == old else MRec(m.var, _mt_rename(m.body, old, new))
-    if isinstance(m, MIO):
-        return MIO(m.kind, m.peer, m.payload, _mt_rename(m.cont, old, new))
-    if isinstance(m, MSel):
-        return MSel(m.peer, tuple((l, _mt_rename(b, old, new)) for l, b in m.branches))
-    if isinstance(m, MBra):
-        return _mbra(m.peer, tuple((l, _mt_rename(b, old, new)) for l, b in treap_items(m.tree)))
-    return m
+    def enter(u, env):
+        if type(u) is MVar:
+            return Done(MVar(new) if u.var == old else u)
+        if type(u) is MRec and u.var == old:
+            return Done(u)
+        return Visit(_mt_kids(u), env)
+
+    def leave(u, kids, env):
+        if type(u) is MIO:
+            return MIO(u.kind, u.peer, u.payload, kids[0])
+        if type(u) is MRec:
+            return MRec(u.var, kids[0])
+        if type(u) in (MSel, MBra):
+            pairs = tuple(zip([l for l, _ in _mt_pairs(u)], kids))
+            return MSel(u.peer, pairs) if type(u) is MSel else _mbra(u.peer, pairs)
+        return u
+
+    return fold(m, leave, enter)
 
 
 def merge_full_opt(m1: MTree, m2: MTree, counter: WorkCounter | None = None) -> MTree:
     """Optimised full merge; the smaller branch map is inserted into the
-    larger one so each branch moves O(log n) times overall."""
-    if counter is not None:
-        counter.tick()
-    if isinstance(m1, MEnd) and isinstance(m2, MEnd):
-        return m1
-    if isinstance(m1, MVar) and isinstance(m2, MVar) and m1.var == m2.var:
-        return m1
-    if (
-        isinstance(m1, MIO)
-        and isinstance(m2, MIO)
-        and (m1.kind, m1.peer, m1.payload) == (m2.kind, m2.peer, m2.payload)
-    ):
-        return MIO(m1.kind, m1.peer, m1.payload, merge_full_opt(m1.cont, m2.cont, counter))
-    if isinstance(m1, MSel) and isinstance(m2, MSel) and m1.peer == m2.peer:
-        if [l for l, _ in m1.branches] != [l for l, _ in m2.branches]:
-            raise SessionTypeError("selection merge needs equal label sets")
-        b2 = dict(m2.branches)
-        return MSel(m1.peer, tuple((l, merge_full_opt(b, b2[l], counter)) for l, b in m1.branches))
-    if isinstance(m1, MBra) and isinstance(m2, MBra) and m1.peer == m2.peer:
-        big, small = (m1, m2) if m1.size >= m2.size else (m2, m1)
-        # merging is symmetric on shared labels, so operand order is free
-        tree = big.tree
-        for l, b in treap_items(small.tree):
-            tree = treap_insert(
-                tree, l, b, lambda old, new: merge_full_opt(old, new, counter), counter
-            )
-        return MBra(m1.peer, tree, _tsz(tree))
-    if isinstance(m1, MRec) and isinstance(m2, MRec):
-        body2 = m2.body if m2.var == m1.var else _mt_rename(m2.body, m2.var, m1.var)
-        return MRec(m1.var, merge_full_opt(m1.body, body2, counter))
-    raise SessionTypeError("incompatible heads in full merge")
+    larger one so each branch moves O(log n) times overall.
+
+    One fold over (tree, tree, ticks) triples, merged in depth-first order.
+    On a branching, the smaller map's labels are inserted in order and each
+    label the two share is merged where its insertion finds it; `ticks`
+    carries the tree ops of the insertions up to that label, so the counter
+    runs as in a merge that recurses from inside the insertion."""
+    tick = counter.tick if counter is not None else WorkCounter().tick
+
+    def enter(triple, env):
+        m1, m2, ticks = triple
+        tick(ticks + 1)
+        if type(m1) is MEnd and type(m2) is MEnd:
+            return Done(m1)
+        if type(m1) is MVar and type(m2) is MVar and m1.var == m2.var:
+            return Done(m1)
+        if (
+            type(m1) is MIO
+            and type(m2) is MIO
+            and (m1.kind, m1.peer, m1.payload) == (m2.kind, m2.peer, m2.payload)
+        ):
+            return Visit(((m1.cont, m2.cont, 0),), env)
+        if type(m1) is MSel and type(m2) is MSel and m1.peer == m2.peer:
+            if [l for l, _ in m1.branches] != [l for l, _ in m2.branches]:
+                raise SessionTypeError("selection merge needs equal label sets")
+            return Visit(tuple((b1, b2, 0) for (_, b1), (_, b2)
+                               in zip(m1.branches, m2.branches)), env)
+        if type(m1) is MBra and type(m2) is MBra and m1.peer == m2.peer:
+            big, small = (m1, m2) if m1.size >= m2.size else (m2, m1)
+            # merging is symmetric on shared labels, so operand order is free
+            tree, shared, labels, ops = big.tree, [], [], WorkCounter()
+            for l, b in treap_items(small.tree):
+                tree = treap_insert(tree, l, b, _keep_new, ops)
+                old = treap_get(big.tree, l)
+                if old is not None:
+                    shared.append((old, b, ops.ops))
+                    labels.append(l)
+                    ops.ops = 0
+            return Visit(tuple(shared), (tree, labels, ops.ops))
+        if type(m1) is MRec and type(m2) is MRec:
+            body2 = m2.body if m2.var == m1.var else _mt_rename(m2.body, m2.var, m1.var)
+            return Visit(((m1.body, body2, 0),), env)
+        raise SessionTypeError("incompatible heads in full merge")
+
+    def leave(triple, kids, env):
+        m1 = triple[0]
+        if type(m1) is MIO:
+            return MIO(m1.kind, m1.peer, m1.payload, kids[0])
+        if type(m1) is MSel:
+            return MSel(m1.peer, tuple(zip([l for l, _ in m1.branches], kids)))
+        if type(m1) is MBra:
+            tree, labels, rest = env
+            tick(rest)
+            for l, merged in zip(labels, kids):
+                tree = treap_insert(tree, l, merged, _keep_new)
+            return MBra(m1.peer, tree, _tsz(tree))
+        return MRec(m1.var, kids[0])
+
+    return fold((m1, m2, 0), leave, enter)
+
+
+def _keep_new(old, new):
+    return new
 
 
 def merge_full_optimized(t1: LocalT, t2: LocalT, counter: WorkCounter | None = None) -> LocalT:
@@ -336,40 +418,41 @@ def _project(g: GlobalT, p: str, mk, merge):
     """
     end, var, out, inp, sel, bra, rec = mk
 
-    def go(g):
-        if isinstance(g, GEnd):
+    def enter(g, env):
+        if type(g) is GRec and p not in participants(g.body) and is_closed(g):
+            return Done(end())
+        if type(g) is GChoice and merge is None and p not in (g.frm, g.to):
+            return Visit((g.branches[0][1],), env)
+        return env
+
+    def leave(g, kids, env):
+        if type(g) is GEnd:
             return end()
-        if isinstance(g, GVar):
+        if type(g) is GVar:
             return var(g.var)
-        if isinstance(g, GMsg):
-            cont = go(g.cont)
+        if type(g) is GMsg:
             if p == g.frm:
-                return out(g.to, g.payload, cont)
+                return out(g.to, g.payload, kids[0])
             if p == g.to:
-                return inp(g.frm, g.payload, cont)
-            return cont
-        if isinstance(g, GChoice):
+                return inp(g.frm, g.payload, kids[0])
+            return kids[0]
+        if type(g) is GChoice:
             if p == g.frm:
-                return sel(g.to, tuple((l, go(b)) for l, b in g.branches))
+                return sel(g.to, tuple(zip([l for l, _ in g.branches], kids)))
             if p == g.to:
-                return bra(g.frm, tuple((l, go(b)) for l, b in g.branches))
-            if merge is None:
-                return go(g.branches[0][1])
-            parts = [go(b) for _, b in g.branches]
-            acc = parts[0]
-            for t in parts[1:]:
+                return bra(g.frm, tuple(zip([l for l, _ in g.branches], kids)))
+            acc = kids[0]
+            for t in kids[1:]:
                 try:
                     acc = merge(acc, t)
                 except SessionTypeError as e:
                     raise ProjUndefined(p, str(e), show_global(g))
             return acc
-        if isinstance(g, GRec):
-            if p not in participants(g.body) and is_closed(g):
-                return end()
-            return rec(g.var, go(g.body))
+        if type(g) is GRec:
+            return rec(g.var, kids[0])
         raise TypeError(f"project: {g!r}")
 
-    return go(g)
+    return fold(g, leave, enter)
 
 
 def project_inductive(
@@ -603,7 +686,7 @@ def gen_lowerbound_family(name: str, n) -> GlobalT:
         return g
     if name == "fullmerge_nlog2":
 
-        def build(k, j):
+        def build(k, j):  # recursive: one level per step of n
             if k == 0:
                 return GChoice("p", "r", ((f"m{j:06d}", GEnd()),))
             return GChoice("p", "q", (("l1", build(k - 1, 2 * j)), ("l2", build(k - 1, 2 * j + 1))))

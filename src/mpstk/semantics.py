@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from .ast import (
     EAdd, EInt, ENat, ENeg, ENonDet, ENot, EOr, ETrue, EFalse, EVar, Expr,
-    BudgetExceeded, PBra, PCond, PInact, PRec, PRecv, PSel, PSend, PVar, Proc,
-    Session, SessionTypeError, session,
+    BudgetExceeded, Done, PBra, PCond, PInact, PRecv, PSel, PSend, Proc,
+    Session, SessionTypeError, Visit, fold, rebuild, session, unfold,
 )
 
 
@@ -44,136 +44,104 @@ def eval_all(e: Expr, env: dict[str, Expr] | None = None) -> frozenset[Expr]:
     """All values an expression may evaluate to (nondeterminism expands)."""
     env = env or {}
 
-    def go(e) -> frozenset:
-        if isinstance(e, (ETrue, EFalse, ENat, EInt)):
+    def values(e, vals, _) -> frozenset:
+        if type(e) in (ETrue, EFalse, ENat, EInt):
             return frozenset([e])
-        if isinstance(e, EVar):
+        if type(e) is EVar:
             try:
                 return frozenset([env[e.name]])
             except KeyError:
                 raise EvalStuck(f"unbound variable {e.name}") from None
-        if isinstance(e, ENot):
-            return frozenset(ETrue() if not _as_bool(v) else EFalse() for v in go(e.arg))
-        if isinstance(e, ENeg):
-            return frozenset(EInt(-_as_num(v)[0]) for v in go(e.arg))
-        if isinstance(e, EOr):
+        if type(e) is ENot:
+            return frozenset(ETrue() if not _as_bool(v) else EFalse() for v in vals[0])
+        if type(e) is ENeg:
+            return frozenset(EInt(-_as_num(v)[0]) for v in vals[0])
+        if type(e) is EOr:
             out = set()
-            for v1 in go(e.lhs):
-                for v2 in go(e.rhs):
+            for v1 in vals[0]:
+                for v2 in vals[1]:
                     out.add(ETrue() if _as_bool(v1) or _as_bool(v2) else EFalse())
             return frozenset(out)
-        if isinstance(e, EAdd):
+        if type(e) is EAdd:
             out = set()
-            for v1 in go(e.lhs):
-                for v2 in go(e.rhs):
+            for v1 in vals[0]:
+                for v2 in vals[1]:
                     a, i1 = _as_num(v1)
                     b, i2 = _as_num(v2)
                     s = a + b
                     out.add(EInt(s) if i1 or i2 else ENat(s))
             return frozenset(out)
-        if isinstance(e, ENonDet):
-            return go(e.lhs) | go(e.rhs)
+        if type(e) is ENonDet:
+            return vals[0] | vals[1]
         raise TypeError(f"eval: {e!r}")
 
-    return go(e)
+    return fold(e, values)
 
 
 def eval_expr(e: Expr, env: dict[str, Expr] | None = None,
               rng: random.Random | None = None) -> Expr:
     """Single evaluation; nondeterministic choices resolved by `rng` (left
-    operand when no generator is supplied)."""
+    operand when no generator is supplied).  Left to right: an operand of
+    \\/ or + is checked before the next is evaluated, and \\/ stops at
+    true, so a choice in an operand never reached draws nothing."""
     env = env or {}
     rng_choice = (lambda: rng.random() < 0.5) if rng else (lambda: True)
 
-    def go(e) -> Expr:
-        if isinstance(e, (ETrue, EFalse, ENat, EInt)):
-            return e
-        if isinstance(e, EVar):
+    def enter(e, _):
+        if type(e) is EVar:
             try:
-                return env[e.name]
+                return Done(env[e.name])
             except KeyError:
                 raise EvalStuck(f"unbound variable {e.name}") from None
-        if isinstance(e, ENot):
-            return EFalse() if _as_bool(go(e.arg)) else ETrue()
-        if isinstance(e, ENeg):
-            return EInt(-_as_num(go(e.arg))[0])
-        if isinstance(e, EOr):
-            return ETrue() if _as_bool(go(e.lhs)) or _as_bool(go(e.rhs)) else EFalse()
-        if isinstance(e, EAdd):
-            a, i1 = _as_num(go(e.lhs))
-            b, i2 = _as_num(go(e.rhs))
+        if type(e) is ENonDet:
+            return Visit((e.lhs if rng_choice() else e.rhs,), None)
+        if type(e) in (EOr, EAdd):
+            return Visit((e.lhs,), None)
+        return None
+
+    def value(e, vals, _) -> Expr:
+        if type(e) in (ETrue, EFalse, ENat, EInt):
+            return e
+        if type(e) is ENot:
+            return EFalse() if _as_bool(vals[0]) else ETrue()
+        if type(e) is ENeg:
+            return EInt(-_as_num(vals[0])[0])
+        if type(e) is EOr:
+            if _as_bool(vals[-1]):
+                return ETrue()
+            return Visit((e.rhs,), None) if len(vals) == 1 else EFalse()
+        if type(e) is EAdd:
+            _as_num(vals[-1])
+            if len(vals) == 1:
+                return Visit((e.rhs,), None)
+            (a, i1), (b, i2) = _as_num(vals[0]), _as_num(vals[1])
             return EInt(a + b) if i1 or i2 else ENat(a + b)
-        if isinstance(e, ENonDet):
-            return go(e.lhs) if rng_choice() else go(e.rhs)
+        if type(e) is ENonDet:
+            return vals[0]
         raise TypeError(f"eval: {e!r}")
 
-    return go(e)
+    return fold(e, value, enter)
 
 
 # ---------------------------------------------------------------------------
 # Process plumbing
 
 
-def subst_proc(p: Proc, var: str, repl: Proc) -> Proc:
-    if isinstance(p, PVar):
-        return repl if p.var == var else p
-    if isinstance(p, PRec):
-        return p if p.var == var else PRec(p.var, subst_proc(p.body, var, repl))
-    if isinstance(p, PSend):
-        return PSend(p.peer, p.expr, subst_proc(p.cont, var, repl))
-    if isinstance(p, PRecv):
-        return PRecv(p.peer, p.var, subst_proc(p.cont, var, repl))
-    if isinstance(p, PSel):
-        return PSel(p.peer, p.label, subst_proc(p.cont, var, repl))
-    if isinstance(p, PBra):
-        return PBra(p.peer, tuple((l, subst_proc(b, var, repl)) for l, b in p.branches))
-    if isinstance(p, PCond):
-        return PCond(p.cond, subst_proc(p.then, var, repl), subst_proc(p.orelse, var, repl))
-    return p
-
-
 def subst_value(p: Proc, var: str, value: Expr) -> Proc:
     """Substitute a value for a free value variable (shadowed by inputs that
     rebind the same name)."""
 
-    def in_expr(e):
-        if isinstance(e, EVar):
-            return value if e.name == var else e
-        if isinstance(e, ENot):
-            return ENot(in_expr(e.arg))
-        if isinstance(e, ENeg):
-            return ENeg(in_expr(e.arg))
-        if isinstance(e, (EOr, EAdd, ENonDet)):
-            return type(e)(in_expr(e.lhs), in_expr(e.rhs))
-        return e
+    def enter(u, env):
+        if type(u) is EVar:
+            return Done(value if u.name == var else u)
+        if type(u) is PRecv and u.var == var:
+            return Done(u)
+        return env
 
-    if isinstance(p, PSend):
-        return PSend(p.peer, in_expr(p.expr), subst_value(p.cont, var, value))
-    if isinstance(p, PRecv):
-        if p.var == var:
-            return p
-        return PRecv(p.peer, p.var, subst_value(p.cont, var, value))
-    if isinstance(p, PSel):
-        return PSel(p.peer, p.label, subst_value(p.cont, var, value))
-    if isinstance(p, PBra):
-        return PBra(p.peer, tuple((l, subst_value(b, var, value)) for l, b in p.branches))
-    if isinstance(p, PCond):
-        return PCond(in_expr(p.cond), subst_value(p.then, var, value),
-                     subst_value(p.orelse, var, value))
-    if isinstance(p, PRec):
-        return PRec(p.var, subst_value(p.body, var, value))
-    return p
+    return fold(p, rebuild, enter)
 
 
-def proc_head(p: Proc) -> Proc:
-    """Unfold top-level recursions (the structural rule)."""
-    steps = 0
-    while isinstance(p, PRec):
-        p = subst_proc(p.body, p.var, p)
-        steps += 1
-        if steps > 10_000:
-            raise SessionTypeError("unguarded process recursion")
-    return p
+proc_head = unfold  # the structural rule: unfold top-level recursions
 
 
 @dataclass(frozen=True)

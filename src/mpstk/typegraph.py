@@ -13,19 +13,16 @@ component routine, used for the balance check and for liveness.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from itertools import count
 
 from .ast import (
     BudgetExceeded, GChoice, GMsg, GlobalT,
     LocalT, SessionTypeError,
-    TBra, TEnd, TIn, TOut, TRec, TSel, TVar,
-    alpha_canon, participants, unfold,
+    TBra, TEnd, TIn, TOut, TRec, TSel, TVar, Done, Visit,
+    alpha_canon, fold, participants, unfold,
 )
 from .printer import show_global, show_local, show_sort
-
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
 IN, OUT, SEL, BRA, ENDK = "in", "out", "sel", "bra", "end"
 
@@ -202,39 +199,35 @@ def graph_to_type(g: TypeGraph, root: int | None = None) -> LocalT:
 
 def _extract_type(g: TypeGraph, root: int) -> LocalT:
     """graph_to_type without the well-formedness check, for callers that
-    have run validate_type_graph on `g` already."""
-    counter = [0]
-    active: dict[int, list] = {}  # node -> [binder name or None]
+    have run validate_type_graph on `g` already.  A depth-first walk in
+    edge order; a node reached again while open is a back edge, named
+    t0, t1, ... in the order they are found, and bound where it opened."""
+    binders = count()
+    active: dict[int, str | None] = {}  # open node -> its binder name, once used
 
-    def build(n: int) -> LocalT:
+    def enter(n: int, env):
         if n in active:
-            holder = active[n]
-            if holder[0] is None:
-                holder[0] = f"t{counter[0]}"
-                counter[0] += 1
-            return TVar(holder[0])
-        holder = [None]
-        active[n] = holder
+            if active[n] is None:
+                active[n] = f"t{next(binders)}"
+            return Done(TVar(active[n]))
+        active[n] = None
         out = g.out(n)
-        kind = out[0][0].kind
-        if kind == ENDK:
-            body: LocalT = TEnd()
-        elif kind == IN:
-            a, m = out[0]
-            body = TIn(a.peer, a.arg, build(m))
-        elif kind == OUT:
-            a, m = out[0]
-            body = TOut(a.peer, a.arg, build(m))
-        else:
-            ctor = TSel if kind == SEL else TBra
-            pairs = tuple(sorted(((a.arg, build(m)) for a, m in out), key=lambda kv: kv[0]))
-            body = ctor(out[0][0].peer, pairs)
-        del active[n]
-        if holder[0] is not None:
-            body = TRec(holder[0], body)
-        return body
+        return Visit(() if out[0][0].kind == ENDK else tuple([m for _, m in out]), env)
 
-    return build(root)
+    def leave(n: int, kids, env) -> LocalT:
+        out = g.out(n)
+        a = out[0][0]
+        if a.kind == ENDK:
+            body: LocalT = TEnd()
+        elif a.kind in (IN, OUT):
+            body = (TIn if a.kind == IN else TOut)(a.peer, a.arg, kids[0])
+        else:
+            pairs = sorted(zip((b.arg for b, _ in out), kids), key=lambda kv: kv[0])
+            body = (TSel if a.kind == SEL else TBra)(a.peer, tuple(pairs))
+        name = active.pop(n)
+        return body if name is None else TRec(name, body)
+
+    return fold(root, leave, enter)
 
 
 def text_rows(g: TypeGraph) -> list:
@@ -262,38 +255,53 @@ def text_rows(g: TypeGraph) -> list:
 def graph_text(g: TypeGraph, root: int, rows: list | None = None) -> str:
     """show_local(_extract_type(g, root)), byte for byte, with no type built:
     the same depth-first walk, in edge order, with the same rec binders,
-    joining the rows of `text_rows(g)` (computed here if not given)."""
+    joining the rows of `text_rows(g)` (computed here if not given).
+
+    The walk keeps its own stack of open nodes, like the merges, rather
+    than going through `ast.fold`: it is the hottest walk of trace
+    rendering, and two hook calls per node would double its time.  Where a
+    node's branches show in another order than its edges, each branch's
+    text is made one piece, and the pieces are permuted."""
     rows = text_rows(g) if rows is None else rows
     binders = count()
-    active: dict[int, str | None] = {}  # node -> its binder name, once used
+    active: dict[int, str | None] = {}  # open node -> its binder name, once used
     text: list[str] = []
+    # per open node: [node, where its text starts, whether its text is to be
+    # one piece, the index of its next edge]; its head follows its start
+    stack: list[list] = []
 
-    def walk(n: int) -> None:
-        if n in active:
-            if active[n] is None:
-                active[n] = f"t{next(binders)}"
-            text.append(active[n])
-            return
-        active[n] = None
-        at = len(text)
-        head, succ, close, order = rows[n]
-        text.append(head)
-        if order is None:
-            for pre, m in succ:
+    pre, m, joined = "", root, False  # the next node to reach, if m is not None
+    while True:
+        if m is not None:
+            if m in active:  # a back edge
+                if active[m] is None:
+                    active[m] = f"t{next(binders)}"
+                text.append(pre + active[m])
+            else:
+                active[m] = None
+                stack.append([m, len(text), joined, 0])
                 text.append(pre)
-                walk(m)
-        else:  # walk in edge order, then put the branches' text in label order
-            for pre, m in succ:
-                start = len(text)
-                walk(m)
-                text[start:] = [pre + "".join(text[start:])]
-            text[at + 1:] = [text[at + 1 + k] for k in order]
+                text.append(rows[m][0])
+        if not stack:
+            break
+        top = stack[-1]
+        n, start, joined, i = top
+        head, succ, close, order = rows[n]
+        if i < len(succ):
+            top[3] = i + 1
+            pre, m = succ[i]
+            joined = order is not None
+            continue
+        m = None
+        stack.pop()
+        if order is not None:  # the branches' pieces, put in label order
+            text[start + 2:] = [text[start + 2 + k] for k in order]
         text.append(close)
         name = active.pop(n)
         if name is not None:
-            text[at] = f"rec {name}. {head}"
-
-    walk(root)
+            text[start + 1] = f"rec {name}. {head}"
+        if joined:
+            text[start:] = ["".join(text[start:])]
     return "".join(text)
 
 

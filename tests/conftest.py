@@ -17,7 +17,7 @@ from mpstk.ast import (
     GChoice, GEnd, GMsg, GRec, GVar,
     PBra, PCond, PInact, PRec, PRecv, PSel, PSend, PVar,
     TBra, TEnd, TIn, TOut, TRec, TSel, TVar,
-    validate_global, validate_local,
+    check_guarded, is_closed,
 )
 
 SORTS = [BOOL, NAT, INT]
@@ -266,9 +266,9 @@ def balanced_globals(rng: random.Random, count: int, fuel: int):
     while len(out) < count:
         g = rand_global(rng, fuel)
         try:
-            validate_global(g)
+            check_guarded(g)
         except Exception:
             continue
-        if is_balanced(g):
+        if is_closed(g) and is_balanced(g):
             out.append(g)
     return out

@@ -127,10 +127,10 @@ def test_roundtrip_parse_print(category, gen):
     for _ in range(1000):
         x = gen(rng)
         if category == "process":
-            from mpstk.ast import check_guarded_proc, uniquify_binders
+            from mpstk.ast import check_guarded, uniquify_binders
 
             x = uniquify_binders(x)
-            check_guarded_proc(x)
+            check_guarded(x)
         elif category in ("local", "global"):
             from mpstk.ast import uniquify_binders
 
@@ -151,9 +151,7 @@ def test_roundtrip_session_context():
         s = session((n, uniquify_binders(q)) for n, q in s.roles)
         try:
             for _, q in s.roles:
-                from mpstk.ast import check_guarded_proc
-
-                check_guarded_proc(q)
+                check_guarded(q)
         except SessionTypeError:
             continue
         assert alpha_eq_session(parse("session", show(s)), s)
