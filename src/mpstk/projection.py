@@ -634,7 +634,8 @@ def project_subset(g: GlobalT, p: str, budget: int = 1_000_000) -> TypeGraph:
 
     init, edges, states, skip = explore(p_closure(gg, frozenset([gg.init]), p), expand,
                                         budget=budget)
-    graph = TypeGraph(init, edges, skip, ["Skip" if s is None else describe(s) for s in states])
+    graph = TypeGraph(init, edges, skip,
+                      ["Skip" if s is None else partial(describe, s) for s in states])
     try:
         validate_type_graph(graph)
     except SessionTypeError as e:

@@ -55,7 +55,8 @@ class MalformedGraph(SessionTypeError):
 class TypeGraph:
     """Deterministic local type graph.  `edges[n]` lists (Action, target);
     `skip` is the unique sink for end actions; `desc[n]` describes node n
-    (an AST node or a string), rendered lazily by `label`."""
+    (an AST node, a string, or a function giving the string), rendered
+    lazily by `label`."""
 
     init: int
     edges: list[list[tuple[Action, int]]]
@@ -66,7 +67,9 @@ class TypeGraph:
         if n >= len(self.desc):
             return str(n)
         d = self.desc[n]
-        return d if isinstance(d, str) else show_local(d)
+        if isinstance(d, str):
+            return d
+        return d() if callable(d) else show_local(d)
 
     def node_count(self) -> int:
         return len(self.edges)
