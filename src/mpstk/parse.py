@@ -50,16 +50,17 @@ KEYWORDS = {"end", "rec", "true", "false", "if", "then", "else", "neg", "bool", 
 
 def tokenize(text: str) -> list[tuple]:
     """(kind, offset, value) per token, then ("EOF", len(text), None).  The
-    kind of a symbol is the symbol itself, else "NUM" or "IDENT"."""
+    kind of a symbol is the symbol itself, else "NUM" or "IDENT"; the
+    offset is the token's own, past the whitespace before it."""
     out = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "sym":
-            out.append((m[kind], m.start(), None))
+            out.append((m[kind], m.start(kind), None))
         elif kind == "ident":
-            out.append(("IDENT", m.start(), m[kind]))
+            out.append(("IDENT", m.start(kind), m[kind]))
         elif kind == "num":
-            out.append(("NUM", m.start(), int(m[kind])))
+            out.append(("NUM", m.start(kind), int(m[kind])))
         else:
             raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
     out.append(("EOF", len(text), None))

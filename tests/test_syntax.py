@@ -107,6 +107,17 @@ def test_tokenizer_error_names_the_bad_character(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("category,text,message", [
+    ("local", "p?(bool) end", "expected ';', found 'IDENT' (at offset 9)"),
+    ("global", "p->q(int);   q->p{l1 end}", "expected ':', found 'IDENT' (at offset 21)"),
+])
+def test_syntax_error_names_the_token_offset(category, text, message):
+    """A syntax error points at the token, not at the whitespace before it."""
+    with pytest.raises(ParseError) as err:
+        parse(category, text)
+    assert str(err.value) == message
+
+
 def test_nested_rec_unfold_head():
     t = parse("local", "rec t. rec u. p!(int); t")
     assert isinstance(unfold(t), TOut)
