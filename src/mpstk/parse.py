@@ -74,11 +74,9 @@ _TERMS = {LOCAL: (TVar, TRec), GLOBAL: (GVar, GRec), PROCESS: (PVar, PRec)}
 
 # The frames, by what they wait for: the whole text's term, an entry of a
 # session or context, a binder's body, a prefix's continuation, a branch,
-# a sent expression, a condition, a then-branch, an else-branch, the right
-# operand of a binary operator, the operand of ! or neg, a parenthesised
-# expression.
-(_TOP, _ENTRY, _REC, _PREFIX, _BRANCH, _SEND, _IF, _THEN, _ELSE,
- _BINARY, _NOT, _NEG, _PAREN) = range(13)
+# a sent expression, a part of a conditional, the right operand of a
+# binary operator, the operand of ! or neg, a parenthesised expression.
+(_TOP, _ENTRY, _REC, _PREFIX, _BRANCH, _SEND, _IF, _BINARY, _UNARY, _PAREN) = range(10)
 
 # binary operators: precedence \/ < (+) < +, all left-associative
 _PREC = {"\\/": 1, "(+)": 2, "+": 3}
@@ -111,6 +109,11 @@ def parse(category: str, text: str):
         if t[2] in KEYWORDS:
             raise ParseError(f"expected {what}, found keyword {t[2]!r}", t[1])
         return t[2]
+
+    def branch_label():
+        name = ident("label")
+        expect(":")
+        return name
 
     def sort():
         t = expect("IDENT")
@@ -152,7 +155,7 @@ def parse(category: str, text: str):
             if goal == OPERAND:
                 if k == "!" or k == "IDENT" and t[2] == "neg":
                     i += 1
-                    stack.append((_NOT,) if k == "!" else (_NEG,))
+                    stack.append((_UNARY, ENot if k == "!" else ENeg))
                     continue
                 if k == "(":
                     i += 1
@@ -210,9 +213,7 @@ def parse(category: str, text: str):
             elif goal == LOCAL and k in ("+", "&"):
                 i += 1
                 expect("{")
-                label = ident("label")
-                expect(":")
-                stack.append((_BRANCH, tsel if k == "+" else tbra, (name,), [], label,
+                stack.append((_BRANCH, tsel if k == "+" else tbra, (name,), [], branch_label(),
                               guard, LOCAL))
             elif goal == GLOBAL and k == "->":
                 i += 1
@@ -225,9 +226,7 @@ def parse(category: str, text: str):
                     stack.append((_PREFIX, gmsg, (name, to, s), guard))
                 else:
                     expect("{")
-                    label = ident("label")
-                    expect(":")
-                    stack.append((_BRANCH, gchoice, (name, to), [], label, guard, GLOBAL))
+                    stack.append((_BRANCH, gchoice, (name, to), [], branch_label(), guard, GLOBAL))
             elif goal == PROCESS and k == "!":
                 i += 1
                 expect("<")
@@ -250,9 +249,7 @@ def parse(category: str, text: str):
             elif goal == PROCESS and k == "&":
                 i += 1
                 expect("{")
-                label = ident("label")
-                expect(":")
-                stack.append((_BRANCH, _pbra, (name,), [], label, guard, PROCESS))
+                stack.append((_BRANCH, _pbra, (name,), [], branch_label(), guard, PROCESS))
             else:  # a variable
                 bound = scope.get(name)
                 if bound is None:
@@ -286,9 +283,7 @@ def parse(category: str, text: str):
             f[3].append((f[4], value))
             if toks[i][0] == ",":
                 i += 1
-                label = ident("label")
-                expect(":")
-                stack.append(f[:4] + (label,) + f[5:])
+                stack.append(f[:4] + (branch_label(),) + f[5:])
                 goal = f[6]
                 continue
             expect("}")
@@ -304,10 +299,8 @@ def parse(category: str, text: str):
                 stack.append((_BINARY, least, value, k))
                 stack.append((_BINARY, _PREC[k] + 1, None, None))
                 goal = OPERAND
-        elif tag == _NOT:
-            value = ENot(value)
-        elif tag == _NEG:
-            value = ENeg(value)
+        elif tag == _UNARY:
+            value = f[1](value)
         elif tag == _PAREN:
             expect(")")
         elif tag == _SEND:
@@ -317,20 +310,16 @@ def parse(category: str, text: str):
             prefixes += 1
             guard = prefixes
             goal = PROCESS
-        elif tag == _IF:
-            if not (toks[i][0] == "IDENT" and toks[i][2] == "then"):
-                raise ParseError("expected 'then'", toks[i][1])
-            i += 1
-            stack.append((_THEN, value))
-            goal = PROCESS
-        elif tag == _THEN:
-            if not (toks[i][0] == "IDENT" and toks[i][2] == "else"):
-                raise ParseError("expected 'else'", toks[i][1])
-            i += 1
-            stack.append((_ELSE, f[1], value))
-            goal = PROCESS
-        elif tag == _ELSE:
-            value = PCond(f[1], f[2], value)
+        elif tag == _IF:  # f[1:] are the parts read so far
+            if len(f) == 3:
+                value = PCond(f[1], f[2], value)
+            else:
+                word = "then" if len(f) == 1 else "else"
+                if not (toks[i][0] == "IDENT" and toks[i][2] == word):
+                    raise ParseError(f"expected {word!r}", toks[i][1])
+                i += 1
+                stack.append(f + (value,))
+                goal = PROCESS
         elif tag == _ENTRY:
             _, sep, colon, term, name, pairs = f
             pairs.append((name, value))

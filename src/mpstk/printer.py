@@ -28,34 +28,26 @@ def _labels(head, pairs, sep, colon, tail):
 _ATOMS = (ETrue, EFalse, ENat, EInt, EVar)
 
 
-def _open(e):
-    return "" if isinstance(e, _ATOMS) else "("
-
-
-def _close(e):
-    return "" if isinstance(e, _ATOMS) else ")"
+def _parens(e):
+    """The texts around an operand: none if it is atomic, else parentheses."""
+    return ("", "") if isinstance(e, _ATOMS) else ("(", ")")
 
 
 def _unary(e, op):
     (arg,) = children(e)
-    return f"{op}{_open(arg)}", _close(arg)
+    return f"{op}{_parens(arg)[0]}", _parens(arg)[1]
 
 
 def _binary(e, op):
-    lhs, rhs = children(e)
-    return _open(lhs), f"{_close(lhs)}{op}{_open(rhs)}", _close(rhs)
+    (lo, lc), (ro, rc) = map(_parens, children(e))
+    return lo, f"{lc}{op}{ro}", rc
 
 
 # class -> node -> the texts before, between and after its children
 _TEXTS = {
-    TEnd: lambda u: ("end",),
-    GEnd: lambda u: ("end",),
-    TVar: lambda u: (u.var,),
-    GVar: lambda u: (u.var,),
-    PVar: lambda u: (u.var,),
-    TRec: lambda u: (f"rec {u.var}. ", ""),
-    GRec: lambda u: (f"rec {u.var}. ", ""),
-    PRec: lambda u: (f"rec {u.var}. ", ""),
+    **dict.fromkeys((TEnd, GEnd), lambda u: ("end",)),
+    **dict.fromkeys((TVar, GVar, PVar), lambda u: (u.var,)),
+    **dict.fromkeys((TRec, GRec, PRec), lambda u: (f"rec {u.var}. ", "")),
     TOut: lambda u: (f"{u.peer}!({u.payload}); ", ""),
     TIn: lambda u: (f"{u.peer}?({u.payload}); ", ""),
     TSel: lambda u: _labels(f"{u.peer}+{{", u.branches, ", ", ": ", "}"),
@@ -66,8 +58,7 @@ _TEXTS = {
     EFalse: lambda u: ("false",),
     # non-negative integers only arise as runtime values and are never
     # parsed back, so plain digits are fine for display
-    ENat: lambda u: (str(u.value),),
-    EInt: lambda u: (str(u.value),),
+    **dict.fromkeys((ENat, EInt), lambda u: (str(u.value),)),
     EVar: lambda u: (u.name,),
     ENot: lambda u: _unary(u, "!"),
     ENeg: lambda u: _unary(u, "neg "),

@@ -257,20 +257,6 @@ def _mt_pairs(m) -> tuple:
     return m.branches if type(m) is MSel else tuple(treap_items(m.tree))
 
 
-def _mt_kids(m) -> tuple:
-    if type(m) is MIO:
-        return (m.cont,)
-    if type(m) is MRec:
-        return (m.body,)
-    if type(m) in (MSel, MBra):
-        return tuple(b for _, b in _mt_pairs(m))
-    return ()
-
-
-def _mt_enter(m, env):
-    return Visit(_mt_kids(m), env)
-
-
 def _of_local(t, kids, env) -> MTree:
     if type(t) is TEnd:
         return MEnd()
@@ -288,6 +274,13 @@ def mt_of_local(t: LocalT) -> MTree:
     return fold(t, _of_local)
 
 
+def _mt_kids(m, env):
+    """The fold's pre hook over trees: their children."""
+    if type(m) in (MIO, MRec):
+        return Visit((m.cont if type(m) is MIO else m.body,), env)
+    return Visit(tuple(b for _, b in _mt_pairs(m)) if type(m) in (MSel, MBra) else (), env)
+
+
 def _to_local(m, kids, env) -> LocalT:
     if type(m) is MEnd:
         return TEnd()
@@ -302,44 +295,19 @@ def _to_local(m, kids, env) -> LocalT:
 
 
 def mt_to_local(m: MTree) -> LocalT:
-    return fold(m, _to_local, _mt_enter)
-
-
-def _mt_rename(m: MTree, old: str, new: str) -> MTree:
-    def enter(u, env):
-        if type(u) is MVar:
-            return Done(MVar(new) if u.var == old else u)
-        if type(u) is MRec and u.var == old:
-            return Done(u)
-        return Visit(_mt_kids(u), env)
-
-    def leave(u, kids, env):
-        if type(u) is MIO:
-            return MIO(u.kind, u.peer, u.payload, kids[0])
-        if type(u) is MRec:
-            return MRec(u.var, kids[0])
-        if type(u) in (MSel, MBra):
-            pairs = tuple(zip([l for l, _ in _mt_pairs(u)], kids))
-            return MSel(u.peer, pairs) if type(u) is MSel else _mbra(u.peer, pairs)
-        return u
-
-    return fold(m, leave, enter)
+    return fold(m, _to_local, _mt_kids)
 
 
 def merge_full_opt(m1: MTree, m2: MTree, counter: WorkCounter | None = None) -> MTree:
     """Optimised full merge; the smaller branch map is inserted into the
-    larger one so each branch moves O(log n) times overall.
+    larger one so each branch moves O(log n) times overall.  One fold over
+    pairs of trees, merged in depth-first order; on a branching, the labels
+    the two share are merged first, then the smaller map is inserted."""
 
-    One fold over (tree, tree, ticks) triples, merged in depth-first order.
-    On a branching, the smaller map's labels are inserted in order and each
-    label the two share is merged where its insertion finds it; `ticks`
-    carries the tree ops of the insertions up to that label, so the counter
-    runs as in a merge that recurses from inside the insertion."""
-    tick = counter.tick if counter is not None else WorkCounter().tick
-
-    def enter(triple, env):
-        m1, m2, ticks = triple
-        tick(ticks + 1)
+    def enter(pair, env):
+        m1, m2 = pair
+        if counter is not None:
+            counter.tick()
         if type(m1) is MEnd and type(m2) is MEnd:
             return Done(m1)
         if type(m1) is MVar and type(m2) is MVar and m1.var == m2.var:
@@ -349,44 +317,38 @@ def merge_full_opt(m1: MTree, m2: MTree, counter: WorkCounter | None = None) -> 
             and type(m2) is MIO
             and (m1.kind, m1.peer, m1.payload) == (m2.kind, m2.peer, m2.payload)
         ):
-            return Visit(((m1.cont, m2.cont, 0),), env)
+            return Visit(((m1.cont, m2.cont),), env)
         if type(m1) is MSel and type(m2) is MSel and m1.peer == m2.peer:
             if [l for l, _ in m1.branches] != [l for l, _ in m2.branches]:
                 raise SessionTypeError("selection merge needs equal label sets")
-            return Visit(tuple((b1, b2, 0) for (_, b1), (_, b2)
-                               in zip(m1.branches, m2.branches)), env)
+            return Visit(tuple(zip([b for _, b in m1.branches], [b for _, b in m2.branches])), env)
         if type(m1) is MBra and type(m2) is MBra and m1.peer == m2.peer:
             big, small = (m1, m2) if m1.size >= m2.size else (m2, m1)
             # merging is symmetric on shared labels, so operand order is free
-            tree, shared, labels, ops = big.tree, [], [], WorkCounter()
-            for l, b in treap_items(small.tree):
-                tree = treap_insert(tree, l, b, _keep_new, ops)
-                old = treap_get(big.tree, l)
-                if old is not None:
-                    shared.append((old, b, ops.ops))
-                    labels.append(l)
-                    ops.ops = 0
-            return Visit(tuple(shared), (tree, labels, ops.ops))
+            items = list(treap_items(small.tree))
+            shared = [(treap_get(big.tree, l), b) for l, b in items]
+            return Visit(tuple(p for p in shared if p[0] is not None), (big.tree, items))
         if type(m1) is MRec and type(m2) is MRec:
-            body2 = m2.body if m2.var == m1.var else _mt_rename(m2.body, m2.var, m1.var)
-            return Visit(((m1.body, body2, 0),), env)
+            body2 = m2.body if m2.var == m1.var else mt_of_local(
+                subst(mt_to_local(m2.body), m2.var, TVar(m1.var)))
+            return Visit(((m1.body, body2),), env)
         raise SessionTypeError("incompatible heads in full merge")
 
-    def leave(triple, kids, env):
-        m1 = triple[0]
+    def leave(pair, kids, env):
+        m1 = pair[0]
         if type(m1) is MIO:
             return MIO(m1.kind, m1.peer, m1.payload, kids[0])
         if type(m1) is MSel:
             return MSel(m1.peer, tuple(zip([l for l, _ in m1.branches], kids)))
         if type(m1) is MBra:
-            tree, labels, rest = env
-            tick(rest)
-            for l, merged in zip(labels, kids):
-                tree = treap_insert(tree, l, merged, _keep_new)
+            tree, items = env
+            merged = iter(kids)  # taken by the insertions that find their label
+            for l, b in items:
+                tree = treap_insert(tree, l, b, lambda old, new: next(merged), counter)
             return MBra(m1.peer, tree, _tsz(tree))
         return MRec(m1.var, kids[0])
 
-    return fold((m1, m2, 0), leave, enter)
+    return fold((m1, m2), leave, enter)
 
 
 def _keep_new(old, new):
