@@ -5,6 +5,12 @@ else (size, subformulas, unfolding, free variables, guardedness).
 All nodes are immutable and hash-consed: constructing a node equal to a
 live one returns the live one, so equality and hashing are object identity.
 Alpha-insensitive comparison goes through :func:`alpha_canon`.
+
+`CHILDREN` names the child fields of each class, and is the only place
+that does.  `fold` is the one walk over ASTs: a post-order fold with an
+explicit stack, so no input is too deep for it, with a pre-order hook for
+walks that carry an environment or choose the children they visit.  Every
+walker in the package runs on it.
 """
 
 from __future__ import annotations
