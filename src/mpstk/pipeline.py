@@ -31,7 +31,7 @@ def synth_process(t: LocalT) -> Proc:
     and a nondeterministic conditional chain drives multi-label selections."""
 
     def literal(u, env):
-        if not type(u) is TOut:
+        if type(u) is not TOut:
             return None
         s = u.payload
         if s == BOOL:

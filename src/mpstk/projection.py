@@ -14,7 +14,7 @@ Four algorithms:
   coinductive projection with full merging on balanced global types.
 
 The three inductive projections, and the naive-merge oracle of the bench
-harness, are one recursion, `_project`, which differs between them only in
+harness, are one fold, `_project`, which differs between them only in
 the constructors it builds with and the merge it folds the branches of a
 choice with when p takes no part in that choice.
 
@@ -85,7 +85,7 @@ def _merge_fail(t1, t2, why):
 
 
 # ---------------------------------------------------------------------------
-# Full merge, naive recursion on plain ASTs
+# Full merge, naive, on plain ASTs
 
 
 def merge_full_naive(t1: LocalT, t2: LocalT) -> LocalT:
@@ -361,7 +361,7 @@ def merge_full_optimized(t1: LocalT, t2: LocalT, counter: WorkCounter | None = N
 
 
 # ---------------------------------------------------------------------------
-# Inductive projection: one recursion, parameterised by the result's
+# Inductive projection: one fold, parameterised by the result's
 # constructors and by the merge of the branches p takes no part in.
 
 # (end, var, out, in, sel, bra, rec); sel and bra take (peer, pairs)
