@@ -35,34 +35,28 @@ class ParseError(SessionTypeError):
         self.pos = pos
 
 
+# A search skips whitespace; any other character that starts no token is bad.
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<sym>\(\+\)|->|::|\\/|[!?+&{}():;,.<>|*-])
-      | (?P<num>\d+)
-      | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-      | (?P<bad>\S)
-    )""",
-    re.VERBOSE,
-)
+    r"(?P<sym>\(\+\)|->|::|\\/|[!?+&{}():;,.<>|*-])|(?P<NUM>\d+)"
+    r"|(?P<IDENT>[A-Za-z][A-Za-z0-9_]*)|(?P<bad>\S)")
 
 KEYWORDS = {"end", "rec", "true", "false", "if", "then", "else", "neg", "bool", "nat", "int"}
 
 
 def tokenize(text: str) -> list[tuple]:
     """(kind, offset, value) per token, then ("EOF", len(text), None).  The
-    kind of a symbol is the symbol itself, else "NUM" or "IDENT"; the
-    offset is the token's own, past the whitespace before it."""
+    kind of a symbol is the symbol itself, else "NUM" or "IDENT"."""
     out = []
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
+        kind, word = m.lastgroup, m[0]
         if kind == "sym":
-            out.append((m[kind], m.start(kind), None))
-        elif kind == "ident":
-            out.append(("IDENT", m.start(kind), m[kind]))
-        elif kind == "num":
-            out.append(("NUM", m.start(kind), int(m[kind])))
+            out.append((word, m.start(), None))
+        elif kind == "IDENT":
+            out.append((kind, m.start(), word))
+        elif kind == "NUM":
+            out.append((kind, m.start(), int(word)))
         else:
-            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+            raise ParseError(f"unexpected character {word!r}", m.start())
     out.append(("EOF", len(text), None))
     return out
 
