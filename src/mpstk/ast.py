@@ -10,14 +10,13 @@ Alpha-insensitive comparison goes through :func:`alpha_canon`.
 that does.  `fold` is the one walk over ASTs: a post-order fold with an
 explicit stack, so no input is too deep for it, with a pre-order hook for
 walks that carry an environment or choose the children they visit.  Every
-walker in the package runs on it.
+AST walker in the package runs on it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter, is_
 
 
@@ -399,8 +398,8 @@ _PAIRS = {"branches", "roles", "entries"}
 def _accessors(cls, names):
     """(the children of a node, the node with new children) for class `cls`,
     read off its dataclass fields."""
-    fields = [f.name for f in dataclasses.fields(cls)]
-    at = [fields.index(n) for n in names]
+    all_fields = [f.name for f in fields(cls)]
+    at = [all_fields.index(n) for n in names]
     get = attrgetter(*names)
     if names[0] in _PAIRS:
         def kids(t):
@@ -412,7 +411,7 @@ def _accessors(cls, names):
         kids = get
 
     def make(t, new):
-        args = [getattr(t, f) for f in fields]
+        args = [getattr(t, f) for f in all_fields]
         if names[0] in _PAIRS:
             new = [tuple(zip([l for l, _ in args[at[0]]], new))]
         for i, k in zip(at, new):

@@ -260,9 +260,9 @@ def graph_text(g: TypeGraph, root: int, rows: list | None = None) -> str:
     the same depth-first walk, in edge order, with the same rec binders,
     joining the rows of `text_rows(g)` (computed here if not given).
 
-    The walk keeps its own stack of open nodes, like the merges, rather
-    than going through `ast.fold`: it is the hottest walk of trace
-    rendering, and two hook calls per node would double its time.  Where a
+    The walk keeps its own stack of open nodes rather than going through
+    `ast.fold`: it is the hottest walk of trace rendering, and two hook
+    calls per node would double its time.  Where a
     node's branches show in another order than its edges, each branch's
     text is made one piece, and the pieces are permuted."""
     rows = text_rows(g) if rows is None else rows
