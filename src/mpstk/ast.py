@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, fields
-from operator import attrgetter, is_
+from operator import attrgetter, is_, itemgetter
 
 
 class SessionTypeError(Exception):
@@ -393,6 +393,7 @@ CHILDREN = {
     Session: ("roles",), TypingContext: ("entries",),
 }
 _PAIRS = {"branches", "roles", "entries"}
+_second = itemgetter(1)
 
 
 def _accessors(cls, names):
@@ -403,7 +404,7 @@ def _accessors(cls, names):
     get = attrgetter(*names)
     if names[0] in _PAIRS:
         def kids(t):
-            return tuple([b for _, b in get(t)])
+            return tuple(map(_second, get(t)))
     elif len(names) == 1:
         def kids(t):
             return (get(t),)
