@@ -35,7 +35,8 @@ def _parens(e):
 
 def _unary(e, op):
     (arg,) = children(e)
-    return f"{op}{_parens(arg)[0]}", _parens(arg)[1]
+    before, after = _parens(arg)
+    return f"{op}{before}", after
 
 
 def _binary(e, op):
