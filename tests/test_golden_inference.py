@@ -1,0 +1,94 @@
+"""Exact inference results over a seeded corpus of processes.
+
+The digests were captured from the inference layer that spelled each head
+constraint as a class of its own (`CEnd`, `CIn`, `COut`, `CSel`, `CBra`).
+They pin every observable of `infer`: typability, the minimum type, the
+failure text and node, the derived constraints in order, tr(C), the root
+after tr, the minimum graph (init, edges, Skip, labels, node sets, sort
+equations) and the sort-solved graph.  A change that keeps the answers but
+reorders or renumbers constraints, fresh type variables or sort variables
+fails here.
+
+The order of tr(C) follows the iteration order of a set of type variables
+wherever a variable with several incoming links gets copies, so it depends
+on PYTHONHASHSEED.  The main digest therefore records tr(C) sorted and is
+the same under any PYTHONHASHSEED; the second pins tr(C) in order under
+PYTHONHASHSEED=0, in a fresh interpreter.
+"""
+
+import hashlib
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+from conftest import rand_local, rand_process
+from mpstk.ast import is_closed
+from mpstk.inference import (
+    Untypable, eliminate_transitive, gen_lcm_process, infer, show_constraint,
+)
+from mpstk.pipeline import synth_process
+from mpstk.printer import show
+
+
+def _processes():
+    """1,000 random processes, 300 processes synthesised from random closed
+    local types, and four points of the lcm family."""
+    rng = random.Random(12)
+    out = [rand_process(rng, rng.randint(2, 10)) for _ in range(1000)]
+    while len(out) < 1300:
+        t = rand_local(rng, rng.randint(2, 9))
+        if is_closed(t):
+            out.append(synth_process(t))
+    out += [gen_lcm_process(d) for d in ([2, 3], [2, 3, 5], [3, 4], [4, 6])]
+    return out
+
+
+def _graph(g):
+    return (g.init, g.skip, [[(repr(a), m) for a, m in out] for out in g.edges],
+            [g.label(n) for n in range(g.node_count())])
+
+
+def _record(p, ordered_tr=False):
+    try:
+        r = infer(p)
+    except Untypable as e:
+        return ("underivable", str(e))
+    d = r.derivation
+    tr = [show_constraint(c) for c in r.tr_constraints]
+    rec = (r.typable, r.failure, sorted(r.failure_node) if r.failure_node else None,
+           d.root, d.judgements, [show_constraint(c) for c in d.constraints],
+           eliminate_transitive(d.constraints, d.root)[1],
+           tr if ordered_tr else sorted(tr))
+    if not r.typable:
+        return rec
+    mg = r.min_graph
+    return rec + (show(r.min_type), _graph(mg.graph), [sorted(s) for s in mg.node_sets],
+                  [show_constraint(c) for c in mg.sort_eqs], _graph(r.graph))
+
+
+def _digest(ordered_tr=False):
+    records = [_record(p, ordered_tr) for p in _processes()]
+    assert len(records) == 1304
+    assert sum(r[0] is True for r in records) == 852  # typable
+    return hashlib.sha256(repr(records).encode()).hexdigest()
+
+
+DUMP_SHA256 = "e22ab6a986116cc1beedd8b57df10cec367160387ec114d5f41e688a238bf152"
+ORDERED_TR_SHA256 = "3b421644aa640d1daf304ebcf36bdd11e993199e78cadd09b48e6425a15a04ba"
+
+
+def test_inference_dump_is_exact():
+    assert _digest() == DUMP_SHA256
+
+
+def test_tr_order_under_a_fixed_hash_seed():
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONHASHSEED": "0",
+           "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    code = "import test_golden_inference as t; print(t._digest(ordered_tr=True))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, cwd=here)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.strip() == ORDERED_TR_SHA256
