@@ -5,6 +5,13 @@ variable-to-variable constraints (tr), build the minimum type graph over
 sets of type variables, solve the accumulated sort equalities with a
 union-find, and read the minimum type off the graph.
 
+A head constraint `T <= x` (`CHead`) is one type-graph node of x whose
+successors are type variables: it carries typegraph's kind (ENDK, IN, OUT,
+SEL or BRA), the peer, the payload sort variable of an input or output, and
+the (label, type variable) successors, the one successor of an input or
+output having label None.  The minimum graph turns heads into edges as they
+are.  `CVarLe` links two type variables and `CSortEq` equates two sorts.
+
 The graph rules capture the variance of choices: a node stands for a type
 that must be a supertype of every dependency, so selections take the union
 of the dependency labels while branchings take the intersection.
@@ -21,7 +28,7 @@ from .ast import (
     LocalT, PBra, PCond, PInact, PRec, PRecv, PSel, PSend, PVar, Proc,
     SessionTypeError, Sort, SortVar, Visit, fold, uniquify_binders,
 )
-from .typegraph import Action, END_ACT, IN, OUT, SEL, BRA, TypeGraph, explore, graph_to_type
+from .typegraph import Action, END_ACT, ENDK, IN, OUT, SEL, BRA, TypeGraph, explore, graph_to_type
 
 
 class Untypable(SessionTypeError):
@@ -37,8 +44,12 @@ class Untypable(SessionTypeError):
 
 
 @dataclass(frozen=True)
-class CEnd:
-    rhs: str  # end <= rhs
+class CHead:
+    kind: str  # typegraph's ENDK, IN, OUT, SEL or BRA
+    peer: str | None
+    payload: SortVar | None  # of an input or output
+    succ: tuple[tuple[str | None, str], ...]  # (label, type variable)
+    rhs: str  # head <= rhs
 
 
 @dataclass(frozen=True)
@@ -48,58 +59,25 @@ class CVarLe:
 
 
 @dataclass(frozen=True)
-class CIn:
-    peer: str
-    payload: SortVar
-    cont: str
-    rhs: str  # peer?(payload); cont <= rhs
-
-
-@dataclass(frozen=True)
-class COut:
-    peer: str
-    payload: SortVar
-    cont: str
-    rhs: str
-
-
-@dataclass(frozen=True)
-class CSel:
-    peer: str
-    branches: tuple[tuple[str, str], ...]  # label -> type variable
-    rhs: str
-
-
-@dataclass(frozen=True)
-class CBra:
-    peer: str
-    branches: tuple[tuple[str, str], ...]
-    rhs: str
-
-
-@dataclass(frozen=True)
 class CSortEq:
     a: object  # Sort | SortVar
     b: object
 
 
-Constraint = object
+_OP = {IN: "?", OUT: "!", SEL: "+", BRA: "&"}
 
 
 def show_constraint(c) -> str:
-    if isinstance(c, CEnd):
-        return f"end <= {c.rhs}"
-    if isinstance(c, CVarLe):
+    if type(c) is CSortEq:
+        return f"{c.a} = {c.b}"
+    if type(c) is CVarLe:
         return f"{c.lhs} <= {c.rhs}"
-    if isinstance(c, CIn):
-        return f"{c.peer}?({c.payload}); {c.cont} <= {c.rhs}"
-    if isinstance(c, COut):
-        return f"{c.peer}!({c.payload}); {c.cont} <= {c.rhs}"
-    if isinstance(c, (CSel, CBra)):
-        op = "+" if isinstance(c, CSel) else "&"
-        inner = ", ".join(f"{l}: {v}" for l, v in c.branches)
-        return f"{c.peer}{op}{{{inner}}} <= {c.rhs}"
-    return f"{c.a} = {c.b}"
+    if c.kind == ENDK:
+        return f"end <= {c.rhs}"
+    if c.kind in (IN, OUT):
+        return f"{c.peer}{_OP[c.kind]}({c.payload}); {c.succ[0][1]} <= {c.rhs}"
+    inner = ", ".join(f"{l}: {v}" for l, v in c.succ)
+    return f"{c.peer}{_OP[c.kind]}{{{inner}}} <= {c.rhs}"
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +142,7 @@ def derive_constraints(p: Proc) -> Derivation:
         if type(u) is PRec:
             return {**scope, u.var: xi}, xi, xi, None
         if type(u) is PInact:
-            emit(CEnd(xi))
+            emit(CHead(ENDK, None, None, (), xi))
             return Done(xi)
         if type(u) is PVar:
             try:
@@ -207,13 +185,13 @@ def derive_constraints(p: Proc) -> Derivation:
             return b
         xi = env[2]
         if type(u) is PRecv:
-            emit(CIn(u.peer, env[3], vals[0], xi))
+            emit(CHead(IN, u.peer, env[3], ((None, vals[0]),), xi))
         elif type(u) is PSend:
-            emit(COut(u.peer, vals[1], vals[0], xi))
+            emit(CHead(OUT, u.peer, vals[1], ((None, vals[0]),), xi))
         elif type(u) is PSel:
-            emit(CSel(u.peer, ((u.label, vals[0]),), xi))
+            emit(CHead(SEL, u.peer, None, ((u.label, vals[0]),), xi))
         elif type(u) is PBra:
-            emit(CBra(u.peer, tuple(zip([l for l, _ in u.branches], vals)), xi))
+            emit(CHead(BRA, u.peer, None, tuple(zip([l for l, _ in u.branches], vals)), xi))
         elif type(u) is PCond:
             emit(CSortEq(vals[2], BOOL), CVarLe(vals[0], xi), CVarLe(vals[1], xi))
         return xi
@@ -228,26 +206,10 @@ def derive_constraints(p: Proc) -> Derivation:
 
 def _subst_var(c, old: str, new: str):
     r = new if c.rhs == old else c.rhs
-    if isinstance(c, CEnd):
-        return CEnd(r)
-    if isinstance(c, CVarLe):
+    if type(c) is CVarLe:
         return CVarLe(new if c.lhs == old else c.lhs, r)
-    if isinstance(c, CIn):
-        return CIn(c.peer, c.payload, new if c.cont == old else c.cont, r)
-    if isinstance(c, COut):
-        return COut(c.peer, c.payload, new if c.cont == old else c.cont, r)
-    if isinstance(c, (CSel, CBra)):
-        bs = tuple((l, new if v == old else v) for l, v in c.branches)
-        return type(c)(c.peer, bs, r)
-    return c
-
-
-def _retarget(c, rhs: str):
-    if isinstance(c, CEnd):
-        return CEnd(rhs)
-    if isinstance(c, (CIn, COut)):
-        return type(c)(c.peer, c.payload, c.cont, rhs)
-    return type(c)(c.peer, c.branches, rhs)
+    return CHead(c.kind, c.peer, c.payload,
+                 tuple((l, new if v == old else v) for l, v in c.succ), r)
 
 
 def eliminate_transitive(constraints: list, root: str) -> tuple[list, str]:
@@ -288,7 +250,7 @@ def eliminate_transitive(constraints: list, root: str) -> tuple[list, str]:
             preds.setdefault(c.rhs, set()).add(c.lhs)
         structural: dict[str, list] = {}
         for c in work:
-            if not isinstance(c, (CVarLe, CSortEq)):
+            if type(c) is CHead:
                 structural.setdefault(c.rhs, []).append(c)
 
         copies = []
@@ -297,7 +259,8 @@ def eliminate_transitive(constraints: list, root: str) -> tuple[list, str]:
             seen = set(stack) | {tgt}
             while stack:
                 u = stack.pop()
-                copies.extend(_retarget(c, tgt) for c in structural.get(u, ()))
+                copies.extend(CHead(c.kind, c.peer, c.payload, c.succ, tgt)
+                              for c in structural.get(u, ()))
                 for w in preds.get(u, ()):  # links form a DAG by freshness
                     if w not in seen:
                         seen.add(w)
@@ -344,37 +307,32 @@ class MinGraphBuilder:
                 if not cs:
                     raise Untypable(f"variable {v} has no defining constraint", s)
                 deps.extend(cs)
-            kinds = {type(c) for c in deps}
-            if kinds == {CEnd}:
-                yield END_ACT, None
-                return
+            kinds = {c.kind for c in deps}
             if len(kinds) != 1:
                 raise Untypable("mixed dependency heads", s)
+            kind = kinds.pop()
+            if kind == ENDK:
+                yield END_ACT, None
+                return
             peers = {c.peer for c in deps}
             if len(peers) != 1:
                 raise Untypable("mixed peers in dependencies", s)
             peer = peers.pop()
-            k = kinds.pop()
-            if k in (CIn, COut):
+            if kind in (IN, OUT):
                 alpha = self._fresh_alpha()
-                for c in deps:
-                    eqs.append(CSortEq(alpha, c.payload))
-                act = Action(IN if k is CIn else OUT, peer, alpha)
-                yield act, frozenset(c.cont for c in deps)
-                return
-            # selections union their labels, branchings intersect them
-            label_sets = [set(l for l, _ in c.branches) for c in deps]
-            if k is CSel:
-                labels_here = sorted(set().union(*label_sets))
-            else:
-                inter = set.intersection(*label_sets)
-                if not inter:
+                eqs.extend(CSortEq(alpha, c.payload) for c in deps)
+            # selections union their labels, branchings intersect them; an
+            # input or output has the one label None, which carries alpha
+            label_sets = [{l for l, _ in c.succ} for c in deps]
+            if kind == BRA:
+                labels = set.intersection(*label_sets)
+                if not labels:
                     raise Untypable("branching dependencies share no label", s)
-                labels_here = sorted(inter)
-            act_kind = SEL if k is CSel else BRA
-            for l in labels_here:
-                succ = frozenset(v for c in deps for lab, v in c.branches if lab == l)
-                yield Action(act_kind, peer, l), succ
+            else:
+                labels = set().union(*label_sets)
+            for l in sorted(labels):
+                succ = frozenset(v for c in deps for lab, v in c.succ if lab == l)
+                yield Action(kind, peer, alpha if l is None else l), succ
 
         init, edges, states, skip = explore(start, expand, budget=budget)
         sets = [frozenset() if s is None else s for s in states]
