@@ -14,7 +14,7 @@ from .subtyping import (  # noqa: F401
 from .typegraph import global_graph, graph_to_type, is_balanced, local_graph  # noqa: F401
 from .projection import (  # noqa: F401
     check_association, gen_lowerbound_family, merge_full_naive,
-    merge_full_optimized, project_inductive, project_subset, project_tirore,
+    merge_full_optimized, project, project_inductive, project_subset, project_tirore,
 )
 from .inference import gen_lcm_process, infer, infer_min_type  # noqa: F401
 from .context import (  # noqa: F401

@@ -20,7 +20,7 @@ from .inference import infer, show_constraint
 from .parse import parse
 from .pipeline import run_bottomup, run_topdown
 from .printer import show, show_context, show_local
-from .projection import NotBalanced, ProjUndefined, project_inductive, project_subset, project_tirore
+from .projection import KINDS, NotBalanced, ProjUndefined, project
 from .semantics import explore_session
 from .subtyping import subtype_inductive, subtype_sim
 from .typegraph import dot_global_graph, dot_type_graph, global_graph, graph_text, local_graph
@@ -72,25 +72,19 @@ def cmd_subtype(args) -> int:
 def cmd_project(args) -> int:
     g = parse("global", _read(args.file))
     try:
-        if args.algo == "subset":
-            graph = project_subset(g, args.role, args.budget)  # validated
-            payload = {"defined": True, "type": graph_text(graph, graph.init),
-                       "graph_nodes": len(graph.real_nodes())}
-            if args.dot:
-                with open(args.dot, "w") as fh:
-                    fh.write(dot_type_graph(graph, f"projection onto {args.role}"))
-        else:
-            if args.algo == "tbc":
-                t = project_tirore(g, args.role)
-            else:
-                t = project_inductive(g, args.role, args.algo)
-            payload = {"defined": True, "type": show_local(t)}
-            if args.dot:
-                with open(args.dot, "w") as fh:
-                    fh.write(dot_type_graph(local_graph(t), f"projection onto {args.role}"))
+        t = project(g, args.role, args.algo, args.budget)
     except (ProjUndefined, NotBalanced) as e:
         _emit(args, {"defined": False, "reason": str(e)}, f"undefined: {e}")
         return REJECT
+    if args.algo == "subset":  # a validated type graph
+        payload = {"defined": True, "type": graph_text(t, t.init),
+                   "graph_nodes": len(t.real_nodes())}
+    else:
+        payload = {"defined": True, "type": show_local(t)}
+    if args.dot:
+        graph = t if args.algo == "subset" else local_graph(t)
+        with open(args.dot, "w") as fh:
+            fh.write(dot_type_graph(graph, f"projection onto {args.role}"))
     _emit(args, payload, payload["type"])
     return OK
 
@@ -251,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project")
     p.add_argument("file")
     p.add_argument("--role", required=True)
-    p.add_argument("--algo", choices=["plain", "full", "tbc", "subset"], default="full")
+    p.add_argument("--algo", choices=KINDS, default="full")
     p.add_argument("--dot")
     p.set_defaults(fn=cmd_project)
 
@@ -286,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("topdown")
     p.add_argument("session")
     p.add_argument("global_file")
-    p.add_argument("--kind", choices=["plain", "full", "tbc", "subset"], default="full")
+    p.add_argument("--kind", choices=KINDS, default="full")
     p.set_defaults(fn=cmd_topdown)
 
     p = sub.add_parser("bottomup")

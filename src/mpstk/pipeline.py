@@ -20,9 +20,7 @@ from .ast import (
 )
 from .context import CHECKERS
 from .inference import Untypable, infer
-from .projection import (
-    NotBalanced, ProjUndefined, project_inductive, project_subset, project_tirore,
-)
+from .projection import NotBalanced, ProjUndefined, project
 from .subtyping import subtype_sim_matching
 
 
@@ -98,7 +96,7 @@ def _timed(report: PipelineReport, name: str, fn):
 
 
 def run_topdown(sess: Session, g, kind: str = "full", budget: int = 1_000_000) -> PipelineReport:
-    """kind: plain | full | tbc | subset.  `budget` bounds the subset
+    """kind: one of projection.KINDS.  `budget` bounds the subset
     construction and each minimum type graph."""
     report = PipelineReport(accepted=False)
     roles = dict(sess.roles)
@@ -114,12 +112,7 @@ def run_topdown(sess: Session, g, kind: str = "full", budget: int = 1_000_000) -
 
     def project_all():
         for p in sorted(pts):
-            if kind == "subset":
-                projections[p] = project_subset(g, p, budget)
-            elif kind == "tbc":
-                projections[p] = project_tirore(g, p)
-            else:
-                projections[p] = project_inductive(g, p, kind)
+            projections[p] = project(g, p, kind, budget)
         return projections
 
     _, ok = _timed(report, "projection", project_all)

@@ -18,6 +18,7 @@ harness, are one fold, `_project`, which differs between them only in
 the constructors it builds with and the merge it folds the branches of a
 choice with when p takes no part in that choice.
 
+`project(g, p, kind)` runs the algorithm named by `kind`, one of KINDS.
 `project_inductive`/`project_tirore` raise ProjUndefined when the
 projection does not exist; `project_subset` additionally raises NotBalanced
 when its precondition fails.
@@ -44,6 +45,7 @@ from .typegraph import (
 )
 
 PLAIN, FULL = "plain", "full"
+KINDS = (PLAIN, FULL, "tbc", "subset")
 
 
 class ProjUndefined(SessionTypeError):
@@ -606,26 +608,30 @@ def project_subset(g: GlobalT, p: str, budget: int = 1_000_000) -> TypeGraph:
 
 
 # ---------------------------------------------------------------------------
-# Association
+# One front door, and association
+
+
+def project(g: GlobalT, p: str, kind: str = FULL, budget: int = 1_000_000):
+    """The projection of `g` onto `p` by the algorithm `kind`, one of KINDS:
+    a local type, or for "subset" a validated type graph, whose construction
+    `budget` bounds.  An unknown kind raises ValueError."""
+    if kind == "subset":
+        return project_subset(g, p, budget)
+    if kind == "tbc":
+        return project_tirore(g, p)
+    return project_inductive(g, p, kind)
 
 
 def check_association(ctx: TypingContext, g: GlobalT, kind: str = FULL) -> bool:
     """dom(ctx) = pt(g) and ctx(p) <= projection(g, p) for every p.
 
-    kind is "plain", "full" or "subset"; the projection must be defined for
-    every participant (ProjUndefined propagates otherwise).
+    kind is one of KINDS; the projection must be defined for every
+    participant (ProjUndefined propagates otherwise).
     """
     pts = participants(g)
     if set(ctx.participants()) != set(pts):
         return False
-    for p, t in ctx.entries:
-        if kind == "subset":
-            target = project_subset(g, p)
-        else:
-            target = project_inductive(g, p, kind)
-        if not subtype_sim(t, target):
-            return False
-    return True
+    return all(subtype_sim(t, project(g, p, kind)) for p, t in ctx.entries)
 
 
 # ---------------------------------------------------------------------------

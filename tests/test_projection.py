@@ -16,7 +16,7 @@ from mpstk.printer import show
 from mpstk.projection import (
     FULL, PLAIN, NotBalanced, ProjUndefined, WorkCounter, check_association,
     gen_lowerbound_family, merge_full_naive, merge_full_optimized,
-    project_inductive, project_subset, project_tirore, ptrans,
+    project, project_inductive, project_subset, project_tirore, ptrans,
 )
 from mpstk.subtyping import graph_equiv, subtype_sim
 from mpstk.typegraph import graph_to_type, is_balanced
@@ -286,6 +286,26 @@ def test_association_rejects_incompatible_selection():
                   "q: p&{l1: r&{l2: end, l3: end}, l4: r&{l2: end, l5: end}},"
                   " p: q+{l1: end, l4: end}, r: q+{l2: end, l9: end}")
     assert not check_association(d_bad, g, FULL)
+
+
+def test_tbc_agrees_with_plain_where_plain_is_defined(rng):
+    """plain => Tirore: where every plain projection exists, the candidate
+    check gives an equivalent type, and association holds under "tbc"."""
+    from mpstk.ast import typing_context
+
+    checked = 0
+    for g in balanced_globals(rng, 300, 9):
+        pts = sorted(participants(g))
+        try:
+            plain = {p: project_inductive(g, p, PLAIN) for p in pts}
+        except ProjUndefined:
+            continue
+        for p in pts:
+            assert graph_equiv(project(g, p, "tbc"), plain[p])
+        if pts:
+            assert check_association(typing_context(plain.items()), g, "tbc")
+            checked += 1
+    assert checked >= 50
 
 
 def test_association_wrong_domain():
