@@ -81,7 +81,6 @@ def observations(label: Label) -> frozenset[Barb]:
 
 
 State = tuple  # tuple of node ids, aligned with ContextLTS.participants
-_BARB_KINDS = {OUT: "out", IN: "in", SEL: "sel", BRA: "bra"}
 _DUAL = {OUT: IN, SEL: BRA}
 
 
@@ -114,7 +113,6 @@ class ContextLTS:
         # participant positions in name order, the order typing_context sorts into
         self._by_name = sorted(range(len(self.participants)),
                                key=lambda i: self.participants[i])
-        self._sync_cache: dict[State, list] = {}
         self._validated: set[int] = set()
         self._rows: dict[int, list] = {}  # participant -> text_rows of its graph
         self._types: dict[tuple[int, int], LocalT] = {}
@@ -123,7 +121,7 @@ class ContextLTS:
                        for i, g in enumerate(self.graphs)]
 
     def _head(self, i: int, kind: str, edges) -> _Head:
-        if kind not in _BARB_KINDS:  # end or Skip
+        if kind in (ENDK, "skip"):
             return _Head(kind, None, {}, (), None)
         p, q = self.participants[i], edges[0][0].peer
         j = self._index.get(q)
@@ -133,7 +131,7 @@ class ContextLTS:
         sync = () if kind not in _DUAL else tuple(
             (a.arg, Label("comm", p, q) if kind == OUT else Label("choice", p, q, a.arg), m)
             for a, m in edges)
-        return _Head(kind, None if j == i else j, targets, sync, Barb(_BARB_KINDS[kind], p, q))
+        return _Head(kind, None if j == i else j, targets, sync, Barb(kind, p, q))
 
     def _graph(self, i: int):
         """Participant i's graph, validated on first use."""
@@ -174,16 +172,13 @@ class ContextLTS:
         out = []
         for i, (p, g) in enumerate(zip(self.participants, self.graphs)):
             for a, m in g.out(state[i]):
-                if a.kind in _BARB_KINDS:
+                if a.kind != ENDK:
                     succ = state[:i] + (m,) + state[i + 1:]
-                    out.append((Label(_BARB_KINDS[a.kind], p, a.peer, a.arg), succ))
+                    out.append((Label(a.kind, p, a.peer, a.arg), succ))
         return out
 
     def sync_steps(self, state: State):
         """Synchronised reductions (comm and choice) from a state."""
-        cached = self._sync_cache.get(state)
-        if cached is not None:
-            return cached
         heads = self._heads
         out = []
         for i, n in enumerate(state):
@@ -199,13 +194,14 @@ class ContextLTS:
                     succ = list(state)
                     succ[i], succ[j] = m, m2
                     out.append((lab, tuple(succ)))
-        self._sync_cache[state] = out
         return out
 
     def barbs(self, state: State) -> frozenset[Barb]:
         return frozenset(filter(None, (self._heads[i][n].barb for i, n in enumerate(state))))
 
     def is_stuck(self, state: State) -> bool:
+        """No synchronised reduction; a reachable graph's `edges[i]` answers
+        this for its state i without recomputing the steps."""
         return not self.sync_steps(state)
 
     def all_end(self, state: State) -> bool:
@@ -362,7 +358,7 @@ def check_safety(ctx: TypingContext, budget: int = 1_000_000) -> Verdict:
 def check_deadlock_freedom(ctx: TypingContext, budget: int = 1_000_000) -> Verdict:
     rg = reachable_graph(ctx, budget)
     for i, s in enumerate(rg.states):
-        if rg.lts.is_stuck(s) and not rg.lts.all_end(s):
+        if not rg.edges[i] and not rg.lts.all_end(s):
             return _verdict("df", rg, Trace(rg, _path_to(rg, i), i))
     return _verdict("df", rg)
 
@@ -377,7 +373,7 @@ def dot_context_graph(rg: ContextGraph, highlight: set[int] | None = None,
         attrs = []
         if not rg.lts.is_safe_state(s):
             attrs.append("color=red")
-        if rg.lts.is_stuck(s) and not rg.lts.all_end(s):
+        if not rg.edges[i] and not rg.lts.all_end(s):
             attrs.append("style=filled fillcolor=orange")
         elif i in highlight:
             attrs.append("style=filled fillcolor=lightblue")
@@ -529,7 +525,7 @@ def check_liveness(ctx: TypingContext, budget: int = 1_000_000) -> Verdict:
     counterwitness) or some barb admits a starving fair lasso."""
     rg = reachable_graph(ctx, budget)
     for i, s in enumerate(rg.states):
-        if rg.lts.is_stuck(s) and not rg.lts.all_end(s):
+        if not rg.edges[i] and not rg.lts.all_end(s):
             return _verdict("live", rg, Trace(rg, _path_to(rg, i), i))
     fair = _FairCycles(rg)
     for barb in sorted(fair.members, key=str):
