@@ -310,7 +310,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return BUDGET
-    except (SessionTypeError, FileNotFoundError, ValueError) as e:
+    except (SessionTypeError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
 

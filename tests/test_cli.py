@@ -69,6 +69,14 @@ def test_parse_error_exit_code(files, capsys):
     assert main(["parse", "local", f]) == 2
 
 
+def test_unreadable_input_is_an_input_error(tmp_path, capsys):
+    """A directory or a missing file exits 2 with one error line."""
+    for path in (str(tmp_path), str(tmp_path / "missing.mpst")):
+        assert main(["parse", "local", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_subtype_json(files, capsys):
     a = files("a.mpst", "rec t. p+{l1: p+{l1: t}, l2: end}")
     b = files("b.mpst", "rec t. p+{l1: t, l2: end}")
