@@ -52,27 +52,30 @@ def eval_all(e: Expr, env: dict[str, Expr] | None = None) -> frozenset[Expr]:
                 return frozenset([env[e.name]])
             except KeyError:
                 raise EvalStuck(f"unbound variable {e.name}") from None
+        if type(e) is ENonDet:
+            return vals[0] | vals[1]
+        # operand values in one fixed order, so that an EvalStuck names the
+        # same value in every run (a frozenset iterates in address order)
+        ops = [sorted(v, key=repr) for v in vals]
         if type(e) is ENot:
-            return frozenset(ETrue() if not _as_bool(v) else EFalse() for v in vals[0])
+            return frozenset(ETrue() if not _as_bool(v) else EFalse() for v in ops[0])
         if type(e) is ENeg:
-            return frozenset(EInt(-_as_num(v)[0]) for v in vals[0])
+            return frozenset(EInt(-_as_num(v)[0]) for v in ops[0])
         if type(e) is EOr:
             out = set()
-            for v1 in vals[0]:
-                for v2 in vals[1]:
+            for v1 in ops[0]:
+                for v2 in ops[1]:
                     out.add(ETrue() if _as_bool(v1) or _as_bool(v2) else EFalse())
             return frozenset(out)
         if type(e) is EAdd:
             out = set()
-            for v1 in vals[0]:
-                for v2 in vals[1]:
+            for v1 in ops[0]:
+                for v2 in ops[1]:
                     a, i1 = _as_num(v1)
                     b, i2 = _as_num(v2)
                     s = a + b
                     out.add(EInt(s) if i1 or i2 else ENat(s))
             return frozenset(out)
-        if type(e) is ENonDet:
-            return vals[0] | vals[1]
         raise TypeError(f"eval: {e!r}")
 
     return fold(e, values)

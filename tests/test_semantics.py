@@ -1,6 +1,10 @@
 """Session reduction semantics and the end-to-end typed-safety oracle."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,25 @@ from mpstk.semantics import (
     EvalStuck, SessionState, eval_all, eval_expr, explore_session,
     proc_head, session_step, subst_value,
 )
+
+
+def test_eval_stuck_names_the_same_value_in_every_run():
+    """The operand value an EvalStuck names does not follow set iteration
+    order, which changes from interpreter to interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("from mpstk.ast import ENat\n"
+            "from mpstk.parse import parse\n"
+            "from mpstk.semantics import EvalStuck, eval_all\n"
+            "try:\n"
+            "    eval_all(parse('expr', r'(true \\/ x) \\/ (!(x (+) 3))'), {'x': ENat(2)})\n"
+            "except EvalStuck as e:\n"
+            "    print(e)\n")
+    for seed in range(6):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "boolean expected, got ENat(value=2)", seed
 
 
 def test_eval_table_fixtures():
