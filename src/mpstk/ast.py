@@ -191,9 +191,6 @@ class GVar(GlobalT):
     var: str
 
 
-GEND = GEnd()
-
-
 def gmsg(frm, to, payload, cont):
     if frm == to:
         raise SessionTypeError(f"self-communication {frm}->{to}")

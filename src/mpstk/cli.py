@@ -15,7 +15,7 @@ from . import context as ctx_mod
 from .ast import BudgetExceeded, SessionTypeError, size
 from .bench import CSV_COLUMNS, FAMILIES, bench_family, write_csv
 from .context import brute_force_liveness
-from .hardness import check_property, eval_qbf, gen_qbf_context, parse_qbf, protocol_summary
+from .hardness import eval_qbf, gen_qbf_context, parse_qbf, protocol_summary
 from .inference import infer, show_constraint
 from .parse import parse
 from .pipeline import run_bottomup, run_topdown
@@ -163,7 +163,7 @@ def cmd_gen(args) -> int:
     payload = {"context": text, "participants": ctx.participants(), "qbf_true": eval_qbf(f)}
     lines = [text, "", protocol_summary(f)]
     if args.validate:
-        ok = check_property(ctx, args.prop, args.budget).holds == payload["qbf_true"]
+        ok = ctx_mod.CHECKERS[args.prop](ctx, args.budget).holds == payload["qbf_true"]
         payload["reduction_valid"] = ok
         lines.append(f"reduction valid: {ok}")
         _emit(args, payload, "\n".join(lines))

@@ -226,14 +226,10 @@ def protocol_summary(f: QBF) -> str:
     return "\n".join(lines)
 
 
-def check_property(ctx: TypingContext, prop: str, budget: int = 1_000_000):
-    return CHECKERS[prop](ctx, budget)
-
-
 def validate_reduction(f: QBF, prop: str, budget: int = 1_000_000) -> bool:
     """Checker verdict on the generated context == brute-force QBF truth."""
     want = eval_qbf(f)
-    got = check_property(gen_qbf_context(f, prop), prop, budget).holds
+    got = CHECKERS[prop](gen_qbf_context(f, prop), budget).holds
     return want == got
 
 

@@ -132,17 +132,5 @@ def show_global(g) -> str:
     return _text(g)
 
 
-def show_expr(e) -> str:
-    return _text(e)
-
-
-def show_process(p) -> str:
-    return _text(p)
-
-
-def show_session(s: Session) -> str:
-    return _text(s)
-
-
 def show_context(c: TypingContext) -> str:
     return _text(c)
