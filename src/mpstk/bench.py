@@ -14,10 +14,10 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .ast import BudgetExceeded, size
+from .ast import BudgetExceeded, TBra, size
 from .inference import branch_cycle_length, gen_lcm_process, infer
 from .projection import (
-    _LOCAL_MK, FULL, PLAIN, WorkCounter, _project, gen_lowerbound_family,
+    FULL, PLAIN, WorkCounter, _project, gen_lowerbound_family,
     merge_full_naive, project_inductive, project_subset, project_tirore,
 )
 from .subtyping import (
@@ -163,7 +163,7 @@ def _naive_merge_ops(g, p) -> int:
         c.tick(min(size(a), size(b)))
         return merge_full_naive(a, b)
 
-    _project(g, p, _LOCAL_MK, naive_merge)
+    _project(g, p, TBra, naive_merge)
     return c.ops
 
 

@@ -4,8 +4,9 @@ Four algorithms:
 
 * inductive projection with plain merging (branches must be equal),
 * inductive projection with full merging (external choices are unioned);
-  the merge runs over a branch representation backed by balanced search
-  trees so the smaller operand is always inserted into the larger one,
+  the merge runs on local types whose branchings are MBra, a branch map
+  kept in a balanced search tree, so the smaller operand is always
+  inserted into the larger one (`to_tree` and `of_tree` convert),
 * the candidate-projection check in the style of Tirore et al.: compute
   ptrans (inductive projection whose merge keeps the left operand), then
   verify it against the global type over the product graph,
@@ -15,8 +16,9 @@ Four algorithms:
 
 The three inductive projections, and the naive-merge oracle of the bench
 harness, are one fold, `_project`, which differs between them only in
-the constructors it builds with and the merge it folds the branches of a
-choice with when p takes no part in that choice.
+the constructor of its branchings (TBra, or MBra for the full merge) and
+the merge it folds the branches of a choice with when p takes no part in
+that choice.
 
 `project(g, p, kind)` runs the algorithm named by `kind`, one of KINDS.
 `project_inductive`/`project_tirore` raise ProjUndefined when the
@@ -34,8 +36,8 @@ from .ast import (
     GChoice, GEnd, GMsg, GRec, GVar, GlobalT,
     LocalT, SessionTypeError, Sort,
     TBra, TEnd, TIn, TOut, TRec, TSel, TVar, TypingContext,
-    Done, Visit, alpha_canon, check_guarded, fold, is_closed, participants, size, subst,
-    unfold,
+    Done, Visit, alpha_canon, check_guarded, fold, is_closed, participants, rebuild, size,
+    subst, unfold,
 )
 from .printer import show_global, show_local
 from .subtyping import subtype_sim
@@ -205,122 +207,74 @@ def treap_get(n, key):
     return None if n is None else n.value
 
 
-class MTree:
-    __slots__ = ()
+@dataclass(frozen=True, eq=False)
+class MBra:
+    """A branching whose branch map is a treap, label -> local type; the one
+    node of a merge's operands that is not a LocalT.  It hashes by identity,
+    so an interned node can hold one without hashing its treap."""
 
-
-@dataclass(frozen=True)
-class MEnd(MTree):
-    pass
-
-
-@dataclass(frozen=True)
-class MVar(MTree):
-    var: str
-
-
-@dataclass(frozen=True)
-class MIO(MTree):
-    kind: str  # "in" | "out"
     peer: str
-    payload: object
-    cont: MTree
-
-
-@dataclass(frozen=True)
-class MSel(MTree):
-    peer: str
-    branches: tuple  # ordered (label, MTree) pairs
-
-
-@dataclass(frozen=True)
-class MBra(MTree):
-    peer: str
-    tree: object  # treap label -> MTree
+    tree: object
     size: int
 
 
-@dataclass(frozen=True)
-class MRec(MTree):
-    var: str
-    body: MTree
-
-
 def _mbra(peer: str, pairs) -> MBra:
-    """A treap-backed branching on (label, MTree) pairs."""
+    """A treap-backed branching on (label, type) pairs."""
     tree = None
     for l, b in pairs:
         tree = treap_insert(tree, l, b, _keep_new)
     return MBra(peer, tree, _tsz(tree))
 
 
-def _mt_pairs(m) -> tuple:
-    """The (label, child) pairs of a selection or branching tree."""
-    return m.branches if type(m) is MSel else tuple(treap_items(m.tree))
+def _to_tree(t, kids, env):
+    if type(t) is TBra:
+        return _mbra(t.peer, zip([l for l, _ in t.branches], kids))
+    return rebuild(t, kids)
 
 
-def _of_local(t, kids, env) -> MTree:
-    if type(t) is TEnd:
-        return MEnd()
-    if type(t) is TVar:
-        return MVar(t.var)
-    if type(t) in (TIn, TOut):
-        return MIO(IN if type(t) is TIn else OUT, t.peer, t.payload, kids[0])
-    if type(t) is TRec:
-        return MRec(t.var, kids[0])
-    pairs = tuple(zip([l for l, _ in t.branches], kids))
-    return MSel(t.peer, pairs) if type(t) is TSel else _mbra(t.peer, pairs)
+def to_tree(t: LocalT):
+    """t with each branching an MBra."""
+    return fold(t, _to_tree)
 
 
-def mt_of_local(t: LocalT) -> MTree:
-    return fold(t, _of_local)
+def _tree_kids(m, env):
+    """The fold's pre hook: an MBra's children are its treap's values."""
+    if type(m) is MBra:
+        return Visit(tuple(b for _, b in treap_items(m.tree)), env)
+    return env
 
 
-def _mt_kids(m, env):
-    """The fold's pre hook over trees: their children."""
-    if type(m) in (MIO, MRec):
-        return Visit((m.cont if type(m) is MIO else m.body,), env)
-    return Visit(tuple(b for _, b in _mt_pairs(m)) if type(m) in (MSel, MBra) else (), env)
+def _of_tree(m, kids, env):
+    if type(m) is MBra:
+        return TBra(m.peer, tuple(zip([l for l, _ in treap_items(m.tree)], kids)))
+    return rebuild(m, kids)
 
 
-def _to_local(m, kids, env) -> LocalT:
-    if type(m) is MEnd:
-        return TEnd()
-    if type(m) is MVar:
-        return TVar(m.var)
-    if type(m) is MIO:
-        return (TIn if m.kind == IN else TOut)(m.peer, m.payload, kids[0])
-    if type(m) is MRec:
-        return TRec(m.var, kids[0])
-    pairs = tuple(zip([l for l, _ in _mt_pairs(m)], kids))
-    return TSel(m.peer, pairs) if type(m) is MSel else TBra(m.peer, pairs)
+def of_tree(m) -> LocalT:
+    """The local type of a merge result: each MBra a TBra again."""
+    return fold(m, _of_tree, _tree_kids)
 
 
-def mt_to_local(m: MTree) -> LocalT:
-    return fold(m, _to_local, _mt_kids)
-
-
-def merge_full_opt(m1: MTree, m2: MTree, counter: WorkCounter | None = None) -> MTree:
-    """Optimised full merge; the smaller branch map is inserted into the
-    larger one so each branch moves O(log n) times overall.  One fold over
-    pairs of trees, merged in depth-first order; on a branching, the labels
-    the two share are merged first, then the smaller map is inserted."""
+def merge_full_opt(m1, m2, counter: WorkCounter | None = None):
+    """Optimised full merge of two local types whose branchings are MBra;
+    the smaller branch map is inserted into the larger one so each branch
+    moves O(log n) times overall.  One fold over pairs of types, merged in
+    depth-first order; on a branching, the labels the two share are merged
+    first, then the smaller map is inserted."""
 
     def enter(pair, env):
         m1, m2 = pair
         if counter is not None:
             counter.tick()
-        if type(m1) is MEnd and type(m2) is MEnd:
-            return Done(m1)
-        if type(m1) is MVar and type(m2) is MVar and m1.var == m2.var:
+        if type(m1) in (TEnd, TVar) and m1 is m2:
             return Done(m1)
         if (
-            type(m1) is MIO
-            and type(m2) is MIO
-            and (m1.kind, m1.peer, m1.payload) == (m2.kind, m2.peer, m2.payload)
+            type(m1) in (TIn, TOut)
+            and type(m1) is type(m2)
+            and (m1.peer, m1.payload) == (m2.peer, m2.payload)
         ):
             return Visit(((m1.cont, m2.cont),), env)
-        if type(m1) is MSel and type(m2) is MSel and m1.peer == m2.peer:
+        if type(m1) is TSel and type(m2) is TSel and m1.peer == m2.peer:
             if [l for l, _ in m1.branches] != [l for l, _ in m2.branches]:
                 raise SessionTypeError("selection merge needs equal label sets")
             return Visit(tuple(zip([b for _, b in m1.branches], [b for _, b in m2.branches])), env)
@@ -330,25 +284,21 @@ def merge_full_opt(m1: MTree, m2: MTree, counter: WorkCounter | None = None) -> 
             items = list(treap_items(small.tree))
             shared = [(treap_get(big.tree, l), b) for l, b in items]
             return Visit(tuple(p for p in shared if p[0] is not None), (big.tree, items))
-        if type(m1) is MRec and type(m2) is MRec:
-            body2 = m2.body if m2.var == m1.var else mt_of_local(
-                subst(mt_to_local(m2.body), m2.var, TVar(m1.var)))
+        if type(m1) is TRec and type(m2) is TRec:
+            body2 = m2.body if m2.var == m1.var else to_tree(
+                subst(of_tree(m2.body), m2.var, TVar(m1.var)))
             return Visit(((m1.body, body2),), env)
         raise SessionTypeError("incompatible heads in full merge")
 
     def leave(pair, kids, env):
         m1 = pair[0]
-        if type(m1) is MIO:
-            return MIO(m1.kind, m1.peer, m1.payload, kids[0])
-        if type(m1) is MSel:
-            return MSel(m1.peer, tuple(zip([l for l, _ in m1.branches], kids)))
         if type(m1) is MBra:
             tree, items = env
             merged = iter(kids)  # taken by the insertions that find their label
             for l, b in items:
                 tree = treap_insert(tree, l, b, lambda old, new: next(merged), counter)
             return MBra(m1.peer, tree, _tsz(tree))
-        return MRec(m1.var, kids[0])
+        return rebuild(m1, kids)
 
     return fold((m1, m2), leave, enter)
 
@@ -359,20 +309,16 @@ def _keep_new(old, new):
 
 def merge_full_optimized(t1: LocalT, t2: LocalT, counter: WorkCounter | None = None) -> LocalT:
     """Convenience wrapper on plain ASTs; equals merge_full_naive."""
-    return mt_to_local(merge_full_opt(mt_of_local(t1), mt_of_local(t2), counter))
+    return of_tree(merge_full_opt(to_tree(t1), to_tree(t2), counter))
 
 
 # ---------------------------------------------------------------------------
-# Inductive projection: one fold, parameterised by the result's
-# constructors and by the merge of the branches p takes no part in.
-
-# (end, var, out, in, sel, bra, rec); sel and bra take (peer, pairs)
-_LOCAL_MK = (TEnd, TVar, TOut, TIn, TSel, TBra, TRec)
-_MTREE_MK = (MEnd, MVar, partial(MIO, OUT), partial(MIO, IN), MSel, _mbra, MRec)
+# Inductive projection: one fold, parameterised by the constructor of the
+# result's branchings and by the merge of the branches p takes no part in.
 
 
-def _project(g: GlobalT, p: str, mk, merge):
-    """Project `g` onto `p`, building the result with the constructors `mk`.
+def _project(g: GlobalT, p: str, bra, merge):
+    """Project `g` onto `p`, building each branching with `bra(peer, pairs)`.
 
     Where p takes no part in a choice, the projections of all its branches
     are computed, then folded left to right with the binary `merge`; a
@@ -380,29 +326,28 @@ def _project(g: GlobalT, p: str, mk, merge):
     branch without projecting the others, so shared subterms of the
     dropped branches cost nothing.
     """
-    end, var, out, inp, sel, bra, rec = mk
 
     def enter(g, env):
         if type(g) is GRec and p not in participants(g.body) and is_closed(g):
-            return Done(end())
+            return Done(TEnd())
         if type(g) is GChoice and merge is None and p not in (g.frm, g.to):
             return Visit((g.branches[0][1],), env)
         return env
 
     def leave(g, kids, env):
         if type(g) is GEnd:
-            return end()
+            return TEnd()
         if type(g) is GVar:
-            return var(g.var)
+            return TVar(g.var)
         if type(g) is GMsg:
             if p == g.frm:
-                return out(g.to, g.payload, kids[0])
+                return TOut(g.to, g.payload, kids[0])
             if p == g.to:
-                return inp(g.frm, g.payload, kids[0])
+                return TIn(g.frm, g.payload, kids[0])
             return kids[0]
         if type(g) is GChoice:
             if p == g.frm:
-                return sel(g.to, tuple(zip([l for l, _ in g.branches], kids)))
+                return TSel(g.to, tuple(zip([l for l, _ in g.branches], kids)))
             if p == g.to:
                 return bra(g.frm, tuple(zip([l for l, _ in g.branches], kids)))
             acc = kids[0]
@@ -413,7 +358,7 @@ def _project(g: GlobalT, p: str, mk, merge):
                     raise ProjUndefined(p, str(e), show_global(g))
             return acc
         if type(g) is GRec:
-            return rec(g.var, kids[0])
+            return TRec(g.var, kids[0])
         raise TypeError(f"project: {g!r}")
 
     return fold(g, leave, enter)
@@ -424,10 +369,9 @@ def project_inductive(
 ) -> LocalT:
     """Inductive projection of `g` onto `p` with plain or full merging."""
     if kind == PLAIN:
-        out = _project(g, p, _LOCAL_MK, lambda a, b: merge_plain(a, b, counter))
+        out = _project(g, p, TBra, lambda a, b: merge_plain(a, b, counter))
     elif kind == FULL:
-        m = _project(g, p, _MTREE_MK, lambda a, b: merge_full_opt(a, b, counter))
-        out = mt_to_local(m)
+        out = of_tree(_project(g, p, _mbra, lambda a, b: merge_full_opt(a, b, counter)))
     else:
         raise ValueError(f"unknown merge kind {kind!r}")
     try:
@@ -445,7 +389,7 @@ def ptrans(g: GlobalT, p: str) -> LocalT:
     """Candidate projection: inductive projection whose merge keeps the left
     operand.  Always total; the result may be unguarded, which the check
     below rejects."""
-    return _project(g, p, _LOCAL_MK, None)
+    return _project(g, p, TBra, None)
 
 
 def project_tirore(g: GlobalT, p: str) -> LocalT:

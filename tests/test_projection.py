@@ -8,13 +8,13 @@ import pytest
 from conftest import balanced_globals, mutate_local, rand_global, rand_local
 
 from mpstk.ast import (
-    GChoice, GEnd, GMsg, INT, TBra, TEnd, TSel, TVar, TRec,
-    is_closed, participants, size,
+    GChoice, GEnd, GMsg, INT, SessionTypeError, TBra, TEnd, TSel, TVar, TRec,
+    fold, is_closed, participants, size,
 )
 from mpstk.parse import parse
 from mpstk.printer import show
 from mpstk.projection import (
-    FULL, PLAIN, NotBalanced, ProjUndefined, WorkCounter, check_association,
+    FULL, PLAIN, MBra, NotBalanced, ProjUndefined, WorkCounter, check_association,
     gen_lowerbound_family, merge_full_naive, merge_full_optimized,
     project, project_inductive, project_subset, project_tirore, ptrans,
 )
@@ -108,6 +108,37 @@ def test_merge_naive_vs_optimized(rng):
             agree += 1
             assert size(naive) < size(t1) + size(t2)
     assert agree > 200
+
+
+def _has_mbra(t) -> bool:
+    return fold(t, lambda u, vals, env: type(u) is MBra or any(vals))
+
+
+def test_full_merge_results_hold_no_treap_branching(rng):
+    """The treap-backed MBra is a merge's working form only: full
+    projections and merge_full_optimized hand back plain local types."""
+    merged = projected = 0
+    for _ in range(300):
+        t1, t2 = _mergeable_pair(rng)
+        try:
+            assert not _has_mbra(merge_full_optimized(t1, t2))
+            merged += 1
+        except SessionTypeError:
+            pass
+    globals_ = [rand_global(rng, 8) for _ in range(300)] + [
+        gen_lowerbound_family("fullmerge_nlog2", 3),
+        gen_lowerbound_family("fullmerge_quadratic", 5),
+        parse("global", "q->r{l1: r->p(int); rec t. r->p{l1: t}, "
+                        "l2: r->p(int); rec u. r->p{l2: end, l1: u}}"),
+    ]
+    for g in globals_:
+        for p in sorted(participants(g)):
+            try:
+                assert not _has_mbra(project_inductive(g, p, FULL))
+                projected += 1
+            except ProjUndefined:
+                pass
+    assert merged > 100 and projected > 500
 
 
 def test_projection_not_larger_than_global(rng):
