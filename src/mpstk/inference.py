@@ -261,7 +261,7 @@ def eliminate_transitive(constraints: list, root: str) -> tuple[list, str]:
                 u = stack.pop()
                 copies.extend(CHead(c.kind, c.peer, c.payload, c.succ, tgt)
                               for c in structural.get(u, ()))
-                for w in preds.get(u, ()):  # links form a DAG by freshness
+                for w in sorted(preds.get(u, ())):  # links form a DAG by freshness
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
