@@ -43,7 +43,7 @@ from .printer import show_global, show_local
 from .subtyping import subtype_sim
 from .typegraph import (
     Action, BRA, END_ACT, ENDK, IN, OUT, SEL, TypeGraph,
-    explore, global_graph, involves, is_balanced, local_graph, reaching, validate_type_graph,
+    _balanced, explore, global_graph, involves, local_graph, reaching, validate_type_graph,
 )
 
 PLAIN, FULL = "plain", "full"
@@ -488,11 +488,12 @@ def project_subset(g: GlobalT, p: str, budget: int = 1_000_000) -> TypeGraph:
     branchings).  Undefined when some state mixes incompatible heads.
     More than `budget` graph nodes, Skip included, raise BudgetExceeded.
     """
-    if not is_balanced(g):
-        raise NotBalanced(f"global type is not balanced: {show_global(g)}")
-    if p not in participants(g):
-        raise ProjUndefined(p, "participant does not occur in the global type")
     gg = global_graph(g)
+    pts = participants(g)
+    if not _balanced(gg, pts):
+        raise NotBalanced(f"global type is not balanced: {show_global(g)}")
+    if p not in pts:
+        raise ProjUndefined(p, "participant does not occur in the global type")
 
     def describe(s: frozenset[int]) -> str:
         return "{" + ", ".join(show_global(gg.nodes[u]) for u in sorted(s)) + "}"

@@ -416,8 +416,13 @@ def is_balanced(g: GlobalT) -> bool:
     cycle of nodes not involving p from which a p-involving node is still
     reachable.  Per-participant backward reachability plus an SCC search for
     a cycle among the candidates, O(|G|^2) overall."""
-    gg = global_graph(g)
-    for p in sorted(participants(g)):
+    return _balanced(global_graph(g), participants(g))
+
+
+def _balanced(gg: GlobalGraph, pts) -> bool:
+    """is_balanced on the global graph `gg` of a type with participants
+    `pts`."""
+    for p in sorted(pts):
         candidates = {u for u in reaching(gg, p) if not involves(gg.nodes[u], p)}
         sub = {u: [v for v in gg.succ[u] if v in candidates] for u in candidates}
         if any(len(c) > 1 or c[0] in sub[c[0]] for c in sccs(sorted(candidates), sub)):
