@@ -10,7 +10,7 @@ exhaustive mode and as a seeded coin in random-walk mode.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ast import (
     EAdd, EInt, ENat, ENeg, ENonDet, ENot, EOr, ETrue, EFalse, EVar, Expr,
@@ -217,8 +217,6 @@ class ExploreReport:
     stuck_nonterminal: bool = False
     states: int = 0
     steps: int = 0
-    max_depth: int = 0
-    stuck_examples: list = field(default_factory=list)
 
 
 def _all_inact(sess: Session) -> bool:
@@ -244,8 +242,6 @@ def explore_session(sess: Session, depth: int = 12, runs: int = 0,
                 raise BudgetExceeded("exploration budget exceeded")
             if not succs and not st.error and not _all_inact(st.sess):
                 report.stuck_nonterminal = True
-                if len(report.stuck_examples) < 3:
-                    report.stuck_examples.append(st.sess)
             for s2 in succs:
                 if s2.error:
                     report.error_reached = True
@@ -254,7 +250,6 @@ def explore_session(sess: Session, depth: int = 12, runs: int = 0,
                     nxt.append(s2)
         frontier = nxt
         d += 1
-        report.max_depth = d
     report.states = len(seen)
 
     for i in range(runs):
