@@ -22,5 +22,5 @@ from .context import (  # noqa: F401
     check_safety, ctx_step, is_safe_state, observations, reachable_graph,
 )
 from .hardness import QBF, eval_qbf, gen_qbf_context, parse_qbf, validate_reduction  # noqa: F401
-from .semantics import eval_expr, explore_session, session_step  # noqa: F401
+from .semantics import explore_session, session_step  # noqa: F401
 from .pipeline import run_bottomup, run_topdown, synth_process  # noqa: F401

@@ -139,7 +139,7 @@ def cmd_check_context(args) -> int:
 
 def cmd_check_session(args) -> int:
     sess = parse("session", _read(args.file))
-    rep = explore_session(sess, args.depth, args.runs, args.seed, args.budget)
+    rep = explore_session(sess, args.depth, args.budget)
     payload = {
         "error_reached": rep.error_reached,
         "stuck_nonterminal": rep.stuck_nonterminal,
@@ -227,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--json", action="store_true", help="JSON output")
     ap.add_argument("--budget", type=int, default=1_000_000,
                     help="state/judgement budget")
-    ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("parse")
@@ -267,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-session")
     p.add_argument("file")
     p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--runs", type=int, default=0)
     p.set_defaults(fn=cmd_check_session)
 
     p = sub.add_parser("gen")

@@ -74,7 +74,6 @@ class StageReport:
 class PipelineReport:
     accepted: bool
     stages: list[StageReport] = field(default_factory=list)
-    verdicts: dict = field(default_factory=dict)
 
     def fail_reason(self) -> str:
         for s in self.stages:
@@ -170,6 +169,5 @@ def run_bottomup(sess: Session, prop: str = "safety", budget: int = 1_000_000) -
     ms = (time.perf_counter() - t0) * 1000.0
     report.stages.append(StageReport(f"check-{prop}", verdict.holds,
                                      "" if verdict.holds else "property violated", ms))
-    report.verdicts[prop] = verdict
     report.accepted = verdict.holds
     return report

@@ -3,19 +3,18 @@
 Expression evaluation follows the evaluation table (nondeterministic choice
 yields either operand); session reduction implements r-comm, r-bra, the
 conditional rules and the two error rules, with recursion unfolded during
-redex search.  Exploration treats expression nondeterminism as branching in
-exhaustive mode and as a seeded coin in random-walk mode.
+redex search.  Exploration is an exhaustive breadth-first search in which
+every value of a nondeterministic expression is a branch.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .ast import (
     EAdd, EInt, ENat, ENeg, ENonDet, ENot, EOr, ETrue, EFalse, EVar, Expr,
     BudgetExceeded, Done, PBra, PCond, PInact, PRecv, PSel, PSend, Proc,
-    Session, SessionTypeError, Visit, fold, rebuild, session, unfold,
+    Session, SessionTypeError, fold, rebuild, session, unfold,
 )
 
 
@@ -81,51 +80,6 @@ def eval_all(e: Expr, env: dict[str, Expr] | None = None) -> frozenset[Expr]:
     return fold(e, values)
 
 
-def eval_expr(e: Expr, env: dict[str, Expr] | None = None,
-              rng: random.Random | None = None) -> Expr:
-    """Single evaluation; nondeterministic choices resolved by `rng` (left
-    operand when no generator is supplied).  Left to right: an operand of
-    \\/ or + is checked before the next is evaluated, and \\/ stops at
-    true, so a choice in an operand never reached draws nothing."""
-    env = env or {}
-    rng_choice = (lambda: rng.random() < 0.5) if rng else (lambda: True)
-
-    def enter(e, _):
-        if type(e) is EVar:
-            try:
-                return Done(env[e.name])
-            except KeyError:
-                raise EvalStuck(f"unbound variable {e.name}") from None
-        if type(e) is ENonDet:
-            return Visit((e.lhs if rng_choice() else e.rhs,), None)
-        if type(e) in (EOr, EAdd):
-            return Visit((e.lhs,), None)
-        return None
-
-    def value(e, vals, _) -> Expr:
-        if type(e) in (ETrue, EFalse, ENat, EInt):
-            return e
-        if type(e) is ENot:
-            return EFalse() if _as_bool(vals[0]) else ETrue()
-        if type(e) is ENeg:
-            return EInt(-_as_num(vals[0])[0])
-        if type(e) is EOr:
-            if _as_bool(vals[-1]):
-                return ETrue()
-            return Visit((e.rhs,), None) if len(vals) == 1 else EFalse()
-        if type(e) is EAdd:
-            _as_num(vals[-1])
-            if len(vals) == 1:
-                return Visit((e.rhs,), None)
-            (a, i1), (b, i2) = _as_num(vals[0]), _as_num(vals[1])
-            return EInt(a + b) if i1 or i2 else ENat(a + b)
-        if type(e) is ENonDet:
-            return vals[0]
-        raise TypeError(f"eval: {e!r}")
-
-    return fold(e, value, enter)
-
-
 # ---------------------------------------------------------------------------
 # Process plumbing
 
@@ -159,10 +113,10 @@ def _with(sess: Session, updates: dict[str, Proc]) -> Session:
     )
 
 
-def session_step(state: SessionState, rng: random.Random | None = None) -> list[SessionState]:
-    """All one-step successors.  Expression nondeterminism expands to every
-    value unless an rng is supplied, in which case one value is drawn.
-    Label mismatches and non-boolean conditions step to the error state."""
+def session_step(state: SessionState) -> list[SessionState]:
+    """All one-step successors, one for each value an expression may take.
+    Label mismatches, non-boolean conditions and expressions that cannot
+    be evaluated step to the error state."""
     if state.error:
         return []
     sess = state.sess
@@ -170,8 +124,6 @@ def session_step(state: SessionState, rng: random.Random | None = None) -> list[
     out: list[SessionState] = []
 
     def values(e):
-        if rng is not None:
-            return [eval_expr(e, rng=rng)]
         return sorted(eval_all(e), key=repr)
 
     for a, pa in heads.items():
@@ -223,11 +175,10 @@ def _all_inact(sess: Session) -> bool:
     return all(isinstance(proc_head(q), PInact) for _, q in sess.roles)
 
 
-def explore_session(sess: Session, depth: int = 12, runs: int = 0,
-                    seed: int = 0, budget: int = 200_000) -> ExploreReport:
-    """Exhaustive BFS to `depth` plus `runs` seeded random walks; reports
-    whether an error state or a stuck non-inact state was reached.  Raises
-    BudgetExceeded once the BFS has taken more than `budget` steps."""
+def explore_session(sess: Session, depth: int = 12, budget: int = 200_000) -> ExploreReport:
+    """Exhaustive BFS to `depth`; reports whether an error state or a stuck
+    non-inact state was reached.  Raises BudgetExceeded once the BFS has
+    taken more than `budget` steps."""
     report = ExploreReport()
     start = SessionState(sess)
     seen = {start}
@@ -251,18 +202,4 @@ def explore_session(sess: Session, depth: int = 12, runs: int = 0,
         frontier = nxt
         d += 1
     report.states = len(seen)
-
-    for i in range(runs):
-        rng = random.Random(seed + i)
-        st = start
-        for _ in range(depth):
-            succs = session_step(st, rng=rng)
-            if not succs:
-                if not st.error and not _all_inact(st.sess):
-                    report.stuck_nonterminal = True
-                break
-            st = rng.choice(succs)
-            if st.error:
-                report.error_reached = True
-                break
     return report

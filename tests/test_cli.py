@@ -206,6 +206,15 @@ def test_check_session_honours_budget(files, capsys):
     assert "budget exceeded" in capsys.readouterr().err
 
 
+def test_check_session_stuck_operand_is_an_error(files, capsys):
+    """The condition true \\/ (1 + true) cannot be evaluated, so p steps to
+    the error state and never to its then branch."""
+    s = files("s4.mpst", "p::if true \\/ (1 + true) then q!<1>; 0 else 0 | q::0")
+    assert main(["--json", "check-session", s, "--depth", "3"]) == 1
+    assert capsys.readouterr().out == (
+        '{"error_reached": true, "stuck_nonterminal": false, "states": 2, "steps": 1}\n')
+
+
 def test_gen_qbf_validate_builds_and_evaluates_once(monkeypatch, capsys):
     import mpstk.cli as cli
     import mpstk.hardness as hardness

@@ -1,12 +1,10 @@
 """Typing-context LTS, property checkers, traces, liveness oracle."""
 
-import random
-
 import pytest
 
-from conftest import rand_local
+from conftest import rand_context
 
-from mpstk.ast import TypingContext, is_closed, size, typing_context
+from mpstk.ast import TypingContext, size
 from mpstk.context import (
     Barb, BudgetExceeded, ContextLTS, Label, barbs, brute_force_liveness,
     check_deadlock_freedom, check_liveness, check_safety, ctx_step,
@@ -154,7 +152,7 @@ def test_show_state_equals_show_context(rng):
     every reachable state of random contexts and of QBF gadgets."""
     contexts = [D5, D6, D7, D8, D9, ALICE_BOB_SELLER]
     contexts.append(TypingContext(tuple(reversed(D5.entries))))  # not in name order
-    contexts += [c for c in (_rand_context(rng) for _ in range(150)) if c is not None]
+    contexts += [c for c in (rand_context(rng) for _ in range(150)) if c is not None]
     qbfs = list(all_small_qbfs(2))
     for f in rng.sample(qbfs, 12):
         for prop in ("safety", "df", "live"):
@@ -169,67 +167,10 @@ def test_show_state_equals_show_context(rng):
 # Random contexts: oracle agreement and implications
 
 
-def _rand_context(rng):
-    """Small contexts biased toward interaction: a dual pair built from one
-    local type plus an optional dangling participant."""
-    roll = rng.random()
-    if roll < 0.6:
-        t = rand_local(rng, 5, peers=["q"])
-        if not is_closed(t):
-            t = parse("local", "q!(int); end")
-        dual = _dualize(t, "p")
-        entries = [("p", _retarget_peers(t, "q")), ("q", dual)]
-        if rng.random() < 0.4:
-            entries.append(("r", rng.choice([
-                parse("local", "s?(bool); end"),
-                parse("local", "p?(int); end"),
-                parse("local", "end"),
-            ])))
-    else:
-        entries = []
-        for name, peers in (("p", ["q", "r"]), ("q", ["p", "r"]), ("r", ["p", "q"])):
-            t = rand_local(rng, 4, peers=peers)
-            if not is_closed(t):
-                t = parse("local", "end")
-            entries.append((name, t))
-    try:
-        return typing_context(entries)
-    except Exception:
-        return None
-
-
-def _retarget_peers(t, peer):
-    from mpstk.ast import TBra, TIn, TOut, TRec, TSel
-
-    if isinstance(t, (TIn, TOut)):
-        return type(t)(peer, t.payload, _retarget_peers(t.cont, peer))
-    if isinstance(t, (TSel, TBra)):
-        return type(t)(peer, tuple((l, _retarget_peers(b, peer)) for l, b in t.branches))
-    if isinstance(t, TRec):
-        return TRec(t.var, _retarget_peers(t.body, peer))
-    return t
-
-
-def _dualize(t, peer, flip_prob=0.0):
-    from mpstk.ast import TBra, TEnd, TIn, TOut, TRec, TSel, TVar
-
-    if isinstance(t, TIn):
-        return TOut(peer, t.payload, _dualize(t.cont, peer))
-    if isinstance(t, TOut):
-        return TIn(peer, t.payload, _dualize(t.cont, peer))
-    if isinstance(t, TSel):
-        return TBra(peer, tuple((l, _dualize(b, peer)) for l, b in t.branches))
-    if isinstance(t, TBra):
-        return TSel(peer, tuple((l, _dualize(b, peer)) for l, b in t.branches))
-    if isinstance(t, TRec):
-        return TRec(t.var, _dualize(t.body, peer))
-    return t
-
-
 def test_live_implies_df(rng):
     produced = 0
     for _ in range(400):
-        ctx = _rand_context(rng)
+        ctx = rand_context(rng)
         if ctx is None:
             continue
         produced += 1
@@ -246,7 +187,7 @@ def test_liveness_oracle_agreement_small(rng):
         assert check_liveness(ctx).holds == brute_force_liveness(ctx, bound=8)
         checked += 1
     for _ in range(60):
-        ctx = _rand_context(rng)
+        ctx = rand_context(rng)
         if ctx is None:
             continue
         rg = reachable_graph(ctx, budget=100)
@@ -263,7 +204,7 @@ def test_liveness_oracle_agreement_small(rng):
 
 def test_state_bound(rng):
     for _ in range(100):
-        ctx = _rand_context(rng)
+        ctx = rand_context(rng)
         if ctx is None:
             continue
         rg = reachable_graph(ctx)

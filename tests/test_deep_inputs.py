@@ -98,5 +98,5 @@ def test_checkers_render_deep_traces(prop):
 
 def test_explore_session():
     s = parse("session", "p::q!<" + "!" * D + "true>; 0 | q::p?(x); " + "r!<x>; " * D + "0")
-    report = explore_session(s, depth=3, runs=1)
+    report = explore_session(s, depth=3)
     assert not report.error_reached and report.stuck_nonterminal
