@@ -229,6 +229,64 @@ def test_subset_mixed_heads_names_the_state():
         "{q->r{l1: p->q(int); end, l2: q->p(int); end}, p->q(int); end, q->p(int); end}")
 
 
+# Every error the Tirore check and the subset construction can raise, with
+# its exact text and place, on globals projected onto p ("z" does not occur).
+ERROR_TEXTS = [
+    ("r->s{a: p->q{l1: end, l2: end}, b: p->q{l1: end}}", "subset", "p",
+     "selection label sets differ at {r->s{a: p->q{l1: end, l2: end}, b: p->q{l1: end}},"
+     " p->q{l1: end, l2: end}, p->q{l1: end}}"),
+    ("r->s{a: p->q{l1: end, l2: end}, b: p->q{l1: end}}", "tbc", "p",
+     "label sets differ (['l1'] vs ['l1', 'l2']) at p->q{l1: end}"),
+    ("r->s{a: q->p{l1: end, l2: end}, b: q->p{l1: end}}", "tbc", "p",
+     "label sets differ (['l1'] vs ['l1', 'l2']) at q->p{l1: end}"),
+    ("r->s{a: p->q(int); end, b: p->q(bool); end}", "subset", "p",
+     "mixed message heads at {r->s{a: p->q(int); end, b: p->q(bool); end},"
+     " p->q(int); end, p->q(bool); end}"),
+    ("r->s{a: p->q(int); end, b: p->q(bool); end}", "tbc", "p",
+     "head mismatch, wanted !q(bool) at p->q(bool); end"),
+    ("r->s{a: p->q(int); end, b: q->p(int); end}", "subset", "p",
+     "mixed message heads at {r->s{a: p->q(int); end, b: q->p(int); end},"
+     " p->q(int); end, q->p(int); end}"),
+    ("r->s{a: p->q(int); end, b: q->p(int); end}", "tbc", "p",
+     "head mismatch, wanted ?q(int) at q->p(int); end"),
+    ("r->s{a: p->q(int); end, b: p->r(int); end}", "subset", "p",
+     "mixed message heads at {r->s{a: p->q(int); end, b: p->r(int); end},"
+     " p->q(int); end, p->r(int); end}"),
+    ("r->s{a: p->q{l1: end}, b: q->p{l1: end}}", "subset", "p",
+     "mixed choice heads at {r->s{a: p->q{l1: end}, b: q->p{l1: end}},"
+     " p->q{l1: end}, q->p{l1: end}}"),
+    ("r->s{a: p->q{l1: end}, b: q->p{l1: end}}", "tbc", "p",
+     "label sets differ (['l1'] vs []) at q->p{l1: end}"),
+    ("r->s{a: q->p{l1: end}, b: r->p{l1: end}}", "subset", "p",
+     "mixed choice heads at {r->s{a: q->p{l1: end}, b: r->p{l1: end}},"
+     " q->p{l1: end}, r->p{l1: end}}"),
+    ("r->s{a: p->q{l1: end}, b: p->q(int); end}", "subset", "p",
+     "mixed communication heads at {r->s{a: p->q{l1: end}, b: p->q(int); end},"
+     " p->q{l1: end}, p->q(int); end}"),
+    ("r->s{a: p->q{l1: end}, b: p->q(int); end}", "tbc", "p",
+     "head mismatch, wanted !q(int) at p->q(int); end"),
+    ("r->s{a: p->q(int); end, b: end}", "tbc", "p",
+     "participant absent but local type is not end at end"),
+    ("rec t. q->r{l: t, l2: p->q(int); end}", "tbc", "p",
+     "candidate does not unravel (unguarded) at rec t. q->r{l: t, l2: p->q(int); end}"),
+    ("p->q(int); end", "subset", "z", "participant does not occur in the global type"),
+]
+
+
+@pytest.mark.parametrize("src, kind, p, text", ERROR_TEXTS)
+def test_projection_error_texts(src, kind, p, text):
+    with pytest.raises(ProjUndefined) as e:
+        project(parse("global", src), p, kind)
+    assert str(e.value) == f"projection onto {p} undefined: {text}"
+
+
+def test_subset_not_balanced_text():
+    src = "rec t. q->r{l: t, l2: p->q(int); end}"
+    with pytest.raises(NotBalanced) as e:
+        project_subset(parse("global", src), "z")
+    assert str(e.value) == f"global type is not balanced: {src}"
+
+
 def _cf_state_oracle(periods):
     """Independent count of the projection-graph states for the prime-cycle
     family: residue vectors of the a-counter modulo every period, plus the
