@@ -14,6 +14,10 @@ Four algorithms:
   p-closures of sets of global subformulas; sound and complete for the
   coinductive projection with full merging on balanced global types.
 
+The Tirore check and the subset construction read what p does at each node
+of the global type graph from one table, `_views(gg, p)`, built once per
+call: None where the head does not involve p, else p's kind, peer and arcs.
+
 The three inductive projections, and the naive-merge oracle of the bench
 harness, are one fold, `_project`, which differs between them only in
 the constructor of its branchings (TBra, or MBra for the full merge) and
@@ -43,7 +47,7 @@ from .printer import show_global, show_local
 from .subtyping import subtype_sim
 from .typegraph import (
     Action, BRA, END_ACT, ENDK, IN, OUT, SEL, TypeGraph,
-    _balanced, explore, global_graph, involves, local_graph, reaching, validate_type_graph,
+    _balanced, explore, global_graph, local_graph, reaching, validate_type_graph,
 )
 
 PLAIN, FULL = "plain", "full"
@@ -392,6 +396,24 @@ def ptrans(g: GlobalT, p: str) -> LocalT:
     return _project(g, p, TBra, None)
 
 
+def _views(gg, p: str) -> list:
+    """What p does at each node of the global graph `gg`: None where the
+    node's head does not involve p, else (kind, peer, arcs) with kind one of
+    IN, OUT, SEL, BRA, peer p's partner, and arcs the (payload or label,
+    successor node) pairs in the head's order."""
+    out = []
+    for node, succ in zip(gg.nodes, gg.succ):
+        h = unfold(node)
+        if type(h) not in (GMsg, GChoice) or p not in (h.frm, h.to):
+            out.append(None)
+            continue
+        msg, sends = type(h) is GMsg, p == h.frm
+        kind = (OUT if sends else IN) if msg else (SEL if sends else BRA)
+        args = [h.payload] if msg else [l for l, _ in h.branches]
+        out.append((kind, h.to if sends else h.frm, tuple(zip(args, succ))))
+    return out
+
+
 def project_tirore(g: GlobalT, p: str) -> LocalT:
     """ptrans followed by the product-graph check: every reachable pair of a
     global node and the candidate's local node must agree on its head.
@@ -409,6 +431,7 @@ def project_tirore(g: GlobalT, p: str) -> LocalT:
         raise ProjUndefined(p, "candidate does not unravel (unguarded)", show_global(g))
     gg = global_graph(g)
     lg = local_graph(cand)
+    views = _views(gg, p)
     live = reaching(gg, p)  # nodes where p still takes part
 
     start = (gg.init, lg.init)
@@ -416,43 +439,28 @@ def project_tirore(g: GlobalT, p: str) -> LocalT:
     stack = [start]
     while stack:
         u, v = stack.pop()
-        node = gg.nodes[u]
-        h = unfold(node)
         if u not in live:
             if lg.kind(v) != ENDK:
-                raise ProjUndefined(
-                    p, "participant absent but local type is not end", show_global(node)
-                )
+                raise ProjUndefined(p, "participant absent but local type is not end",
+                                    show_global(gg.nodes[u]))
             continue
-        if isinstance(h, GMsg) and p in (h.frm, h.to):
-            want = Action(OUT, h.to, h.payload) if p == h.frm else Action(IN, h.frm, h.payload)
+        if views[u] is None:  # the candidate waits on every branch
+            pairs = [(u2, v) for u2 in gg.succ[u]]
+        elif views[u][0] in (IN, OUT):  # the candidate must take the same action
+            kind, peer, ((a, u2),) = views[u]
+            want = Action(kind, peer, a)
             v2 = lg.step(v, want)
             if v2 is None:
-                raise ProjUndefined(p, f"head mismatch, wanted {want}", show_global(node))
-            pair = (gg.succ[u][0], v2)
-            if pair not in seen:
-                seen.add(pair)
-                stack.append(pair)
-            continue
-        if isinstance(h, GChoice) and p in (h.frm, h.to):
-            kind = SEL if p == h.frm else BRA
-            peer = h.to if p == h.frm else h.frm
-            glabels = [l for l, _ in h.branches]
-            tlabels = sorted(a.arg for a, _ in lg.out(v) if a.kind == kind and a.peer == peer)
-            if lg.kind(v) != kind or tlabels != glabels:
-                raise ProjUndefined(
-                    p, f"label sets differ ({glabels} vs {tlabels})", show_global(node)
-                )
-            for i, l in enumerate(glabels):
-                v2 = lg.step(v, Action(kind, peer, l))
-                pair = (gg.succ[u][i], v2)
-                if pair not in seen:
-                    seen.add(pair)
-                    stack.append(pair)
-            continue
-        # head does not involve p: the candidate waits on every branch
-        for u2 in gg.succ[u]:
-            pair = (u2, v)
+                raise ProjUndefined(p, f"head mismatch, wanted {want}", show_global(gg.nodes[u]))
+            pairs = ((u2, v2),)
+        else:  # the candidate must offer the same labels
+            kind, peer, arcs = views[u]
+            want = [l for l, _ in arcs]
+            got = sorted(a.arg for a, _ in lg.out(v) if a.kind == kind and a.peer == peer)
+            if lg.kind(v) != kind or got != want:
+                raise ProjUndefined(p, f"label sets differ ({want} vs {got})", show_global(gg.nodes[u]))
+            pairs = [(u2, lg.step(v, Action(kind, peer, l))) for l, u2 in arcs]
+        for pair in pairs:
             if pair not in seen:
                 seen.add(pair)
                 stack.append(pair)
@@ -463,14 +471,14 @@ def project_tirore(g: GlobalT, p: str) -> LocalT:
 # Subset construction
 
 
-def p_closure(gg, ids: frozenset[int], p: str) -> frozenset[int]:
+def p_closure(gg, ids: frozenset[int], views: list) -> frozenset[int]:
     """gcl_p: close a set of global-graph nodes under continuations of heads
-    that do not involve p."""
+    that do not involve p, read off p's table `views` (see `_views`)."""
     out = set(ids)
     stack = list(ids)
     while stack:
         u = stack.pop()
-        if involves(gg.nodes[u], p):
+        if views[u] is not None:
             continue
         for v in gg.succ[u]:
             if v not in out:
@@ -494,54 +502,36 @@ def project_subset(g: GlobalT, p: str, budget: int = 1_000_000) -> TypeGraph:
         raise NotBalanced(f"global type is not balanced: {show_global(g)}")
     if p not in pts:
         raise ProjUndefined(p, "participant does not occur in the global type")
+    views = _views(gg, p)
 
     def describe(s: frozenset[int]) -> str:
         return "{" + ", ".join(show_global(gg.nodes[u]) for u in sorted(s)) + "}"
 
     def expand(n: int, s: frozenset[int]):
-        inv = [u for u in sorted(s) if involves(gg.nodes[u], p)]
+        inv = [views[u] for u in s if views[u] is not None]
         if not inv:
             yield END_ACT, None
             return
-        heads = [unfold(gg.nodes[u]) for u in inv]
-        if all(isinstance(h, GMsg) for h in heads):
-            outgoing = {p == h.frm for h in heads}
-            peers = {h.to if p == h.frm else h.frm for h in heads}
-            payloads = {h.payload for h in heads}
-            if len(outgoing) != 1 or len(peers) != 1 or len(payloads) != 1:
-                raise ProjUndefined(p, "mixed message heads", describe(s))
-            act = Action(OUT if outgoing.pop() else IN, peers.pop(), payloads.pop())
-            yield act, p_closure(gg, frozenset(gg.succ[u][0] for u in inv), p)
-            return
-        if all(isinstance(h, GChoice) for h in heads):
-            selecting = {p == h.frm for h in heads}
-            peers = {h.to if p == h.frm else h.frm for h in heads}
-            if len(selecting) != 1 or len(peers) != 1:
-                raise ProjUndefined(p, "mixed choice heads", describe(s))
-            sel = selecting.pop()
-            peer = peers.pop()
-            per_label: dict[str, set[int]] = {}
-            label_sets = []
-            for u, h in zip(inv, heads):
-                labs = [l for l, _ in h.branches]
-                label_sets.append(labs)
-                for i, l in enumerate(labs):
-                    per_label.setdefault(l, set()).add(gg.succ[u][i])
-            if sel:
-                # selections must carry identical label sets (merge on
-                # internal choice never widens)
-                if any(ls != label_sets[0] for ls in label_sets):
-                    raise ProjUndefined(p, "selection label sets differ", describe(s))
-                labs = label_sets[0]
-            else:
-                labs = sorted(per_label)
-            for l in labs:
-                act = Action(SEL if sel else BRA, peer, l)
-                yield act, p_closure(gg, frozenset(per_label[l]), p)
-            return
-        raise ProjUndefined(p, "mixed communication heads", describe(s))
+        kinds = {k for k, _, _ in inv}
+        peers = {peer for _, peer, _ in inv}
+        args = {tuple(a for a, _ in arcs) for _, _, arcs in inv}
+        what = "message" if kinds <= {IN, OUT} else "choice" if kinds <= {SEL, BRA} else None
+        if what is None:
+            raise ProjUndefined(p, "mixed communication heads", describe(s))
+        if len(kinds) != 1 or len(peers) != 1 or (what == "message" and len(args) != 1):
+            raise ProjUndefined(p, f"mixed {what} heads", describe(s))
+        kind, peer = kinds.pop(), peers.pop()
+        # merging never widens a selection's label set; branchings take the union
+        if kind == SEL and len(args) != 1:
+            raise ProjUndefined(p, "selection label sets differ", describe(s))
+        per_arg: dict = {}
+        for _, _, arcs in inv:
+            for a, u in arcs:
+                per_arg.setdefault(a, set()).add(u)
+        for a in sorted(per_arg) if kind == BRA else args.pop():
+            yield Action(kind, peer, a), p_closure(gg, frozenset(per_arg[a]), views)
 
-    init, edges, states, skip = explore(p_closure(gg, frozenset([gg.init]), p), expand,
+    init, edges, states, skip = explore(p_closure(gg, frozenset([gg.init]), views), expand,
                                         budget=budget)
     graph = TypeGraph(init, edges, skip,
                       ["Skip" if s is None else partial(describe, s) for s in states])
