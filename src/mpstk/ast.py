@@ -452,9 +452,8 @@ class Done:
 
 
 class Visit:
-    """A hook's answer: fold `kids`, in this order, in `env`.  From pre they
-    replace the node's children; from post they are folded as well, and
-    post is called again with the results of all the children so far."""
+    """A pre hook's answer: fold `kids`, in this order, in `env`, in place
+    of the node's children."""
 
     __slots__ = ("kids", "env")
 
@@ -502,10 +501,6 @@ def fold(t, post, pre=None, env=None, memo=None):
                     node = kids[0]
                     continue
                 r = post(node, (), env)
-                if type(r) is Visit:
-                    push([node, r.env, r.kids, 1, len(out)])
-                    node, env = r.kids[0], r.env
-                    continue
                 if memo is not None:
                     memo[node] = r
         # hand r to the innermost frame: visit its next child, or finish it
@@ -513,7 +508,7 @@ def fold(t, post, pre=None, env=None, memo=None):
             f = frames[-1]
             if type(f) is tuple:
                 pop()
-                vals, base = (r,), len(out)
+                vals = (r,)
             else:
                 kids, i = f[2], f[3]
                 if i < len(kids):
@@ -522,16 +517,10 @@ def fold(t, post, pre=None, env=None, memo=None):
                     node, env = kids[i], f[1]
                     break
                 pop()
-                base = f[4]
-                vals = out[base:]
-                del out[base:]
+                vals = out[f[4]:]
+                del out[f[4]:]
                 vals.append(r)
             r = post(f[0], vals, f[1])
-            if type(r) is Visit:
-                out.extend(vals)  # for post's next call
-                push([f[0], r.env, r.kids, 1, base])
-                node, env = r.kids[0], r.env
-                break
             if memo is not None:
                 memo[f[0]] = r
         else:
