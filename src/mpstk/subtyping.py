@@ -181,12 +181,7 @@ def subtype_inductive(t1: LocalT, t2: LocalT, budget: int = 10_000_000) -> Induc
             continue
         if isinstance(a, TEnd) and isinstance(b, TEnd):
             continue
-        if isinstance(a, TIn) and isinstance(b, TIn):
-            if a.peer == b.peer and a.payload == b.payload:
-                stack.append((theta, a.cont, b.cont))
-                continue
-            return InductiveResult(False, judgements)
-        if isinstance(a, TOut) and isinstance(b, TOut):
+        if type(a) is type(b) and type(a) in (TIn, TOut):
             if a.peer == b.peer and a.payload == b.payload:
                 stack.append((theta, a.cont, b.cont))
                 continue
