@@ -178,7 +178,10 @@ def _all_inact(sess: Session) -> bool:
 def explore_session(sess: Session, depth: int = 12, budget: int = 200_000) -> ExploreReport:
     """Exhaustive BFS to `depth`; reports whether an error state or a stuck
     non-inact state was reached.  Raises BudgetExceeded once the BFS has
-    taken more than `budget` steps."""
+    taken more than `budget` steps, and ValueError when `depth` < 1, which
+    would explore nothing."""
+    if depth < 1:
+        raise ValueError(f"exploration depth must be at least 1, got {depth}")
     report = ExploreReport()
     start = SessionState(sess)
     seen = {start}

@@ -198,6 +198,14 @@ def test_check_session(files):
     assert main(["check-session", bad]) == 1
 
 
+def test_check_session_rejects_a_depth_below_one(files, capsys):
+    s = files("s5.mpst", "p::q(+)l; 0 | q::p&{m: 0}")  # the first step errs
+    for depth in ("0", "-1"):
+        assert main(["check-session", s, "--depth", depth]) == 2
+        assert "depth must be at least 1" in capsys.readouterr().err
+    assert main(["check-session", s, "--depth", "1"]) == 1
+
+
 def test_check_session_honours_budget(files, capsys):
     s = files("s3.mpst", "p::q!<0>; rec X. q?(y); q!<y + (1 (+) 2)>; X"
                          " | q::rec Y. p?(z); p!<z>; Y")
