@@ -154,9 +154,6 @@ def cmd_check_session(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.what != "qbf":
-        print(f"unknown generator {args.what}", file=sys.stderr)
-        return INPUT_ERROR
     f = parse_qbf(args.formula)
     ctx = gen_qbf_context(f, args.prop)
     text = show_context(ctx)

@@ -241,7 +241,6 @@ def ctx_step(ctx: TypingContext):
 class ContextGraph:
     lts: ContextLTS
     states: list[State]
-    index: dict[State, int]
     edges: list[list[tuple[Label, int]]]  # synchronised successors
     parent: list[tuple[int, Label] | None]
 
@@ -271,7 +270,7 @@ def reachable_graph(ctx: TypingContext, budget: int = 1_000_000) -> ContextGraph
                 parent.append((head, lab))
             edges[head].append((lab, j))
         head += 1
-    return ContextGraph(lts, states, index, edges, parent)
+    return ContextGraph(lts, states, edges, parent)
 
 
 def barbs(ctx: TypingContext) -> frozenset[Barb]:
@@ -546,7 +545,7 @@ CHECKERS = {"safety": check_safety, "df": check_deadlock_freedom, "live": check_
 # Brute-force liveness oracle
 
 
-def _finite_witness(labels, states_seq, enabled_seq, barbs_seq) -> bool:
+def _finite_witness(labels, enabled_seq, barbs_seq) -> bool:
     """Literal check of both counterwitness bullets on a finite maximal
     path (s_0 -l_0-> ... -> s_f)."""
     f = len(labels)
@@ -564,7 +563,7 @@ def _finite_witness(labels, states_seq, enabled_seq, barbs_seq) -> bool:
     return False
 
 
-def _lasso_witness(labels, states_seq, enabled_seq, barbs_seq, j) -> bool:
+def _lasso_witness(labels, enabled_seq, barbs_seq, j) -> bool:
     """Counterwitness check for stem s_0..s_j plus cycle s_j..s_m=s_j."""
     m = len(labels)
     cycle_labels = set(labels[j:])
@@ -609,11 +608,11 @@ def brute_force_liveness(ctx: TypingContext, bound: int = 8,
         enab = [enabled[i] for i in path_states]
         brb = [barbs_of[i] for i in path_states]
         if not rg.edges[cur]:
-            if _finite_witness(path_labels, path_states, enab, brb):
+            if _finite_witness(path_labels, enab, brb):
                 return True
         for j in range(len(path_states) - 1):
             if path_states[j] == cur:
-                if _lasso_witness(path_labels, path_states, enab, brb, j):
+                if _lasso_witness(path_labels, enab, brb, j):
                     return True
         if len(path_labels) >= bound:
             return False
