@@ -6,7 +6,7 @@ import pytest
 
 from conftest import balanced_globals, rand_global, rand_local, rand_process, rand_qbf
 
-from mpstk.ast import INT, GMsg, GEnd, TEnd, is_closed, participants, size, unfold
+from mpstk.ast import BOOL, INT, GMsg, GEnd, TEnd, is_closed, participants, size, unfold
 from mpstk.parse import parse
 from mpstk.printer import show, show_local
 from mpstk.subtyping import graph_equiv
@@ -143,6 +143,28 @@ def test_malformed_graph_rejected():
                       [(Action(ENDK), 2)], []], 2, ["a", "b", "Skip"])
     with pytest.raises(MalformedGraph):
         validate_type_graph(g)
+
+
+_END = (Action(ENDK), 1)  # node 1 is Skip in the graphs below
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([[_END], [_END]], "Skip must be a sink"),
+    ([[], []], "node 0 has no outgoing edges"),
+    ([[(Action(IN, "p", INT), 1), (Action(SEL, "p", "l"), 1)], []],
+     "node 0 mixes edge kinds ['in', 'sel']"),
+    ([[(Action(ENDK), 0)], []], "node 0: end edge must target Skip"),
+    ([[(Action(OUT, "p", INT), 2), (Action(OUT, "p", BOOL), 2)], [], [_END]],
+     "node 0: out node must have one edge"),
+    ([[(Action(SEL, "p", "l"), 2), (Action(SEL, "q", "m"), 2)], [], [_END]],
+     "node 0: several peers ['p', 'q']"),
+    ([[(Action(BRA, "p", "l"), 2), (Action(BRA, "p", "l"), 2)], [], [_END]],
+     "node 0: duplicate labels"),
+])
+def test_malformed_graph_messages(edges, message):
+    with pytest.raises(MalformedGraph) as e:
+        validate_type_graph(TypeGraph(0, edges, 1))
+    assert str(e.value) == message
 
 
 # ---------------------------------------------------------------------------
