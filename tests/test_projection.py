@@ -215,9 +215,11 @@ def test_subset_gif():
 
 
 def test_subset_not_balanced():
-    g = parse("global", "rec t. p->q{l: t, l2: q->r{l3: end}}")
-    with pytest.raises(NotBalanced):
-        project_subset(g, "r")
+    src = "rec t. p->q{l: t, l2: q->r{l3: end}}"
+    for p in ("r", "z"):  # checked before p's occurrence
+        with pytest.raises(NotBalanced) as e:
+            project_subset(parse("global", src), p)
+        assert str(e.value) == f"global type is not balanced: {src}"
 
 
 def test_subset_mixed_heads_names_the_state():
@@ -278,13 +280,6 @@ def test_projection_error_texts(src, kind, p, text):
     with pytest.raises(ProjUndefined) as e:
         project(parse("global", src), p, kind)
     assert str(e.value) == f"projection onto {p} undefined: {text}"
-
-
-def test_subset_not_balanced_text():
-    src = "rec t. q->r{l: t, l2: p->q(int); end}"
-    with pytest.raises(NotBalanced) as e:
-        project_subset(parse("global", src), "z")
-    assert str(e.value) == f"global type is not balanced: {src}"
 
 
 def _cf_state_oracle(periods):
