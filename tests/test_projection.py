@@ -14,7 +14,7 @@ from mpstk.ast import (
 from mpstk.parse import parse
 from mpstk.printer import show
 from mpstk.projection import (
-    FULL, PLAIN, MBra, NotBalanced, ProjUndefined, WorkCounter, check_association,
+    FULL, KINDS, PLAIN, MBra, NotBalanced, ProjUndefined, WorkCounter, check_association,
     gen_lowerbound_family, merge_full_naive, merge_full_optimized,
     project, project_inductive, project_subset, project_tirore, ptrans,
 )
@@ -390,6 +390,30 @@ def test_tbc_agrees_with_plain_where_plain_is_defined(rng):
             assert check_association(typing_context(plain.items()), g, "tbc")
             checked += 1
     assert checked >= 50
+
+
+def test_projected_contexts_are_safe_df_and_live():
+    """Contexts associated with a global type are safe, deadlock-free and
+    live (Scalas & Yoshida, POPL 2019): Δ = {p: G↾p}, for every kind whose
+    projection is defined onto every participant."""
+    from mpstk.ast import typing_context
+    from mpstk.context import CHECKERS
+
+    checked, bad = 0, []
+    for g in balanced_globals(random.Random(11), 600, 10):
+        pts = sorted(participants(g))
+        for kind in KINDS if pts else ():
+            try:
+                proj = {p: project(g, p, kind) for p in pts}
+            except ProjUndefined:
+                continue
+            ctx = typing_context((p, graph_to_type(t) if kind == "subset" else t)
+                                 for p, t in proj.items())
+            bad += [(show(g), kind, prop) for prop, check in CHECKERS.items()
+                    if not check(ctx).holds]
+            checked += 1
+    assert checked >= 1000
+    assert not bad, f"{len(bad)} failed checks, first {bad[0]}"
 
 
 def test_association_wrong_domain():
