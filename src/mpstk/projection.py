@@ -11,8 +11,10 @@ Four algorithms:
   ptrans (inductive projection whose merge keeps the left operand), then
   verify it against the global type over the product graph,
 * the subset construction: a determinised local type graph whose states are
-  p-closures of sets of global subformulas; sound and complete for the
-  coinductive projection with full merging on balanced global types.
+  p-closures of sets of global subformulas, on balanced global types.  It
+  is defined, with an equivalent graph, wherever full merging is; like the
+  full merge of end with an action, a state where p has ended in some
+  members and must act in others is undefined.
 
 The Tirore check and the subset construction read what p does at each node
 of the global type graph from one table, `_views(gg, p)`, built once per
@@ -493,7 +495,9 @@ def project_subset(g: GlobalT, p: str, budget: int = 1_000_000) -> TypeGraph:
     States are p-closures; on each state the heads of all p-involving
     members must agree (same direction and peer; equal payload for values,
     identical label sets for selections, unioned label sets for
-    branchings).  Undefined when some state mixes incompatible heads.
+    branchings).  Undefined when some state mixes incompatible heads, or
+    mixes members where p must act with members from which p never acts
+    again (outside `reaching(gg, p)`).
     More than `budget` graph nodes, Skip included, raise BudgetExceeded.
     """
     gg = global_graph(g)
@@ -503,6 +507,7 @@ def project_subset(g: GlobalT, p: str, budget: int = 1_000_000) -> TypeGraph:
     if p not in pts:
         raise ProjUndefined(p, "participant does not occur in the global type")
     views = _views(gg, p)
+    live = reaching(gg, p)  # nodes where p still takes part
 
     def describe(s: frozenset[int]) -> str:
         return "{" + ", ".join(show_global(gg.nodes[u]) for u in sorted(s)) + "}"
@@ -524,6 +529,8 @@ def project_subset(g: GlobalT, p: str, budget: int = 1_000_000) -> TypeGraph:
         # merging never widens a selection's label set; branchings take the union
         if kind == SEL and len(args) != 1:
             raise ProjUndefined(p, "selection label sets differ", describe(s))
+        if not s <= live:  # p has ended in some members and must act in others
+            raise ProjUndefined(p, "mixed end and communication heads", describe(s))
         per_arg: dict = {}
         for _, _, arcs in inv:
             for a, u in arcs:

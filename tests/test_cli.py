@@ -264,6 +264,21 @@ def test_topdown_bottomup(files):
     assert main(["bottomup", sess, "--prop", "live"]) == 0
 
 
+def test_subset_projection_rejects_a_global_where_p_may_end(files, capsys):
+    """In branches l1 and l3, p never acts; the subset construction must not
+    answer p's action from l4 alone, and top-down must not accept the session
+    synthesised from that answer, which gets stuck."""
+    g = files("g.mpst", "r->q{l1: end, l3: q->r{l1: end}, l4: r->p{l3: end}}")
+    assert main(["project", g, "--role", "p", "--algo", "subset"]) == 1
+    out = capsys.readouterr().out
+    assert "r&{l3: end}" not in out and "mixed end and communication heads" in out
+    sess = files("s.mpst", "p::r&{l3: 0} | q::r&{l1: 0, l3: r(+)l1; 0, l4: 0}"
+                           " | r::if true (+) false then q(+)l1; 0"
+                           " else if true (+) false then q(+)l3; q&{l1: 0} else q(+)l4; p(+)l3; 0")
+    assert main(["check-session", sess]) == 1
+    assert main(["topdown", sess, g, "--kind", "subset"]) == 1
+
+
 def test_bench_csv(tmp_path, capsys):
     out = str(tmp_path / "bench.csv")
     assert main(["bench", "--family", "coprime", "--params", "3x4,5x7",

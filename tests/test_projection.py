@@ -267,6 +267,9 @@ ERROR_TEXTS = [
      " p->q{l1: end}, p->q(int); end}"),
     ("r->s{a: p->q{l1: end}, b: p->q(int); end}", "tbc", "p",
      "head mismatch, wanted !q(int) at p->q(int); end"),
+    ("r->q{l1: end, l3: q->r{l1: end}, l4: r->p{l3: end}}", "subset", "p",
+     "mixed end and communication heads at {r->q{l1: end, l3: q->r{l1: end},"
+     " l4: r->p{l3: end}}, end, q->r{l1: end}, r->p{l3: end}}"),
     ("r->s{a: p->q(int); end, b: end}", "tbc", "p",
      "participant absent but local type is not end at end"),
     ("rec t. q->r{l: t, l2: p->q(int); end}", "tbc", "p",
