@@ -61,7 +61,7 @@ def _record(g):
             for p in sorted(participants(g)) + [ABSENT]]
 
 
-PROJECTION_SHA256 = "dd4aa06d478f146fd7b599e101d1c2431e7e42d145ea36a663a818de32d7adc7"
+PROJECTION_SHA256 = "26a6ac9596992ebbe35a7e3858632e2681fb6d12263370eb69541be83c3e4766"
 
 
 def test_projection_dump_is_exact():
