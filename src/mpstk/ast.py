@@ -6,6 +6,13 @@ All nodes are immutable and hash-consed: constructing a node equal to a
 live one returns the live one, so equality and hashing are object identity.
 Alpha-insensitive comparison goes through :func:`alpha_canon`.
 
+Identity is equality only on a canonical representation, so `_check`
+enforces one invariant once per node, when it is made: the labels of a
+selection, branching or choice, and the participants of a session or
+typing context, are non-empty, sorted and distinct (`branches` sorts
+them), and a message or choice has two distinct participants.  Process
+branchings keep the order of their text.
+
 `CHILDREN` names the child fields of each class, and is the only place
 that does.  `fold` is the one walk over ASTs: a post-order fold with an
 explicit stack, so no input is too deep for it, with a pre-order hook for
@@ -18,6 +25,8 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, fields
 from operator import attrgetter, is_, itemgetter
+
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 class SessionTypeError(Exception):
@@ -33,13 +42,16 @@ class BudgetExceeded(Exception):
 
 
 _live = weakref.WeakValueDictionary()  # (class, *fields) -> the live node
+_CHECKED: dict = {}  # the classes `_check` constrains, filled in below
 
 
 class _Interned(type):
     """Metaclass of the AST roots: a node is keyed by its class and its
     positional fields, and a live node with that key is returned instead of
     a new one.  Children are interned already, so the key hashes and
-    compares them by identity."""
+    compares them by identity.  A new node is checked by `_check` before it
+    is made, so a node that breaks the invariant never enters the table,
+    and a hit costs no check."""
 
     def __call__(cls, *args, **kwargs):
         if kwargs:
@@ -47,6 +59,8 @@ class _Interned(type):
         key = (cls, *args)
         node = _live.get(key)
         if node is None:
+            if cls in _CHECKED:
+                _check(cls, args)
             node = _live[key] = super().__call__(*args)
         return node
 
@@ -134,22 +148,8 @@ END = TEnd()
 
 
 def branches(pairs) -> tuple[tuple[str, object], ...]:
-    """Normalise a branch mapping: sorted by label, labels distinct."""
-    pairs = sorted(pairs, key=lambda kv: kv[0])
-    labels = [l for l, _ in pairs]
-    if not labels:
-        raise SessionTypeError("empty branch set")
-    if len(set(labels)) != len(labels):
-        raise SessionTypeError(f"duplicate labels {labels}")
-    return tuple(pairs)
-
-
-def tsel(peer, pairs):
-    return TSel(peer, branches(pairs))
-
-
-def tbra(peer, pairs):
-    return TBra(peer, branches(pairs))
+    """(name, child) pairs in name order, the order nodes keep them in."""
+    return tuple(sorted(pairs, key=_first))
 
 
 # ---------------------------------------------------------------------------
@@ -189,18 +189,6 @@ class GRec(GlobalT):
 @dataclass(frozen=True, eq=False)
 class GVar(GlobalT):
     var: str
-
-
-def gmsg(frm, to, payload, cont):
-    if frm == to:
-        raise SessionTypeError(f"self-communication {frm}->{to}")
-    return GMsg(frm, to, payload, cont)
-
-
-def gchoice(frm, to, pairs):
-    if frm == to:
-        raise SessionTypeError(f"self-communication {frm}->{to}")
-    return GChoice(frm, to, branches(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -335,19 +323,12 @@ class Session(metaclass=_Interned):
 
     roles: tuple[tuple[str, Proc], ...]
 
-    def __post_init__(self):
-        names = [n for n, _ in self.roles]
-        if len(set(names)) != len(names):
-            raise SessionTypeError(f"duplicate participants {names}")
-        if not names:
-            raise SessionTypeError("empty session")
-
     def mapping(self) -> dict[str, Proc]:
         return dict(self.roles)
 
 
 def session(pairs) -> Session:
-    return Session(tuple(sorted(pairs, key=lambda kv: kv[0])))
+    return Session(branches(pairs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,13 +336,6 @@ class TypingContext(metaclass=_Interned):
     """Map participant -> closed local type; the state of the context LTS."""
 
     entries: tuple[tuple[str, LocalT], ...]
-
-    def __post_init__(self):
-        names = [n for n, _ in self.entries]
-        if len(set(names)) != len(names):
-            raise SessionTypeError(f"duplicate participants {names}")
-        if not names:
-            raise SessionTypeError("empty typing context")
 
     def mapping(self) -> dict[str, LocalT]:
         return dict(self.entries)
@@ -371,7 +345,33 @@ class TypingContext(metaclass=_Interned):
 
 
 def typing_context(pairs) -> TypingContext:
-    return TypingContext(tuple(sorted(pairs, key=lambda kv: kv[0])))
+    return TypingContext(branches(pairs))
+
+
+# ---------------------------------------------------------------------------
+# The invariant of every node
+
+# class -> (what its names are, the error when it has none)
+_LABELS = ("labels", "empty branch set")
+_CHECKED.update({GMsg: None, TSel: _LABELS, TBra: _LABELS, GChoice: _LABELS,
+                 Session: ("participants", "empty session"),
+                 TypingContext: ("participants", "empty typing context")})
+
+
+def _check(cls, args) -> None:
+    """Raise SessionTypeError unless the fields `args` of a new `cls` node
+    keep the invariant (see the module docstring)."""
+    if (cls is GMsg or cls is GChoice) and args[0] == args[1]:
+        raise SessionTypeError(f"self-communication {args[0]}->{args[1]}")
+    if cls is GMsg:
+        return
+    what, empty = _CHECKED[cls]
+    names = [n for n, _ in args[-1]]
+    if not names:
+        raise SessionTypeError(empty)
+    if any(a >= b for a, b in zip(names, names[1:])):
+        why = f"duplicate {what}" if len(set(names)) < len(names) else f"{what} out of order"
+        raise SessionTypeError(f"{why} {names}")
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +390,6 @@ CHILDREN = {
     Session: ("roles",), TypingContext: ("entries",),
 }
 _PAIRS = {"branches", "roles", "entries"}
-_second = itemgetter(1)
 
 
 def _accessors(cls, names):

@@ -29,7 +29,7 @@ from functools import reduce
 from operator import or_
 from typing import NamedTuple
 
-from .ast import BudgetExceeded, LocalT, TypingContext, typing_context
+from .ast import BudgetExceeded, LocalT, TypingContext
 from .typegraph import (
     BRA, ENDK, IN, OUT, SEL, _extract_type, graph_text, local_graph, sccs, text_rows,
     validate_type_graph,
@@ -110,9 +110,6 @@ class ContextLTS:
         self.graphs = [local_graph(t) for _, t in ctx.entries]
         self.init: State = tuple(g.init for g in self.graphs)
         self._index = {p: i for i, p in enumerate(self.participants)}
-        # participant positions in name order, the order typing_context sorts into
-        self._by_name = sorted(range(len(self.participants)),
-                               key=lambda i: self.participants[i])
         self._validated: set[int] = set()
         self._rows: dict[int, list] = {}  # participant -> text_rows of its graph
         self._types: dict[tuple[int, int], LocalT] = {}
@@ -148,17 +145,16 @@ class ContextLTS:
         return t
 
     def context_of(self, state: State) -> TypingContext:
-        return typing_context(
+        return TypingContext(tuple(
             (p, self.local_type(i, n))
             for i, (p, n) in enumerate(zip(self.participants, state))
-        )
+        ))
 
     def show_state(self, state: State) -> str:
         """show_context(self.context_of(state)), byte for byte, from the
         memoised per-participant strings, printed by `graph_text`."""
         parts = []
-        for i in self._by_name:
-            n = state[i]
+        for i, n in enumerate(state):
             text = self._shown.get((i, n))
             if text is None:
                 if i not in self._rows:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .ast import (
     BOOL, INT, LocalT, SessionTypeError,
-    TBra, TEnd, TIn, TOut, TRec, TSel, TVar, TypingContext, typing_context,
+    TBra, TEnd, TIn, TOut, TRec, TSel, TVar, TypingContext, branches, typing_context,
 )
 from .context import CHECKERS
 
@@ -163,18 +163,18 @@ def gen_qbf_context(f: QBF, prop: str = SAFETY) -> TypingContext:
                     out.append(_query_relay(left, right, f"query_p{j}", back))
             return out
 
-        t_true = TRec("t3", TBra(right, tuple(sorted(
+        t_true = TRec("t3", TBra(right, branches(
             query_branches("yes", TVar("t3")) + [
                 ("doneno", TSel(left, (("doneno", TVar("t1")),))),
                 ("doneyes", TSel(left, (("doneyes", TVar("t1")),))),
             ]
-        ))))
-        t_false = TRec("t2", TBra(right, tuple(sorted(
+        )))
+        t_false = TRec("t2", TBra(right, branches(
             query_branches("no", TVar("t2")) + [
                 (resolve, TSel(left, ((resolve, TVar("t1")),))),
                 (resolved, TOut(right, INT, t_true)),
             ]
-        ))))
+        )))
         entries.append((me, TRec("t1", TIn(left, INT, TOut(right, INT, t_false)))))
 
     # clause participants
@@ -199,10 +199,10 @@ def gen_qbf_context(f: QBF, prop: str = SAFETY) -> TypingContext:
             _query_relay(left, right, f"query_p{j}", TVar("t2"))
             for j in range(1, n + 1)
         ]
-        wait = TRec("t2", TBra(right, tuple(sorted(relays + [
+        wait = TRec("t2", TBra(right, branches(relays + [
             ("doneno", TSel(left, (("doneno", TVar("t1")),))),
             ("doneyes", body),
-        ]))))
+        ])))
         entries.append((me, TRec("t1", TIn(left, INT, TOut(right, INT, wait)))))
 
     # terminal clause participant reports the empty conjunction: true

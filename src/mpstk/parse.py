@@ -11,8 +11,10 @@ reads, the loop renames recursion binders apart (`ast.Renaming`) and notes,
 per entry, the first variable that occurs unguarded and the free type
 variables.  Those two errors are raised once the whole text has parsed,
 entry by entry in participant order, so syntax errors come first.
-Distinct labels, p != p and distinct participants are checked as each
-term is built.
+Labels and participants are put in order with `ast.branches`, except a
+process branching's, which keep the order of the text; the constructors
+check distinct labels, p != p and distinct participants as each term is
+built.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ import re
 from .ast import (
     FALSE, INACT, SORTS, TRUE,
     EAdd, EInt, ENat, ENeg, ENonDet, ENot, EOr, EVar,
-    GEnd, GRec, GVar, gchoice, gmsg,
+    GChoice, GEnd, GMsg, GRec, GVar,
     PBra, PCond, PRec, PRecv, PSel, PSend, PVar,
-    Renaming, SessionTypeError, TEnd, TIn, TOut, TRec, TVar,
-    session, tbra, tsel, typing_context,
+    Renaming, SessionTypeError, TBra, TEnd, TIn, TOut, TRec, TSel, TVar,
+    branches, session, typing_context,
 )
 
 
@@ -75,10 +77,6 @@ _TERMS = {LOCAL: (TVar, TRec), GLOBAL: (GVar, GRec), PROCESS: (PVar, PRec)}
 # binary operators: precedence \/ < (+) < +, all left-associative
 _PREC = {"\\/": 1, "(+)": 2, "+": 3}
 _BINOP = {"\\/": EOr, "(+)": ENonDet, "+": EAdd}
-
-
-def _pbra(peer, pairs):
-    return PBra(peer, tuple(pairs))
 
 
 def parse(category: str, text: str):
@@ -207,7 +205,7 @@ def parse(category: str, text: str):
             elif goal == LOCAL and k in ("+", "&"):
                 i += 1
                 expect("{")
-                stack.append((_BRANCH, tsel if k == "+" else tbra, (name,), [], branch_label(),
+                stack.append((_BRANCH, TSel if k == "+" else TBra, (name,), [], branch_label(),
                               guard, LOCAL))
             elif goal == GLOBAL and k == "->":
                 i += 1
@@ -217,10 +215,10 @@ def parse(category: str, text: str):
                     s = sort()
                     expect(")")
                     expect(";")
-                    stack.append((_PREFIX, gmsg, (name, to, s), guard))
+                    stack.append((_PREFIX, GMsg, (name, to, s), guard))
                 else:
                     expect("{")
-                    stack.append((_BRANCH, gchoice, (name, to), [], branch_label(), guard, GLOBAL))
+                    stack.append((_BRANCH, GChoice, (name, to), [], branch_label(), guard, GLOBAL))
             elif goal == PROCESS and k == "!":
                 i += 1
                 expect("<")
@@ -243,7 +241,7 @@ def parse(category: str, text: str):
             elif goal == PROCESS and k == "&":
                 i += 1
                 expect("{")
-                stack.append((_BRANCH, _pbra, (name,), [], branch_label(), guard, PROCESS))
+                stack.append((_BRANCH, PBra, (name,), [], branch_label(), guard, PROCESS))
             else:  # a variable
                 bound = scope.get(name)
                 if bound is None:
@@ -282,7 +280,7 @@ def parse(category: str, text: str):
                 continue
             expect("}")
             guard = f[5]
-            value = f[1](*f[2], f[3])
+            value = f[1](*f[2], (tuple if f[1] is PBra else branches)(f[3]))
         elif tag == _BINARY:
             _, least, lhs, op = f
             if op is not None:

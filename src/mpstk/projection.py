@@ -42,8 +42,8 @@ from .ast import (
     GChoice, GEnd, GMsg, GRec, GVar, GlobalT,
     LocalT, SessionTypeError, Sort,
     TBra, TEnd, TIn, TOut, TRec, TSel, TVar, TypingContext,
-    Done, Visit, alpha_canon, check_guarded, fold, is_closed, participants, rebuild, size,
-    subst, unfold,
+    Done, Visit, alpha_canon, branches, check_guarded, fold, is_closed, participants, rebuild,
+    size, subst, unfold,
 )
 from .printer import show_global, show_local
 from .subtyping import subtype_sim
@@ -138,9 +138,7 @@ def merge_full_naive(t1: LocalT, t2: LocalT) -> LocalT:
         if type(t1) is TBra:
             b1, b2 = dict(t1.branches), dict(t2.branches)
             merged = dict(zip(sorted(set(b1) & set(b2)), kids))
-            return TBra(t1.peer, tuple(
-                (l, merged[l] if l in merged else b1.get(l, b2.get(l)))
-                for l in sorted(set(b1) | set(b2))))
+            return TBra(t1.peer, branches({**b2, **b1, **merged}.items()))
         return TRec(t1.var, kids[0])
 
     return fold((t1, t2), leave, enter)
@@ -458,7 +456,7 @@ def project_tirore(g: GlobalT, p: str) -> LocalT:
         else:  # the candidate must offer the same labels
             kind, peer, arcs = views[u]
             want = [l for l, _ in arcs]
-            got = sorted(a.arg for a, _ in lg.out(v) if a.kind == kind and a.peer == peer)
+            got = [a.arg for a, _ in lg.out(v) if a.kind == kind and a.peer == peer]
             if lg.kind(v) != kind or got != want:
                 raise ProjUndefined(p, f"label sets differ ({want} vs {got})", show_global(gg.nodes[u]))
             pairs = [(u2, lg.step(v, Action(kind, peer, l))) for l, u2 in arcs]
@@ -604,15 +602,13 @@ def gen_lowerbound_family(name: str, n) -> GlobalT:
 
         return build(n, 0)
     if name == "cf_primes":
-        periods = list(n)
-        branches = []
-        for i, ni in enumerate(periods):
+        loops = []
+        for i, ni in enumerate(n):
             body: GlobalT = GVar("t")
             for _ in range(ni - 1):
                 body = GChoice("p", "q", (("a", body),))
-            loop = GRec("t", GChoice("p", "q", (("a", body), ("b", GEnd()))))
-            branches.append((f"l{i}", loop))
-        return GChoice("p", "r", tuple(branches))
+            loops.append((f"l{i}", GRec("t", GChoice("p", "q", (("a", body), ("b", GEnd()))))))
+        return GChoice("p", "r", branches(loops))
     if name == "tirore_quadratic":
 
         def chain(k, var):

@@ -21,8 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .ast import (
-    INT, BudgetExceeded, LocalT, SortVar, TBra, TEnd, TIn, TOut, TRec, TSel, TVar,
-    subst, tsel,
+    INT, BudgetExceeded, LocalT, SortVar, TBra, TEnd, TIn, TOut, TRec, TSel, TVar, subst,
 )
 from .typegraph import BRA, ENDK, IN, OUT, SEL, TypeGraph, local_graph
 
@@ -237,19 +236,19 @@ def _exp_family(k: int) -> LocalT:
 
     def t_c() -> LocalT:
         v = next(names)
-        return TRec(v, tsel("p", [("l1", TVar(v)), ("l2", TVar(v))]))
+        return TRec(v, TSel("p", (("l1", TVar(v)), ("l2", TVar(v)))))
 
     def t_bf(r: int) -> LocalT:
         t: LocalT = TVar("t")
         for _ in range(r):
-            t = tsel("p", [("l1", t), ("l2", t_c())])
+            t = TSel("p", (("l1", t), ("l2", t_c())))
         return t
 
     def t_af(r: int) -> LocalT:
         t: LocalT = TVar("t")
         for j in range(1, r + 1):
             # binder u_{j-1} never occurs bound in its body, as in the family
-            t = tsel("p", [("l1", t), ("l2", TRec(f"u{j - 1}", t_bf(j - 1)))])
+            t = TSel("p", (("l1", t), ("l2", TRec(f"u{j - 1}", t_bf(j - 1)))))
         return t
 
     return TRec("t", t_af(k))

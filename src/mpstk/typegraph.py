@@ -20,7 +20,7 @@ from .ast import (
     BudgetExceeded, GChoice, GMsg, GlobalT,
     LocalT, SessionTypeError,
     TBra, TEnd, TIn, TOut, TRec, TSel, TVar, Done, Visit,
-    alpha_canon, fold, participants, unfold,
+    alpha_canon, branches, fold, participants, unfold,
 )
 from .printer import show_global, show_local, show_sort
 
@@ -225,8 +225,8 @@ def _extract_type(g: TypeGraph, root: int) -> LocalT:
         elif a.kind in (IN, OUT):
             body = (TIn if a.kind == IN else TOut)(a.peer, a.arg, kids[0])
         else:
-            pairs = sorted(zip((b.arg for b, _ in out), kids), key=lambda kv: kv[0])
-            body = (TSel if a.kind == SEL else TBra)(a.peer, tuple(pairs))
+            pairs = zip((b.arg for b, _ in out), kids)
+            body = (TSel if a.kind == SEL else TBra)(a.peer, branches(pairs))
         name = active.pop(n)
         return body if name is None else TRec(name, body)
 

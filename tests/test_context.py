@@ -4,7 +4,7 @@ import pytest
 
 from conftest import rand_context
 
-from mpstk.ast import TypingContext, size
+from mpstk.ast import size
 from mpstk.context import (
     Barb, BudgetExceeded, ContextLTS, Label, barbs, brute_force_liveness,
     check_deadlock_freedom, check_liveness, check_safety, ctx_step,
@@ -151,7 +151,6 @@ def test_show_state_equals_show_context(rng):
     """The memoised state text is the printed context, byte for byte, on
     every reachable state of random contexts and of QBF gadgets."""
     contexts = [D5, D6, D7, D8, D9, ALICE_BOB_SELLER]
-    contexts.append(TypingContext(tuple(reversed(D5.entries))))  # not in name order
     contexts += [c for c in (rand_context(rng) for _ in range(150)) if c is not None]
     qbfs = list(all_small_qbfs(2))
     for f in rng.sample(qbfs, 12):

@@ -308,6 +308,15 @@ def test_subset_prime_family_counts():
         assert count >= lower
 
 
+def test_tirore_accepts_cf_primes_past_ten_periods():
+    """Eleven periods label the top choice l0 ... l10, whose label order
+    differs from the order they are made in."""
+    g = gen_lowerbound_family("cf_primes", [2] * 11)
+    assert [l for l, _ in g.branches] == sorted(f"l{i}" for i in range(11))
+    for p in ("p", "q", "r"):
+        assert graph_equiv(project_tirore(g, p), project_inductive(g, p, PLAIN))
+
+
 def test_subset_matches_inductive_full_on_lattice(rng):
     checked = 0
     for g in balanced_globals(rng, 300, 9):

@@ -8,8 +8,9 @@ import pytest
 
 from conftest import rand_expr, rand_global, rand_local, rand_process
 
+from mpstk import ast
 from mpstk.ast import (
-    END, INT, SessionTypeError,
+    END, INACT, INT, Session, SessionTypeError, TypingContext,
     GChoice, GEnd, GMsg, GRec, GVar,
     PBra, PCond, PRec, PSel, PSend, PVar,
     TBra, TEnd, TIn, TOut, TRec, TSel, TVar,
@@ -45,6 +46,36 @@ def test_parse_rejects_self_communication():
 def test_parse_rejects_duplicate_labels():
     with pytest.raises(SessionTypeError):
         parse("local", "p+{l1: end, l1: end}")
+
+
+@pytest.mark.parametrize("make, text", [
+    (lambda: TSel("p", (("l2", END), ("l1", END))), "labels out of order ['l2', 'l1']"),
+    (lambda: TBra("p", (("l1", END), ("l1", END))), "duplicate labels ['l1', 'l1']"),
+    (lambda: TBra("p", ()), "empty branch set"),
+    (lambda: GChoice("p", "q", (("l9", GEnd()), ("l10", GEnd()))),
+     "labels out of order ['l9', 'l10']"),
+    (lambda: GChoice("p", "q", (("l1", GEnd()), ("l2", GEnd()), ("l1", GEnd()))),
+     "duplicate labels ['l1', 'l2', 'l1']"),
+    (lambda: GChoice("p", "q", ()), "empty branch set"),
+    (lambda: GMsg("p", "p", INT, GEnd()), "self-communication p->p"),
+    (lambda: GChoice("p", "p", (("l1", GEnd()),)), "self-communication p->p"),
+    (lambda: Session((("q", INACT), ("p", INACT))), "participants out of order ['q', 'p']"),
+    (lambda: TypingContext((("p", END), ("p", END))), "duplicate participants ['p', 'p']"),
+    (lambda: TypingContext(()), "empty typing context"),
+])
+def test_raw_construction_keeps_the_invariant(make, text):
+    with pytest.raises(SessionTypeError) as e:
+        make()
+    assert str(e.value) == text
+
+
+def test_invariant_is_checked_once_per_new_node(monkeypatch):
+    calls = []
+    check = ast._check
+    monkeypatch.setattr(ast, "_check", lambda cls, args: calls.append(cls) or check(cls, args))
+    node = TSel("check-probe", (("l1", END), ("l2", END)))
+    assert TSel("check-probe", (("l1", END), ("l2", END))) is node
+    assert TOut("check-probe", INT, node) and calls == [TSel]
 
 
 def test_parse_rejects_unguarded_recursion():
