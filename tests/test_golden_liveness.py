@@ -31,9 +31,11 @@ from mpstk.projection import FULL, ProjUndefined, project_inductive
 from mpstk.typegraph import sccs
 
 
-def _contexts():
+@pytest.fixture(scope="module")
+def contexts():
     """100 live QBF gadgets, the non-None contexts of 1,500 random draws,
-    and the full projections of 200 balanced globals (where defined)."""
+    and the full projections of 200 balanced globals (where defined); built
+    once for the three digests."""
     rng = random.Random(7)
     out = []
     for _ in range(100):
@@ -66,8 +68,8 @@ def _record(ctx):
 DUMP_SHA256 = "6e2dc8571f8467b28e1d8731e73283d2e595306255e622895038ce459339dac0"
 
 
-def test_liveness_dump_is_exact():
-    records = [_record(ctx) for ctx in _contexts()]
+def test_liveness_dump_is_exact(contexts):
+    records = [_record(ctx) for ctx in contexts]
     assert len(records) == 1710
     assert sum(r[0] for r in records) == 828  # live
     assert sum(r[5] is not None for r in records) == 25  # fair lassos
@@ -85,12 +87,12 @@ def _finite_record(v):
 SAFETY_DF_SHA256 = "e773cc8aa4fd0379b14f0b20a6c94d59e68d5c0036561231c345e61d686528bf"
 
 
-def test_safety_and_df_dump_is_exact():
+def test_safety_and_df_dump_is_exact(contexts):
     """Safety and deadlock-freedom verdicts and their finite traces on the
     liveness corpus, plus every reachable state's safe and stuck flags."""
     records = []
     flags = Counter()
-    for ctx in _contexts():
+    for ctx in contexts:
         safety, df = check_safety(ctx), check_deadlock_freedom(ctx)
         records.append((_finite_record(safety), _finite_record(df)))
         lts = safety.graph.lts
@@ -227,12 +229,12 @@ def test_liveness_shares_labels_and_starting_sets(monkeypatch):
     assert set(refined.values()) == {1} and len(refined) == len(starts) < len(barbs)
 
 
-def _rendering_digest():
+def _rendering_digest(contexts):
     """sha256 over every `Trace.rendered()` string of the safety, df and
     live verdicts on the corpus, and the DOT of the reachable graph, with
     the trace's states highlighted, for every 10th context."""
     h = hashlib.sha256()
-    for k, ctx in enumerate(_contexts()):
+    for k, ctx in enumerate(contexts):
         for prop, check in context.CHECKERS.items():
             v = check(ctx)
             marked = set()
@@ -249,7 +251,7 @@ def _rendering_digest():
 RENDERING_SHA256 = "1812bc3575b71ac9f0d1c0ffa2bb23b2e9dd0b4207daa402f60568be56fc6e36"
 
 
-def test_rendered_traces_and_dot_are_exact():
+def test_rendered_traces_and_dot_are_exact(contexts):
     """Traces and DOT text as the context LTS printed them when it built
     and printed a local type per (participant, node)."""
-    assert _rendering_digest() == RENDERING_SHA256
+    assert _rendering_digest(contexts) == RENDERING_SHA256
