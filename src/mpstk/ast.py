@@ -366,12 +366,16 @@ def _check(cls, args) -> None:
     if cls is GMsg:
         return
     what, empty = _CHECKED[cls]
-    names = [n for n, _ in args[-1]]
-    if not names:
+    pairs = args[-1]
+    if not pairs:
         raise SessionTypeError(empty)
-    if any(a >= b for a, b in zip(names, names[1:])):
-        why = f"duplicate {what}" if len(set(names)) < len(names) else f"{what} out of order"
-        raise SessionTypeError(f"{why} {names}")
+    prev = None
+    for name, _ in pairs:  # a plain loop: this runs for every new node
+        if prev is not None and name <= prev:
+            names = [n for n, _ in pairs]
+            why = f"duplicate {what}" if len(set(names)) < len(names) else f"{what} out of order"
+            raise SessionTypeError(f"{why} {names}")
+        prev = name
 
 
 # ---------------------------------------------------------------------------
