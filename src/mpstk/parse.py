@@ -11,10 +11,9 @@ reads, the loop renames recursion binders apart (`ast.Renaming`) and notes,
 per entry, the first variable that occurs unguarded and the free type
 variables.  Those two errors are raised once the whole text has parsed,
 entry by entry in participant order, so syntax errors come first.
-Labels and participants are put in order with `ast.branches`, except a
-process branching's, which keep the order of the text; the constructors
-check distinct labels, p != p and distinct participants as each term is
-built.
+Labels and participants are sorted with `ast.branches` (a process
+branching keeps its text order); the constructors check distinct labels,
+p != p and distinct participants as each term is built.
 """
 
 from __future__ import annotations

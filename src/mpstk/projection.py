@@ -11,10 +11,9 @@ Four algorithms:
   ptrans (inductive projection whose merge keeps the left operand), then
   verify it against the global type over the product graph,
 * the subset construction: a determinised local type graph whose states are
-  p-closures of sets of global subformulas, on balanced global types.  It
-  is defined, with an equivalent graph, wherever full merging is; like the
-  full merge of end with an action, a state where p has ended in some
-  members and must act in others is undefined.
+  p-closures of sets of global subformulas, for balanced global types;
+  defined wherever full merging is (with an equivalent graph), undefined
+  where p has ended in some members of a state and must act in others.
 
 The Tirore check and the subset construction read what p does at each node
 of the global type graph from one table, `_views(gg, p)`, built once per
