@@ -204,13 +204,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    text = _read(args.file)
-    if args.category == "local":
-        g = local_graph(parse("local", text))
-        dot = dot_type_graph(g)
-    else:
-        gg = global_graph(parse("global", text))
-        dot = dot_global_graph(gg)
+    t = parse(args.category, _read(args.file))
+    dot = (dot_type_graph(local_graph(t)) if args.category == "local"
+           else dot_global_graph(global_graph(t)))
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(dot)

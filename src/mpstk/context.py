@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .ast import BudgetExceeded, LocalT, TypingContext
 from .typegraph import (
-    BRA, ENDK, IN, OUT, SEL, _extract_type, graph_text, local_graph, sccs, text_rows,
+    BRA, ENDK, IN, OUT, SEL, _extract_type, dot_text, graph_text, local_graph, sccs, text_rows,
     validate_type_graph,
 )
 
@@ -363,7 +363,7 @@ def dot_context_graph(rg: ContextGraph, highlight: set[int] | None = None,
     """DOT rendering of the reachable context graph; unsafe and stuck
     states are coloured, `highlight` marks counterexample states by index."""
     highlight = highlight or set()
-    lines = [f'digraph "{title}" {{', "  rankdir=LR;"]
+    nodes = []
     for i, s in enumerate(rg.states):
         attrs = []
         if not rg.lts.is_safe_state(s):
@@ -372,13 +372,9 @@ def dot_context_graph(rg: ContextGraph, highlight: set[int] | None = None,
             attrs.append("style=filled fillcolor=orange")
         elif i in highlight:
             attrs.append("style=filled fillcolor=lightblue")
-        label = rg.lts.show_state(s).replace('"', "'")
-        lines.append(f'  n{i} [shape=box {" ".join(attrs)} label="{label}"];')
-    for i, out in enumerate(rg.edges):
-        for lab, j in out:
-            lines.append(f'  n{i} -> n{j} [label="{lab}"];')
-    lines.append("}")
-    return "\n".join(lines)
+        nodes.append((f"shape=box {' '.join(attrs)}", rg.lts.show_state(s)))
+    edges = [(i, j, str(lab)) for i, out in enumerate(rg.edges) for lab, j in out]
+    return dot_text(title, None, nodes, edges)
 
 
 # ---------------------------------------------------------------------------

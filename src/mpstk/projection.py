@@ -42,7 +42,7 @@ from .ast import (
     LocalT, SessionTypeError, Sort,
     TBra, TEnd, TIn, TOut, TRec, TSel, TVar, TypingContext,
     Done, Visit, alpha_canon, branches, check_guarded, fold, is_closed, participants, rebuild,
-    size, subst, unfold,
+    size, subst,
 )
 from .printer import show_global, show_local
 from .subtyping import subtype_sim
@@ -400,16 +400,12 @@ def _views(gg, p: str) -> list:
     node's head does not involve p, else (kind, peer, arcs) with kind one of
     IN, OUT, SEL, BRA, peer p's partner, and arcs the (payload or label,
     successor node) pairs in the head's order."""
-    out = []
-    for node, succ in zip(gg.nodes, gg.succ):
-        h = unfold(node)
-        if type(h) not in (GMsg, GChoice) or p not in (h.frm, h.to):
-            out.append(None)
-            continue
-        msg, sends = type(h) is GMsg, p == h.frm
-        kind = (OUT if sends else IN) if msg else (SEL if sends else BRA)
-        args = [h.payload] if msg else [l for l, _ in h.branches]
-        out.append((kind, h.to if sends else h.frm, tuple(zip(args, succ))))
+    out = [None] * gg.node_count()
+    for u, h in enumerate(gg.heads):
+        if gg.acts(u, p):
+            sends = p == h.frm
+            kind = (OUT if sends else IN) if type(h) is GMsg else (SEL if sends else BRA)
+            out[u] = (kind, h.to if sends else h.frm, tuple(gg.arcs(u)))
     return out
 
 
@@ -499,12 +495,13 @@ def project_subset(g: GlobalT, p: str, budget: int = 1_000_000) -> TypeGraph:
     """
     gg = global_graph(g)
     pts = participants(g)
-    if not _balanced(gg, pts):
+    live = _balanced(gg, pts)
+    if live is None:
         raise NotBalanced(f"global type is not balanced: {show_global(g)}")
     if p not in pts:
         raise ProjUndefined(p, "participant does not occur in the global type")
     views = _views(gg, p)
-    live = reaching(gg, p)  # nodes where p still takes part
+    live = live[p]  # nodes where p still takes part
 
     def describe(s: frozenset[int]) -> str:
         return "{" + ", ".join(show_global(gg.nodes[u]) for u in sorted(s)) + "}"

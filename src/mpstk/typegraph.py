@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 from itertools import count
 
 from .ast import (
-    BudgetExceeded, GChoice, GMsg, GlobalT,
-    LocalT, SessionTypeError,
+    BudgetExceeded, GChoice, GMsg, GlobalT, LocalT, SessionTypeError,
     TBra, TEnd, TIn, TOut, TRec, TSel, TVar, Done, Visit,
-    alpha_canon, branches, fold, participants, unfold,
+    alpha_canon, branches, children, fold, participants, unfold,
 )
-from .printer import show_global, show_local, show_sort
+from .printer import show_local, show_sort
 
 IN, OUT, SEL, BRA, ENDK = "in", "out", "sel", "bra", "end"
 
@@ -314,36 +313,42 @@ def graph_text(g: TypeGraph, root: int, rows: list | None = None) -> str:
 
 @dataclass
 class GlobalGraph:
-    """Unlabelled transition graph over the reachable subformulas of G."""
+    """Transition graph over the reachable subformulas of G: `nodes[n]` is
+    node n's subformula, `heads[n]` its unfolded head (a GMsg or GChoice, or
+    None for end), and `succ[n]` the head's continuations, in its order."""
 
     init: int
     succ: list[list[int]]
     nodes: list[GlobalT]
+    heads: list[GMsg | GChoice | None]
 
     def node_count(self) -> int:
         return len(self.succ)
 
+    def acts(self, n: int, p: str) -> bool:
+        """Whether p takes part in the head of node n."""
+        h = self.heads[n]
+        return h is not None and p in (h.frm, h.to)
 
-def involves(g: GlobalT, p: str) -> bool:
-    h = unfold(g)
-    if isinstance(h, (GMsg, GChoice)):
-        return p in (h.frm, h.to)
-    return False
-
-
-def head_conts(g: GlobalT) -> list[GlobalT]:
-    h = unfold(g)
-    if isinstance(h, GMsg):
-        return [h.cont]
-    if isinstance(h, GChoice):
-        return [b for _, b in h.branches]
-    return []
+    def arcs(self, n: int) -> list[tuple[object, int]]:
+        """The (payload sort or label, successor) pairs of node n's head."""
+        h = self.heads[n]
+        args = () if h is None else [h.payload] if type(h) is GMsg else [l for l, _ in h.branches]
+        return list(zip(args, self.succ[n]))
 
 
 def global_graph(g: GlobalT) -> GlobalGraph:
-    init, edges, states, _ = explore(
-        g, lambda n, u: [(None, c) for c in head_conts(u)], alpha_canon)
-    return GlobalGraph(init, [[m for _, m in out] for out in edges], states)
+    """The graph of G; each node's head is unfolded here, once."""
+    heads: dict = {}
+
+    def expand(n: int, u: GlobalT):
+        h = unfold(u)
+        heads[n] = h if type(h) in (GMsg, GChoice) else None
+        return [(None, c) for c in children(h)]
+
+    init, edges, states, _ = explore(g, expand, alpha_canon)
+    return GlobalGraph(init, [[m for _, m in out] for out in edges], states,
+                       [heads[n] for n in range(len(states))])
 
 
 def sccs(nodes: list[int], succ: dict[int, list[int]]) -> list[list[int]]:
@@ -401,7 +406,7 @@ def reaching(gg: GlobalGraph, p: str) -> set[int]:
     for u, out in enumerate(gg.succ):
         for v in out:
             preds[v].append(u)
-    found = {u for u, node in enumerate(gg.nodes) if involves(node, p)}
+    found = {u for u in range(gg.node_count()) if gg.acts(u, p)}
     stack = list(found)
     while stack:
         for w in preds[stack.pop()]:
@@ -416,18 +421,20 @@ def is_balanced(g: GlobalT) -> bool:
     cycle of nodes not involving p from which a p-involving node is still
     reachable.  Per-participant backward reachability plus an SCC search for
     a cycle among the candidates, O(|G|^2) overall."""
-    return _balanced(global_graph(g), participants(g))
+    return _balanced(global_graph(g), participants(g)) is not None
 
 
-def _balanced(gg: GlobalGraph, pts) -> bool:
+def _balanced(gg: GlobalGraph, pts) -> dict[str, set[int]] | None:
     """is_balanced on the global graph `gg` of a type with participants
-    `pts`."""
+    `pts`: None if unbalanced, else `reaching(gg, p)` for each p in `pts`."""
+    live = {}
     for p in sorted(pts):
-        candidates = {u for u in reaching(gg, p) if not involves(gg.nodes[u], p)}
+        live[p] = reaching(gg, p)
+        candidates = {u for u in live[p] if not gg.acts(u, p)}
         sub = {u: [v for v in gg.succ[u] if v in candidates] for u in candidates}
         if any(len(c) > 1 or c[0] in sub[c[0]] for c in sccs(sorted(candidates), sub)):
-            return False
-    return True
+            return None
+    return live
 
 
 # ---------------------------------------------------------------------------
@@ -435,26 +442,27 @@ def _balanced(gg: GlobalGraph, pts) -> bool:
 
 
 def dot_type_graph(g: TypeGraph, title: str = "typegraph") -> str:
-    lines = [f'digraph "{title}" {{', "  rankdir=LR;"]
-    for n in range(len(g.edges)):
-        shape = "doublecircle" if n == g.skip else "box"
-        style = ' style=bold' if n == g.init else ""
-        lines.append(f'  n{n} [shape={shape}{style} label="{_esc(g.label(n))}"];')
-    for n, out in enumerate(g.edges):
-        for a, m in out:
-            lines.append(f'  n{n} -> n{m} [label="{_esc(str(a))}"];')
-    lines.append("}")
-    return "\n".join(lines)
+    shapes = ["doublecircle" if n == g.skip else "box" for n in range(len(g.edges))]
+    return dot_text(title, g.init, [(f"shape={s}", g.label(n)) for n, s in enumerate(shapes)],
+                    [(n, m, str(a)) for n, out in enumerate(g.edges) for a, m in out])
 
 
 def dot_global_graph(gg: GlobalGraph, title: str = "globalgraph") -> str:
+    """One box per node, showing its head `p->q` or `end`; each edge shows
+    its label, or its message's sort as `(S)`."""
+    nodes = [("shape=box", "end" if h is None else f"{h.frm}->{h.to}") for h in gg.heads]
+    edges = [(n, m, f"({show_sort(a)})" if type(h) is GMsg else a)
+             for n, h in enumerate(gg.heads) for a, m in gg.arcs(n)]
+    return dot_text(title, gg.init, nodes, edges)
+
+
+def dot_text(title: str, init: int | None, nodes, edges) -> str:
+    """The one DOT writer: (attributes, label) `nodes`, node `init` in bold,
+    and (source, target, label) `edges`."""
     lines = [f'digraph "{title}" {{', "  rankdir=LR;"]
-    for n, node in enumerate(gg.nodes):
-        style = ' style=bold' if n == gg.init else ""
-        lines.append(f'  n{n} [shape=box{style} label="{_esc(show_global(node))}"];')
-    for n, targets in enumerate(gg.succ):
-        for m in targets:
-            lines.append(f"  n{n} -> n{m};")
+    for n, (attrs, label) in enumerate(nodes):
+        lines.append(f'  n{n} [{attrs}{" style=bold" if n == init else ""} label="{_esc(label)}"];')
+    lines += [f'  n{n} -> n{m} [label="{_esc(label)}"];' for n, m, label in edges]
     lines.append("}")
     return "\n".join(lines)
 

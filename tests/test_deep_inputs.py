@@ -15,7 +15,7 @@ from mpstk.printer import show
 from mpstk.projection import project_inductive, project_subset, project_tirore
 from mpstk.semantics import explore_session
 from mpstk.subtyping import subtype_inductive, subtype_sim
-from mpstk.typegraph import global_graph, graph_text, graph_to_type, local_graph
+from mpstk.typegraph import dot_global_graph, global_graph, graph_text, graph_to_type, local_graph
 
 D = 5_000
 
@@ -64,7 +64,11 @@ def test_graphs_and_subtyping():
     g = local_graph(t)
     assert g.node_count() == D + 2
     assert graph_to_type(g) is t and graph_text(g, g.init) == LOCAL
-    assert global_graph(parsed("global", GLOBAL)).node_count() == D + 1
+    gg = global_graph(parsed("global", GLOBAL))
+    assert gg.node_count() == D + 1
+    # linear: one short line per node and per edge, not the node's subformula
+    dot = dot_global_graph(gg).splitlines()
+    assert len(dot) == 3 + (D + 1) + D and sum(map(len, dot)) <= 40 * len(dot)
     assert subtype_sim(t, t).result and subtype_inductive(t, t).result
 
 

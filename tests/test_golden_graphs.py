@@ -6,13 +6,15 @@ lands, edge order, node descriptions and DOT text.  A refactor of the graph
 builders that keeps the graphs isomorphic but renumbers them fails here.
 """
 
+from mpstk.ast import INT, unfold
 from mpstk.inference import gen_lcm_process, infer
 from mpstk.parse import parse
 from mpstk.projection import gen_lowerbound_family, project_subset
-from mpstk.typegraph import dot_type_graph, global_graph, local_graph
+from mpstk.typegraph import dot_global_graph, dot_type_graph, global_graph, local_graph
 
 T1 = "rec t. p!(int); q&{a: t, b: rec u. q?(bool); r+{x: u, y: end}}"
 T2 = "rec t. p+{l1: rec s. p?(nat); s, l2: q!(int); t, l3: end}"
+G1 = "rec t. p->q{a: q->r(int); t, b: r->p{c: end, d: t}}"
 
 
 def _edges(g):
@@ -63,9 +65,36 @@ def test_local_graph_structure():
 
 
 def test_global_graph_structure():
-    gg = global_graph(parse("global", "rec t. p->q{a: q->r(int); t, b: r->p{c: end, d: t}}"))
+    gg = global_graph(parse("global", G1))
     assert gg.init == 0
     assert gg.succ == [[1, 2], [0], [3, 0], []]
+    # each head is the node's unfolded subformula, None for end
+    assert gg.heads == [
+        unfold(parse("global", G1)),
+        parse("global", f"q->r(int); {G1}"),
+        parse("global", f"r->p{{c: end, d: {G1}}}"),
+        None,
+    ]
+    assert [gg.arcs(n) for n in range(gg.node_count())] == [
+        [("a", 1), ("b", 2)], [(INT, 0)], [("c", 3), ("d", 0)], [],
+    ]
+
+
+def test_dot_global_graph_text():
+    assert dot_global_graph(global_graph(parse("global", G1)), "g1") == "\n".join([
+        'digraph "g1" {',
+        "  rankdir=LR;",
+        '  n0 [shape=box style=bold label="p->q"];',
+        '  n1 [shape=box label="q->r"];',
+        '  n2 [shape=box label="r->p"];',
+        '  n3 [shape=box label="end"];',
+        '  n0 -> n1 [label="a"];',
+        '  n0 -> n2 [label="b"];',
+        '  n1 -> n0 [label="(int)"];',
+        '  n2 -> n3 [label="c"];',
+        '  n2 -> n0 [label="d"];',
+        "}",
+    ])
 
 
 def test_subset_projection_structure():

@@ -6,13 +6,13 @@ import pytest
 
 from conftest import balanced_globals, rand_global, rand_local, rand_process, rand_qbf
 
-from mpstk.ast import BOOL, INT, GMsg, GEnd, TEnd, is_closed, participants, size, unfold
+from mpstk.ast import BOOL, INT, GChoice, GMsg, GEnd, TEnd, is_closed, participants, size, unfold
 from mpstk.parse import parse
 from mpstk.printer import show, show_local
 from mpstk.subtyping import graph_equiv
 from mpstk.typegraph import (
     Action, BRA, ENDK, IN, OUT, SEL, MalformedGraph, TypeGraph,
-    _extract_type, dot_type_graph, global_graph, graph_text, graph_to_type, involves,
+    _extract_type, dot_type_graph, global_graph, graph_text, graph_to_type,
     is_balanced, local_graph, text_rows, validate_type_graph,
 )
 
@@ -201,6 +201,13 @@ def test_balanced_fixtures():
     assert is_balanced(GMsg("p", "q", INT, GEnd()))
     g_if = parse("global", "rec t. q->r{l1: r->p{l1: t}, l2: r->p{l2: end}}")
     assert is_balanced(g_if)
+
+
+def involves(g, p) -> bool:
+    """Whether p takes part in the head of the global type g, read off the
+    AST, independently of the heads the global graph stores."""
+    h = unfold(g)
+    return isinstance(h, (GMsg, GChoice)) and p in (h.frm, h.to)
 
 
 def oracle_balanced(g) -> bool:
