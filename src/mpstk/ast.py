@@ -11,7 +11,7 @@ enforces one invariant once per node, when it is made: the labels of a
 selection, branching or choice, and the participants of a session or
 typing context, are non-empty, sorted and distinct (`branches` sorts
 them), and a message or choice has two distinct participants.  Process
-branchings keep the order of their text.
+branchings keep the order of their text, with distinct labels.
 
 `CHILDREN` names the child fields of each class, and is the only place
 that does.  `fold` is the one walk over ASTs: a post-order fold with an
@@ -353,7 +353,7 @@ def typing_context(pairs) -> TypingContext:
 
 # class -> (what its names are, the error when it has none)
 _LABELS = ("labels", "empty branch set")
-_CHECKED.update({GMsg: None, TSel: _LABELS, TBra: _LABELS, GChoice: _LABELS,
+_CHECKED.update({GMsg: None, PBra: None, TSel: _LABELS, TBra: _LABELS, GChoice: _LABELS,
                  Session: ("participants", "empty session"),
                  TypingContext: ("participants", "empty typing context")})
 
@@ -364,6 +364,11 @@ def _check(cls, args) -> None:
     if (cls is GMsg or cls is GChoice) and args[0] == args[1]:
         raise SessionTypeError(f"self-communication {args[0]}->{args[1]}")
     if cls is GMsg:
+        return
+    if cls is PBra:  # text order stays: distinct labels only
+        names = [n for n, _ in args[-1]]
+        if len(set(names)) < len(names):
+            raise SessionTypeError(f"duplicate labels {names}")
         return
     what, empty = _CHECKED[cls]
     pairs = args[-1]

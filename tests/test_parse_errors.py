@@ -57,6 +57,7 @@ FIXED = [
     ("process", "1"),
     ("process", "if true 0 else 0"),
     ("process", "if true then 0 0"),
+    ("process", "q&{l: 0, l: q!<1>; 0}"),
     ("session", "p::0 | p::0"),
     ("session", "p:0"),
     ("context", "p: end, p: end"),
