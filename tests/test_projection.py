@@ -2,6 +2,7 @@
 
 import random
 import time
+from functools import cache
 
 import pytest
 
@@ -9,8 +10,9 @@ from conftest import balanced_globals, mutate_local, rand_global, rand_local
 
 from mpstk.ast import (
     GChoice, GEnd, GMsg, INT, SessionTypeError, TBra, TEnd, TSel, TVar, TRec,
-    fold, is_closed, participants, size,
+    fold, is_closed, participants, size, unfold,
 )
+from mpstk.context import ContextLTS, Label
 from mpstk.parse import parse
 from mpstk.printer import show
 from mpstk.projection import (
@@ -222,6 +224,23 @@ def test_subset_not_balanced():
         assert str(e.value) == f"global type is not balanced: {src}"
 
 
+def test_subset_computes_reaching_once_per_participant(monkeypatch):
+    import mpstk.projection
+    import mpstk.typegraph
+
+    calls = []
+
+    def spy(gg, p, real=mpstk.typegraph.reaching):
+        calls.append(p)
+        return real(gg, p)
+
+    for module in (mpstk.typegraph, mpstk.projection):
+        monkeypatch.setattr(module, "reaching", spy)
+    g = parse("global", "rec t. p->q{a: q->r(int); t, b: q->r(int); r->p(int); end}")
+    assert graph_equiv(project_subset(g, "q"), project_inductive(g, "q", FULL))
+    assert sorted(calls) == ["p", "q", "r"]
+
+
 def test_subset_mixed_heads_names_the_state():
     g = parse("global", "q->r{l1: p->q(int); end, l2: q->p(int); end}")
     with pytest.raises(ProjUndefined) as e:
@@ -404,14 +423,13 @@ def test_tbc_agrees_with_plain_where_plain_is_defined(rng):
     assert checked >= 50
 
 
-def test_projected_contexts_are_safe_df_and_live():
-    """Contexts associated with a global type are safe, deadlock-free and
-    live (Scalas & Yoshida, POPL 2019): Δ = {p: G↾p}, for every kind whose
-    projection is defined onto every participant."""
+@cache
+def _projected_contexts():
+    """(G, kind, Δ_G) for 600 balanced globals and every kind whose
+    projection is defined onto every participant: Δ_G = {p: G↾p}."""
     from mpstk.ast import typing_context
-    from mpstk.context import CHECKERS
 
-    checked, bad = 0, []
+    out = []
     for g in balanced_globals(random.Random(11), 600, 10):
         pts = sorted(participants(g))
         for kind in KINDS if pts else ():
@@ -419,13 +437,86 @@ def test_projected_contexts_are_safe_df_and_live():
                 proj = {p: project(g, p, kind) for p in pts}
             except ProjUndefined:
                 continue
-            ctx = typing_context((p, graph_to_type(t) if kind == "subset" else t)
-                                 for p, t in proj.items())
-            bad += [(show(g), kind, prop) for prop, check in CHECKERS.items()
-                    if not check(ctx).holds]
-            checked += 1
-    assert checked >= 1000
+            out.append((g, kind, typing_context(
+                (p, graph_to_type(t) if kind == "subset" else t) for p, t in proj.items())))
+    return out
+
+
+def test_projected_contexts_are_safe_df_and_live():
+    """Contexts associated with a global type are safe, deadlock-free and
+    live (Scalas & Yoshida, POPL 2019): Δ = {p: G↾p}, for every kind whose
+    projection is defined onto every participant."""
+    from mpstk.context import CHECKERS
+
+    contexts = _projected_contexts()
+    bad = [(show(g), kind, prop) for g, kind, ctx in contexts
+           for prop, check in CHECKERS.items() if not check(ctx).holds]
+    assert len(contexts) >= 1000
     assert not bad, f"{len(bad)} failed checks, first {bad[0]}"
+
+
+def _global_steps(g, blocked=frozenset(), above=frozenset()) -> dict:
+    """The oracle's LTS of a global type, {context.Label: residual}: the
+    head's own steps, and a step under a prefix whose participants it does
+    not share, taken in every branch (Deniélou & Yoshida, ICALP 2013).
+    Only steps avoiding the participants `blocked` of the prefixes above are
+    kept; `above` holds their heads, so a loop that never reaches a step
+    ends the search down its branch."""
+    h = unfold(g)
+    if type(h) is GEnd or h in above:
+        return {}
+    pair = {h.frm, h.to}
+    if type(h) is GMsg:
+        kids, own = [h.cont], {Label("comm", h.frm, h.to): h.cont}
+    else:
+        kids = [b for _, b in h.branches]
+        own = {Label("choice", h.frm, h.to, l): b for l, b in h.branches}
+    if pair & blocked:
+        own = {}
+    below = [_global_steps(k, blocked | pair, above | {h}) for k in kids]
+    for lab in set(below[0]).intersection(*below[1:]):
+        res = [b[lab] for b in below]
+        own[lab] = (GMsg(h.frm, h.to, h.payload, res[0]) if type(h) is GMsg else
+                    GChoice(h.frm, h.to, tuple(zip([l for l, _ in h.branches], res))))
+    return own
+
+
+def _follows(g, ctx, depth: int = 10) -> str | None:
+    """A bisimulation between G's LTS and Δ_G's, bounded by `depth` steps
+    (G's residuals can grow without bound): None, or where they differ.
+    Both LTSs are deterministic per label, so the pairs are walked breadth
+    first, comparing their enabled labels; where G has ended, every
+    participant must have ended too."""
+    lts = ContextLTS(ctx)
+    level = [(g, lts.init)]
+    seen = set(level)
+    for _ in range(depth + 1):
+        nxt = []
+        for g, s in level:
+            gs, cs = _global_steps(g), dict(lts.sync_steps(s))
+            if gs.keys() != cs.keys():
+                return (f"{show(g)} takes {sorted(map(str, gs))},"
+                        f" {lts.show_state(s)} {sorted(map(str, cs))}")
+            if type(unfold(g)) is GEnd and not lts.all_end(s):
+                return f"{show(g)} has ended, {lts.show_state(s)} has not"
+            for lab, g2 in gs.items():
+                if (g2, cs[lab]) not in seen:
+                    seen.add((g2, cs[lab]))
+                    nxt.append((g2, cs[lab]))
+        level = nxt
+    return None
+
+
+def test_projected_contexts_follow_their_global_type():
+    """Fidelity: Δ_G takes exactly the steps G takes, to depth 10, for every
+    kind of projection (and the oracle's own LTS on a fixed G)."""
+    g = parse("global", "rec t. p->q(int); r->s{a: t}")
+    assert [str(l) for l in _global_steps(g)] in (["pq", "rs:a"], ["rs:a", "pq"])
+    assert show(_global_steps(g)[Label("choice", "r", "s", "a")]) == f"p->q(int); {show(g)}"
+    contexts = _projected_contexts()
+    assert {kind for _, kind, _ in contexts} == set(KINDS)
+    bad = [b for b in ((show(g), kind, _follows(g, ctx)) for g, kind, ctx in contexts) if b[2]]
+    assert not bad, f"{len(bad)} contexts differ from G, first {bad[0]}"
 
 
 def test_association_wrong_domain():
