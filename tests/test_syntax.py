@@ -62,11 +62,17 @@ def test_parse_rejects_duplicate_labels():
     (lambda: Session((("q", INACT), ("p", INACT))), "participants out of order ['q', 'p']"),
     (lambda: TypingContext((("p", END), ("p", END))), "duplicate participants ['p', 'p']"),
     (lambda: TypingContext(()), "empty typing context"),
+    (lambda: PBra("q", (("l", INACT), ("m", INACT), ("l", INACT))),
+     "duplicate labels ['l', 'm', 'l']"),
 ])
 def test_raw_construction_keeps_the_invariant(make, text):
     with pytest.raises(SessionTypeError) as e:
         make()
     assert str(e.value) == text
+
+
+def test_process_branchings_keep_text_order():
+    assert [l for l, _ in PBra("q", (("m", INACT), ("l", INACT))).branches] == ["m", "l"]
 
 
 def test_invariant_is_checked_once_per_new_node(monkeypatch):
