@@ -495,13 +495,13 @@ def project_subset(g: GlobalT, p: str, budget: int = 1_000_000) -> TypeGraph:
     """
     gg = global_graph(g)
     pts = participants(g)
-    live = _balanced(gg, pts)
-    if live is None:
+    reach = _balanced(gg, pts)
+    if reach is None:
         raise NotBalanced(f"global type is not balanced: {show_global(g)}")
     if p not in pts:
         raise ProjUndefined(p, "participant does not occur in the global type")
     views = _views(gg, p)
-    live = live[p]  # nodes where p still takes part
+    live = reach[p]  # nodes where p still takes part
 
     def describe(s: frozenset[int]) -> str:
         return "{" + ", ".join(show_global(gg.nodes[u]) for u in sorted(s)) + "}"

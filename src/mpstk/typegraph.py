@@ -2,13 +2,17 @@
 
 A local type graph has one node per (alpha-canonical) subformula reachable
 from the root, a single shared Skip sink, and action-labelled edges obtained
-by unfolding each node's head.  Node ids are dense ints so the product
-constructions elsewhere can work on int pairs.
+by unfolding each node's head.  A global type graph has one node per
+reachable subformula too, and keeps each node's unfolded head, so its
+readers (balance, `reaching`, projection, DOT) never unfold a global type
+again.  Node ids are dense ints so the product constructions elsewhere can
+work on int pairs.
 
 `explore` is the single graph builder: local and global type graphs, the
 subset projection's closure states and the minimum type graph's variable
 sets are all interned through it.  `sccs` is the single strongly-connected
 component routine, used for the balance check and for liveness.
+`dot_text` is the one DOT writer, for type, global and context graphs.
 """
 
 from __future__ import annotations
@@ -427,14 +431,14 @@ def is_balanced(g: GlobalT) -> bool:
 def _balanced(gg: GlobalGraph, pts) -> dict[str, set[int]] | None:
     """is_balanced on the global graph `gg` of a type with participants
     `pts`: None if unbalanced, else `reaching(gg, p)` for each p in `pts`."""
-    live = {}
+    reach = {}
     for p in sorted(pts):
-        live[p] = reaching(gg, p)
-        candidates = {u for u in live[p] if not gg.acts(u, p)}
+        reach[p] = reaching(gg, p)
+        candidates = {u for u in reach[p] if not gg.acts(u, p)}
         sub = {u: [v for v in gg.succ[u] if v in candidates] for u in candidates}
         if any(len(c) > 1 or c[0] in sub[c[0]] for c in sccs(sorted(candidates), sub)):
             return None
-    return live
+    return reach
 
 
 # ---------------------------------------------------------------------------

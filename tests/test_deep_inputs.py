@@ -66,7 +66,7 @@ def test_graphs_and_subtyping():
     assert graph_to_type(g) is t and graph_text(g, g.init) == LOCAL
     gg = global_graph(parsed("global", GLOBAL))
     assert gg.node_count() == D + 1
-    # linear: one short line per node and per edge, not the node's subformula
+    # linear in the graph: one short line per node and per edge
     dot = dot_global_graph(gg).splitlines()
     assert len(dot) == 3 + (D + 1) + D and sum(map(len, dot)) <= 40 * len(dot)
     assert subtype_sim(t, t).result and subtype_inductive(t, t).result
