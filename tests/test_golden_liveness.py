@@ -7,9 +7,9 @@ fair-cycle refinement and pin the checker: a change to the liveness search
 that keeps the verdicts but starves a different barb, picks another
 component or member, or walks the cycle in another order fails here.  The
 safety and deadlock-freedom digest was captured from the context LTS that
-re-derived each participant's head per state, and the rendering digest
-(trace text and DOT) from the LTS that built and printed a local type per
-(participant, node).  The inputs are seeded, so the digests are the same
+re-derived each participant's head per state, and the rendering digests
+(one for trace text, one for DOT) from the LTS that built and printed a
+local type per (participant, node).  The inputs are seeded, so the digests are the same
 under any PYTHONHASHSEED.
 """
 
@@ -35,7 +35,7 @@ from mpstk.typegraph import sccs
 def contexts():
     """100 live QBF gadgets, the non-None contexts of 1,500 random draws,
     and the full projections of 200 balanced globals (where defined); built
-    once for the three digests."""
+    once for the four digests."""
     rng = random.Random(7)
     out = []
     for _ in range(100):
@@ -229,29 +229,31 @@ def test_liveness_shares_labels_and_starting_sets(monkeypatch):
     assert set(refined.values()) == {1} and len(refined) == len(starts) < len(barbs)
 
 
-def _rendering_digest(contexts):
-    """sha256 over every `Trace.rendered()` string of the safety, df and
-    live verdicts on the corpus, and the DOT of the reachable graph, with
-    the trace's states highlighted, for every 10th context."""
-    h = hashlib.sha256()
+def _rendering_digests(contexts):
+    """Two sha256 digests: one over every `Trace.rendered()` string of the
+    safety, df and live verdicts on the corpus, and one over the DOT of the
+    reachable graph, with the trace's states highlighted, for every 10th
+    context."""
+    traces, dots = hashlib.sha256(), hashlib.sha256()
     for k, ctx in enumerate(contexts):
         for prop, check in context.CHECKERS.items():
             v = check(ctx)
             marked = set()
             if v.trace is not None:
-                h.update(f"{k} {prop}\n".encode())
+                traces.update(f"{k} {prop}\n".encode())
                 for text in v.trace.rendered():
-                    h.update(f"{text}\n".encode())
+                    traces.update(f"{text}\n".encode())
                 marked = set(v.trace.states())
             if k % 10 == 0:
-                h.update(context.dot_context_graph(v.graph, marked).encode())
-    return h.hexdigest()
+                dots.update(context.dot_context_graph(v.graph, marked).encode())
+    return traces.hexdigest(), dots.hexdigest()
 
 
-RENDERING_SHA256 = "1812bc3575b71ac9f0d1c0ffa2bb23b2e9dd0b4207daa402f60568be56fc6e36"
+TRACES_SHA256 = "5d840933003689f8d14f1aeef7ae4ca18595b8c593912a9b860e592e2bc31399"
+DOT_SHA256 = "4cdfc69bc230f15840f72bc04439387c7fe74056c679bf1ffe2a1066bddd618f"
 
 
 def test_rendered_traces_and_dot_are_exact(contexts):
-    """Traces and DOT text as the context LTS printed them when it built
-    and printed a local type per (participant, node)."""
-    assert _rendering_digest(contexts) == RENDERING_SHA256
+    """Traces and DOT text, each pinned by its own digest, so a change to
+    one shows that the other did not move."""
+    assert _rendering_digests(contexts) == (TRACES_SHA256, DOT_SHA256)
