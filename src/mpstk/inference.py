@@ -336,8 +336,7 @@ class MinGraphBuilder:
 
         init, edges, states, skip = explore(start, expand, budget=budget)
         sets = [frozenset() if s is None else s for s in states]
-        desc = ["Skip" if s is None else "{" + ", ".join(sorted(s)) + "}" for s in states]
-        return MinGraph(TypeGraph(init, edges, skip, desc), sets, eqs)
+        return MinGraph(TypeGraph(init, edges, skip, states), sets, eqs)
 
 
 def build_min_graph(tr_constraints: list, root: str, budget: int = 1_000_000) -> MinGraph:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from functools import partial
 
 from .ast import (
     GChoice, GEnd, GMsg, GRec, GVar, GlobalT,
@@ -534,8 +533,7 @@ def project_subset(g: GlobalT, p: str, budget: int = 1_000_000) -> TypeGraph:
 
     init, edges, states, skip = explore(p_closure(gg, frozenset([gg.init]), views), expand,
                                         budget=budget)
-    graph = TypeGraph(init, edges, skip,
-                      ["Skip" if s is None else partial(describe, s) for s in states])
+    graph = TypeGraph(init, edges, skip, states)
     try:
         validate_type_graph(graph)
     except SessionTypeError as e:

@@ -57,9 +57,8 @@ class MalformedGraph(SessionTypeError):
 @dataclass
 class TypeGraph:
     """Deterministic local type graph.  `edges[n]` lists (Action, target);
-    `skip` is the unique sink for end actions; `desc[n]` describes node n
-    (an AST node, a string, or a function giving the string), rendered
-    lazily by `label`."""
+    `skip` is the unique sink for end actions; `desc[n]` is the state that
+    `explore` interned as node n (None for Skip), rendered by `label`."""
 
     init: int
     edges: list[list[tuple[Action, int]]]
@@ -70,9 +69,11 @@ class TypeGraph:
         if n >= len(self.desc):
             return str(n)
         d = self.desc[n]
-        if isinstance(d, str):
-            return d
-        return d() if callable(d) else show_local(d)
+        if d is None:
+            return "Skip"
+        if isinstance(d, frozenset):
+            return "{" + ", ".join(map(str, sorted(d))) + "}"
+        return show_local(d)
 
     def node_count(self) -> int:
         return len(self.edges)
@@ -192,7 +193,7 @@ def local_graph(t: LocalT) -> TypeGraph:
     """G(T): the graph reachable from T by the transition rules.  Nodes are
     interned by alpha-canonical form, so |nodes| <= |Sub(T)| <= |T|."""
     init, edges, states, skip = explore(t, lambda n, u: head_actions(u), alpha_canon)
-    return TypeGraph(init, edges, skip, ["Skip" if u is None else u for u in states])
+    return TypeGraph(init, edges, skip, states)
 
 
 def graph_to_type(g: TypeGraph, root: int | None = None) -> LocalT:

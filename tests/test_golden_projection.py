@@ -61,7 +61,7 @@ def _record(g):
             for p in sorted(participants(g)) + [ABSENT]]
 
 
-PROJECTION_SHA256 = "26a6ac9596992ebbe35a7e3858632e2681fb6d12263370eb69541be83c3e4766"
+PROJECTION_SHA256 = "a62c1762d9611fba71df5cb28ae876d0f5020c3c7ae97483e03d95f253367516"
 
 
 def test_projection_dump_is_exact():
