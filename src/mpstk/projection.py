@@ -502,8 +502,8 @@ def project_subset(g: GlobalT, p: str, budget: int = 1_000_000) -> TypeGraph:
     views = _views(gg, p)
     live = reach[p]  # nodes where p still takes part
 
-    def describe(s: frozenset[int]) -> str:
-        return "{" + ", ".join(show_global(gg.nodes[u]) for u in sorted(s)) + "}"
+    def describe(s: frozenset[int]) -> str:  # " | " occurs in no global type
+        return "{" + " | ".join(show_global(gg.nodes[u]) for u in sorted(s)) + "}"
 
     def expand(n: int, s: frozenset[int]):
         inv = [views[u] for u in s if views[u] is not None]

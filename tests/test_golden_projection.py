@@ -61,7 +61,7 @@ def _record(g):
             for p in sorted(participants(g)) + [ABSENT]]
 
 
-PROJECTION_SHA256 = "a62c1762d9611fba71df5cb28ae876d0f5020c3c7ae97483e03d95f253367516"
+PROJECTION_SHA256 = "cd6c54ec2f4edda1a3c50c158c1a7d58b3b808ccc4746fbdee65cc69fa6a9363"
 
 
 def test_projection_dump_is_exact():

@@ -247,48 +247,48 @@ def test_subset_mixed_heads_names_the_state():
         project_subset(g, "p")
     assert e.value.reason == "mixed message heads"
     assert e.value.where == (
-        "{q->r{l1: p->q(int); end, l2: q->p(int); end}, p->q(int); end, q->p(int); end}")
+        "{q->r{l1: p->q(int); end, l2: q->p(int); end} | p->q(int); end | q->p(int); end}")
 
 
 # Every error the Tirore check and the subset construction can raise, with
 # its exact text and place, on globals projected onto p ("z" does not occur).
 ERROR_TEXTS = [
     ("r->s{a: p->q{l1: end, l2: end}, b: p->q{l1: end}}", "subset", "p",
-     "selection label sets differ at {r->s{a: p->q{l1: end, l2: end}, b: p->q{l1: end}},"
-     " p->q{l1: end, l2: end}, p->q{l1: end}}"),
+     "selection label sets differ at {r->s{a: p->q{l1: end, l2: end}, b: p->q{l1: end}}"
+     " | p->q{l1: end, l2: end} | p->q{l1: end}}"),
     ("r->s{a: p->q{l1: end, l2: end}, b: p->q{l1: end}}", "tbc", "p",
      "label sets differ (['l1'] vs ['l1', 'l2']) at p->q{l1: end}"),
     ("r->s{a: q->p{l1: end, l2: end}, b: q->p{l1: end}}", "tbc", "p",
      "label sets differ (['l1'] vs ['l1', 'l2']) at q->p{l1: end}"),
     ("r->s{a: p->q(int); end, b: p->q(bool); end}", "subset", "p",
-     "mixed message heads at {r->s{a: p->q(int); end, b: p->q(bool); end},"
-     " p->q(int); end, p->q(bool); end}"),
+     "mixed message heads at {r->s{a: p->q(int); end, b: p->q(bool); end}"
+     " | p->q(int); end | p->q(bool); end}"),
     ("r->s{a: p->q(int); end, b: p->q(bool); end}", "tbc", "p",
      "head mismatch, wanted !q(bool) at p->q(bool); end"),
     ("r->s{a: p->q(int); end, b: q->p(int); end}", "subset", "p",
-     "mixed message heads at {r->s{a: p->q(int); end, b: q->p(int); end},"
-     " p->q(int); end, q->p(int); end}"),
+     "mixed message heads at {r->s{a: p->q(int); end, b: q->p(int); end}"
+     " | p->q(int); end | q->p(int); end}"),
     ("r->s{a: p->q(int); end, b: q->p(int); end}", "tbc", "p",
      "head mismatch, wanted ?q(int) at q->p(int); end"),
     ("r->s{a: p->q(int); end, b: p->r(int); end}", "subset", "p",
-     "mixed message heads at {r->s{a: p->q(int); end, b: p->r(int); end},"
-     " p->q(int); end, p->r(int); end}"),
+     "mixed message heads at {r->s{a: p->q(int); end, b: p->r(int); end}"
+     " | p->q(int); end | p->r(int); end}"),
     ("r->s{a: p->q{l1: end}, b: q->p{l1: end}}", "subset", "p",
-     "mixed choice heads at {r->s{a: p->q{l1: end}, b: q->p{l1: end}},"
-     " p->q{l1: end}, q->p{l1: end}}"),
+     "mixed choice heads at {r->s{a: p->q{l1: end}, b: q->p{l1: end}}"
+     " | p->q{l1: end} | q->p{l1: end}}"),
     ("r->s{a: p->q{l1: end}, b: q->p{l1: end}}", "tbc", "p",
      "label sets differ (['l1'] vs []) at q->p{l1: end}"),
     ("r->s{a: q->p{l1: end}, b: r->p{l1: end}}", "subset", "p",
-     "mixed choice heads at {r->s{a: q->p{l1: end}, b: r->p{l1: end}},"
-     " q->p{l1: end}, r->p{l1: end}}"),
+     "mixed choice heads at {r->s{a: q->p{l1: end}, b: r->p{l1: end}}"
+     " | q->p{l1: end} | r->p{l1: end}}"),
     ("r->s{a: p->q{l1: end}, b: p->q(int); end}", "subset", "p",
-     "mixed communication heads at {r->s{a: p->q{l1: end}, b: p->q(int); end},"
-     " p->q{l1: end}, p->q(int); end}"),
+     "mixed communication heads at {r->s{a: p->q{l1: end}, b: p->q(int); end}"
+     " | p->q{l1: end} | p->q(int); end}"),
     ("r->s{a: p->q{l1: end}, b: p->q(int); end}", "tbc", "p",
      "head mismatch, wanted !q(int) at p->q(int); end"),
     ("r->q{l1: end, l3: q->r{l1: end}, l4: r->p{l3: end}}", "subset", "p",
      "mixed end and communication heads at {r->q{l1: end, l3: q->r{l1: end},"
-     " l4: r->p{l3: end}}, end, q->r{l1: end}, r->p{l3: end}}"),
+     " l4: r->p{l3: end}} | end | q->r{l1: end} | r->p{l3: end}}"),
     ("r->s{a: p->q(int); end, b: end}", "tbc", "p",
      "participant absent but local type is not end at end"),
     ("rec t. q->r{l: t, l2: p->q(int); end}", "tbc", "p",
