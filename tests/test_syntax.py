@@ -435,5 +435,4 @@ def test_graph_nodes_are_subformulas(rng):
         subs = {alpha_canon(s) for s in subformulas(t)}
         # every non-Skip graph node is a subformula (up to alpha)
         for n in g.real_nodes():
-            reparsed = parse("local", g.label(n))
-            assert alpha_canon(reparsed) in subs
+            assert alpha_canon(g.desc[n]) in subs
