@@ -10,9 +10,12 @@ work on int pairs.
 
 `explore` is the single graph builder: local and global type graphs, the
 subset projection's closure states and the minimum type graph's variable
-sets are all interned through it.  `sccs` is the single strongly-connected
-component routine, used for the balance check and for liveness.
-`dot_text` is the one DOT writer, for type, global and context graphs.
+sets are all interned through it, and each builder keeps the interned
+states as they are.  `sccs` is the single strongly-connected component
+routine, used for the balance check and for liveness.  `dot_text` is the
+one DOT writer, for type, global and context graphs; a node's label is a
+set state's sorted members, else the node's head as `show_head` prints
+it, so DOT text is linear in the graph.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .ast import (
     TBra, TEnd, TIn, TOut, TRec, TSel, TVar, Done, Visit,
     alpha_canon, branches, children, fold, participants, unfold,
 )
-from .printer import show_local, show_sort
+from .printer import show_sort
 
 IN, OUT, SEL, BRA, ENDK = "in", "out", "sel", "bra", "end"
 
@@ -54,11 +57,23 @@ class MalformedGraph(SessionTypeError):
     pass
 
 
+def show_head(a: Action) -> str:
+    """The head of a node whose edges carry action `a`, as the printer shows
+    it: `p!(S)`, `p?(S)`, `p+`, `p&` or `end`."""
+    if a.kind == ENDK:
+        return "end"
+    if a.kind in (IN, OUT):
+        return f"{a.peer}{'?' if a.kind == IN else '!'}({show_sort(a.arg)})"
+    return f"{a.peer}{'+' if a.kind == SEL else '&'}"
+
+
 @dataclass
 class TypeGraph:
     """Deterministic local type graph.  `edges[n]` lists (Action, target);
     `skip` is the unique sink for end actions; `desc[n]` is the state that
-    `explore` interned as node n (None for Skip), rendered by `label`."""
+    `explore` interned as node n: a subformula for `local_graph`, a
+    frozenset of global-graph nodes for the subset projection, a frozenset
+    of type variables for the minimum type graph, and None for Skip."""
 
     init: int
     edges: list[list[tuple[Action, int]]]
@@ -66,14 +81,11 @@ class TypeGraph:
     desc: list = field(default_factory=list)
 
     def label(self, n: int) -> str:
-        if n >= len(self.desc):
-            return str(n)
-        d = self.desc[n]
-        if d is None:
-            return "Skip"
-        if isinstance(d, frozenset):
-            return "{" + ", ".join(map(str, sorted(d))) + "}"
-        return show_local(d)
+        """A set state's sorted members, else node n's head (`show_head`),
+        or Skip for the sink."""
+        if n < len(self.desc) and isinstance(self.desc[n], frozenset):
+            return "{" + ", ".join(map(str, sorted(self.desc[n]))) + "}"
+        return "Skip" if n == self.skip else show_head(self.edges[n][0][0])
 
     def node_count(self) -> int:
         return len(self.edges)
@@ -245,16 +257,16 @@ def text_rows(g: TypeGraph) -> list:
     for n in g.real_nodes():
         out = g.edges[n]
         a, m = out[0]
+        head = show_head(a)
         if a.kind == ENDK:
-            rows[n] = ("end", (), "", None)
+            rows[n] = (head, (), "", None)
         elif a.kind in (IN, OUT):
-            rows[n] = (f"{a.peer}{'?' if a.kind == IN else '!'}({show_sort(a.arg)}); ",
-                       (("", m),), "", None)
+            rows[n] = (head + "; ", (("", m),), "", None)
         else:
             order = sorted(range(len(out)), key=lambda k: out[k][0].arg)
             succ = tuple((f"{', ' if k != order[0] else ''}{b.arg}: ", t)
                          for k, (b, t) in enumerate(out))
-            rows[n] = (f"{a.peer}{'+' if a.kind == SEL else '&'}{{", succ, "}",
+            rows[n] = (head + "{", succ, "}",
                        None if order == sorted(order) else order)
     return rows
 

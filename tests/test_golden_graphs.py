@@ -2,13 +2,17 @@
 
 The values were captured from the implementation and pin it: node
 numbering (the order in which nodes are first seen), where the Skip sink
-lands, edge order, node descriptions and DOT text.  A refactor of the graph
-builders that keeps the graphs isomorphic but renumbers them fails here.
+lands, edge order, each node's state (`desc`) and label, and DOT text.  A
+local node's state is its subformula and its label its head; a subset or
+minimum-graph node's state is a set, labelled by its sorted members.  A
+refactor of the graph builders that keeps the graphs isomorphic but
+renumbers them fails here.
 """
 
 from mpstk.ast import INT, unfold
 from mpstk.inference import gen_lcm_process, infer
 from mpstk.parse import parse
+from mpstk.printer import show_local
 from mpstk.projection import gen_lowerbound_family, project_subset
 from mpstk.typegraph import dot_global_graph, dot_type_graph, global_graph, local_graph
 
@@ -25,6 +29,10 @@ def _labels(g):
     return [g.label(n) for n in range(g.node_count())]
 
 
+def _descs(g):
+    return [None if d is None else show_local(d) for d in g.desc]
+
+
 def test_local_graph_structure():
     g = local_graph(parse("local", T1))
     assert (g.init, g.skip) == (0, 5)
@@ -36,15 +44,17 @@ def test_local_graph_structure():
         [("end", 5)],
         [],
     ]
-    assert _labels(g) == [
+    # each node's state is its subformula; its label is the head
+    assert _descs(g) == [
         T1,
         "q&{a: rec t. p!(int); q&{a: t, b: rec u. q?(bool); r+{x: u, y: end}},"
         " b: rec u. q?(bool); r+{x: u, y: end}}",
         "rec u. q?(bool); r+{x: u, y: end}",
         "r+{x: rec u. q?(bool); r+{x: u, y: end}, y: end}",
         "end",
-        "Skip",
+        None,
     ]
+    assert _labels(g) == ["p!(int)", "q&", "q?(bool)", "r+", "end", "Skip"]
 
     g = local_graph(parse("local", T2))
     assert (g.init, g.skip) == (0, 4)
@@ -55,13 +65,8 @@ def test_local_graph_structure():
         [("end", 4)],
         [],
     ]
-    assert _labels(g) == [
-        T2,
-        "rec s. p?(nat); s",
-        f"q!(int); {T2}",
-        "end",
-        "Skip",
-    ]
+    assert _descs(g) == [T2, "rec s. p?(nat); s", f"q!(int); {T2}", "end", None]
+    assert _labels(g) == ["p+", "p?(nat)", "q!(int)", "end", "Skip"]
 
 
 def test_global_graph_structure():
@@ -151,11 +156,10 @@ def test_dot_type_graph_text():
     assert dot == "\n".join([
         'digraph "t1" {',
         "  rankdir=LR;",
-        f'  n0 [shape=box style=bold label="{T1}"];',
-        '  n1 [shape=box label="q&{a: rec t. p!(int); q&{a: t, b: rec u. q?(bool);'
-        ' r+{x: u, y: end}}, b: rec u. q?(bool); r+{x: u, y: end}}"];',
-        '  n2 [shape=box label="rec u. q?(bool); r+{x: u, y: end}"];',
-        '  n3 [shape=box label="r+{x: rec u. q?(bool); r+{x: u, y: end}, y: end}"];',
+        '  n0 [shape=box style=bold label="p!(int)"];',
+        '  n1 [shape=box label="q&"];',
+        '  n2 [shape=box label="q?(bool)"];',
+        '  n3 [shape=box label="r+"];',
         '  n4 [shape=box label="end"];',
         '  n5 [shape=doublecircle label="Skip"];',
         '  n0 -> n1 [label="!p(int)"];',
