@@ -360,19 +360,23 @@ def check_deadlock_freedom(ctx: TypingContext, budget: int = 1_000_000) -> Verdi
 
 def dot_context_graph(rg: ContextGraph, highlight: set[int] | None = None,
                       title: str = "contexts") -> str:
-    """DOT rendering of the reachable context graph; unsafe and stuck
-    states are coloured, `highlight` marks counterexample states by index."""
+    """DOT rendering of the reachable context graph.  A state shows each
+    participant's node label, as in `p: q!(int), q: p?(int)`; unsafe and
+    stuck states are coloured, `highlight` marks counterexample states by
+    index."""
     highlight = highlight or set()
+    lts = rg.lts
     nodes = []
     for i, s in enumerate(rg.states):
-        attrs = []
-        if not rg.lts.is_safe_state(s):
+        attrs = ["shape=box"]
+        if not lts.is_safe_state(s):
             attrs.append("color=red")
-        if not rg.edges[i] and not rg.lts.all_end(s):
+        if not rg.edges[i] and not lts.all_end(s):
             attrs.append("style=filled fillcolor=orange")
         elif i in highlight:
             attrs.append("style=filled fillcolor=lightblue")
-        nodes.append((f"shape=box {' '.join(attrs)}", rg.lts.show_state(s)))
+        nodes.append((" ".join(attrs), ", ".join(
+            f"{p}: {g.label(n)}" for p, g, n in zip(lts.participants, lts.graphs, s))))
     edges = [(i, j, str(lab)) for i, out in enumerate(rg.edges) for lab, j in out]
     return dot_text(title, None, nodes, edges)
 

@@ -250,7 +250,7 @@ def _rendering_digests(contexts):
 
 
 TRACES_SHA256 = "5d840933003689f8d14f1aeef7ae4ca18595b8c593912a9b860e592e2bc31399"
-DOT_SHA256 = "4cdfc69bc230f15840f72bc04439387c7fe74056c679bf1ffe2a1066bddd618f"
+DOT_SHA256 = "a548d5ee3f48f7c4579601740e41728764af4b7ad9f3dec806b51ab943576fb5"
 
 
 def test_rendered_traces_and_dot_are_exact(contexts):
