@@ -7,7 +7,7 @@ from functools import cache
 import pytest
 
 from mpstk.ast import alpha_canon, free_vars, size, subst, unfold
-from mpstk.context import CHECKERS
+from mpstk.context import CHECKERS, check_safety, dot_context_graph
 from mpstk.inference import infer
 from mpstk.parse import parse
 from mpstk.pipeline import synth_process
@@ -15,7 +15,9 @@ from mpstk.printer import show
 from mpstk.projection import project_inductive, project_subset, project_tirore
 from mpstk.semantics import explore_session
 from mpstk.subtyping import subtype_inductive, subtype_sim
-from mpstk.typegraph import dot_global_graph, global_graph, graph_text, graph_to_type, local_graph
+from mpstk.typegraph import (
+    dot_global_graph, dot_type_graph, global_graph, graph_text, graph_to_type, local_graph,
+)
 
 D = 5_000
 
@@ -80,6 +82,19 @@ def test_projections():
     assert project_tirore(g, "p") is want
     subset = project_subset(g, "p")
     assert graph_text(subset, subset.init) == show(want)
+
+
+def test_dot_is_linear():
+    """One short line per node and per edge: a node shows its head or its
+    set state, never its whole subformula or context."""
+    ctx = parsed("context", "p: " + "q!(int); " * D + "end, q: " + "p?(int); " * D + "end")
+    for dot, lines in [
+        (dot_type_graph(local_graph(parsed("local", LOCAL))), 3 + (D + 2) + (D + 1)),
+        (dot_type_graph(project_subset(parsed("global", GLOBAL), "p")), 3 + (D + 2) + (D + 1)),
+        (dot_context_graph(check_safety(ctx).graph), 3 + (D + 1) + D),
+    ]:
+        dot = dot.splitlines()
+        assert len(dot) == lines and max(map(len, dot)) <= 60
 
 
 def test_inference_and_synthesis():
