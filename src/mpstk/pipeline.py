@@ -94,6 +94,17 @@ def _timed(report: PipelineReport, name: str, fn):
     return out, ok
 
 
+def _minima(sess: Session, budget: int) -> dict[str, LocalT]:
+    """Each role's minimum type, in name order; the first untypable role raises."""
+    minima = {}
+    for p, q in sess.roles:
+        r = infer(q, budget)
+        if not r.typable:
+            raise Untypable(f"{p}: {r.failure}")
+        minima[p] = r.min_type
+    return minima
+
+
 def run_topdown(sess: Session, g, kind: str = "full", budget: int = 1_000_000) -> PipelineReport:
     """kind: one of projection.KINDS.  `budget` bounds the subset
     construction and each minimum type graph."""
@@ -118,17 +129,7 @@ def run_topdown(sess: Session, g, kind: str = "full", budget: int = 1_000_000) -
     if not ok:
         return report
 
-    minima: dict[str, LocalT] = {}
-
-    def infer_all():
-        for p in sorted(pts):
-            r = infer(roles[p], budget)
-            if not r.typable:
-                raise Untypable(f"{p}: {r.failure}")
-            minima[p] = r.min_type
-        return minima
-
-    _, ok = _timed(report, "inference", infer_all)
+    minima, ok = _timed(report, "inference", lambda: _minima(sess, budget))
     if not ok:
         return report
 
@@ -149,17 +150,7 @@ def run_topdown(sess: Session, g, kind: str = "full", budget: int = 1_000_000) -
 
 def run_bottomup(sess: Session, prop: str = "safety", budget: int = 1_000_000) -> PipelineReport:
     report = PipelineReport(accepted=False)
-    minima: dict[str, LocalT] = {}
-
-    def infer_all():
-        for p, q in sess.roles:
-            r = infer(q, budget)
-            if not r.typable:
-                raise Untypable(f"{p}: {r.failure}")
-            minima[p] = r.min_type
-        return minima
-
-    _, ok = _timed(report, "inference", infer_all)
+    minima, ok = _timed(report, "inference", lambda: _minima(sess, budget))
     if not ok:
         return report
 
