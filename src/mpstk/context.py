@@ -360,10 +360,9 @@ def check_deadlock_freedom(ctx: TypingContext, budget: int = 1_000_000) -> Verdi
 
 def dot_context_graph(rg: ContextGraph, highlight: set[int] | None = None,
                       title: str = "contexts") -> str:
-    """DOT rendering of the reachable context graph.  A state shows each
-    participant's node label, as in `p: q!(int), q: p?(int)`; unsafe and
-    stuck states are coloured, `highlight` marks counterexample states by
-    index."""
+    """DOT rendering of the reachable context graph, a state showing each
+    participant's node label (`p: q!(int), q: p?(int)`); unsafe and stuck
+    states are coloured, `highlight` marks counterexample states by index."""
     highlight = highlight or set()
     lts = rg.lts
     nodes = []

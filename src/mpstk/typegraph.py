@@ -10,12 +10,10 @@ work on int pairs.
 
 `explore` is the single graph builder: local and global type graphs, the
 subset projection's closure states and the minimum type graph's variable
-sets are all interned through it, and each builder keeps the interned
-states as they are.  `sccs` is the single strongly-connected component
-routine, used for the balance check and for liveness.  `dot_text` is the
-one DOT writer, for type, global and context graphs; a node's label is a
-set state's sorted members, else the node's head as `show_head` prints
-it, so DOT text is linear in the graph.
+sets are all interned through it, and kept as its nodes' states.  `sccs`
+is the single strongly-connected component routine, used for the balance
+check and for liveness.  `dot_text` is the one DOT writer, for type, global
+and context graphs; a node shows its `label`, so DOT is linear in the graph.
 """
 
 from __future__ import annotations
@@ -58,8 +56,7 @@ class MalformedGraph(SessionTypeError):
 
 
 def show_head(a: Action) -> str:
-    """The head of a node whose edges carry action `a`, as the printer shows
-    it: `p!(S)`, `p?(S)`, `p+`, `p&` or `end`."""
+    """A node's printed head, from its action `a`: p!(S), p?(S), p+, p& or end."""
     if a.kind == ENDK:
         return "end"
     if a.kind in (IN, OUT):
@@ -71,9 +68,8 @@ def show_head(a: Action) -> str:
 class TypeGraph:
     """Deterministic local type graph.  `edges[n]` lists (Action, target);
     `skip` is the unique sink for end actions; `desc[n]` is the state that
-    `explore` interned as node n: a subformula for `local_graph`, a
-    frozenset of global-graph nodes for the subset projection, a frozenset
-    of type variables for the minimum type graph, and None for Skip."""
+    `explore` interned as node n (None for Skip): a subformula, or a set of
+    global-graph nodes (subset) or of type variables (minimum graph)."""
 
     init: int
     edges: list[list[tuple[Action, int]]]
@@ -81,8 +77,7 @@ class TypeGraph:
     desc: list = field(default_factory=list)
 
     def label(self, n: int) -> str:
-        """A set state's sorted members, else node n's head (`show_head`),
-        or Skip for the sink."""
+        """A set state's sorted members, else node n's head, or Skip."""
         if n < len(self.desc) and isinstance(self.desc[n], frozenset):
             return "{" + ", ".join(map(str, sorted(self.desc[n]))) + "}"
         return "Skip" if n == self.skip else show_head(self.edges[n][0][0])
