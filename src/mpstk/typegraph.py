@@ -261,8 +261,7 @@ def text_rows(g: TypeGraph) -> list:
             order = sorted(range(len(out)), key=lambda k: out[k][0].arg)
             succ = tuple((f"{', ' if k != order[0] else ''}{b.arg}: ", t)
                          for k, (b, t) in enumerate(out))
-            rows[n] = (head + "{", succ, "}",
-                       None if order == sorted(order) else order)
+            rows[n] = (head + "{", succ, "}", None if order == sorted(order) else order)
     return rows
 
 
