@@ -274,8 +274,7 @@ def eliminate_transitive(constraints: list, root: str) -> tuple[list, str]:
 
 @dataclass
 class MinGraph:
-    graph: TypeGraph
-    node_sets: list[frozenset[str]]  # per node id; Skip gets frozenset()
+    graph: TypeGraph  # desc[n]: node n's set of type variables (None for Skip)
     sort_eqs: list[CSortEq]
 
 
@@ -335,8 +334,7 @@ class MinGraphBuilder:
                 yield Action(kind, peer, alpha if l is None else l), succ
 
         init, edges, states, skip = explore(start, expand, budget=budget)
-        sets = [frozenset() if s is None else s for s in states]
-        return MinGraph(TypeGraph(init, edges, skip, states), sets, eqs)
+        return MinGraph(TypeGraph(init, edges, skip, states), eqs)
 
 
 def build_min_graph(tr_constraints: list, root: str, budget: int = 1_000_000) -> MinGraph:

@@ -136,17 +136,17 @@ def test_min_graph_structure():
         [("&p l1", 6), ("&p l2", 6)],
         [("&p l1", 1)],
     ]
-    assert [sorted(s) for s in mg.node_sets] == [
+    assert [sorted(s) for s in mg.graph.desc] == [
         ["x1"], ["x3", "x8"], ["x4", "x7"], ["x2", "x8"],
         ["x3", "x7"], ["x4", "x8"], ["x2", "x7"],
     ]
 
-    # payload sort variables are numbered in worklist order; Skip's set is empty
+    # payload sort variables are numbered in worklist order; Skip's state is None
     mg = infer(parse("process", "p?(x); if x then q!<1>; 0 else q!<2>; 0")).min_graph
     assert (mg.graph.init, mg.graph.skip) == (0, 3)
     assert _edges(mg.graph) == [[("?p('a1)", 1)], [("!q('a2)", 2)], [("end", 3)], []]
-    assert mg.node_sets == [
-        frozenset({"x1"}), frozenset({"x2"}), frozenset({"x4", "x6"}), frozenset(),
+    assert mg.graph.desc == [
+        frozenset({"x1"}), frozenset({"x2"}), frozenset({"x4", "x6"}), None,
     ]
     assert _labels(mg.graph) == ["{x1}", "{x2}", "{x4, x6}", "Skip"]
 

@@ -63,7 +63,7 @@ def _record(p, ordered_tr=False):
     if not r.typable:
         return rec
     mg = r.min_graph
-    return rec + (show(r.min_type), _graph(mg.graph), [sorted(s) for s in mg.node_sets],
+    return rec + (show(r.min_type), _graph(mg.graph), [sorted(s or ()) for s in mg.graph.desc],
                   [show_constraint(c) for c in mg.sort_eqs], _graph(r.graph))
 
 

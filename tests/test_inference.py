@@ -61,7 +61,7 @@ def test_example1_min_type():
 def test_example1_graph_shape():
     r = infer(EX1)
     g = r.graph
-    sets = r.min_graph.node_sets
+    sets = r.min_graph.graph.desc
     assert len(sets[g.init]) == 1
     (succ,) = [m for _, m in g.out(g.init)]
     assert len(sets[succ]) == 2  # the two conditional arms joined
@@ -162,7 +162,7 @@ def test_subsets_are_subtypes():
         builder = MinGraphBuilder(r.tr_constraints)
         from mpstk.inference import apply_sort_subst, solve_sorts as solve
 
-        nodes = [s for s in r.min_graph.node_sets if len(s) >= 2]
+        nodes = [s for s in r.min_graph.graph.desc if s is not None and len(s) >= 2]
         for big in nodes:
             for small in [frozenset([v]) for v in big]:
                 mg_small = builder.build(small)
