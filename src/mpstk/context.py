@@ -97,12 +97,18 @@ class _Head(NamedTuple):
     barb: Barb | None
 
 
+# desc[n] of a local-graph node (a hash-consed subformula) -> its graph_text,
+# for the process: the text depends only on local_graph(desc[n]), the subgraph
+# reachable from n up to numbering, so it is the same in every graph.
+_TEXTS: dict[LocalT, str] = {}
+
+
 class ContextLTS:
     """The LTS of a typing context.  A participant's local type at graph
-    node n is extracted from its graph, or printed from its text rows, at
-    most once per LTS: `local_type` and `show_state` memoise both per
-    (participant, node); each graph is validated on its first use.
-    `_heads[i][n]` is the `_Head` of participant i at node n, built once."""
+    node n is extracted from its graph at most once per LTS (`local_type`
+    memoises it per (participant, node)) and printed by `show_state` at
+    most once per process (`_TEXTS`); each graph is validated on its first
+    use.  `_heads[i][n]` is the `_Head` of participant i at node n."""
 
     def __init__(self, ctx: TypingContext):
         self.ctx = ctx
@@ -113,7 +119,6 @@ class ContextLTS:
         self._validated: set[int] = set()
         self._rows: dict[int, list] = {}  # participant -> text_rows of its graph
         self._types: dict[tuple[int, int], LocalT] = {}
-        self._shown: dict[tuple[int, int], str] = {}
         self._heads = [[self._head(i, g.kind(n), g.out(n)) for n in range(g.node_count())]
                        for i, g in enumerate(self.graphs)]
 
@@ -152,14 +157,15 @@ class ContextLTS:
 
     def show_state(self, state: State) -> str:
         """show_context(self.context_of(state)), byte for byte, from the
-        memoised per-participant strings, printed by `graph_text`."""
+        memoised per-state strings, printed by `graph_text`."""
         parts = []
         for i, n in enumerate(state):
-            text = self._shown.get((i, n))
+            key = self.graphs[i].desc[n]
+            text = _TEXTS.get(key)
             if text is None:
                 if i not in self._rows:
                     self._rows[i] = text_rows(self._graph(i))
-                text = self._shown[i, n] = graph_text(self.graphs[i], n, self._rows[i])
+                text = _TEXTS[key] = graph_text(self.graphs[i], n, self._rows[i])
             parts.append(f"{self.participants[i]}: {text}")
         return ", ".join(parts)
 
@@ -293,7 +299,7 @@ class Trace:
     into `steps` where the lasso cycle begins (None for a finite path).
     `contexts()` and `rendered()` give the typing context, or its text, of
     every state along the path, `final` last; the text is
-    `graph.lts.show_state`, memoised per (participant, node)."""
+    `graph.lts.show_state`, memoised per process by each node's state."""
 
     graph: ContextGraph = field(repr=False, compare=False)
     steps: list[tuple[int, Label]]

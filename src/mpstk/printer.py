@@ -1,9 +1,10 @@
 """Pretty-printers producing the surface syntax accepted by parse.py.
 
-Every printer is one `ast.fold` that appends the text of a term, left to
-right, to one list and joins it once, so printing costs time linear in the
-text at any depth.  `_TEXTS` gives each node's text as the pieces around
-its children: the text before each child, then the text after the last.
+A term is printed by one `ast.fold` that appends its text, left to right,
+to one list and joins it once, so printing costs time linear in the text at
+any depth; a typing context is joined from its entries' texts, each printed
+once per process.  `_TEXTS` gives each node's text as the pieces around its
+children: the text before each child, then the text after the last.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ _TEXTS = {
     PBra: lambda u: _labels(f"{u.peer}&{{", u.branches, ", ", ": ", "}"),
     PCond: lambda u: ("if ", " then ", " else ", ""),
     Session: lambda u: _labels("", u.roles, " | ", "::", ""),
-    TypingContext: lambda u: _labels("", u.entries, ", ", ": ", ""),
 }
 
 
@@ -117,7 +117,7 @@ def _text(x) -> str:
 
 def show(x) -> str:
     """The surface syntax of any term or sort."""
-    return _text(x)
+    return show_context(x) if isinstance(x, TypingContext) else _text(x)
 
 
 def show_sort(s) -> str:
@@ -132,5 +132,13 @@ def show_global(g) -> str:
     return _text(g)
 
 
+_ENTRY_TEXTS: dict = {}  # a context entry's (hash-consed) local type -> its text
+
+
 def show_context(c: TypingContext) -> str:
-    return _text(c)
+    """The one context printer: each entry's type is printed once per process."""
+    texts = _ENTRY_TEXTS
+    for _, t in c.entries:
+        if t not in texts:
+            texts[t] = _text(t)
+    return ", ".join(f"{p}: {texts[t]}" for p, t in c.entries)

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import rand_context
 
+from mpstk import context, printer
 from mpstk.ast import size
 from mpstk.context import (
     Barb, BudgetExceeded, ContextLTS, Label, barbs, brute_force_liveness,
@@ -160,6 +161,52 @@ def test_show_state_equals_show_context(rng):
         rg = reachable_graph(ctx)
         for s in rg.states:
             assert rg.lts.show_state(s) == show_context(rg.lts.context_of(s))
+
+
+# RING2 holds p's type under the name w and u's type in another place; q's
+# and r's types name w where RING's name p, and v's is an alpha-variant.
+RING = parse(
+    "context",
+    "p: rec t. q!(int); r?(bool); t, q: rec t. p?(int); r!(nat); t,"
+    " r: rec t. q?(nat); p!(bool); t,"
+    " u: rec t. v+{a: v!(nat); t, b: end}, v: rec t. u&{a: u?(nat); t, b: end}")
+RING2 = parse(
+    "context",
+    "v: rec k. u&{a: u?(nat); k, b: end}, w: rec t. q!(int); r?(bool); t,"
+    " r: rec t. q?(nat); w!(bool); t, q: rec t. w?(int); r!(nat); t,"
+    " u: rec t. v+{a: v!(nat); t, b: end}")
+
+
+def _state_texts(ctx) -> list[str]:
+    """Every reachable state's text, checked against its printed context."""
+    rg = reachable_graph(ctx)
+    texts = [rg.lts.show_state(s) for s in rg.states]
+    assert texts == [show_context(rg.lts.context_of(s)) for s in rg.states]
+    return texts
+
+
+def test_state_texts_are_shared_across_contexts(monkeypatch):
+    """The process-wide text memos give the same texts whichever context
+    fills them, and a second context prints no type it shares."""
+    runs = []
+    for order in ((RING, RING2), (RING2, RING)):
+        context._TEXTS.clear()
+        printer._ENTRY_TEXTS.clear()
+        runs.append([_state_texts(c) for c in order])
+    assert runs[0] == runs[1][::-1]
+    assert len(runs[0][0]) > 6 and len(runs[0][1]) > 6
+
+    context._TEXTS.clear()
+    _state_texts(RING)
+    printed, graph_text = [], context.graph_text
+    monkeypatch.setattr(context, "graph_text",
+                        lambda g, n, rows=None: printed.append(g) or graph_text(g, n, rows))
+    rg = reachable_graph(RING2)
+    for s in rg.states:
+        rg.lts.show_state(s)
+    lts = rg.lts
+    assert {p for p, g in zip(lts.participants, lts.graphs)
+            if any(h is g for h in printed)} == {"q", "r", "v"}
 
 
 # ---------------------------------------------------------------------------
