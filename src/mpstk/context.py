@@ -157,7 +157,7 @@ class ContextLTS:
 
     def show_state(self, state: State) -> str:
         """show_context(self.context_of(state)), byte for byte, from the
-        memoised per-state strings, printed by `graph_text`."""
+        strings memoised by node state in `_TEXTS`, printed by `graph_text`."""
         parts = []
         for i, n in enumerate(state):
             key = self.graphs[i].desc[n]
