@@ -10,6 +10,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import settings
 
 from mpstk.ast import (
     BOOL, INT, NAT, TRUE, FALSE,
@@ -19,6 +20,11 @@ from mpstk.ast import (
     TBra, TEnd, TIn, TOut, TRec, TSel, TVar,
     check_guarded, is_closed,
 )
+
+# one profile for every property test: the same examples on every run and
+# every machine, and no example database left in the checkout
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 SORTS = [BOOL, NAT, INT]
 LABELS = ["l1", "l2", "l3", "l4"]

@@ -25,9 +25,19 @@ GOLDEN_WORK = [
     ("lcm", [[2], [2, 3], [2, 3, 5]], [2, 6, 30]),
 ]
 
+# the projection points of the benchmark's paper-families ladder
+# (perfbench/workloads.py; its fullmerge-quadratic is fullmerge-opt here)
+GOLDEN_BENCH_POINTS = [
+    ("plain-nlogn", [4, 5, 6], [395, 1643, 6699]),
+    ("fullmerge-nlog2", [7, 8, 9], [2122, 5140, 11912]),
+    ("fullmerge-opt", [100, 170, 250], [718, 1906, 3302]),
+    ("fullmerge-naive", [100, 170, 250], [200, 340, 500]),
+]
 
-@pytest.mark.parametrize("family,params,work", GOLDEN_WORK,
-                         ids=[f for f, _, _ in GOLDEN_WORK])
+
+@pytest.mark.parametrize("family,params,work", GOLDEN_WORK + GOLDEN_BENCH_POINTS,
+                         ids=[f for f, _, _ in GOLDEN_WORK]
+                         + [f"{f}-bench" for f, _, _ in GOLDEN_BENCH_POINTS])
 def test_bench_family_work_is_exact(family, params, work):
     records = bench_family(family, params)
     assert [r.work for r in records] == work

@@ -5,6 +5,7 @@ import time
 from functools import cache
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import balanced_globals, mutate_local, rand_global, rand_local
 
@@ -19,6 +20,7 @@ from mpstk.projection import (
     FULL, KINDS, PLAIN, MBra, NotBalanced, ProjUndefined, WorkCounter, check_association,
     gen_lowerbound_family, merge_full_naive, merge_full_optimized,
     project, project_inductive, project_subset, project_tirore, ptrans,
+    treap_get, treap_insert, treap_items,
 )
 from mpstk.subtyping import graph_equiv, subtype_sim
 from mpstk.typegraph import graph_to_type, is_balanced
@@ -110,6 +112,45 @@ def test_merge_naive_vs_optimized(rng):
             agree += 1
             assert size(naive) < size(t1) + size(t2)
     assert agree > 200
+
+
+# the leaf labels of fullmerge_nlog2 up to k=9, and short labels that sort
+# among and around them
+_TREAP_LABELS = st.one_of(
+    st.integers(0, 511).map(lambda j: f"m{j:06d}"),
+    st.text(alphabet="abklm0", min_size=1, max_size=3),
+)
+
+
+def _search_path(n, key) -> int:
+    """Calls treap_insert makes for `key`: one per node it passes, plus one
+    for the node holding the key or the empty place the key goes."""
+    steps = 1
+    while n is not None and n.key != key:
+        n = n.left if key < n.key else n.right
+        steps += 1
+    return steps
+
+
+@given(st.lists(_TREAP_LABELS, max_size=80))
+def test_treap_structure(labels):
+    tree, last = None, {}
+    for i, label in enumerate(labels):
+        c = WorkCounter()
+        want = _search_path(tree, label)
+        tree = treap_insert(tree, label, i, lambda old, new: new, c)
+        assert c.ops == want
+        last[label] = i
+    assert [k for k, _ in treap_items(tree)] == sorted(last)
+    assert dict(treap_items(tree)) == last
+    assert all(treap_get(tree, k) == v for k, v in last.items())
+    stack = [tree] if tree is not None else []
+    while stack:
+        n = stack.pop()
+        kids = [k for k in (n.left, n.right) if k is not None]
+        assert all(k.prio <= n.prio for k in kids)
+        assert n.size == 1 + sum(k.size for k in kids)
+        stack.extend(kids)
 
 
 def _has_mbra(t) -> bool:
