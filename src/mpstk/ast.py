@@ -542,11 +542,12 @@ _RECS = {TRec, GRec, PRec}
 _EXPRS = set(Expr.__subclasses__())
 
 
-def size(t) -> int:
+def size(t, memo: dict | None = None) -> int:
     """Inductive size |t| of a local type, global type, process, expression,
     session or typing context, following the per-category definitions: a
-    session or context counts each entry plus one, and the separators."""
-    return fold(t, _size, memo={})
+    session or context counts each entry plus one, and the separators.
+    `memo`, if given, is a size table the caller keeps across calls."""
+    return fold(t, _size, memo={} if memo is None else memo)
 
 
 def _size(u, vals, env):

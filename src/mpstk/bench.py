@@ -156,11 +156,12 @@ def bench_family(family: str, params, budget: int = 10_000_000) -> list[BenchRec
 
 def _naive_merge_ops(g, p) -> int:
     """Projection with the naive (plain-AST) full merge, counting visited
-    nodes during merging."""
+    nodes during merging, sized from one table as merge_plain's are."""
     c = WorkCounter()
+    sizes: dict = {}
 
     def naive_merge(a, b):
-        c.tick(min(size(a), size(b)))
+        c.tick(min(size(a, sizes), size(b, sizes)))
         return merge_full_naive(a, b)
 
     _project(g, p, TBra, naive_merge)

@@ -79,10 +79,14 @@ class WorkCounter:
 # Plain merge
 
 
-def merge_plain(t1: LocalT, t2: LocalT, counter: WorkCounter | None = None) -> LocalT:
-    """T |_| T = T; operands must be equal up to alpha-renaming."""
+def merge_plain(t1: LocalT, t2: LocalT, counter: WorkCounter | None = None,
+                sizes: dict | None = None) -> LocalT:
+    """T |_| T = T; operands must be equal up to alpha-renaming.  The
+    counter ticks by the smaller operand's size, read from `sizes`, a size
+    table that lives for one projection (project_inductive makes one per
+    call), so the subterms its merges share are sized once."""
     if counter is not None:
-        counter.tick(min(size(t1), size(t2)))
+        counter.tick(min(size(t1, sizes), size(t2, sizes)))
     if alpha_canon(t1) is not alpha_canon(t2):
         raise _merge_fail(t1, t2, "plain merge requires equal branches")
     return t1
@@ -147,14 +151,15 @@ def merge_full_naive(t1: LocalT, t2: LocalT) -> LocalT:
 # fixed label order), merged small-to-large.
 
 
-@dataclass(frozen=True)
 class _Treap:
-    key: str
-    prio: int
-    value: object
-    left: object
-    right: object
-    size: int
+    """A treap node; `size` counts its subtree's nodes.  Slotted, as a merge
+    builds one per tree op and a slotted class builds fastest."""
+
+    __slots__ = ("key", "prio", "value", "left", "right", "size")
+
+    def __init__(self, key, prio, value, left, right):
+        self.key, self.prio, self.value, self.left, self.right = key, prio, value, left, right
+        self.size = 1 + (0 if left is None else left.size) + (0 if right is None else right.size)
 
 
 def _prio(label: str) -> int:
@@ -165,31 +170,28 @@ def _tsz(n) -> int:
     return 0 if n is None else n.size
 
 
-def _mk(key, prio, value, left, right):
-    return _Treap(key, prio, value, left, right, 1 + _tsz(left) + _tsz(right))
-
-
 def treap_insert(n, key, value, combine, counter=None):
     """Insert or combine; O(log n) expected, counted as one tree op per
-    visited node.  Recursive, as the depth of a treap is logarithmic in its
-    size with high probability."""
+    visited node.  Builds a fresh _Treap per node on the search path and
+    shares the rest.  Recursive, as the depth of a treap is logarithmic in
+    its size with high probability."""
     if counter is not None:
         counter.tick()
     if n is None:
-        return _mk(key, _prio(key), value, None, None)
+        return _Treap(key, _prio(key), value, None, None)
     if key == n.key:
-        return _mk(n.key, n.prio, combine(n.value, value), n.left, n.right)
+        return _Treap(n.key, n.prio, combine(n.value, value), n.left, n.right)
     if key < n.key:
         child = treap_insert(n.left, key, value, combine, counter)
         if child.prio > n.prio:
-            return _mk(child.key, child.prio, child.value, child.left,
-                       _mk(n.key, n.prio, n.value, child.right, n.right))
-        return _mk(n.key, n.prio, n.value, child, n.right)
+            return _Treap(child.key, child.prio, child.value, child.left,
+                          _Treap(n.key, n.prio, n.value, child.right, n.right))
+        return _Treap(n.key, n.prio, n.value, child, n.right)
     child = treap_insert(n.right, key, value, combine, counter)
     if child.prio > n.prio:
-        return _mk(child.key, child.prio, child.value,
-                   _mk(n.key, n.prio, n.value, n.left, child.left), child.right)
-    return _mk(n.key, n.prio, n.value, n.left, child)
+        return _Treap(child.key, child.prio, child.value,
+                      _Treap(n.key, n.prio, n.value, n.left, child.left), child.right)
+    return _Treap(n.key, n.prio, n.value, n.left, child)
 
 
 def treap_items(n):
@@ -371,7 +373,8 @@ def project_inductive(
 ) -> LocalT:
     """Inductive projection of `g` onto `p` with plain or full merging."""
     if kind == PLAIN:
-        out = _project(g, p, TBra, lambda a, b: merge_plain(a, b, counter))
+        sizes: dict = {}
+        out = _project(g, p, TBra, lambda a, b: merge_plain(a, b, counter, sizes))
     elif kind == FULL:
         out = of_tree(_project(g, p, _mbra, lambda a, b: merge_full_opt(a, b, counter)))
     else:

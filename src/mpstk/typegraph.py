@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
+from typing import NamedTuple
 
 from .ast import (
     BudgetExceeded, GChoice, GMsg, GlobalT, LocalT, SessionTypeError,
@@ -31,8 +32,11 @@ from .printer import show_sort
 IN, OUT, SEL, BRA, ENDK = "in", "out", "sel", "bra", "end"
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
+    """An edge label, `kind` one of IN, OUT, SEL, BRA, ENDK.  A named tuple,
+    so `==` and `hash` (TypeGraph.step) run in C; it equals the plain tuple
+    of its fields, and no container mixes the two."""
+
     kind: str
     peer: str | None = None
     arg: object = None  # payload sort for in/out, label for sel/bra
