@@ -575,8 +575,17 @@ def check_association(ctx: TypingContext, g: GlobalT, kind: str = FULL) -> bool:
 # Lower-bound families
 
 
+# the least parameter of each family that takes a count
+_LEAST_N = {"plain_nlogn": 0, "fullmerge_quadratic": 0, "fullmerge_nlog2": 0,
+            "tirore_quadratic": 1}
+
+
 def gen_lowerbound_family(name: str, n) -> GlobalT:
-    """Worst-case global type families, one per lower-bound proof."""
+    """Worst-case global type families, one per lower-bound proof.  `n` is a
+    count, at least _LEAST_N[name], or for cf_primes a non-empty list of
+    loop lengths, each >= 1; a value outside its domain raises ValueError."""
+    if name in _LEAST_N and n < _LEAST_N[name]:
+        raise ValueError(f"{name}: n must be >= {_LEAST_N[name]}")
     if name == "plain_nlogn":
         # alternate a choice r does not see with a choice r receives, so the
         # plain merge at depth k compares branchy trees of size ~2^k
@@ -591,14 +600,16 @@ def gen_lowerbound_family(name: str, n) -> GlobalT:
             g = GChoice("q", "r", (("l1", g), ("l2", GChoice("q", "p", ((f"k{i}", GEnd()),)))))
         return g
     if name == "fullmerge_nlog2":
-
-        def build(k, j):  # recursive: one level per step of n
-            if k == 0:
-                return GChoice("p", "r", ((f"m{j:06d}", GEnd()),))
-            return GChoice("p", "q", (("l1", build(k - 1, 2 * j)), ("l2", build(k - 1, 2 * j + 1))))
-
-        return build(n, 0)
+        # a complete binary tree of p->q choices, n levels deep, over the
+        # leaves p->r{m<j>: end} for j = 0 .. 2^n - 1, built level by level
+        level = [GChoice("p", "r", ((f"m{j:06d}", GEnd()),)) for j in range(2 ** n)]
+        while len(level) > 1:
+            level = [GChoice("p", "q", (("l1", a), ("l2", b)))
+                     for a, b in zip(level[::2], level[1::2])]
+        return level[0]
     if name == "cf_primes":
+        if not n or min(n) < 1:
+            raise ValueError("cf_primes: needs one or more loop lengths, each >= 1")
         loops = []
         for i, ni in enumerate(n):
             body: GlobalT = GVar("t")

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from mpstk.bench import FAMILIES
 from mpstk.cli import main
 from mpstk.context import check_liveness, check_safety
 from mpstk.parse import parse
@@ -306,3 +307,21 @@ def test_bench_csv_deterministic_modulo_time(tmp_path):
         return [r[:3] + r[4:] for r in rows]
 
     assert strip_time(out1) == strip_time(out2)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_bench_params_out_of_range_exit_cleanly(family, capsys):
+    """Every bench family answers or rejects 0 and -1 with an input error;
+    none raises through main."""
+    for bad in ("0", "-1"):
+        assert main(["bench", "--family", family, f"--params={bad}"]) in (0, 2)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("family,bad,domain", [
+    ("fullmerge-nlog2", "-1", "n must be >= 0"),
+    ("tirore", "0", "n must be >= 1"),
+])
+def test_bench_params_out_of_range_name_the_domain(family, bad, domain, capsys):
+    assert main(["bench", "--family", family, f"--params={bad}"]) == 2
+    assert domain in capsys.readouterr().err

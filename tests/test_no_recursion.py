@@ -24,7 +24,6 @@ ALLOWED = {
     ("projection", "treap_items"): "a treap's depth is logarithmic in its size",
     ("hardness", "eval_qbf.go"): "one level per quantified variable, at most _limit (20)",
     ("context", "brute_force_liveness.dfs"): "one level per step, at most `bound`",
-    ("projection", "gen_lowerbound_family.build"): "one level per step of the family parameter",
 }
 
 
