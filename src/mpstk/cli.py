@@ -96,7 +96,7 @@ def cmd_infer(args) -> int:
     if args.emit_constraints:
         payload["constraints"] = [show_constraint(c) for c in r.derivation.constraints]
     if r.typable:
-        payload["min_type"] = show_local(r.min_type)
+        payload["min_type"] = graph_text(r.graph, r.graph.init)
         if args.dot:
             with open(args.dot, "w") as fh:
                 fh.write(dot_type_graph(r.graph, "minimum type graph"))

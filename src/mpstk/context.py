@@ -31,8 +31,8 @@ from typing import NamedTuple
 
 from .ast import BudgetExceeded, LocalT, TypingContext
 from .typegraph import (
-    BRA, ENDK, IN, OUT, SEL, _extract_type, dot_text, graph_text, local_graph, sccs, text_rows,
-    validate_type_graph,
+    BRA, ENDK, IN, OUT, SEL, TypeGraph, _extract_type, dot_text, graph_text, local_graph, sccs,
+    text_rows, validate_type_graph,
 )
 
 
@@ -104,21 +104,22 @@ _TEXTS: dict[LocalT, str] = {}
 
 
 class ContextLTS:
-    """The LTS of a typing context.  A participant's local type at graph
-    node n is extracted from its graph at most once per LTS (`local_type`
-    memoises it per (participant, node)) and printed by `show_state` at
-    most once per process (`_TEXTS`); each graph is validated on its first
-    use.  `_heads[i][n]` is the `_Head` of participant i at node n."""
+    """The LTS of a typing context or of {participant: local type graph}.  A
+    local type at graph node n is extracted at most once per LTS and printed
+    by `show_state` at most once per process (`_TEXTS`), or per LTS for given
+    graphs, whose states name no type; each graph is validated on first use.
+    `_heads[i][n]` is the `_Head` of participant i at node n."""
 
-    def __init__(self, ctx: TypingContext):
-        self.ctx = ctx
-        self.participants = [n for n, _ in ctx.entries]
-        self.graphs = [local_graph(t) for _, t in ctx.entries]
+    def __init__(self, ctx: TypingContext | dict[str, TypeGraph]):
+        graphs = ctx if type(ctx) is dict else {p: local_graph(t) for p, t in ctx.entries}
+        self.participants = list(graphs)
+        self.graphs = list(graphs.values())
         self.init: State = tuple(g.init for g in self.graphs)
         self._index = {p: i for i, p in enumerate(self.participants)}
         self._validated: set[int] = set()
         self._rows: dict[int, list] = {}  # participant -> text_rows of its graph
         self._types: dict[tuple[int, int], LocalT] = {}
+        self._texts: dict = {} if graphs is ctx else _TEXTS  # by (i, n), else by state
         self._heads = [[self._head(i, g.kind(n), g.out(n)) for n in range(g.node_count())]
                        for i, g in enumerate(self.graphs)]
 
@@ -157,15 +158,15 @@ class ContextLTS:
 
     def show_state(self, state: State) -> str:
         """show_context(self.context_of(state)), byte for byte, from the
-        strings memoised by node state in `_TEXTS`, printed by `graph_text`."""
+        strings memoised in `_texts`, printed by `graph_text`."""
         parts = []
         for i, n in enumerate(state):
-            key = self.graphs[i].desc[n]
-            text = _TEXTS.get(key)
+            key = self.graphs[i].desc[n] if self._texts is _TEXTS else (i, n)
+            text = self._texts.get(key)
             if text is None:
                 if i not in self._rows:
                     self._rows[i] = text_rows(self._graph(i))
-                text = _TEXTS[key] = graph_text(self.graphs[i], n, self._rows[i])
+                text = self._texts[key] = graph_text(self.graphs[i], n, self._rows[i])
             parts.append(f"{self.participants[i]}: {text}")
         return ", ".join(parts)
 
@@ -250,9 +251,9 @@ class ContextGraph:
         return sum(len(e) for e in self.edges)
 
 
-def reachable_graph(ctx: TypingContext, budget: int = 1_000_000) -> ContextGraph:
-    """Breadth-first closure under the synchronised reductions."""
-    lts = ContextLTS(ctx)
+def reachable_graph(ctx: TypingContext | ContextLTS, budget: int = 1_000_000) -> ContextGraph:
+    """Breadth-first closure under the synchronised reductions from `ctx`."""
+    lts = ctx if type(ctx) is ContextLTS else ContextLTS(ctx)
     states = [lts.init]
     index = {lts.init: 0}
     edges: list[list[tuple[Label, int]]] = [[]]
@@ -348,7 +349,7 @@ def _verdict(prop: str, rg: ContextGraph, trace: Trace | None = None) -> Verdict
     return Verdict(prop, trace is None, trace, len(rg.states), rg.edge_count(), rg)
 
 
-def check_safety(ctx: TypingContext, budget: int = 1_000_000) -> Verdict:
+def check_safety(ctx: TypingContext | ContextLTS, budget: int = 1_000_000) -> Verdict:
     rg = reachable_graph(ctx, budget)
     for i, s in enumerate(rg.states):
         if not rg.lts.is_safe_state(s):
@@ -356,7 +357,7 @@ def check_safety(ctx: TypingContext, budget: int = 1_000_000) -> Verdict:
     return _verdict("safety", rg)
 
 
-def check_deadlock_freedom(ctx: TypingContext, budget: int = 1_000_000) -> Verdict:
+def check_deadlock_freedom(ctx: TypingContext | ContextLTS, budget: int = 1_000_000) -> Verdict:
     rg = reachable_graph(ctx, budget)
     for i, s in enumerate(rg.states):
         if not rg.edges[i] and not rg.lts.all_end(s):
@@ -520,7 +521,7 @@ def _cover_walk(rg: ContextGraph, comp: list[int], start: int) -> list[tuple[int
     return walk
 
 
-def check_liveness(ctx: TypingContext, budget: int = 1_000_000) -> Verdict:
+def check_liveness(ctx: TypingContext | ContextLTS, budget: int = 1_000_000) -> Verdict:
     """Not live iff a reachable stuck non-end state exists (finite
     counterwitness) or some barb admits a starving fair lasso."""
     rg = reachable_graph(ctx, budget)

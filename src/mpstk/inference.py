@@ -28,7 +28,8 @@ from .ast import (
     LocalT, PBra, PCond, PInact, PRec, PRecv, PSel, PSend, PVar, Proc,
     SessionTypeError, Sort, SortVar, Visit, fold, uniquify_binders,
 )
-from .typegraph import Action, END_ACT, ENDK, IN, OUT, SEL, BRA, TypeGraph, explore, graph_to_type
+from .typegraph import Action, END_ACT, ENDK, IN, OUT, SEL, BRA, TypeGraph, explore
+from .typegraph import _extract_type, validate_type_graph
 
 
 class Untypable(SessionTypeError):
@@ -420,13 +421,17 @@ def apply_sort_subst(graph: TypeGraph, subst: dict) -> TypeGraph:
 @dataclass
 class InferResult:
     typable: bool
-    min_type: LocalT | None = None
     graph: TypeGraph | None = None
     min_graph: MinGraph | None = None
     derivation: Derivation | None = None
     tr_constraints: list = field(default_factory=list)
     failure: str | None = None
     failure_node: frozenset | None = None
+
+    @property
+    def min_type(self) -> LocalT | None:
+        """Read off `graph`, which `infer` validated, on each use."""
+        return None if self.graph is None else _extract_type(self.graph, self.graph.init)
 
 
 def infer(p: Proc, budget: int = 1_000_000) -> InferResult:
@@ -443,8 +448,9 @@ def infer(p: Proc, budget: int = 1_000_000) -> InferResult:
             failure=str(e), failure_node=getattr(e, "node", None),
         )
     graph = apply_sort_subst(mg.graph, subst)
+    validate_type_graph(graph)
     return InferResult(
-        True, min_type=graph_to_type(graph), graph=graph, min_graph=mg,
+        True, graph=graph, min_graph=mg,
         derivation=d, tr_constraints=tr,
     )
 

@@ -1,10 +1,9 @@
-"""Top-down and bottom-up verification pipelines.
-
-Top-down: project the global type per participant, infer each process's
-minimum type, and accept iff every minimum type is a subtype of the
-corresponding projection (plus the participant-set side condition).
-Bottom-up: infer all minimum types and model-check the assembled typing
-context directly for the requested property.
+"""Top-down and bottom-up verification pipelines on each process's minimum
+type graph, quotiented by bisimulation and handed on as it is.  Top-down:
+project the global type per participant and accept iff every minimum graph
+is a subtype of the corresponding projection (plus the participant-set side
+condition).  Bottom-up: model-check the LTS of the minimum graphs directly
+for the requested property.
 """
 
 from __future__ import annotations
@@ -15,13 +14,14 @@ from dataclasses import dataclass, field
 from .ast import (
     BOOL, FALSE, INACT, INT, NAT, TRUE,
     EInt, ENat, ENonDet, LocalT, PBra, PCond, PRec, PRecv, PSel, PSend, PVar,
-    Proc, Session, typing_context,
+    Proc, Session,
     TBra, TEnd, TIn, TOut, TRec, TVar, fold, participants, uniquify_binders,
 )
-from .context import CHECKERS
+from .context import CHECKERS, ContextLTS
 from .inference import Untypable, infer
 from .projection import NotBalanced, ProjUndefined, project
 from .subtyping import subtype_sim_matching
+from .typegraph import TypeGraph, quotient
 
 
 def synth_process(t: LocalT) -> Proc:
@@ -94,14 +94,15 @@ def _timed(report: PipelineReport, name: str, fn):
     return out, ok
 
 
-def _minima(sess: Session, budget: int) -> dict[str, LocalT]:
-    """Each role's minimum type, in name order; the first untypable role raises."""
+def _minima(sess: Session, budget: int) -> dict[str, TypeGraph]:
+    """Each role's minimum type graph, quotiented by bisimulation, in name
+    order; the first untypable role raises."""
     minima = {}
     for p, q in sess.roles:
         r = infer(q, budget)
         if not r.typable:
             raise Untypable(f"{p}: {r.failure}")
-        minima[p] = r.min_type
+        minima[p] = quotient(r.graph)
     return minima
 
 
@@ -134,7 +135,7 @@ def run_topdown(sess: Session, g, kind: str = "full", budget: int = 1_000_000) -
         return report
 
     def subtype_all():
-        # minimum types may carry residual sort variables; they must unify
+        # minimum graphs may carry residual sort variables; they must unify
         # with the projection's concrete sorts
         for p in sorted(pts):
             ok, _ = subtype_sim_matching(minima[p], projections[p])
@@ -154,9 +155,8 @@ def run_bottomup(sess: Session, prop: str = "safety", budget: int = 1_000_000) -
     if not ok:
         return report
 
-    ctx = typing_context(minima.items())
     t0 = time.perf_counter()
-    verdict = CHECKERS[prop](ctx, budget)
+    verdict = CHECKERS[prop](ContextLTS(minima), budget)
     ms = (time.perf_counter() - t0) * 1000.0
     report.stages.append(StageReport(f"check-{prop}", verdict.holds,
                                      "" if verdict.holds else "property violated", ms))

@@ -207,6 +207,47 @@ def local_graph(t: LocalT) -> TypeGraph:
     return TypeGraph(init, edges, skip, states)
 
 
+def quotient(g: TypeGraph) -> TypeGraph:
+    """`g` with its bisimilar nodes merged: Hopcroft's refinement (1971) of the
+    partition by enabled actions.  Blocks are sets, a split costs the nodes it
+    moves, and queues only the smaller part of a block not waiting: O(m log n).
+    A block is numbered by, and keeps the edges and `desc` of, its first node."""
+    preds: list[list[tuple[Action, int]]] = [[] for _ in g.edges]
+    for n, out in enumerate(g.edges):
+        for a, m in out:
+            preds[m].append((a, n))
+    first: dict = {}
+    block_of = [first.setdefault(frozenset(a for a, _ in out), len(first)) for out in g.edges]
+    blocks: list[set[int]] = [set() for _ in first]
+    for n, b in enumerate(block_of):
+        blocks[b].add(n)
+    work, waiting = list(range(len(blocks))), set(range(len(blocks)))
+    while work:
+        splitter = work.pop()
+        waiting.discard(splitter)
+        by_action: dict = {}
+        for m in blocks[splitter]:
+            for a, n in preds[m]:
+                by_action.setdefault(a, []).append(n)
+        for sources in by_action.values():
+            hit: dict[int, list[int]] = {}
+            for n in sources:
+                hit.setdefault(block_of[n], []).append(n)
+            for b, moved in hit.items():
+                if len(moved) < len(blocks[b]):
+                    new = len(blocks)
+                    blocks.append(set(moved))
+                    blocks[b].difference_update(moved)
+                    for n in moved:
+                        block_of[n] = new
+                    work.append(new if b in waiting or len(moved) <= len(blocks[b]) else b)
+                    waiting.add(work[-1])
+    ids = {b: i for i, b in enumerate(dict.fromkeys(block_of))}  # block -> its node
+    node, reps = [ids[b] for b in block_of], [min(blocks[b]) for b in ids]
+    return TypeGraph(node[g.init], [[(a, node[m]) for a, m in g.edges[r]] for r in reps],
+                     None if g.skip is None else node[g.skip], [g.desc[r] for r in reps])
+
+
 def graph_to_type(g: TypeGraph, root: int | None = None) -> LocalT:
     """Extract a syntactic local type from a well-formed type graph, using
     rec binders for back edges.  local_graph(result) is graph-equivalent to

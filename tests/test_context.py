@@ -12,9 +12,11 @@ from mpstk.context import (
     observations, reachable_graph,
 )
 from mpstk.hardness import all_small_qbfs, gen_qbf_context
+from mpstk.inference import infer
 from mpstk.parse import parse
 from mpstk.printer import show, show_context
 from mpstk.subtyping import graph_equiv
+from mpstk.typegraph import quotient
 
 D5 = parse("context",
            "q: p&{l1: r&{l2: end, l3: end}, l4: r&{l2: end, l5: end}},"
@@ -207,6 +209,23 @@ def test_state_texts_are_shared_across_contexts(monkeypatch):
     lts = rg.lts
     assert {p for p, g in zip(lts.participants, lts.graphs)
             if any(h is g for h in printed)} == {"q", "r", "v"}
+
+
+def test_minimum_graph_states_key_no_shared_text():
+    """A minimum graph's node states are sets of type variables, the same
+    sets in every inference: they never key the process-wide texts, so each
+    LTS, and each participant in it, prints its own types."""
+    graphs = [quotient(infer(parse("process", p)).graph)
+              for p in ("q!<1>; 0", "q!<true>; 0", "p?(x); 0")]
+    assert graphs[0].desc == graphs[1].desc == graphs[2].desc
+    before = dict(context._TEXTS)
+    texts = []
+    for p, q in (graphs[::2], graphs[1:]):
+        lts = ContextLTS({"p": p, "q": q})
+        texts.append(lts.show_state(lts.init))
+        assert texts[-1] == show_context(lts.context_of(lts.init))
+    assert texts == ["p: q!(nat); end, q: p?('a); end", "p: q!(bool); end, q: p?('a); end"]
+    assert context._TEXTS == before
 
 
 # ---------------------------------------------------------------------------

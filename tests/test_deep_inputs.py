@@ -10,7 +10,7 @@ from mpstk.ast import alpha_canon, free_vars, size, subst, unfold
 from mpstk.context import CHECKERS, check_safety, dot_context_graph
 from mpstk.inference import infer
 from mpstk.parse import parse
-from mpstk.pipeline import synth_process
+from mpstk.pipeline import run_bottomup, run_topdown, synth_process
 from mpstk.printer import show
 from mpstk.projection import project_inductive, project_subset, project_tirore
 from mpstk.semantics import explore_session
@@ -113,6 +113,14 @@ def test_checkers_render_deep_traces(prop):
     assert not v.holds
     assert v.trace.rendered()[-1] == show(ctx)
     assert v.trace.contexts()[-1] is ctx
+
+
+def test_pipelines():
+    """Minimum graphs 5,000 deep, quotiented and handed on to both pipelines."""
+    s = parsed("session", "p::" + "q(+)l; " * D + "0 | q::" + "p&{l: " * D + "0" + "}" * D)
+    g = parsed("global", "p->q{l: " * D + "end" + "}" * D)
+    assert run_topdown(s, g, "full").accepted
+    assert run_bottomup(s, "live").accepted
 
 
 def test_explore_session():

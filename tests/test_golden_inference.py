@@ -29,6 +29,7 @@ from mpstk.inference import (
 )
 from mpstk.pipeline import synth_process
 from mpstk.printer import show
+from mpstk.typegraph import graph_text
 
 
 def _processes():
@@ -80,6 +81,20 @@ ORDERED_TR_SHA256 = "ab6603594fa2099381126c35a847c89f9c8877f827bb11b96d9c469e277
 
 def test_inference_dump_is_exact():
     assert _digest() == DUMP_SHA256
+
+
+def test_printed_minimum_graph_is_the_printed_minimum_type():
+    """`mpstk infer` prints the minimum graph, never building its type."""
+    typable = 0
+    for p in _processes():
+        try:
+            r = infer(p)
+        except Untypable:
+            continue
+        if r.typable:
+            assert graph_text(r.graph, r.graph.init) == show(r.min_type)
+            typable += 1
+    assert typable == 852
 
 
 def test_tr_order_under_a_fixed_hash_seed():

@@ -3,7 +3,9 @@
 Each session is synthesised from the full projections of a random balanced
 global type.  The digest covers `run_topdown` (full and subset) and
 `run_bottomup` (safety, df and live), so a change to what the pipelines hand
-from stage to stage that moves any verdict fails here.
+from stage to stage that moves any verdict fails here.  The bottom-up
+checkers run on the quotiented minimum graphs; their oracle is the typing
+context of the minimum types read off the graphs.
 """
 
 import hashlib
@@ -12,8 +14,10 @@ import random
 import pytest
 
 from conftest import balanced_globals
-from mpstk.ast import participants, session
-from mpstk.pipeline import run_bottomup, run_topdown, synth_process
+from mpstk.ast import participants, session, typing_context
+from mpstk.context import CHECKERS, ContextLTS
+from mpstk.inference import infer
+from mpstk.pipeline import _minima, run_bottomup, run_topdown, synth_process
 from mpstk.printer import show
 from mpstk.projection import FULL, ProjUndefined, project_inductive
 
@@ -55,3 +59,18 @@ def test_pipeline_verdicts_are_exact(corpus):
     assert sum(r[3] for r in records) == 118  # bottom-up safe
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == VERDICTS_SHA256
+
+
+def test_minimum_graphs_reach_no_more_states(corpus):
+    """Per context and property, the LTS of the quotiented minimum graphs
+    gives the oracle's verdict in no more states."""
+    totals = [0, 0]
+    for _, sess in corpus:
+        graphs = _minima(sess, 1_000_000)
+        ctx = typing_context((p, infer(q).min_type) for p, q in sess.roles)
+        for prop, check in CHECKERS.items():
+            got, want = check(ContextLTS(graphs)), check(ctx)
+            assert (got.holds, got.states <= want.states) == (want.holds, True), (ctx, prop)
+            totals[0] += got.states
+            totals[1] += want.states
+    assert totals == [3204, 3204]

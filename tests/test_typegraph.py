@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import balanced_globals, rand_global, rand_local, rand_process, rand_qbf
 
@@ -11,9 +12,9 @@ from mpstk.parse import parse
 from mpstk.printer import show, show_local
 from mpstk.subtyping import graph_equiv
 from mpstk.typegraph import (
-    Action, BRA, ENDK, IN, OUT, SEL, MalformedGraph, TypeGraph,
-    _extract_type, dot_type_graph, global_graph, graph_text, graph_to_type,
-    is_balanced, local_graph, text_rows, validate_type_graph,
+    Action, BRA, END_ACT, ENDK, IN, OUT, SEL, MalformedGraph, TypeGraph,
+    _extract_type, explore, dot_type_graph, global_graph, graph_text, graph_to_type,
+    is_balanced, local_graph, quotient, text_rows, validate_type_graph,
 )
 
 
@@ -135,6 +136,77 @@ def test_graph_text_equals_printed_extraction():
     back = TypeGraph(g.init, [out[::-1] for out in g.edges], g.skip)
     assert graph_text(g, g.init) == "rec t0. p&{x: rec t1. p&{u: t0, v: t1}, y: end}"
     assert graph_text(back, back.init) == "rec t1. p&{x: rec t0. p&{u: t1, v: t0}, y: end}"
+
+
+def _rand_graph(rng, n):
+    """The part reachable from node 0 of a random deterministic graph on n
+    nodes over a small alphabet, so that many nodes are bisimilar."""
+    spec = []
+    for _ in range(n):
+        kind = rng.choice([OUT, OUT, SEL, ENDK])
+        if kind == ENDK:
+            spec.append([(END_ACT, None)])
+        elif kind == OUT:
+            spec.append([(Action(OUT, "p", rng.choice([BOOL, INT])), rng.randrange(n))])
+        else:
+            labels = sorted(rng.sample(["l1", "l2"], rng.randint(1, 2)))
+            spec.append([(Action(SEL, "p", l), rng.randrange(n)) for l in labels])
+    init, edges, states, skip = explore(0, lambda m, s: spec[s])
+    return TypeGraph(init, edges, skip, states)
+
+
+def _bisimilarity_classes(g) -> int:
+    """The oracle: Moore's refinement, each node keyed by its edges into the
+    classes of the last round, until the number of classes is stable."""
+    cls, count = [0] * len(g.edges), 1
+    while True:
+        keys = [frozenset((a, cls[m]) for a, m in out) for out in g.edges]
+        ids = {k: i for i, k in enumerate(dict.fromkeys(keys))}
+        cls = [ids[k] for k in keys]
+        if len(ids) == count:
+            return count
+        count = len(ids)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12))
+def test_quotient_is_the_least_equivalent_graph(seed, size):
+    """For a random local type's graph, a random graph and a random
+    process's minimum graph: the quotient is well formed, graph-equivalent
+    to the graph, a fixpoint, has one node per bisimilarity class, and is
+    no larger than the graph of the graph's extracted type."""
+    from mpstk.inference import Untypable, infer
+
+    rng = random.Random(seed)
+    graphs = [_rand_graph(rng, size)]
+    t = rand_local(rng, size)
+    if is_closed(t):
+        graphs.append(local_graph(t))
+    try:
+        r = infer(rand_process(rng, size))
+    except Untypable:
+        r = None
+    if r is not None and r.typable:
+        graphs.append(r.graph)
+    for g in graphs:
+        q = quotient(g)
+        validate_type_graph(q)
+        assert graph_equiv(q, g)
+        assert quotient(q).node_count() == q.node_count() == _bisimilarity_classes(g)
+        assert q.node_count() <= local_graph(graph_to_type(g)).node_count()
+
+
+def test_quotient_merges_bisimilar_nodes():
+    """Nodes merge whatever their syntax: an unrolled loop is one node, and
+    each block keeps its first node's edges and state, in node order."""
+    g = local_graph(parse("local", "rec t. p!(int); p!(int); t"))
+    assert g.node_count() == 2
+    q = quotient(g)
+    assert (q.init, q.edges, q.skip) == (0, [[(Action(OUT, "p", INT), 0)]], None)
+    assert q.desc == g.desc[:1]
+    g = local_graph(parse("local", "p+{l1: rec t. q!(int); q!(int); t, l2: rec u. q!(int); u}"))
+    q = quotient(g)
+    assert (g.node_count(), q.node_count()) == (4, 2)
+    assert graph_text(q, q.init) == "p+{l1: rec t0. q!(int); t0, l2: rec t1. q!(int); t1}"
 
 
 def test_malformed_graph_rejected():
