@@ -52,6 +52,8 @@ def _record(family, n, sz, fn) -> BenchRecord:
 
 
 def _coprime(point, budget):
+    if len(point) != 2:
+        raise ValueError(f"coprime points are n1xn2, not {'x'.join(map(str, point))}")
     n1, n2 = point
     t1, t2 = gen_coprime_pair(n1, n2)
 

@@ -324,3 +324,9 @@ def test_bench_params_out_of_range_exit_cleanly(family):
 def test_bench_params_out_of_range_name_the_domain(family, bad, domain, capsys):
     assert main(["bench", "--family", family, f"--params={bad}"]) == 2
     assert domain in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["0", "3x4x5"])
+def test_bench_coprime_points_name_the_form(bad, capsys):
+    assert main(["bench", "--family", "coprime", "--params", bad]) == 2
+    assert f"coprime points are n1xn2, not {bad}" in capsys.readouterr().err
