@@ -330,3 +330,33 @@ def test_bench_params_out_of_range_name_the_domain(family, bad, domain, capsys):
 def test_bench_coprime_points_name_the_form(bad, capsys):
     assert main(["bench", "--family", "coprime", "--params", bad]) == 2
     assert f"coprime points are n1xn2, not {bad}" in capsys.readouterr().err
+
+
+def test_topdown_bottomup_json_stages(files, capsys):
+    """Both pipelines print {"accepted", "stages"}, each stage as {name, ok,
+    detail, millis}, naming the stages they ran, in order."""
+    g = files("g.mpst", G_IF)
+    sess = files(
+        "sess.mpst",
+        "p::rec X. r&{l1: X, l2: 0}"
+        " | q::rec X. if true (+) false then r(+)l1; X else r(+)l2; 0"
+        " | r::rec X. q&{l1: p(+)l1; X, l2: p(+)l2; 0}",
+    )
+    runs = [
+        (["topdown", sess, g, "--kind", "full"], 0,
+         ["participants", "projection", "inference", "subtyping"]),
+        (["topdown", sess, g, "--kind", "plain"], 1, ["participants", "projection"]),
+        (["bottomup", sess, "--prop", "live"], 0, ["inference", "check-live"]),
+        (["bottomup", files("u.mpst", "p::q!<1>; 0 | q::p?(x); p!<x>; 0"), "--prop", "df"], 1,
+         ["inference", "check-df"]),
+    ]
+    for argv, code, names in runs:
+        assert main(["--json", *argv]) == code
+        out = json.loads(capsys.readouterr().out)
+        assert set(out) == {"accepted", "stages"} and out["accepted"] is (code == 0)
+        assert [s["name"] for s in out["stages"]] == names
+        for s in out["stages"]:
+            assert set(s) == {"name", "ok", "detail", "millis"}
+            assert type(s["ok"]) is bool and type(s["detail"]) is str
+            assert type(s["millis"]) is float
+        assert [s["ok"] for s in out["stages"]] == [True] * (len(names) - code) + [False] * code
