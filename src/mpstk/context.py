@@ -104,22 +104,25 @@ _TEXTS: dict[LocalT, str] = {}
 
 
 class ContextLTS:
-    """The LTS of a typing context or of {participant: local type graph}.  A
-    local type at graph node n is extracted at most once per LTS and printed
-    by `show_state` at most once per process (`_TEXTS`), or per LTS for given
-    graphs, whose states name no type; each graph is validated on first use.
-    `_heads[i][n]` is the `_Head` of participant i at node n."""
+    """The LTS of a typing context or of {participant: local type graph}.
+    Given graphs are checked here, before any is read, and their texts kept
+    per LTS by (i, n), as their states name no type; a context's graphs are
+    built well-formed and their texts kept per process (`_TEXTS`).  A node's
+    type is extracted once per LTS; `_heads[i][n]` is participant i's `_Head`."""
 
     def __init__(self, ctx: TypingContext | dict[str, TypeGraph]):
-        graphs = ctx if type(ctx) is dict else {p: local_graph(t) for p, t in ctx.entries}
+        if type(ctx) is dict:
+            for g in ctx.values():
+                validate_type_graph(g)
+            graphs, self._texts = ctx, {}
+        else:
+            graphs, self._texts = {p: local_graph(t) for p, t in ctx.entries}, _TEXTS
         self.participants = list(graphs)
         self.graphs = list(graphs.values())
         self.init: State = tuple(g.init for g in self.graphs)
         self._index = {p: i for i, p in enumerate(self.participants)}
-        self._validated: set[int] = set()
         self._rows: dict[int, list] = {}  # participant -> text_rows of its graph
         self._types: dict[tuple[int, int], LocalT] = {}
-        self._texts: dict = {} if graphs is ctx else _TEXTS  # by (i, n), else by state
         self._heads = [[self._head(i, g.kind(n), g.out(n)) for n in range(g.node_count())]
                        for i, g in enumerate(self.graphs)]
 
@@ -136,18 +139,11 @@ class ContextLTS:
             for a, m in edges)
         return _Head(kind, None if j == i else j, targets, sync, Barb(kind, p, q))
 
-    def _graph(self, i: int):
-        """Participant i's graph, validated on first use."""
-        if i not in self._validated:
-            validate_type_graph(self.graphs[i])
-            self._validated.add(i)
-        return self.graphs[i]
-
     def local_type(self, i: int, n: int) -> LocalT:
         """The local type of participant i at node n of its graph."""
         t = self._types.get((i, n))
         if t is None:
-            t = self._types[i, n] = _extract_type(self._graph(i), n)
+            t = self._types[i, n] = _extract_type(self.graphs[i], n)
         return t
 
     def context_of(self, state: State) -> TypingContext:
@@ -165,7 +161,7 @@ class ContextLTS:
             text = self._texts.get(key)
             if text is None:
                 if i not in self._rows:
-                    self._rows[i] = text_rows(self._graph(i))
+                    self._rows[i] = text_rows(self.graphs[i])
                 text = self._texts[key] = graph_text(self.graphs[i], n, self._rows[i])
             parts.append(f"{self.participants[i]}: {text}")
         return ", ".join(parts)

@@ -47,7 +47,7 @@ from .printer import show_global, show_local
 from .subtyping import subtype_sim
 from .typegraph import (
     Action, BRA, END_ACT, ENDK, IN, OUT, SEL, TypeGraph,
-    _balanced, explore, global_graph, local_graph, reaching, validate_type_graph,
+    _balanced, explore, global_graph, local_graph, reaching,
 )
 
 PLAIN, FULL = "plain", "full"
@@ -492,7 +492,8 @@ def project_subset(g: GlobalT, p: str, budget: int = 1_000_000) -> TypeGraph:
     identical label sets for selections, unioned label sets for
     branchings).  Undefined when some state mixes incompatible heads, or
     mixes members where p must act with members from which p never acts
-    again (outside `reaching(gg, p)`).
+    again (outside `reaching(gg, p)`).  Any other state has one kind and
+    peer, and labels from one GChoice or a sorted union: a well-formed graph.
     More than `budget` graph nodes, Skip included, raise BudgetExceeded.
     """
     gg = global_graph(g)
@@ -536,12 +537,7 @@ def project_subset(g: GlobalT, p: str, budget: int = 1_000_000) -> TypeGraph:
 
     init, edges, states, skip = explore(p_closure(gg, frozenset([gg.init]), views), expand,
                                         budget=budget)
-    graph = TypeGraph(init, edges, skip, states)
-    try:
-        validate_type_graph(graph)
-    except SessionTypeError as e:
-        raise ProjUndefined(p, f"invalid local type graph ({e})")
-    return graph
+    return TypeGraph(init, edges, skip, states)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +546,7 @@ def project_subset(g: GlobalT, p: str, budget: int = 1_000_000) -> TypeGraph:
 
 def project(g: GlobalT, p: str, kind: str = FULL, budget: int = 1_000_000):
     """The projection of `g` onto `p` by the algorithm `kind`, one of KINDS:
-    a local type, or for "subset" a validated type graph, whose construction
+    a local type, or for "subset" a type graph, whose construction
     `budget` bounds.  An unknown kind raises ValueError."""
     if kind == "subset":
         return project_subset(g, p, budget)

@@ -6,7 +6,10 @@ by unfolding each node's head.  A global type graph has one node per
 reachable subformula too, and keeps each node's unfolded head, so its
 readers (balance, `reaching`, projection, DOT) never unfold a global type
 again.  Node ids are dense ints so the product constructions elsewhere can
-work on int pairs.
+work on int pairs.  A `TypeGraph` from `local_graph`, `quotient`, the
+minimum-graph builder or `project_subset` is well-formed by construction;
+one built elsewhere is checked once, where it enters: by `graph_to_type`,
+or by a `ContextLTS` given graphs.
 
 `explore` is the single graph builder: local and global type graphs, the
 subset projection's closure states and the minimum type graph's variable
@@ -70,10 +73,10 @@ def show_head(a: Action) -> str:
 
 @dataclass
 class TypeGraph:
-    """Deterministic local type graph.  `edges[n]` lists (Action, target);
-    `skip` is the unique sink for end actions; `desc[n]` is the state that
-    `explore` interned as node n (None for Skip): a subformula, or a set of
-    global-graph nodes (subset) or of type variables (minimum graph)."""
+    """Deterministic local type graph, well-formed (module docstring).
+    `edges[n]` lists (Action, target); `skip` is the sink for end actions;
+    `desc[n]` is the state `explore` interned as node n (None for Skip): a
+    subformula, a set of global-graph nodes (subset) or of type variables."""
 
     init: int
     edges: list[list[tuple[Action, int]]]
@@ -211,7 +214,8 @@ def quotient(g: TypeGraph) -> TypeGraph:
     """`g` with its bisimilar nodes merged: Hopcroft's refinement (1971) of the
     partition by enabled actions.  Blocks are sets, a split costs the nodes it
     moves, and queues only the smaller part of a block not waiting: O(m log n).
-    A block is numbered by, and keeps the edges and `desc` of, its first node."""
+    A block is numbered by, and keeps the edges and `desc` of, its first node;
+    no block mixes action sets, so the result is well-formed if `g` is."""
     preds: list[list[tuple[Action, int]]] = [[] for _ in g.edges]
     for n, out in enumerate(g.edges):
         for a, m in out:
@@ -257,8 +261,8 @@ def graph_to_type(g: TypeGraph, root: int | None = None) -> LocalT:
 
 
 def _extract_type(g: TypeGraph, root: int) -> LocalT:
-    """graph_to_type without the well-formedness check, for callers that
-    have run validate_type_graph on `g` already.  A depth-first walk in
+    """graph_to_type without the well-formedness check, for a graph known
+    to be well-formed (module docstring).  A depth-first walk in
     edge order; a node reached again while open is a back edge, named
     t0, t1, ... in the order they are found, and bound where it opened."""
     binders = count()

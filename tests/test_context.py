@@ -5,7 +5,7 @@ import pytest
 from conftest import rand_context
 
 from mpstk import context, printer
-from mpstk.ast import size
+from mpstk.ast import INT, size
 from mpstk.context import (
     Barb, BudgetExceeded, ContextLTS, Label, barbs, brute_force_liveness,
     check_deadlock_freedom, check_liveness, check_safety, ctx_step,
@@ -16,7 +16,9 @@ from mpstk.inference import infer
 from mpstk.parse import parse
 from mpstk.printer import show, show_context
 from mpstk.subtyping import graph_equiv
-from mpstk.typegraph import quotient
+from mpstk.typegraph import (
+    Action, ENDK, IN, SEL, MalformedGraph, TypeGraph, local_graph, quotient,
+)
 
 D5 = parse("context",
            "q: p&{l1: r&{l2: end, l3: end}, l4: r&{l2: end, l5: end}},"
@@ -226,6 +228,22 @@ def test_minimum_graph_states_key_no_shared_text():
         assert texts[-1] == show_context(lts.context_of(lts.init))
     assert texts == ["p: q!(nat); end, q: p?('a); end", "p: q!(bool); end, q: p?('a); end"]
     assert context._TEXTS == before
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([[], []], "node 0 has no outgoing edges"),
+    ([[(Action(IN, "q", INT), 1), (Action(SEL, "q", "l"), 1)], []],
+     "node 0 mixes edge kinds ['in', 'sel']"),
+])
+def test_handed_in_graphs_are_checked_at_construction(edges, message):
+    """A graph handed to ContextLTS is checked as it enters, before any
+    verdict reads it: neither a crash while the heads are built nor a
+    verdict on a graph that no local type has."""
+    q = local_graph(parse("local", "p?(int); end"))
+    with pytest.raises(MalformedGraph) as e:
+        ContextLTS({"q": q, "p": TypeGraph(0, edges, 1)})
+    assert str(e.value) == message
+    assert check_safety(ContextLTS({"q": q, "p": local_graph(parse("local", "q!(int); end"))}))
 
 
 # ---------------------------------------------------------------------------

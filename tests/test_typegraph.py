@@ -119,6 +119,48 @@ def _text_corpus():
     return graphs
 
 
+@pytest.fixture(scope="module")
+def built():
+    """What the well-formed-by-construction builders return, built once:
+    `infer`'s minimum graph and its `quotient` for 1,000 random processes,
+    and `project_subset` onto every participant of 300 balanced globals;
+    and the name of each refusal's error (`infer` catches its Untypable)."""
+    from mpstk.inference import infer
+    from mpstk.projection import NotBalanced, ProjUndefined, project_subset
+
+    rng = random.Random(22)
+    graphs, refused = {"infer": [], "quotient": [], "subset": []}, []
+    for _ in range(1000):
+        r = infer(rand_process(rng, rng.randint(3, 10)))
+        if r.typable:
+            graphs["infer"].append(r.graph)
+            graphs["quotient"].append(quotient(r.graph))
+        else:
+            refused.append("Untypable")
+    for g in balanced_globals(rng, 300, 8):
+        for p in sorted(participants(g)):
+            try:
+                graphs["subset"].append(project_subset(g, p))
+            except (ProjUndefined, NotBalanced) as e:
+                refused.append(type(e).__name__)
+    return graphs, refused
+
+
+def test_builders_return_well_formed_graphs(built):
+    """The contract that lets `infer`, `quotient` and `project_subset` skip
+    `validate_type_graph`: every graph they return passes it, and every
+    refusal is the builder's own answer, never MalformedGraph."""
+    graphs, refused = built
+    for gs in graphs.values():
+        for g in gs:
+            validate_type_graph(g)
+    assert min(map(len, graphs.values())) > 400
+    assert sum(g.skip is not None for g in graphs["quotient"]) > 400
+    merged = [q.node_count() < g.node_count() for g, q in zip(graphs["infer"], graphs["quotient"])]
+    assert sum(merged) > 50
+    assert {"Untypable", "ProjUndefined"} <= set(refused) <= {"Untypable", "ProjUndefined", "NotBalanced"}
+
+
 def test_graph_text_equals_printed_extraction():
     """graph_text renders every node's type exactly as show_local prints the
     type _extract_type builds: binder names, label order, rec placement."""
