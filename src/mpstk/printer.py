@@ -120,16 +120,8 @@ def show(x) -> str:
     return show_context(x) if isinstance(x, TypingContext) else _text(x)
 
 
-def show_sort(s) -> str:
-    return str(s)
-
-
 def show_local(t) -> str:
     return _text(t)
-
-
-def show_global(g) -> str:
-    return _text(g)
 
 
 _ENTRY_TEXTS: dict = {}  # a context entry's (hash-consed) local type -> its text

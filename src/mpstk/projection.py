@@ -43,7 +43,7 @@ from .ast import (
     Done, Visit, alpha_canon, branches, check_guarded, fold, is_closed, participants, rebuild,
     size, subst,
 )
-from .printer import show_global, show_local
+from .printer import show, show_local
 from .subtyping import subtype_sim
 from .typegraph import (
     Action, BRA, END_ACT, ENDK, IN, OUT, SEL, TypeGraph,
@@ -359,7 +359,7 @@ def _project(g: GlobalT, p: str, bra, merge):
                 try:
                     acc = merge(acc, t)
                 except SessionTypeError as e:
-                    raise ProjUndefined(p, str(e), show_global(g))
+                    raise ProjUndefined(p, str(e), show(g))
             return acc
         if type(g) is GRec:
             return TRec(g.var, kids[0])
@@ -382,7 +382,7 @@ def project_inductive(
     try:
         check_guarded(out)
     except SessionTypeError as e:
-        raise ProjUndefined(p, f"projection is unguarded ({e})", show_global(g))
+        raise ProjUndefined(p, f"projection is unguarded ({e})", show(g))
     return out
 
 
@@ -425,7 +425,7 @@ def project_tirore(g: GlobalT, p: str) -> LocalT:
     try:
         check_guarded(cand)
     except SessionTypeError:
-        raise ProjUndefined(p, "candidate does not unravel (unguarded)", show_global(g))
+        raise ProjUndefined(p, "candidate does not unravel (unguarded)", show(g))
     gg = global_graph(g)
     lg = local_graph(cand)
     views = _views(gg, p)
@@ -439,7 +439,7 @@ def project_tirore(g: GlobalT, p: str) -> LocalT:
         if u not in live:
             if lg.kind(v) != ENDK:
                 raise ProjUndefined(p, "participant absent but local type is not end",
-                                    show_global(gg.nodes[u]))
+                                    show(gg.nodes[u]))
             continue
         if views[u] is None:  # the candidate waits on every branch
             pairs = [(u2, v) for u2 in gg.succ[u]]
@@ -448,14 +448,14 @@ def project_tirore(g: GlobalT, p: str) -> LocalT:
             want = Action(kind, peer, a)
             v2 = lg.step(v, want)
             if v2 is None:
-                raise ProjUndefined(p, f"head mismatch, wanted {want}", show_global(gg.nodes[u]))
+                raise ProjUndefined(p, f"head mismatch, wanted {want}", show(gg.nodes[u]))
             pairs = ((u2, v2),)
         else:  # the candidate must offer the same labels
             kind, peer, arcs = views[u]
             want = [l for l, _ in arcs]
             got = [a.arg for a, _ in lg.out(v) if a.kind == kind and a.peer == peer]
             if lg.kind(v) != kind or got != want:
-                raise ProjUndefined(p, f"label sets differ ({want} vs {got})", show_global(gg.nodes[u]))
+                raise ProjUndefined(p, f"label sets differ ({want} vs {got})", show(gg.nodes[u]))
             pairs = [(u2, lg.step(v, Action(kind, peer, l))) for l, u2 in arcs]
         for pair in pairs:
             if pair not in seen:
@@ -500,14 +500,14 @@ def project_subset(g: GlobalT, p: str, budget: int = 1_000_000) -> TypeGraph:
     pts = participants(g)
     reach = _balanced(gg, pts)
     if reach is None:
-        raise NotBalanced(f"global type is not balanced: {show_global(g)}")
+        raise NotBalanced(f"global type is not balanced: {show(g)}")
     if p not in pts:
         raise ProjUndefined(p, "participant does not occur in the global type")
     views = _views(gg, p)
     live = reach[p]  # nodes where p still takes part
 
     def describe(s: frozenset[int]) -> str:  # " | " occurs in no global type
-        return "{" + " | ".join(show_global(gg.nodes[u]) for u in sorted(s)) + "}"
+        return "{" + " | ".join(show(gg.nodes[u]) for u in sorted(s)) + "}"
 
     def expand(n: int, s: frozenset[int]):
         inv = [views[u] for u in s if views[u] is not None]

@@ -30,7 +30,6 @@ from .ast import (
     TBra, TEnd, TIn, TOut, TRec, TSel, TVar, Done, Visit,
     alpha_canon, branches, children, fold, participants, unfold,
 )
-from .printer import show_sort
 
 IN, OUT, SEL, BRA, ENDK = "in", "out", "sel", "bra", "end"
 
@@ -48,9 +47,9 @@ class Action(NamedTuple):
         if self.kind == ENDK:
             return "end"
         if self.kind == IN:
-            return f"?{self.peer}({show_sort(self.arg)})"
+            return f"?{self.peer}({self.arg})"
         if self.kind == OUT:
-            return f"!{self.peer}({show_sort(self.arg)})"
+            return f"!{self.peer}({self.arg})"
         op = "(+)" if self.kind == SEL else "&"
         return f"{op}{self.peer} {self.arg}"
 
@@ -67,7 +66,7 @@ def show_head(a: Action) -> str:
     if a.kind == ENDK:
         return "end"
     if a.kind in (IN, OUT):
-        return f"{a.peer}{'?' if a.kind == IN else '!'}({show_sort(a.arg)})"
+        return f"{a.peer}{'?' if a.kind == IN else '!'}({a.arg})"
     return f"{a.peer}{'+' if a.kind == SEL else '&'}"
 
 
@@ -511,7 +510,7 @@ def dot_global_graph(gg: GlobalGraph, title: str = "globalgraph") -> str:
     """One box per node, showing its head `p->q` or `end`; each edge shows
     its label, or its message's sort as `(S)`."""
     nodes = [("shape=box", "end" if h is None else f"{h.frm}->{h.to}") for h in gg.heads]
-    edges = [(n, m, f"({show_sort(a)})" if type(h) is GMsg else a)
+    edges = [(n, m, f"({a})" if type(h) is GMsg else a)
              for n, h in enumerate(gg.heads) for a, m in gg.arcs(n)]
     return dot_text(title, gg.init, nodes, edges)
 
