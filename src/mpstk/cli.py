@@ -169,27 +169,26 @@ def cmd_gen(args) -> int:
     return OK
 
 
-def cmd_topdown(args) -> int:
-    sess = parse("session", _read(args.session))
-    g = parse("global", _read(args.global_file))
-    rep = run_topdown(sess, g, args.kind, args.budget)
+def _emit_pipeline(args, rep, accepted: str, rejected: str) -> int:
+    """A pipeline report: its stages in JSON, else the verdict text."""
     payload = {"accepted": rep.accepted,
                "stages": [{"name": s.name, "ok": s.ok, "detail": s.detail,
                            "millis": round(s.millis, 3)} for s in rep.stages]}
-    text = "accepted" if rep.accepted else f"rejected: {rep.fail_reason()}"
-    _emit(args, payload, text)
+    _emit(args, payload, accepted if rep.accepted else f"{rejected}: {rep.fail_reason()}")
     return OK if rep.accepted else REJECT
+
+
+def cmd_topdown(args) -> int:
+    sess = parse("session", _read(args.session))
+    g = parse("global", _read(args.global_file))
+    return _emit_pipeline(args, run_topdown(sess, g, args.kind, args.budget),
+                          "accepted", "rejected")
 
 
 def cmd_bottomup(args) -> int:
     sess = parse("session", _read(args.session))
-    rep = run_bottomup(sess, args.prop, args.budget)
-    payload = {"accepted": rep.accepted,
-               "stages": [{"name": s.name, "ok": s.ok, "detail": s.detail,
-                           "millis": round(s.millis, 3)} for s in rep.stages]}
-    text = "holds" if rep.accepted else f"violated or untypable: {rep.fail_reason()}"
-    _emit(args, payload, text)
-    return OK if rep.accepted else REJECT
+    return _emit_pipeline(args, run_bottomup(sess, args.prop, args.budget),
+                          "holds", "violated or untypable")
 
 
 def cmd_bench(args) -> int:
