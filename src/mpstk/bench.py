@@ -118,26 +118,40 @@ def _lcm(divisors, budget):
     return "x".join(map(str, divisors)), size(p), run
 
 
-def _ints(raw: str) -> list[int]:
-    return [int(x) for x in raw.split(",")]
+def _points(raw: str, family: str, read: Callable[[str], object]) -> list:
+    """The comma-separated points of `raw`, each read by `read`; one it
+    cannot read raises ValueError naming the family and its form."""
+    out = []
+    for chunk in raw.split(","):
+        try:
+            out.append(read(chunk))
+        except ValueError:
+            form, bad = FAMILIES[family].form, chunk or "an empty point"
+            raise ValueError(f"{family} points are {form}, not {bad}") from None
+    return out
 
 
-def _products(raw: str) -> list[tuple[int, ...]]:
-    return [tuple(int(x) for x in chunk.split("x")) for chunk in raw.split(",")]
+def _ints(raw: str, family: str) -> list[int]:
+    return _points(raw, family, int)
+
+
+def _products(raw: str, family: str) -> list[tuple[int, ...]]:
+    return _points(raw, family, lambda chunk: tuple(int(x) for x in chunk.split("x")))
 
 
 class Family(NamedTuple):
-    """`params` reads the CLI's --params text into points; `point(x, budget)`
-    builds point x's input and returns (n, size, run), where the timed
-    `run()` returns (work, outcome)."""
+    """`params(raw, family)` reads the CLI's --params text into points, each
+    of the written `form`; `point(x, budget)` builds point x's input and
+    returns (n, size, run), where the timed `run()` returns (work, outcome)."""
 
-    params: Callable[[str], list]
+    params: Callable[[str, str], list]
     point: Callable
+    form: str = "n"
 
 
 # the bench families, in the order of the CLI's --family choices
 FAMILIES = {
-    "coprime": Family(_products, _coprime),
+    "coprime": Family(_products, _coprime, "n1xn2"),
     "inductive-blowup": Family(_ints, _inductive_blowup),
     "plain-nlogn": Family(_ints, _merge_ops("plain_nlogn", "r", PLAIN)),
     "fullmerge-naive": Family(_ints, _fullmerge_naive),
@@ -145,7 +159,7 @@ FAMILIES = {
     "fullmerge-nlog2": Family(_ints, _merge_ops("fullmerge_nlog2", "r", FULL)),
     "subset-primes": Family(_ints, _subset_primes),
     "tirore": Family(_ints, _tirore),
-    "lcm": Family(_products, _lcm),
+    "lcm": Family(_products, _lcm, "d1xd2x..."),
 }
 
 

@@ -192,7 +192,7 @@ def cmd_bottomup(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    records = bench_family(args.family, FAMILIES[args.family].params(args.params),
+    records = bench_family(args.family, FAMILIES[args.family].params(args.params, args.family),
                            budget=args.budget)
     if args.out:
         write_csv(records, args.out)

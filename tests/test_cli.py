@@ -332,6 +332,20 @@ def test_bench_coprime_points_name_the_form(bad, capsys):
     assert f"coprime points are n1xn2, not {bad}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family,params,message", [
+    ("lcm", "3x", "lcm points are d1xd2x..., not 3x"),
+    ("lcm", "2,,3", "lcm points are d1xd2x..., not an empty point"),
+    ("plain-nlogn", "", "plain-nlogn points are n, not an empty point"),
+    ("coprime", "2xa", "coprime points are n1xn2, not 2xa"),
+    ("tirore", "1.5", "tirore points are n, not 1.5"),
+])
+def test_bench_malformed_points_name_the_form(family, params, message, capsys):
+    """A point that is not numbers in the family's form exits 2 naming the
+    family, the form and the point, not int()'s message."""
+    assert main(["bench", "--family", family, f"--params={params}"]) == 2
+    assert f"error: {message}\n" == capsys.readouterr().err
+
+
 def test_topdown_bottomup_json_stages(files, capsys):
     """Both pipelines print {"accepted", "stages"}, each stage as {name, ok,
     detail, millis}, naming the stages they ran, in order."""
