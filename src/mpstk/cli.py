@@ -76,7 +76,7 @@ def cmd_project(args) -> int:
     except (ProjUndefined, NotBalanced) as e:
         _emit(args, {"defined": False, "reason": str(e)}, f"undefined: {e}")
         return REJECT
-    if args.algo == "subset":  # a validated type graph
+    if args.algo == "subset":  # a type graph, well-formed by construction
         payload = {"defined": True, "type": graph_text(t, t.init),
                    "graph_nodes": len(t.real_nodes())}
     else:
