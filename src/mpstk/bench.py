@@ -118,49 +118,45 @@ def _lcm(divisors, budget):
     return "x".join(map(str, divisors)), size(p), run
 
 
-def _points(raw: str, family: str, read: Callable[[str], object]) -> list:
-    """The comma-separated points of `raw`, each read by `read`; one it
-    cannot read raises ValueError naming the family and its form."""
-    out = []
-    for chunk in raw.split(","):
-        try:
-            out.append(read(chunk))
-        except ValueError:
-            form, bad = FAMILIES[family].form, chunk or "an empty point"
-            raise ValueError(f"{family} points are {form}, not {bad}") from None
-    return out
-
-
-def _ints(raw: str, family: str) -> list[int]:
-    return _points(raw, family, int)
-
-
-def _products(raw: str, family: str) -> list[tuple[int, ...]]:
-    return _points(raw, family, lambda chunk: tuple(int(x) for x in chunk.split("x")))
+def _product(chunk: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in chunk.split("x"))
 
 
 class Family(NamedTuple):
-    """`params(raw, family)` reads the CLI's --params text into points, each
-    of the written `form`; `point(x, budget)` builds point x's input and
-    returns (n, size, run), where the timed `run()` returns (work, outcome)."""
+    """`read` reads one point of the CLI's --params text, written in `form`;
+    `point(x, budget)` builds point x's input and returns (n, size, run),
+    where the timed `run()` returns (work, outcome)."""
 
-    params: Callable[[str, str], list]
+    read: Callable[[str], object]
     point: Callable
     form: str = "n"
 
 
 # the bench families, in the order of the CLI's --family choices
 FAMILIES = {
-    "coprime": Family(_products, _coprime, "n1xn2"),
-    "inductive-blowup": Family(_ints, _inductive_blowup),
-    "plain-nlogn": Family(_ints, _merge_ops("plain_nlogn", "r", PLAIN)),
-    "fullmerge-naive": Family(_ints, _fullmerge_naive),
-    "fullmerge-opt": Family(_ints, _merge_ops("fullmerge_quadratic", "p", FULL)),
-    "fullmerge-nlog2": Family(_ints, _merge_ops("fullmerge_nlog2", "r", FULL)),
-    "subset-primes": Family(_ints, _subset_primes),
-    "tirore": Family(_ints, _tirore),
-    "lcm": Family(_products, _lcm, "d1xd2x..."),
+    "coprime": Family(_product, _coprime, "n1xn2"),
+    "inductive-blowup": Family(int, _inductive_blowup),
+    "plain-nlogn": Family(int, _merge_ops("plain_nlogn", "r", PLAIN)),
+    "fullmerge-naive": Family(int, _fullmerge_naive),
+    "fullmerge-opt": Family(int, _merge_ops("fullmerge_quadratic", "p", FULL)),
+    "fullmerge-nlog2": Family(int, _merge_ops("fullmerge_nlog2", "r", FULL)),
+    "subset-primes": Family(int, _subset_primes),
+    "tirore": Family(int, _tirore),
+    "lcm": Family(_product, _lcm, "d1xd2x..."),
 }
+
+
+def read_params(family: str, raw: str) -> list:
+    """The comma-separated points of `raw` for `family`; one not in the
+    family's form raises ValueError naming the family, the form and it."""
+    f, points = FAMILIES[family], []
+    for chunk in raw.split(","):
+        try:
+            points.append(f.read(chunk))
+        except ValueError:
+            bad = chunk or "an empty point"
+            raise ValueError(f"{family} points are {f.form}, not {bad}") from None
+    return points
 
 
 def bench_family(family: str, params, budget: int = 10_000_000) -> list[BenchRecord]:

@@ -13,7 +13,7 @@ import sys
 
 from . import context as ctx_mod
 from .ast import BudgetExceeded, SessionTypeError, size
-from .bench import CSV_COLUMNS, FAMILIES, bench_family, write_csv
+from .bench import CSV_COLUMNS, FAMILIES, bench_family, read_params, write_csv
 from .context import brute_force_liveness
 from .hardness import eval_qbf, gen_qbf_context, parse_qbf, protocol_summary
 from .inference import infer, show_constraint
@@ -192,8 +192,7 @@ def cmd_bottomup(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    records = bench_family(args.family, FAMILIES[args.family].params(args.params, args.family),
-                           budget=args.budget)
+    records = bench_family(args.family, read_params(args.family, args.params), budget=args.budget)
     if args.out:
         write_csv(records, args.out)
     print("\t".join(CSV_COLUMNS))
