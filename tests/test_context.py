@@ -17,7 +17,7 @@ from mpstk.parse import parse
 from mpstk.printer import show, show_context
 from mpstk.subtyping import graph_equiv
 from mpstk.typegraph import (
-    Action, ENDK, IN, SEL, MalformedGraph, TypeGraph, local_graph, quotient,
+    Action, IN, SEL, MalformedGraph, TypeGraph, local_graph, quotient,
 )
 
 D5 = parse("context",
