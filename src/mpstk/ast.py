@@ -14,10 +14,12 @@ them), and a message or choice has two distinct participants.  Process
 branchings keep the order of their text, with distinct labels.
 
 `CHILDREN` names the child fields of each class, and is the only place
-that does.  `fold` is the one walk over ASTs: a post-order fold with an
-explicit stack, so no input is too deep for it, with a pre-order hook for
-walks that carry an environment or choose the children they visit.  Every
-AST walker in the package runs on it.
+that does.  `fold` is the one walk over ASTs that computes a result per
+node: a post-order fold with an explicit stack, so no input is too deep for
+it, with a pre-order hook for walks that carry an environment or choose the
+children they visit.  Two printers keep a stack of their own, because they
+only append text left to right and a fold's hook calls per node would cost
+more than their work: `printer._text` and `typegraph.graph_text`.
 """
 
 from __future__ import annotations
@@ -431,7 +433,7 @@ _KIDS, _MAKE = {}, {}
 for _cls, _names in CHILDREN.items():
     _KIDS[_cls], _MAKE[_cls] = _accessors(_cls, _names)
 # class -> the getter of its only child, for the classes that have one
-ONLY_CHILD = {c: attrgetter(n[0]) for c, n in CHILDREN.items() if len(n) == 1 and n[0] not in _PAIRS}
+_ONLY_CHILD = {c: attrgetter(n[0]) for c, n in CHILDREN.items() if len(n) == 1 and n[0] not in _PAIRS}
 
 
 def children(t) -> tuple:
@@ -471,8 +473,9 @@ class Visit:
 
 
 def fold(t, post, pre=None, env=None, memo=None):
-    """The one walk over ASTs: a post-order fold with an explicit stack, so
-    no depth of input reaches the interpreter's recursion limit.
+    """The walk over ASTs that computes a result per node (module docstring):
+    a post-order fold with an explicit stack, so no depth of input reaches
+    the interpreter's recursion limit.
 
     `post(node, results, env)` gives a node's result from the results of
     its children, in order.  `pre(node, env)`, if given, runs when the node
@@ -497,9 +500,9 @@ def fold(t, post, pre=None, env=None, memo=None):
             else:
                 if type(env) is Visit:
                     kids, env = env.kids, env.env
-                elif type(node) in ONLY_CHILD:
+                elif type(node) in _ONLY_CHILD:
                     push((node, env))
-                    node = ONLY_CHILD[type(node)](node)
+                    node = _ONLY_CHILD[type(node)](node)
                     continue
                 else:
                     kids = _KIDS.get(type(node))

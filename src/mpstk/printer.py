@@ -1,10 +1,11 @@
 """Pretty-printers producing the surface syntax accepted by parse.py.
 
-A term is printed by one `ast.fold` that appends its text, left to right,
-to one list and joins it once, so printing costs time linear in the text at
-any depth; a typing context is joined from its entries' texts, each printed
-once per process.  `_TEXTS` gives each node's text as the pieces around its
-children: the text before each child, then the text after the last.
+A term is printed in one left-to-right pass over a stack of pieces, texts
+and nodes: each text is appended to one list, joined once, so printing
+costs time linear in the text at any depth.  `_TEXTS` gives each node's
+text as the pieces around its children: the text before each child, then
+the text after the last.  A typing context is joined from its entries'
+texts, each printed once per process.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from .ast import (
     EAdd, EInt, ENat, ENeg, ENonDet, ENot, EOr, ETrue, EFalse, EVar,
     GEnd, GChoice, GMsg, GRec, GVar,
     PBra, PCond, PInact, PRec, PRecv, PSel, PSend, PVar,
-    ONLY_CHILD, Done, Session, TypingContext, Visit,
-    TBra, TEnd, TIn, TOut, TRec, TSel, TVar, children, fold,
+    Session, TBra, TEnd, TIn, TOut, TRec, TSel, TVar, TypingContext, children,
 )
 
 
@@ -77,41 +77,33 @@ _TEXTS = {
 }
 
 
-def _enter(item, env):
-    """item: (text before the node, the node); env: (the text so far, the
-    texts after the nodes the visit of its parent opened).  A run of nodes
-    with one child each is printed in one visit."""
-    text, u = item
-    out, afters = env[0], []
-    while True:
-        out.append(text)
-        texts = _TEXTS.get(type(u), _sort)(u)
-        if texts[-1]:
-            afters.append(texts[-1])
-        if len(texts) != 2:
-            break
-        one = ONLY_CHILD.get(type(u))
-        text, u = texts[0], one(u) if one else children(u)[0]
-    if len(texts) == 1:
-        out.extend(reversed(afters))
-        return _DONE
-    return Visit(tuple(zip(texts, children(u))), (out, afters))
-
-
 def _sort(s):
     return (str(s),)
 
 
-def _leave(item, vals, env):
-    env[0].extend(reversed(env[1]))
-
-
-_DONE = Done(None)
-
-
 def _text(x) -> str:
+    """The text of x in one left-to-right pass over a stack of pieces.  A
+    popped text is appended; a popped node appends its first text and pushes
+    its children interleaved with its other texts, the first child on top,
+    skipping empty texts."""
     out: list[str] = []
-    fold(("", x), _leave, _enter, (out, None))
+    stack = [x]
+    push, pop, append = stack.append, stack.pop, out.append
+    while stack:
+        u = pop()
+        if type(u) is str:
+            append(u)
+            continue
+        texts = _TEXTS.get(type(u), _sort)(u)
+        append(texts[0])
+        n = len(texts)
+        if n > 1:
+            kids = children(u)
+            while n > 1:
+                n -= 1
+                if texts[n]:
+                    push(texts[n])
+                push(kids[n - 1])
     return "".join(out)
 
 

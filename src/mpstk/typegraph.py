@@ -7,9 +7,10 @@ reachable subformula too, and keeps each node's unfolded head, so its
 readers (balance, `reaching`, projection, DOT) never unfold a global type
 again.  Node ids are dense ints so the product constructions elsewhere can
 work on int pairs.  A `TypeGraph` from `local_graph`, `quotient`, the
-minimum-graph builder or `project_subset` is well-formed by construction;
-one built elsewhere is checked once, where it enters: by `graph_to_type`,
-or by a `ContextLTS` given graphs.
+minimum-graph builder or `project_subset` is well-formed by construction,
+its branch edges in label order like the AST's branches; one built
+elsewhere is checked once, where it enters: by `graph_to_type`, or by a
+`ContextLTS` given graphs.
 
 `explore` is the single graph builder: local and global type graphs, the
 subset projection's closure states and the minimum type graph's variable
@@ -72,10 +73,11 @@ def show_head(a: Action) -> str:
 
 @dataclass
 class TypeGraph:
-    """Deterministic local type graph, well-formed (module docstring).
-    `edges[n]` lists (Action, target); `skip` is the sink for end actions;
-    `desc[n]` is the state `explore` interned as node n (None for Skip): a
-    subformula, a set of global-graph nodes (subset) or of type variables."""
+    """Deterministic local type graph, well-formed (module docstring), so a
+    node's branch edges are in label order.  `edges[n]` lists (Action,
+    target); `skip` is the sink for end actions; `desc[n]` is the state
+    `explore` interned as node n (None for Skip): a subformula, a set of
+    global-graph nodes (subset) or of type variables."""
 
     init: int
     edges: list[list[tuple[Action, int]]]
@@ -113,7 +115,8 @@ def validate_type_graph(g: TypeGraph) -> None:
     """Well-formedness of a local type graph: every non-Skip node has edges
     all of one kind (one input / one output / selections to one peer /
     branchings to one peer / a single end edge into Skip), deterministically
-    labelled."""
+    labelled, with the edges of a selection or branching in label order, as
+    the AST keeps its branches."""
     for n in range(len(g.edges)):
         if n == g.skip:
             if g.edges[n]:
@@ -139,6 +142,8 @@ def validate_type_graph(g: TypeGraph) -> None:
                 raise MalformedGraph(f"node {n}: several peers {sorted(peers)}")
             if len(set(labs)) != len(labs):
                 raise MalformedGraph(f"node {n}: duplicate labels")
+            if labs != sorted(labs):
+                raise MalformedGraph(f"node {n}: labels out of order")
 
 
 def head_actions(t: LocalT) -> list[tuple[Action, LocalT]]:
@@ -294,44 +299,38 @@ def _extract_type(g: TypeGraph, root: int) -> LocalT:
 
 def text_rows(g: TypeGraph) -> list:
     """The text `graph_text` joins at each node of a well-formed graph:
-    (head, (prefix, successor) pairs in edge order, closing text, and None
-    if that is the label order, else the edge indices in label order)."""
+    (head, (prefix, successor) pairs in edge order, closing text)."""
     rows: list = [None] * len(g.edges)  # Skip has no row
     for n in g.real_nodes():
         out = g.edges[n]
         a, m = out[0]
         head = show_head(a)
         if a.kind == ENDK:
-            rows[n] = (head, (), "", None)
+            rows[n] = (head, (), "")
         elif a.kind in (IN, OUT):
-            rows[n] = (head + "; ", (("", m),), "", None)
+            rows[n] = (head + "; ", (("", m),), "")
         else:
-            order = sorted(range(len(out)), key=lambda k: out[k][0].arg)
-            succ = tuple((f"{', ' if k != order[0] else ''}{b.arg}: ", t)
-                         for k, (b, t) in enumerate(out))
-            rows[n] = (head + "{", succ, "}", None if order == sorted(order) else order)
+            succ = tuple((f"{', ' if k else ''}{b.arg}: ", t) for k, (b, t) in enumerate(out))
+            rows[n] = (head + "{", succ, "}")
     return rows
 
 
 def graph_text(g: TypeGraph, root: int, rows: list | None = None) -> str:
     """show_local(_extract_type(g, root)), byte for byte, with no type built:
-    the same depth-first walk, in edge order, with the same rec binders,
-    joining the rows of `text_rows(g)` (computed here if not given).
+    the same depth-first walk, in edge order, which is label order, with the
+    same rec binders, joining the rows of `text_rows(g)` (computed here if
+    not given).
 
     The walk keeps its own stack of open nodes rather than going through
     `ast.fold`: it is the hottest walk of trace rendering, and two hook
-    calls per node would double its time.  Where a
-    node's branches show in another order than its edges, each branch's
-    text is made one piece, and the pieces are permuted."""
+    calls per node would double its time."""
     rows = text_rows(g) if rows is None else rows
     binders = count()
     active: dict[int, str | None] = {}  # open node -> its binder name, once used
     text: list[str] = []
-    # per open node: [node, where its text starts, whether its text is to be
-    # one piece, the index of its next edge]; its head follows its start
-    stack: list[list] = []
+    stack: list[list] = []  # per open node: [node, where its head is, its next edge]
 
-    pre, m, joined = "", root, False  # the next node to reach, if m is not None
+    pre, m = "", root  # the next node to reach, if m is not None
     while True:
         if m is not None:
             if m in active:  # a back edge
@@ -340,29 +339,24 @@ def graph_text(g: TypeGraph, root: int, rows: list | None = None) -> str:
                 text.append(pre + active[m])
             else:
                 active[m] = None
-                stack.append([m, len(text), joined, 0])
                 text.append(pre)
+                stack.append([m, len(text), 0])
                 text.append(rows[m][0])
         if not stack:
             break
         top = stack[-1]
-        n, start, joined, i = top
-        head, succ, close, order = rows[n]
+        n, at, i = top
+        head, succ, close = rows[n]
         if i < len(succ):
-            top[3] = i + 1
+            top[2] = i + 1
             pre, m = succ[i]
-            joined = order is not None
             continue
         m = None
         stack.pop()
-        if order is not None:  # the branches' pieces, put in label order
-            text[start + 2:] = [text[start + 2 + k] for k in order]
         text.append(close)
         name = active.pop(n)
         if name is not None:
-            text[start + 1] = f"rec {name}. {head}"
-        if joined:
-            text[start:] = ["".join(text[start:])]
+            text[at] = f"rec {name}. {head}"
     return "".join(text)
 
 

@@ -87,8 +87,7 @@ def test_graph_to_type_subset_example():
 def _text_corpus():
     """Well-formed graphs of every origin: random local types, the
     participants of 30 QBF gadgets, minimum type graphs with a Skip node
-    and subset projections; each again with every node's edges reversed,
-    so that edge order and label order differ."""
+    and subset projections."""
     from mpstk.context import ContextLTS
     from mpstk.hardness import gen_qbf_context
     from mpstk.inference import infer
@@ -113,9 +112,6 @@ def _text_corpus():
                 graphs["subset"].append(project_subset(g, p))
             except ProjUndefined:
                 continue
-    for origin in list(graphs):
-        graphs[f"{origin}, reversed"] = [
-            TypeGraph(g.init, [out[::-1] for out in g.edges], g.skip) for g in graphs[origin]]
     return graphs
 
 
@@ -164,21 +160,28 @@ def test_builders_return_well_formed_graphs(built):
 
 def test_graph_text_equals_printed_extraction():
     """graph_text renders every node's type exactly as show_local prints the
-    type _extract_type builds: binder names, label order, rec placement."""
-    seen = {}
+    type _extract_type builds: binder names, label order, rec placement.
+    Label order is part of well-formedness: each graph with every node's
+    edges reversed is rejected if a node of it has two labels or more."""
+    seen, reversed_graphs = {}, 0
     for origin, graphs in _text_corpus().items():
         for g in graphs:
             validate_type_graph(g)
             rows = text_rows(g)
             for n in g.real_nodes():
                 assert graph_text(g, n, rows) == show_local(_extract_type(g, n)), (origin, n)
+            if any(len(out) > 1 for out in g.edges):
+                reversed_graphs += 1
+                with pytest.raises(MalformedGraph, match="labels out of order"):
+                    validate_type_graph(TypeGraph(g.init, [out[::-1] for out in g.edges], g.skip))
         seen[origin] = sum(len(g.real_nodes()) for g in graphs)
-    assert min(seen.values()) > 250
+    assert min(seen.values()) > 250 and reversed_graphs > 250
     # binders are numbered in the order of first use along the edges
     g = local_graph(parse("local", "rec a. p&{x: rec b. p&{u: a, v: b}, y: end}"))
-    back = TypeGraph(g.init, [out[::-1] for out in g.edges], g.skip)
     assert graph_text(g, g.init) == "rec t0. p&{x: rec t1. p&{u: t0, v: t1}, y: end}"
-    assert graph_text(back, back.init) == "rec t1. p&{x: rec t0. p&{u: t1, v: t0}, y: end}"
+    back = TypeGraph(g.init, [out[::-1] for out in g.edges], g.skip)
+    with pytest.raises(MalformedGraph):
+        graph_to_type(back)
 
 
 def _rand_graph(rng, n):
@@ -275,6 +278,8 @@ _END = (Action(ENDK), 1)  # node 1 is Skip in the graphs below
      "node 0: several peers ['p', 'q']"),
     ([[(Action(BRA, "p", "l"), 2), (Action(BRA, "p", "l"), 2)], [], [_END]],
      "node 0: duplicate labels"),
+    ([[(Action(SEL, "p", "m"), 2), (Action(SEL, "p", "l"), 2)], [], [_END]],
+     "node 0: labels out of order"),
 ])
 def test_malformed_graph_messages(edges, message):
     with pytest.raises(MalformedGraph) as e:
