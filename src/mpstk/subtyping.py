@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .ast import (
     INT, BudgetExceeded, LocalT, SortVar, TBra, TEnd, TIn, TOut, TRec, TSel, TVar, subst,
 )
-from .typegraph import BRA, ENDK, IN, OUT, SEL, TypeGraph, local_graph
+from .typegraph import BRA, ENDK, IN, OUT, SEL, TypeGraph, local_graph, validate_type_graph
 
 
 @dataclass
@@ -46,7 +46,11 @@ class InductiveResult:
 
 
 def to_type_graph(t) -> TypeGraph:
-    return t if isinstance(t, TypeGraph) else local_graph(t)
+    """The graph of local type t, or t itself, checked, if it is a graph."""
+    if isinstance(t, TypeGraph):
+        validate_type_graph(t)
+        return t
+    return local_graph(t)
 
 
 # Left-driven actions must be matched by the right graph; right-driven
@@ -124,21 +128,16 @@ def subtype_sim_matching(t1, t2) -> tuple[bool, dict]:
             return True
         return a == b
 
-    def step_matching(g, n, act, flip: bool):
+    def step2(n2, act):
+        """Match a left-driven action in g2: the only kind with payloads."""
         if act.kind in (IN, OUT):
-            for a, m in g.out(n):
-                if a.kind == act.kind and a.peer == act.peer:
-                    x, y = (act.arg, a.arg) if not flip else (a.arg, act.arg)
-                    if match_payload(x, y):
-                        return m
+            for a, m in g2.out(n2):
+                if a.kind == act.kind and a.peer == act.peer and match_payload(act.arg, a.arg):
+                    return m
             return None
-        return g.step(n, act)
+        return g2.step(n2, act)
 
-    ok, _, _ = _product_walk(
-        g1, g2,
-        lambda n1, a: step_matching(g1, n1, a, flip=True),
-        lambda n2, a: step_matching(g2, n2, a, flip=False),
-    )
+    ok, _, _ = _product_walk(g1, g2, g1.step, step2)
     return ok, binding
 
 

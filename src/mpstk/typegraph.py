@@ -9,8 +9,9 @@ again.  Node ids are dense ints so the product constructions elsewhere can
 work on int pairs.  A `TypeGraph` from `local_graph`, `quotient`, the
 minimum-graph builder or `project_subset` is well-formed by construction,
 its branch edges in label order like the AST's branches; one built
-elsewhere is checked once, where it enters: by `graph_to_type`, or by a
-`ContextLTS` given graphs.
+elsewhere is checked once, where it enters: by `graph_to_type`, by a
+`ContextLTS` given graphs, or by `subtyping.to_type_graph` for the
+simulation deciders.
 
 `explore` is the single graph builder: local and global type graphs, the
 subset projection's closure states and the minimum type graph's variable

@@ -164,3 +164,19 @@ def test_matching_subtype():
     assert ok and binding[SortVar("a")] == INT
     bad = parse("local", "rec t. p?(int); p!(bool); t")
     assert not subtype_sim_matching(tmin, bad)[0]
+
+
+def test_handed_in_graphs_are_checked():
+    """A TypeGraph handed to the simulation deciders is validated where it
+    enters, like one handed to graph_to_type or ContextLTS: a malformed
+    root is refused, on either side, never answered or crashed on."""
+    from mpstk.typegraph import END_ACT, IN, SEL, Action, MalformedGraph, TypeGraph
+
+    t = parse("local", "q?(int); end")
+    mixed = TypeGraph(0, [[(Action(IN, "q", INT), 1), (Action(SEL, "q", "l"), 1)],
+                          [(END_ACT, 2)], []], 2)
+    edgeless = TypeGraph(0, [[]], None)
+    for left, right in ((t, mixed), (edgeless, t), (t, edgeless)):
+        for decide in (subtype_sim, subtype_sim_matching):
+            with pytest.raises(MalformedGraph):
+                decide(left, right)
