@@ -250,6 +250,18 @@ def test_gen_qbf(capsys):
     assert out["qbf_true"] is False
 
 
+def test_gen_qbf_past_the_oracle_limit(capsys):
+    """The gadget is polynomial, the truth oracle exponential: past the
+    oracle's 20 variables the gadget is still printed, its truth unknown,
+    unless --validate needs the truth."""
+    formula = " ".join(f"E x{i}." for i in range(21)) + " (x0 | x1 | x2)"
+    assert main(["--json", "gen", "qbf", "--formula", formula, "--prop", "safety"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["qbf_true"] is None and out["participants"]
+    assert main(["gen", "qbf", "--formula", formula, "--prop", "safety", "--validate"]) == 2
+    assert "QBF oracle limited to 20 variables" in capsys.readouterr().err
+
+
 def test_topdown_bottomup(files):
     g = files("g.mpst", G_IF)
     sess = files(
