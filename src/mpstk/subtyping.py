@@ -129,7 +129,7 @@ def subtype_sim_matching(t1, t2) -> tuple[bool, dict]:
         return a == b
 
     def step2(n2, act):
-        """Match a left-driven action in g2: the only kind with payloads."""
+        """A left-driven action of g1 matched in g2, unifying payloads."""
         if act.kind in (IN, OUT):
             for a, m in g2.out(n2):
                 if a.kind == act.kind and a.peer == act.peer and match_payload(act.arg, a.arg):
