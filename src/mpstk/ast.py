@@ -605,30 +605,33 @@ def subst(t, var: str, repl):
     return fold(t, rebuild, enter)
 
 
-_unfold_memo: dict = {}
+_unfold_memo: dict = {}  # type recursion -> its one-step unfolding
+
+
+def unfold1(t):
+    """mu t.T -> T[mu t.T / t]: one unfolding step of the recursion t.
+    Type recursions are memoised in `_unfold_memo`, as graph building and
+    the inductive proof search unfold the same ones again and again.
+    Process recursions are not: a process is unfolded as it runs."""
+    if type(t) is PRec:
+        return subst(t.body, t.var, t)
+    u = _unfold_memo.get(t)
+    if u is None:
+        u = _unfold_memo[t] = subst(t.body, t.var, t)
+    return u
 
 
 def unfold(t):
     """unfold(mu t.T) = unfold(T[mu t.T / t]); identity on other heads.
-    Process unfoldings are not memoised: a process is unfolded as it runs.
 
     Terminates on guarded terms only.
     """
-    out = _unfold_memo.get(t)
-    if out is not None:
-        return out
-    u = t
-    steps = 0
-    while type(u) in _RECS:
-        u = subst(u.body, u.var, u)
-        steps += 1
-        if steps > 10_000:
-            raise SessionTypeError(
-                "unguarded process recursion" if isinstance(t, Proc)
-                else "unguarded recursion in unfold")
-    if not isinstance(t, Proc):
-        _unfold_memo[t] = u
-    return u
+    for _ in range(10_001):
+        if type(t) not in _RECS:
+            return t
+        t = unfold1(t)
+    raise SessionTypeError(
+        "unguarded process recursion" if isinstance(t, Proc) else "unguarded recursion in unfold")
 
 
 # ---------------------------------------------------------------------------

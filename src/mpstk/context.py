@@ -198,11 +198,6 @@ class ContextLTS:
     def barbs(self, state: State) -> frozenset[Barb]:
         return frozenset(filter(None, (self._heads[i][n].barb for i, n in enumerate(state))))
 
-    def is_stuck(self, state: State) -> bool:
-        """No synchronised reduction; a reachable graph's `edges[i]` answers
-        this for its state i without recomputing the steps."""
-        return not self.sync_steps(state)
-
     def all_end(self, state: State) -> bool:
         return all(self._heads[i][n].kind == ENDK for i, n in enumerate(state))
 
@@ -330,15 +325,15 @@ class Verdict:
         return self.holds
 
 
-def _path_to(rg: ContextGraph, target: int) -> list[tuple[int, Label]]:
-    """(state index, outgoing label) pairs along the BFS tree to target."""
+def _path_to(parent, target: int) -> list[tuple[int, Label]]:
+    """(state index, outgoing label) pairs along a BFS tree to target, the
+    tree given by `parent[i]`: (predecessor, label), or None at the root."""
     rev = []
-    i = target
-    while rg.parent[i] is not None:
-        j, lab = rg.parent[i]
-        rev.append((j, lab))
-        i = j
-    return list(reversed(rev))
+    step = parent[target]
+    while step is not None:
+        rev.append(step)
+        step = parent[step[0]]
+    return rev[::-1]
 
 
 def _verdict(prop: str, rg: ContextGraph, trace: Trace | None = None) -> Verdict:
@@ -349,16 +344,22 @@ def check_safety(ctx: TypingContext | ContextLTS, budget: int = 1_000_000) -> Ve
     rg = reachable_graph(ctx, budget)
     for i, s in enumerate(rg.states):
         if not rg.lts.is_safe_state(s):
-            return _verdict("safety", rg, Trace(rg, _path_to(rg, i), i))
+            return _verdict("safety", rg, Trace(rg, _path_to(rg.parent, i), i))
     return _verdict("safety", rg)
+
+
+def _stuck_trace(rg: ContextGraph) -> Trace | None:
+    """The path to the first state in BFS order that is stuck but not
+    all-end: the finite counterwitness of deadlock-freedom and liveness."""
+    for i, s in enumerate(rg.states):
+        if not rg.edges[i] and not rg.lts.all_end(s):
+            return Trace(rg, _path_to(rg.parent, i), i)
+    return None
 
 
 def check_deadlock_freedom(ctx: TypingContext | ContextLTS, budget: int = 1_000_000) -> Verdict:
     rg = reachable_graph(ctx, budget)
-    for i, s in enumerate(rg.states):
-        if not rg.edges[i] and not rg.lts.all_end(s):
-            return _verdict("df", rg, Trace(rg, _path_to(rg, i), i))
-    return _verdict("df", rg)
+    return _verdict("df", rg, _stuck_trace(rg))
 
 
 def dot_context_graph(rg: ContextGraph, highlight: set[int] | None = None,
@@ -484,25 +485,14 @@ def _cover_walk(rg: ContextGraph, comp: list[int], start: int) -> list[tuple[int
     inner = {i: [(lab, j) for lab, j in rg.edges[i] if j in compset] for i in comp}
 
     def bfs_path(a, b):
-        if a == b:
-            return []
         prev = {a: None}
         queue = [a]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
+        for u in queue:  # grows as the search goes
+            if u == b:
+                return _path_to(prev, b)
             for lab, v in inner[u]:
                 if v not in prev:
                     prev[v] = (u, lab)
-                    if v == b:
-                        rev = []
-                        w = b
-                        while prev[w] is not None:
-                            u2, lab2 = prev[w]
-                            rev.append((u2, lab2))
-                            w = u2
-                        return list(reversed(rev))
                     queue.append(v)
         raise AssertionError("component not strongly connected")
 
@@ -521,16 +511,16 @@ def check_liveness(ctx: TypingContext | ContextLTS, budget: int = 1_000_000) -> 
     """Not live iff a reachable stuck non-end state exists (finite
     counterwitness) or some barb admits a starving fair lasso."""
     rg = reachable_graph(ctx, budget)
-    for i, s in enumerate(rg.states):
-        if not rg.edges[i] and not rg.lts.all_end(s):
-            return _verdict("live", rg, Trace(rg, _path_to(rg, i), i))
+    stuck = _stuck_trace(rg)
+    if stuck is not None:
+        return _verdict("live", rg, stuck)
     fair = _FairCycles(rg)
     for barb in sorted(fair.members, key=str):
         found = fair.starving(barb)
         if found is None:
             continue
         comp, member = found
-        stem = _path_to(rg, member)
+        stem = _path_to(rg.parent, member)
         cycle = _cover_walk(rg, comp, member)
         return _verdict("live", rg, Trace(rg, stem + cycle, member, len(stem)))
     return _verdict("live", rg)
@@ -543,32 +533,16 @@ CHECKERS = {"safety": check_safety, "df": check_deadlock_freedom, "live": check_
 # Brute-force liveness oracle
 
 
-def _finite_witness(labels, enabled_seq, barbs_seq) -> bool:
-    """Literal check of both counterwitness bullets on a finite maximal
-    path (s_0 -l_0-> ... -> s_f)."""
-    f = len(labels)
-    for k in range(f + 1):
-        taken = set(labels[k:])
-        enab = set().union(*enabled_seq[k:]) if enabled_seq[k:] else set()
-        if taken != enab:
-            return False
-    for k in range(f + 1):
-        obs = set()
-        for lab in labels[k:]:
-            obs |= observations(lab)
-        if barbs_seq[k] - obs:
-            return True
-    return False
-
-
 def _lasso_witness(labels, enabled_seq, barbs_seq, j) -> bool:
-    """Counterwitness check for stem s_0..s_j plus cycle s_j..s_m=s_j."""
+    """Literal check of both counterwitness bullets on the lasso with stem
+    s_0 -l_0-> ... s_j and cycle s_j -l_j-> ... s_m = s_j.  A finite
+    maximal path s_0 ... s_m is the lasso with an empty cycle, j = m."""
     m = len(labels)
     cycle_labels = set(labels[j:])
     cycle_obs = set()
     for lab in labels[j:]:
         cycle_obs |= observations(lab)
-    cycle_enabled = set().union(*enabled_seq[j:m]) if enabled_seq[j:m] else set()
+    cycle_enabled = set().union(*enabled_seq[j:m])
     for k in range(m + 1):
         taken = set(labels[k:]) | cycle_labels
         enab = set().union(*enabled_seq[k:]) | cycle_enabled
@@ -605,9 +579,8 @@ def brute_force_liveness(ctx: TypingContext, bound: int = 8,
         cur = path_states[-1]
         enab = [enabled[i] for i in path_states]
         brb = [barbs_of[i] for i in path_states]
-        if not rg.edges[cur]:
-            if _finite_witness(path_labels, enab, brb):
-                return True
+        if not rg.edges[cur] and _lasso_witness(path_labels, enab, brb, len(path_labels)):
+            return True
         for j in range(len(path_states) - 1):
             if path_states[j] == cur:
                 if _lasso_witness(path_labels, enab, brb, j):

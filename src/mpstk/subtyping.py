@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .ast import (
-    INT, BudgetExceeded, LocalT, SortVar, TBra, TEnd, TIn, TOut, TRec, TSel, TVar, subst,
+    INT, BudgetExceeded, LocalT, SortVar, TBra, TEnd, TIn, TOut, TRec, TSel, TVar, unfold1,
 )
 from .typegraph import BRA, ENDK, IN, OUT, SEL, TypeGraph, local_graph, validate_type_graph
 
@@ -145,19 +145,6 @@ def subtype_sim_matching(t1, t2) -> tuple[bool, dict]:
 # Inductive algorithm
 
 
-_unfold1_memo: dict = {}
-
-
-def _unfold1(t: TRec) -> LocalT:
-    """One unfolding step, memoised: the proof search unfolds the same
-    recursions again and again."""
-    u = _unfold1_memo.get(t)
-    if u is None:
-        u = subst(t.body, t.var, t)
-        _unfold1_memo[t] = u
-    return u
-
-
 def subtype_inductive(t1: LocalT, t2: LocalT, budget: int = 10_000_000) -> InductiveResult:
     """Build the proof tree of {} |- t1 <= t2 bottom-up.  The tree is fully
     deterministic; the judgement count is the number of tree nodes explored
@@ -172,10 +159,10 @@ def subtype_inductive(t1: LocalT, t2: LocalT, budget: int = 10_000_000) -> Induc
         if (a, b) in theta:
             continue
         if isinstance(a, TRec):
-            stack.append((theta | {(a, b)}, _unfold1(a), b))
+            stack.append((theta | {(a, b)}, unfold1(a), b))
             continue
         if isinstance(b, TRec):
-            stack.append((theta | {(a, b)}, a, _unfold1(b)))
+            stack.append((theta | {(a, b)}, a, unfold1(b)))
             continue
         if isinstance(a, TEnd) and isinstance(b, TEnd):
             continue

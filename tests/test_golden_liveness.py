@@ -98,7 +98,7 @@ def test_safety_and_df_dump_is_exact(contexts):
         lts = safety.graph.lts
         for s in safety.graph.states:
             flags.update(states=1, unsafe=not lts.is_safe_state(s),
-                         stuck=lts.is_stuck(s) and not lts.all_end(s))
+                         stuck=not lts.sync_steps(s) and not lts.all_end(s))
     assert sum(s[0] for s, _ in records) == 1655  # safe
     assert sum(d[0] for _, d in records) == 853  # deadlock-free
     assert flags == Counter(states=6286, unsafe=55, stuck=857)
