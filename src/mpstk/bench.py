@@ -58,7 +58,7 @@ def _coprime(point, budget):
     t1, t2 = gen_coprime_pair(n1, n2)
 
     def run():
-        r = subtype_sim(t1, t2)
+        r = subtype_sim(t1, t2, budget)
         return r.nodes_visited, "true" if r.result else "false"
 
     return f"{n1}x{n2}", size(t1) + size(t2), run
@@ -103,7 +103,7 @@ def _subset_primes(k, budget):
 
 def _tirore(n, budget):
     g = gen_lowerbound_family("tirore_quadratic", n)
-    return n, size(g), lambda: (size(project_tirore(g, "p")), "defined")
+    return n, size(g), lambda: (size(project_tirore(g, "p", budget)), "defined")
 
 
 def _lcm(divisors, budget):

@@ -53,7 +53,7 @@ def cmd_subtype(args) -> int:
     t1 = parse("local", _read(args.file_a))
     t2 = parse("local", _read(args.file_b))
     if args.algo == "sim":
-        r = subtype_sim(t1, t2)
+        r = subtype_sim(t1, t2, args.budget)
         payload = {"result": r.result, "nodes_visited": r.nodes_visited,
                    "edges_visited": r.edges_visited}
         text = f"{'subtype' if r.result else 'not a subtype'}"
@@ -120,7 +120,7 @@ def cmd_check_context(args) -> int:
     lines = [f"{args.prop}: {'holds' if v.holds else 'violated'} "
              f"({v.states} states, {v.edges} edges)"]
     if args.oracle and args.prop == "live":
-        oracle = brute_force_liveness(ctx, bound=args.oracle_bound)
+        oracle = brute_force_liveness(ctx, args.oracle_bound, args.budget)
         payload["oracle"] = oracle
         lines.append(f"oracle: {'live' if oracle else 'not live'}")
     if v.trace is not None and args.trace:

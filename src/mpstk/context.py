@@ -562,7 +562,11 @@ def brute_force_liveness(ctx: TypingContext, bound: int = 8,
     """Exhaustively enumerate paths of length <= bound from every reachable
     state, testing the two counterwitness conditions literally on finite
     maximal paths and on every lasso formed by a revisited state.  Returns
-    True (live) iff no counterwitness is found."""
+    True (live) iff no counterwitness is found.  A bound below 1 sees no
+    lasso and raises ValueError; more than `budget` path steps, or than
+    min(budget, 100,000) reachable states, raise BudgetExceeded."""
+    if bound < 1:
+        raise ValueError(f"oracle bound must be at least 1, got {bound}")
     rg = reachable_graph(ctx, min(budget, 100_000))
     enabled = [
         [lab for lab, _ in rg.edges[i]] for i in range(len(rg.states))

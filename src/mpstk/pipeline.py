@@ -108,7 +108,8 @@ def _minima(sess: Session, budget: int) -> dict[str, TypeGraph]:
 
 def run_topdown(sess: Session, g, kind: str = "full", budget: int = 1_000_000) -> PipelineReport:
     """kind: one of projection.KINDS.  `budget` bounds the subset
-    construction and each minimum type graph."""
+    construction, Tirore's check, each minimum type graph and each subtyping
+    product."""
     report = PipelineReport(accepted=False)
     roles = dict(sess.roles)
     pts = participants(g)
@@ -138,7 +139,7 @@ def run_topdown(sess: Session, g, kind: str = "full", budget: int = 1_000_000) -
         # minimum graphs may carry residual sort variables; they must unify
         # with the projection's concrete sorts
         for p in sorted(pts):
-            ok, _ = subtype_sim_matching(minima[p], projections[p])
+            ok, _ = subtype_sim_matching(minima[p], projections[p], budget)
             if not ok:
                 raise Untypable(
                     f"{p}: minimum type is not a subtype of the projection")

@@ -37,7 +37,7 @@ import zlib
 from dataclasses import dataclass
 
 from .ast import (
-    GChoice, GEnd, GMsg, GRec, GVar, GlobalT,
+    BudgetExceeded, GChoice, GEnd, GMsg, GRec, GVar, GlobalT,
     LocalT, SessionTypeError, Sort,
     TBra, TEnd, TIn, TOut, TRec, TSel, TVar, TypingContext,
     Done, Visit, alpha_canon, branches, check_guarded, fold, is_closed, participants, rebuild,
@@ -411,7 +411,7 @@ def _views(gg, p: str) -> list:
     return out
 
 
-def project_tirore(g: GlobalT, p: str) -> LocalT:
+def project_tirore(g: GlobalT, p: str, budget: int = 1_000_000) -> LocalT:
     """ptrans followed by the product-graph check: every reachable pair of a
     global node and the candidate's local node must agree on its head.
 
@@ -419,7 +419,8 @@ def project_tirore(g: GlobalT, p: str) -> LocalT:
     head of G' involves p, the head of T' must match it exactly (same
     direction, peer, payload, and identical label sets); otherwise T' waits
     while G' branches.  Passing the check at every node is precisely the
-    coinductive projection with plain merging of the candidate.
+    coinductive projection with plain merging of the candidate.  More than
+    `budget` pairs raise BudgetExceeded.
     """
     cand = ptrans(g, p)
     try:
@@ -459,6 +460,8 @@ def project_tirore(g: GlobalT, p: str) -> LocalT:
             pairs = [(u2, lg.step(v, Action(kind, peer, l))) for l, u2 in arcs]
         for pair in pairs:
             if pair not in seen:
+                if len(seen) >= budget:
+                    raise BudgetExceeded(f"more than {budget} product nodes")
                 seen.add(pair)
                 stack.append(pair)
     return cand
@@ -546,12 +549,13 @@ def project_subset(g: GlobalT, p: str, budget: int = 1_000_000) -> TypeGraph:
 
 def project(g: GlobalT, p: str, kind: str = FULL, budget: int = 1_000_000):
     """The projection of `g` onto `p` by the algorithm `kind`, one of KINDS:
-    a local type, or for "subset" a type graph, whose construction
-    `budget` bounds.  An unknown kind raises ValueError."""
+    a local type, or for "subset" a type graph.  `budget` bounds the subset
+    construction and Tirore's product check.  An unknown kind raises
+    ValueError."""
     if kind == "subset":
         return project_subset(g, p, budget)
     if kind == "tbc":
-        return project_tirore(g, p)
+        return project_tirore(g, p, budget)
     return project_inductive(g, p, kind)
 
 

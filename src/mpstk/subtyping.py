@@ -60,11 +60,12 @@ _LEFT_KINDS = (SEL, ENDK, IN, OUT)
 _RIGHT_KINDS = (BRA, ENDK)
 
 
-def _product_walk(g1: TypeGraph, g2: TypeGraph, step1, step2):
+def _product_walk(g1: TypeGraph, g2: TypeGraph, step1, step2, budget: int):
     """Walk the product of g1 and g2 depth first from the pair of initial
     nodes, stopping at the first inconsistent node.  `step2(n2, a)` matches
     a left-driven action of g1 in g2 and `step1(n1, a)` a right-driven
-    action of g2 in g1; each returns the successor node or None.
+    action of g2 in g1; each returns the successor node or None.  More than
+    `budget` product nodes, Skip pairs included, raise BudgetExceeded.
 
     Returns (ok, visited product nodes, edges followed)."""
     start = (g1.init, g2.init)
@@ -93,16 +94,18 @@ def _product_walk(g1: TypeGraph, g2: TypeGraph, step1, step2):
         for pair in succs:
             edges += 1
             if pair not in visited:
+                if len(visited) >= budget:
+                    raise BudgetExceeded(f"more than {budget} product nodes")
                 visited.add(pair)
                 stack.append(pair)
     return True, visited, edges
 
 
-def subtype_sim(t1, t2) -> SimResult:
+def subtype_sim(t1, t2, budget: int = 1_000_000) -> SimResult:
     """Decide t1 <= t2 by exploring the product graph, rejecting as soon as
     an inconsistent node is reached.  nodes_visited <= |t1| * |t2|."""
     g1, g2 = to_type_graph(t1), to_type_graph(t2)
-    ok, visited, edges = _product_walk(g1, g2, g1.step, g2.step)
+    ok, visited, edges = _product_walk(g1, g2, g1.step, g2.step, budget)
     real = sum(1 for a, _ in visited if a != g1.skip)
     return SimResult(ok, real, edges)
 
@@ -112,7 +115,7 @@ def graph_equiv(t1, t2) -> bool:
     return bool(subtype_sim(t1, t2)) and bool(subtype_sim(t2, t1))
 
 
-def subtype_sim_matching(t1, t2) -> tuple[bool, dict]:
+def subtype_sim_matching(t1, t2, budget: int = 1_000_000) -> tuple[bool, dict]:
     """Like subtype_sim, but sort variables on the left unify with the
     right-hand payload sorts during the walk (consistently across the whole
     graph).  Decides whether some sort substitution pi gives t1 pi <= t2;
@@ -137,7 +140,7 @@ def subtype_sim_matching(t1, t2) -> tuple[bool, dict]:
             return None
         return g2.step(n2, act)
 
-    ok, _, _ = _product_walk(g1, g2, g1.step, step2)
+    ok, _, _ = _product_walk(g1, g2, g1.step, step2, budget)
     return ok, binding
 
 

@@ -215,6 +215,57 @@ def test_check_session_honours_budget(files, capsys):
     assert "budget exceeded" in capsys.readouterr().err
 
 
+def test_liveness_oracle_honours_budget(files, capsys):
+    """One state with two self-loops: the oracle's paths double per step."""
+    c = files("loop.ctx", "p: rec t. q+{a: t, b: t}, q: rec u. p&{a: u, b: u}")
+    oracle = ["check-context", c, "--prop", "live", "--oracle", "--oracle-bound", "6"]
+    assert main(oracle) == 0
+    assert "oracle: live" in capsys.readouterr().out
+    assert main(["--budget", "10", *oracle]) == 3
+    assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_liveness_oracle_rejects_a_bound_below_one(files, capsys):
+    """A bound of 0 sees no lasso, so it would call this non-live context live."""
+    c = files("c.ctx", "p: rec v. q+{l1: v, l4: v}, q: rec v. p&{l1: v, l4: v}, r: p?(int); end")
+    for bound in ("0", "-1"):
+        assert main(["check-context", c, "--prop", "live", "--oracle", "--oracle-bound", bound]) == 2
+        assert "oracle bound must be at least 1" in capsys.readouterr().err
+    assert main(["check-context", c, "--prop", "live", "--oracle", "--oracle-bound", "2"]) == 1
+    assert capsys.readouterr().out.endswith("oracle: not live\n")
+
+
+def test_subtype_sim_honours_budget(files, capsys):
+    """Coprime cycles of 3 and 4 inputs: 12 product nodes."""
+    a = files("a.mpst", "rec t. p?(int); p?(int); p?(int); t")
+    b = files("b.mpst", "rec t. p?(int); p?(int); p?(int); p?(int); t")
+    assert main(["--budget", "12", "subtype", a, b]) == 0
+    assert main(["--budget", "11", "subtype", a, b]) == 3
+    assert "more than 11 product nodes" in capsys.readouterr().err
+
+
+def test_project_tbc_honours_budget(files, capsys):
+    """tirore_quadratic(3): Tirore's check walks 16 pairs."""
+    g = files("g.mpst", "q->r{l1: rec u. p->q(int); p->q(int); p->q(int); u, "
+                        "l2: rec v. p->q(int); p->q(int); p->q(int); p->q(int); v}")
+    assert main(["--budget", "16", "project", g, "--role", "p", "--algo", "tbc"]) == 0
+    assert main(["--budget", "15", "project", g, "--role", "p", "--algo", "tbc"]) == 3
+    assert "more than 15 product nodes" in capsys.readouterr().err
+
+
+def test_topdown_and_bench_honour_the_product_budget(files, capsys):
+    """p's one-node minimum type against its 5-cycle projection: 5 product
+    nodes; the coprime 3x4 and tirore 3 points walk 12 and 16."""
+    s = files("s.mpst", "p::rec X. q!<1>; X | q::rec Y. p?(x); Y")
+    g = files("g.mpst", "rec t. " + "p->q(nat); " * 5 + "t")
+    assert main(["--budget", "5", "topdown", s, g]) == 0
+    assert main(["--budget", "4", "topdown", s, g]) == 3
+    assert "more than 4 product nodes" in capsys.readouterr().err
+    for family, point in (("coprime", "3x4"), ("tirore", "3")):
+        assert main(["--budget", "11", "bench", "--family", family, "--params", point]) == 0
+        assert capsys.readouterr().out.split()[-1] == "budget"
+
+
 def test_check_session_stuck_operand_is_an_error(files, capsys):
     """The condition true \\/ (1 + true) cannot be evaluated, so p steps to
     the error state and never to its then branch."""
