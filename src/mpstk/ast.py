@@ -20,6 +20,12 @@ it, with a pre-order hook for walks that carry an environment or choose the
 children they visit.  Two printers keep a stack of their own, because they
 only append text left to right and a fold's hook calls per node would cost
 more than their work: `printer._text` and `typegraph.graph_text`.
+
+Three process-wide tables memoise the metrics, keyed by node: `_fv_memo`
+holds free variables, `_canon_memo` alpha-canonical forms, and
+`_unfold_memo` the one-step unfolding (`unfold1`) of each type recursion
+unfolded so far.  `unfold` loops over `unfold1` and keeps nothing of its
+own, and no other module keeps an unfolding memo.
 """
 
 from __future__ import annotations

@@ -19,7 +19,14 @@ of whose enabled reductions would discharge it) once, by a worklist that
 keeps non-trivial SCCs covering every label enabled in them and splits
 again only an SCC that lost a state.  A brute-force enumerator of bounded
 paths and lassos checks the same two counterwitness conditions literally
-and serves as the oracle.
+and serves as the oracle; one test, `_lasso_witness`, checks both, a
+finite maximal path being the lasso with an empty cycle.
+
+Each step of the checkers has one copy: `reachable_graph` is the one
+breadth-first closure, `_stuck_trace` the one scan for the finite
+counterwitness (deadlock-freedom and liveness share it), and `_path_to` the
+one rebuild of a path from a BFS tree, the reachable graph's or the one
+`_cover_walk` searches inside a component.
 """
 
 from __future__ import annotations
@@ -561,10 +568,12 @@ def brute_force_liveness(ctx: TypingContext, bound: int = 8,
                          budget: int = 2_000_000) -> bool:
     """Exhaustively enumerate paths of length <= bound from every reachable
     state, testing the two counterwitness conditions literally on finite
-    maximal paths and on every lasso formed by a revisited state.  Returns
-    True (live) iff no counterwitness is found.  A bound below 1 sees no
-    lasso and raises ValueError; more than `budget` path steps, or than
-    min(budget, 100,000) reachable states, raise BudgetExceeded."""
+    maximal paths and on every lasso formed by a revisited state, both by
+    `_lasso_witness` (a finite maximal path is the lasso with an empty
+    cycle).  Returns True (live) iff no counterwitness is found.  A bound
+    below 1 sees no lasso and raises ValueError; more than `budget` path
+    steps, or than min(budget, 100,000) reachable states, raise
+    BudgetExceeded."""
     if bound < 1:
         raise ValueError(f"oracle bound must be at least 1, got {bound}")
     rg = reachable_graph(ctx, min(budget, 100_000))

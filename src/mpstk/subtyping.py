@@ -10,7 +10,8 @@ equal payload sorts):
   which subtype_sim_matching shares with payload-unifying steps.
 * subtype_inductive: the Gay-Hole style assumption-set algorithm, worst-case
   exponential, with Alg-RecL given priority over Alg-RecR and no memoisation
-  beyond the assumption set.
+  beyond the assumption set.  Each Alg-Rec step is `ast.unfold1`, whose
+  table is the only unfolding memo: this module keeps no memo of its own.
 
 Plus generators for the worst-case families used by the benchmarks.
 """
