@@ -632,12 +632,15 @@ def unfold(t):
 
     Terminates on guarded terms only.
     """
-    for _ in range(10_001):
-        if type(t) not in _RECS:
-            return t
+    steps = 0
+    while type(t) in _RECS:
         t = unfold1(t)
-    raise SessionTypeError(
-        "unguarded process recursion" if isinstance(t, Proc) else "unguarded recursion in unfold")
+        steps += 1
+        if steps > 10_000:
+            raise SessionTypeError(
+                "unguarded process recursion" if isinstance(t, Proc)
+                else "unguarded recursion in unfold")
+    return t
 
 
 # ---------------------------------------------------------------------------
