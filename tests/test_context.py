@@ -295,3 +295,39 @@ def test_state_bound(rng):
         for _, t in ctx.entries:
             bound *= size(t)
         assert len(rg.states) <= bound
+
+
+# ---------------------------------------------------------------------------
+# One entry in many contexts
+
+
+def _same_moves(lts, ref):
+    """The two LTSs agree on every state reachable in `lts`: its successors,
+    safety, barbs and whether it has ended."""
+    rg = reachable_graph(lts)
+    assert rg.states == reachable_graph(ref).states
+    for s in rg.states:
+        assert lts.sync_steps(s) == ref.sync_steps(s)
+        assert lts.is_safe_state(s) == ref.is_safe_state(s)
+        assert lts.barbs(s) == ref.barbs(s)
+        assert lts.all_end(s) == ref.all_end(s)
+
+
+def test_one_entry_in_three_contexts():
+    """The entry p: q!(int); end where q is participant 1, participant 2 and
+    absent: each context's LTS moves as the LTS of its participants' graphs."""
+    for text in ("p: q!(int); end, q: p?(int); end",
+                 "p: q!(int); end, pa: q?(int); end, q: p?(int); end",
+                 "p: q!(int); end, r: p?(int); end"):
+        ctx = parse("context", text)
+        _same_moves(ContextLTS(ctx), ContextLTS({p: local_graph(t) for p, t in ctx.entries}))
+
+
+def test_one_type_under_two_names():
+    """p and r have the same type: each label and barb names its own sender."""
+    ctx = parse("context", "p: q!(int); end, q: p?(int); r?(int); end, r: q!(int); end")
+    rg = reachable_graph(ctx)
+    assert [str(lab) for row in rg.edges for lab, _ in row] == ["pq", "rq"]
+    assert rg.lts.barbs(rg.lts.init) == {Barb("out", "p", "q"), Barb("out", "r", "q"),
+                                         Barb("in", "q", "p")}
+    assert rg.lts.barbs(rg.states[1]) == {Barb("out", "r", "q"), Barb("in", "q", "r")}
