@@ -32,7 +32,7 @@ one rebuild of a path from a BFS tree, the reachable graph's or the one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 from typing import NamedTuple
 
@@ -104,6 +104,35 @@ class _Head(NamedTuple):
     barb: Barb | None
 
 
+def _head_rows(p: str, g: TypeGraph) -> list[tuple]:
+    """Participant p's `_Head` at each node of its graph g, but with the
+    peer's name (None at end and Skip): no row depends on the context."""
+    rows = []
+    for n in range(g.node_count()):
+        kind, edges = g.kind(n), g.out(n)
+        if kind in (ENDK, "skip"):
+            rows.append((kind, None, {}, (), None))
+            continue
+        q = edges[0][0].peer
+        targets: dict = {}
+        for a, m in edges:
+            targets.setdefault(a.arg, m)
+        sync = () if kind not in _DUAL else tuple(
+            (a.arg, Label("comm", p, q) if kind == OUT else Label("choice", p, q, a.arg), m)
+            for a, m in edges)
+        rows.append((kind, q, targets, sync, Barb(kind, p, q)))
+    return rows
+
+
+@lru_cache(maxsize=16)
+def _participant(p: str, t: LocalT) -> tuple[TypeGraph, list[tuple]]:
+    """local_graph(t) and p's `_head_rows` of it, for the process, in a
+    bounded LRU cache: both depend on p and t alone (t is hash-consed, so
+    it is keyed by identity), and nothing writes to a graph once built."""
+    g = local_graph(t)
+    return g, _head_rows(p, g)
+
+
 # desc[n] of a local-graph node (a hash-consed subformula) -> its graph_text,
 # for the process: the text depends only on local_graph(desc[n]), the subgraph
 # reachable from n up to numbering, so it is the same in every graph.
@@ -113,38 +142,29 @@ _TEXTS: dict[LocalT, str] = {}
 class ContextLTS:
     """The LTS of a typing context or of {participant: local type graph}.
     Given graphs are checked here, before any is read, and their texts kept
-    per LTS by (i, n), as their states name no type; a context's graphs are
-    built well-formed and their texts kept per process (`_TEXTS`).  A node's
-    type is extracted once per LTS; `_heads[i][n]` is participant i's `_Head`."""
+    per LTS by (i, n), as their states name no type.  A context's graphs
+    and head rows come from `_participant`, its last 16 entries kept per
+    process, and its texts from `_TEXTS`, per process too; both tables are
+    bounded.  A node's type is extracted once per LTS; `_heads[i][n]` is
+    participant i's `_Head`, its peer looked up in this LTS's participants."""
 
     def __init__(self, ctx: TypingContext | dict[str, TypeGraph]):
         if type(ctx) is dict:
             for g in ctx.values():
                 validate_type_graph(g)
-            graphs, self._texts = ctx, {}
+            parts = [(g, _head_rows(p, g)) for p, g in ctx.items()]
+            self.participants, self._texts = list(ctx), {}
         else:
-            graphs, self._texts = {p: local_graph(t) for p, t in ctx.entries}, _TEXTS
-        self.participants = list(graphs)
-        self.graphs = list(graphs.values())
+            parts = [_participant(p, t) for p, t in ctx.entries]
+            self.participants, self._texts = [p for p, _ in ctx.entries], _TEXTS
+        self.graphs = [g for g, _ in parts]
         self.init: State = tuple(g.init for g in self.graphs)
-        self._index = {p: i for i, p in enumerate(self.participants)}
         self._rows: dict[int, list] = {}  # participant -> text_rows of its graph
         self._types: dict[tuple[int, int], LocalT] = {}
-        self._heads = [[self._head(i, g.kind(n), g.out(n)) for n in range(g.node_count())]
-                       for i, g in enumerate(self.graphs)]
-
-    def _head(self, i: int, kind: str, edges) -> _Head:
-        if kind in (ENDK, "skip"):
-            return _Head(kind, None, {}, (), None)
-        p, q = self.participants[i], edges[0][0].peer
-        j = self._index.get(q)
-        targets: dict = {}
-        for a, m in edges:
-            targets.setdefault(a.arg, m)
-        sync = () if kind not in _DUAL else tuple(
-            (a.arg, Label("comm", p, q) if kind == OUT else Label("choice", p, q, a.arg), m)
-            for a, m in edges)
-        return _Head(kind, None if j == i else j, targets, sync, Barb(kind, p, q))
+        index = {p: i for i, p in enumerate(self.participants)}
+        self._heads = [[_Head(kind, None if q == p else index.get(q), targets, sync, barb)
+                        for kind, q, targets, sync, barb in rows]
+                       for p, (_, rows) in zip(self.participants, parts)]
 
     def local_type(self, i: int, n: int) -> LocalT:
         """The local type of participant i at node n of its graph."""

@@ -315,12 +315,16 @@ def _same_moves(lts, ref):
 
 def test_one_entry_in_three_contexts():
     """The entry p: q!(int); end where q is participant 1, participant 2 and
-    absent: each context's LTS moves as the LTS of its participants' graphs."""
+    absent: each context reads the one cached graph, and its LTS moves as
+    the LTS of its participants' graphs, built uncached."""
+    t = parse("local", "q!(int); end")
     for text in ("p: q!(int); end, q: p?(int); end",
                  "p: q!(int); end, pa: q?(int); end, q: p?(int); end",
                  "p: q!(int); end, r: p?(int); end"):
         ctx = parse("context", text)
-        _same_moves(ContextLTS(ctx), ContextLTS({p: local_graph(t) for p, t in ctx.entries}))
+        lts = ContextLTS(ctx)
+        assert lts.graphs[0] is context._participant("p", t)[0]
+        _same_moves(lts, ContextLTS({p: local_graph(t) for p, t in ctx.entries}))
 
 
 def test_one_type_under_two_names():
@@ -331,3 +335,11 @@ def test_one_type_under_two_names():
     assert rg.lts.barbs(rg.lts.init) == {Barb("out", "p", "q"), Barb("out", "r", "q"),
                                          Barb("in", "q", "p")}
     assert rg.lts.barbs(rg.states[1]) == {Barb("out", "r", "q"), Barb("in", "q", "r")}
+
+
+def test_participant_cache_is_bounded():
+    """The cache keeps its last 16 entries, however many contexts pass."""
+    assert context._participant.cache_info().maxsize == 16
+    for k in range(100):
+        ContextLTS(parse("context", f"p: q+{{l{k}: end}}, q: p&{{l{k}: end}}"))
+        assert context._participant.cache_info().currsize <= 16
