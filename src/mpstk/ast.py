@@ -49,7 +49,20 @@ class BudgetExceeded(Exception):
 # Hash-consing (Filliatre & Conchon, Type-Safe Modular Hash-Consing, 2006)
 
 
-_live = weakref.WeakValueDictionary()  # (class, *fields) -> the live node
+class _Ref(weakref.ref):
+    """A weak reference to a node that carries the node's key."""
+
+    __slots__ = ("key",)
+
+
+def _drop(ref: _Ref) -> None:
+    """The callback of a dead node's reference: remove its entry, unless
+    the key has been interned again since (the entry is another ref)."""
+    if _live.get(ref.key) is ref:
+        del _live[ref.key]
+
+
+_live: dict = {}  # (class, *fields) -> a `_Ref` to the live node
 _CHECKED: dict = {}  # the classes `_check` constrains, filled in below
 
 
@@ -59,34 +72,45 @@ class _Interned(type):
     a new one.  Children are interned already, so the key hashes and
     compares them by identity.  A new node is checked by `_check` before it
     is made, so a node that breaks the invariant never enters the table,
-    and a hit costs no check."""
+    and a hit costs no check.  `_live` is a plain dict of weak references,
+    so the table keeps no node alive."""
 
     def __call__(cls, *args, **kwargs):
         if kwargs:
             raise TypeError(f"{cls.__name__} takes its fields positionally")
         key = (cls, *args)
-        node = _live.get(key)
+        ref = _live.get(key)
+        node = None if ref is None else ref()
         if node is None:
             if cls in _CHECKED:
                 _check(cls, args)
-            node = _live[key] = super().__call__(*args)
+            node = super().__call__(*args)
+            ref = _live[key] = _Ref(node, _drop)
+            ref.key = key
         return node
+
+
+class _Node(metaclass=_Interned):
+    """The root of every AST class.  Nodes are slotted dataclasses, with no
+    `__dict__`; this root gives them the one slot a weak reference needs."""
+
+    __slots__ = ("__weakref__",)
 
 
 # ---------------------------------------------------------------------------
 # Sorts
 
 
-@dataclass(frozen=True, eq=False)
-class Sort(metaclass=_Interned):
+@dataclass(frozen=True, eq=False, slots=True)
+class Sort(_Node):
     name: str
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True, eq=False)
-class SortVar(metaclass=_Interned):
+@dataclass(frozen=True, eq=False, slots=True)
+class SortVar(_Node):
     """Sort variable; produced only by inference, never by the parser."""
 
     name: str
@@ -106,48 +130,48 @@ SORTS = {"bool": BOOL, "nat": NAT, "int": INT}
 # Local types
 
 
-class LocalT(metaclass=_Interned):
+class LocalT(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TEnd(LocalT):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TOut(LocalT):
     peer: str
     payload: Sort | SortVar
     cont: LocalT
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TIn(LocalT):
     peer: str
     payload: Sort | SortVar
     cont: LocalT
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TSel(LocalT):
     peer: str
     branches: tuple[tuple[str, LocalT], ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TBra(LocalT):
     peer: str
     branches: tuple[tuple[str, LocalT], ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TRec(LocalT):
     var: str
     body: LocalT
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TVar(LocalT):
     var: str
 
@@ -164,16 +188,16 @@ def branches(pairs) -> tuple[tuple[str, object], ...]:
 # Global types
 
 
-class GlobalT(metaclass=_Interned):
+class GlobalT(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class GEnd(GlobalT):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class GMsg(GlobalT):
     frm: str
     to: str
@@ -181,20 +205,20 @@ class GMsg(GlobalT):
     cont: GlobalT
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class GChoice(GlobalT):
     frm: str
     to: str
     branches: tuple[tuple[str, GlobalT], ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class GRec(GlobalT):
     var: str
     body: GlobalT
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class GVar(GlobalT):
     var: str
 
@@ -203,59 +227,59 @@ class GVar(GlobalT):
 # Expressions
 
 
-class Expr(metaclass=_Interned):
+class Expr(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ETrue(Expr):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class EFalse(Expr):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ENat(Expr):
     value: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class EInt(Expr):
     value: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class EVar(Expr):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class EOr(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ENot(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class EAdd(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ENonDet(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ENeg(Expr):
     arg: Expr
 
@@ -268,56 +292,56 @@ FALSE = EFalse()
 # Processes and sessions
 
 
-class Proc(metaclass=_Interned):
+class Proc(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PInact(Proc):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PSend(Proc):
     peer: str
     expr: Expr
     cont: Proc
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PRecv(Proc):
     peer: str
     var: str
     cont: Proc
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PSel(Proc):
     peer: str
     label: str
     cont: Proc
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PBra(Proc):
     peer: str
     branches: tuple[tuple[str, Proc], ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PCond(Proc):
     cond: Expr
     then: Proc
     orelse: Proc
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PRec(Proc):
     var: str
     body: Proc
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PVar(Proc):
     var: str
 
@@ -325,8 +349,8 @@ class PVar(Proc):
 INACT = PInact()
 
 
-@dataclass(frozen=True, eq=False)
-class Session(metaclass=_Interned):
+@dataclass(frozen=True, eq=False, slots=True)
+class Session(_Node):
     """Parallel composition as a map participant -> process."""
 
     roles: tuple[tuple[str, Proc], ...]
@@ -339,8 +363,8 @@ def session(pairs) -> Session:
     return Session(branches(pairs))
 
 
-@dataclass(frozen=True, eq=False)
-class TypingContext(metaclass=_Interned):
+@dataclass(frozen=True, eq=False, slots=True)
+class TypingContext(_Node):
     """Map participant -> closed local type; the state of the context LTS."""
 
     entries: tuple[tuple[str, LocalT], ...]

@@ -333,6 +333,43 @@ def test_intern_table_keeps_no_dead_node():
     assert ref() is None
 
 
+def test_nodes_have_no_dict():
+    """Every AST class, and every class above it, is slotted."""
+    classes = [c for c in vars(ast).values() if isinstance(c, type) and issubclass(c, ast._Node)]
+    assert set(ast.CHILDREN) < set(classes)
+    for cls in classes:
+        assert all("__slots__" in vars(k) for k in cls.__mro__[:-1]), cls
+    for node in (INT, END, TOut("p", INT, END), GEnd(), INACT, ast.TRUE,
+                 typing_context([("p", END)])):
+        assert not hasattr(node, "__dict__")
+
+
+def test_intern_table_ignores_a_stale_callback():
+    """A key interned again after its node died maps to the new node, and
+    the dead node's callback, running late, leaves that entry alone."""
+    key = (TOut, "stale-probe", INT, END)
+    node = TOut("stale-probe", INT, END)
+    old = ast._live[key]
+    del node
+    gc.collect()
+    assert key not in ast._live
+    ast._live[key] = old  # as if its callback had not run yet
+    node = TOut("stale-probe", INT, END)
+    assert old() is None and ast._live[key]() is node
+    ast._drop(old)
+    assert ast._live[key]() is node and TOut("stale-probe", INT, END) is node
+
+
+def test_intern_table_shrinks_when_its_nodes_die():
+    gc.collect()
+    before = len(ast._live)
+    probes = [TOut(f"size-probe-{k}", INT, TIn("size-probe", INT, END)) for k in range(50)]
+    assert len(ast._live) == before + 51
+    del probes
+    gc.collect()
+    assert len(ast._live) == before
+
+
 def test_constructors_take_positional_fields_only():
     with pytest.raises(TypeError):
         TVar(var="t")
