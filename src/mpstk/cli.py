@@ -28,6 +28,15 @@ from .typegraph import dot_global_graph, dot_type_graph, global_graph, graph_tex
 OK, REJECT, INPUT_ERROR, BUDGET = 0, 1, 2, 3
 
 
+def budget(text: str) -> int:
+    """A `--budget` value: an integer of at least 1 (argparse exits 2 on
+    any other)."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"budget must be at least 1, got {n}")
+    return n
+
+
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -222,7 +231,7 @@ def cmd_graph(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="mpstk", description=__doc__)
     ap.add_argument("--json", action="store_true", help="JSON output")
-    ap.add_argument("--budget", type=int, default=1_000_000,
+    ap.add_argument("--budget", type=budget, default=1_000_000,
                     help="state/judgement budget")
     sub = ap.add_subparsers(dest="cmd", required=True)
 

@@ -215,6 +215,18 @@ def test_check_session_honours_budget(files, capsys):
     assert "budget exceeded" in capsys.readouterr().err
 
 
+def test_budget_below_one_is_an_input_error(files, capsys):
+    """A budget of 0 or less would stop every search at its first state."""
+    c = files("c.ctx", "p: q!(int); end, q: p?(int); end")
+    for value in ("0", "-1"):
+        with pytest.raises(SystemExit) as e:
+            main(["--budget", value, "check-context", c, "--prop", "safety"])
+        assert e.value.code == 2
+        assert f"budget must be at least 1, got {value}" in capsys.readouterr().err
+    assert main(["--budget", "1", "check-context", c, "--prop", "safety"]) == 3
+    assert main(["--budget", "2", "check-context", c, "--prop", "safety"]) == 0
+
+
 def test_liveness_oracle_honours_budget(files, capsys):
     """One state with two self-loops: the oracle's paths double per step."""
     c = files("loop.ctx", "p: rec t. q+{a: t, b: t}, q: rec u. p&{a: u, b: u}")
