@@ -37,6 +37,7 @@ from operator import or_
 from typing import NamedTuple
 
 from .ast import BudgetExceeded, LocalT, TypingContext
+from .printer import TEXT_MEMO_BOUND
 from .typegraph import (
     BRA, ENDK, IN, OUT, SEL, TypeGraph, _extract_type, dot_text, graph_text, local_graph, sccs,
     text_rows, validate_type_graph,
@@ -181,7 +182,8 @@ class ContextLTS:
 
     def show_state(self, state: State) -> str:
         """show_context(self.context_of(state)), byte for byte, from the
-        strings memoised in `_texts`, printed by `graph_text`."""
+        strings memoised in `_texts`, printed by `graph_text`; `_texts` is
+        cleared whole when it is full, at `TEXT_MEMO_BOUND` entries."""
         parts = []
         for i, n in enumerate(state):
             key = self.graphs[i].desc[n] if self._texts is _TEXTS else (i, n)
@@ -189,6 +191,8 @@ class ContextLTS:
             if text is None:
                 if i not in self._rows:
                     self._rows[i] = text_rows(self.graphs[i])
+                if len(self._texts) >= TEXT_MEMO_BOUND:
+                    self._texts.clear()
                 text = self._texts[key] = graph_text(self.graphs[i], n, self._rows[i])
             parts.append(f"{self.participants[i]}: {text}")
         return ", ".join(parts)

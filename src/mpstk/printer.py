@@ -5,7 +5,7 @@ and nodes: each text is appended to one list, joined once, so printing
 costs time linear in the text at any depth.  `_TEXTS` gives each node's
 text as the pieces around its children: the text before each child, then
 the text after the last.  A typing context is joined from its entries'
-texts, each printed once per process.
+texts, each printed once per process while it stays in a bounded memo.
 """
 
 from __future__ import annotations
@@ -116,13 +116,23 @@ def show_local(t) -> str:
     return _text(t)
 
 
+# A process-wide memo of texts is cleared whole when an insert would take
+# it past this many entries (a generation clear).
+TEXT_MEMO_BOUND = 4096
+
 _ENTRY_TEXTS: dict = {}  # a context entry's (hash-consed) local type -> its text
 
 
 def show_context(c: TypingContext) -> str:
-    """The one context printer: each entry's type is printed once per process."""
+    """The one context printer: each entry's type is printed once per process
+    while its text stays in `_ENTRY_TEXTS`."""
     texts = _ENTRY_TEXTS
-    for _, t in c.entries:
-        if t not in texts:
-            texts[t] = _text(t)
-    return ", ".join(f"{p}: {texts[t]}" for p, t in c.entries)
+    parts = []
+    for p, t in c.entries:
+        text = texts.get(t)
+        if text is None:
+            if len(texts) >= TEXT_MEMO_BOUND:
+                texts.clear()
+            text = texts[t] = _text(t)
+        parts.append(f"{p}: {text}")
+    return ", ".join(parts)

@@ -5,7 +5,7 @@ import pytest
 from conftest import rand_context
 
 from mpstk import context, printer
-from mpstk.ast import INT, size
+from mpstk.ast import END, INT, TBra, TSel, size, typing_context
 from mpstk.context import (
     Barb, BudgetExceeded, ContextLTS, Label, barbs, brute_force_liveness,
     check_deadlock_freedom, check_liveness, check_safety, ctx_step,
@@ -14,7 +14,7 @@ from mpstk.context import (
 from mpstk.hardness import all_small_qbfs, gen_qbf_context
 from mpstk.inference import infer
 from mpstk.parse import parse
-from mpstk.printer import show, show_context
+from mpstk.printer import TEXT_MEMO_BOUND, show, show_context
 from mpstk.subtyping import graph_equiv
 from mpstk.typegraph import (
     Action, IN, SEL, MalformedGraph, TypeGraph, local_graph, quotient,
@@ -211,6 +211,24 @@ def test_state_texts_are_shared_across_contexts(monkeypatch):
     lts = rg.lts
     assert {p for p, g in zip(lts.participants, lts.graphs)
             if any(h is g for h in printed)} == {"q", "r", "v"}
+
+
+def test_text_memos_are_bounded():
+    """More distinct state texts than a text memo may hold: each memo is
+    cleared whole when full, and every text is still the printed context."""
+    context._TEXTS.clear()
+    printer._ENTRY_TEXTS.clear()
+    shown = set()
+    for k in range(TEXT_MEMO_BOUND + 100):
+        label = ((f"l{k}", END),)
+        rg = reachable_graph(typing_context([("p", TSel("q", label)), ("q", TBra("p", label))]))
+        for s in rg.states:
+            text = rg.lts.show_state(s)
+            assert text == show_context(rg.lts.context_of(s))
+            shown.add(text)
+        assert len(context._TEXTS) <= TEXT_MEMO_BOUND
+        assert len(printer._ENTRY_TEXTS) <= TEXT_MEMO_BOUND
+    assert len(shown) > TEXT_MEMO_BOUND
 
 
 def test_minimum_graph_states_key_no_shared_text():
