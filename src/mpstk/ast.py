@@ -4,7 +4,9 @@ else (size, subformulas, unfolding, free variables, guardedness).
 
 All nodes are immutable and hash-consed: constructing a node equal to a
 live one returns the live one, so equality and hashing are object identity.
-Alpha-insensitive comparison goes through :func:`alpha_canon`.
+Alpha-insensitive comparison goes through :func:`alpha_canon`.  Nodes are
+slotted dataclasses with no `__dict__`, and the intern table `_live` holds
+each by a weak reference, so it keeps no node alive.
 
 Identity is equality only on a canonical representation, so `_check`
 enforces one invariant once per node, when it is made: the labels of a
@@ -72,8 +74,7 @@ class _Interned(type):
     a new one.  Children are interned already, so the key hashes and
     compares them by identity.  A new node is checked by `_check` before it
     is made, so a node that breaks the invariant never enters the table,
-    and a hit costs no check.  `_live` is a plain dict of weak references,
-    so the table keeps no node alive."""
+    and a hit costs no check."""
 
     def __call__(cls, *args, **kwargs):
         if kwargs:

@@ -27,6 +27,12 @@ breadth-first closure, `_stuck_trace` the one scan for the finite
 counterwitness (deadlock-freedom and liveness share it), and `_path_to` the
 one rebuild of a path from a BFS tree, the reachable graph's or the one
 `_cover_walk` searches inside a component.
+
+Two tables live for the process, and both are bounded: `_participant`, an
+LRU cache of the last 16 (participant, type) entries of typing contexts,
+each with its type graph and head rows, and `_TEXTS`, the state texts,
+cleared whole before it passes `printer.TEXT_MEMO_BOUND` entries.  Several
+LTSs share one cached graph, which nothing writes to once it is built.
 """
 
 from __future__ import annotations
@@ -144,10 +150,10 @@ class ContextLTS:
     """The LTS of a typing context or of {participant: local type graph}.
     Given graphs are checked here, before any is read, and their texts kept
     per LTS by (i, n), as their states name no type.  A context's graphs
-    and head rows come from `_participant`, its last 16 entries kept per
-    process, and its texts from `_TEXTS`, per process too; both tables are
-    bounded.  A node's type is extracted once per LTS; `_heads[i][n]` is
-    participant i's `_Head`, its peer looked up in this LTS's participants."""
+    and head rows come from the per-process `_participant` cache, and its
+    texts are kept in `_TEXTS`, per process too (module docstring).  A
+    node's type is extracted once per LTS; `_heads[i][n]` is participant
+    i's `_Head`, its peer looked up in this LTS's participants."""
 
     def __init__(self, ctx: TypingContext | dict[str, TypeGraph]):
         if type(ctx) is dict:

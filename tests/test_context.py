@@ -335,14 +335,15 @@ def test_one_entry_in_three_contexts():
     """The entry p: q!(int); end where q is participant 1, participant 2 and
     absent: each context reads the one cached graph, and its LTS moves as
     the LTS of its participants' graphs, built uncached."""
-    t = parse("local", "q!(int); end")
+    graphs = []
     for text in ("p: q!(int); end, q: p?(int); end",
                  "p: q!(int); end, pa: q?(int); end, q: p?(int); end",
                  "p: q!(int); end, r: p?(int); end"):
         ctx = parse("context", text)
         lts = ContextLTS(ctx)
-        assert lts.graphs[0] is context._participant("p", t)[0]
-        _same_moves(lts, ContextLTS({p: local_graph(t) for p, t in ctx.entries}))
+        graphs.append(lts.graphs[0])
+        _same_moves(lts, ContextLTS({q: local_graph(u) for q, u in ctx.entries}))
+    assert graphs[0] is graphs[1] is graphs[2]
 
 
 def test_one_type_under_two_names():
