@@ -361,6 +361,7 @@ def test_intern_table_ignores_a_stale_callback():
 
 
 def test_intern_table_shrinks_when_its_nodes_die():
+    """The table holds its nodes weakly: the probes' 51 entries go with them."""
     gc.collect()
     before = len(ast._live)
     probes = [TOut(f"size-probe-{k}", INT, TIn("size-probe", INT, END)) for k in range(50)]
