@@ -28,6 +28,12 @@ holds free variables, `_canon_memo` alpha-canonical forms, and
 `_unfold_memo` the one-step unfolding (`unfold1`) of each type recursion
 unfolded so far.  `unfold` loops over `unfold1` and keeps nothing of its
 own, and no other module keeps an unfolding memo.
+
+`subst` visits only the subterms in which its variable is free, as the
+`free_vars` memo tells, so unfolding a recursion copies the spine down to
+each occurrence of its variable and nothing else.  `unfold` takes one step
+per leading binder of its term: a guarded term then has a head that is not
+a recursion, so a term still headed by one is unguarded.
 """
 
 from __future__ import annotations
@@ -621,17 +627,16 @@ def subst(t, var: str, repl):
     variable `var` of a type or process.
 
     All substitutions performed here plug in closed recursions, so a free
-    variable of `repl` can never be captured; we only respect shadowing.
-    A node none of whose children changed is returned itself, so only the
-    spine down to each occurrence of `var` is copied.
+    variable of `repl` can never be captured.  A subterm in which `var` is
+    not free (a closed one, an expression, or one under a binder of `var`)
+    is returned itself, unvisited, as the `free_vars` memo tells; so only
+    the spine down to each occurrence of `var` is visited and copied.
     """
 
     def enter(u, env):
-        if type(u) in _VARS:
-            return Done(repl if u.var == var else u)
-        if type(u) in _EXPRS or type(u) in _RECS and u.var == var:
+        if var not in free_vars(u):
             return Done(u)
-        return env
+        return Done(repl) if type(u) in _VARS else env
 
     return fold(t, rebuild, enter)
 
@@ -655,16 +660,20 @@ def unfold1(t):
 def unfold(t):
     """unfold(mu t.T) = unfold(T[mu t.T / t]); identity on other heads.
 
-    Terminates on guarded terms only.
+    On a guarded term each step strips one of the leading binders, so as
+    many steps as it has leading binders reach a head that is not a
+    recursion; a term still headed by one then, such as mu t.t or
+    mu t.mu u.t, is unguarded and raises SessionTypeError.
     """
-    steps = 0
-    while type(t) in _RECS:
+    steps, u = 0, t
+    while type(u) in _RECS:
+        steps, u = steps + 1, u.body
+    for _ in range(steps):
         t = unfold1(t)
-        steps += 1
-        if steps > 10_000:
-            raise SessionTypeError(
-                "unguarded process recursion" if isinstance(t, Proc)
-                else "unguarded recursion in unfold")
+    if type(t) in _RECS:
+        raise SessionTypeError(
+            "unguarded process recursion" if isinstance(t, Proc)
+            else "unguarded recursion in unfold")
     return t
 
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ast import BudgetExceeded, TBra, size
+from .context import check_liveness
+from .hardness import LIVE, QBF, gen_qbf_context
 from .inference import branch_cycle_length, gen_lcm_process, infer
 from .projection import (
     FULL, PLAIN, WorkCounter, _project, gen_lowerbound_family,
@@ -118,6 +120,23 @@ def _lcm(divisors, budget):
     return "x".join(map(str, divisors)), size(p), run
 
 
+def _live_tautology(n, budget):
+    """The liveness gadget of `A x0 ... A x(n-1). (xi | ~xi | x0) & ...`,
+    one clause per variable: a true formula, so every barb's starting set
+    is searched for a fair cycle and none is found."""
+    if n < 1:
+        raise ValueError("live-tautology: n must be >= 1")
+    xs = [f"x{i}" for i in range(n)]
+    ctx = gen_qbf_context(QBF(tuple(("A", x) for x in xs),
+                              tuple(((x, True), (x, False), ("x0", True)) for x in xs)), LIVE)
+
+    def run():
+        v = check_liveness(ctx, budget)
+        return v.states, "true" if v.holds else "false"
+
+    return n, size(ctx), run
+
+
 def _product(chunk: str) -> tuple[int, ...]:
     return tuple(int(x) for x in chunk.split("x"))
 
@@ -143,6 +162,7 @@ FAMILIES = {
     "subset-primes": Family(int, _subset_primes),
     "tirore": Family(int, _tirore),
     "lcm": Family(_product, _lcm, "d1xd2x..."),
+    "live-tautology": Family(int, _live_tautology),
 }
 
 

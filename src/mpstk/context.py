@@ -14,10 +14,13 @@ along a fair lasso.  A lasso is fair here in the strong, per-label sense
 of the counterwitness definition: the set of labels it keeps taking must
 equal the set of labels enabled anywhere along it, choice labels being
 distinguished by their label.  The search builds its tables once per
-check and refines each distinct starting set of a barb (the states none
-of whose enabled reductions would discharge it) once, by a worklist that
-keeps non-trivial SCCs covering every label enabled in them and splits
-again only an SCC that lost a state.  A brute-force enumerator of bounded
+check.  A barb's starting set is the states none of whose enabled
+reductions would discharge it; one bit-parallel pass trims every distinct
+starting set at once, dropping the states that have no successor or no
+predecessor left in the set (none lies on a cycle there), and only the
+sets left non-empty are refined, each once, by a worklist that keeps
+non-trivial SCCs covering every label enabled in them and splits again
+only an SCC that lost a state.  A brute-force enumerator of bounded
 paths and lassos checks the same two counterwitness conditions literally
 and serves as the oracle; one test, `_lasso_witness`, checks both, a
 finite maximal path being the lasso with an empty cycle.
@@ -326,6 +329,9 @@ class Trace:
     `steps` holds (state index, label taken from that state) pairs, `final`
     the index of the state the path ends in, and `cycle_start` the index
     into `steps` where the lasso cycle begins (None for a finite path).
+    A finite path is a counterwitness from the initial state on.  A lasso
+    is one from `cycle_start` on: its stem only reaches the cycle, and a
+    label enabled along the stem may never be taken.
     `contexts()` and `rendered()` give the typing context, or its text, of
     every state along the path, `final` last; the text is
     `graph.lts.show_state`, memoised per process by each node's state."""
@@ -429,7 +435,13 @@ class _FairCycles:
     """The fair-cycle search of one reachable graph: each distinct label is
     one bit (its `observations` taken once), each state keeps its (label
     bit, successor) edges and enabled-label mask, each barb its states, and
-    cores are cached by starting set (`!pq` and `?qp` share one)."""
+    cores are cached by starting set (`!pq` and `?qp` share one).
+
+    A barb's starting set is the states none of whose enabled labels
+    observe it, so it is the union of the states of some distinct enabled
+    masks, and those masks name it.  On the first `core` call, every
+    distinct starting set that `starving` must refine is trimmed in one
+    bit-parallel pass (`_trim`), and `core` refines only what is left."""
 
     def __init__(self, rg: ContextGraph):
         bits: dict[Label, int] = {}
@@ -440,11 +452,80 @@ class _FairCycles:
         for lab, b in bits.items():
             for barb in observations(lab):
                 self.observed[barb] = self.observed.get(barb, 0) | b
-        self.members: dict[Barb, list[int]] = {}  # barb -> the states offering it
-        for i, s in enumerate(rg.states):
-            for barb in rg.lts.barbs(s):
-                self.members.setdefault(barb, []).append(i)
+        # barb -> the states offering it, from each participant's head rows:
+        # one lookup per (participant, node), made when a state first has it
+        self.members: dict[Barb, list[int]] = {}
+        heads = rg.lts._heads
+        slots: list[list] = [[None] * len(rows) for rows in heads]
+        sink: list[int] = []  # the states at a head with no barb, dropped
+        for k, s in enumerate(rg.states):
+            for i, n in enumerate(s):
+                slot = slots[i][n]
+                if slot is None:
+                    barb = heads[i][n].barb
+                    slot = slots[i][n] = sink if barb is None else self.members.setdefault(barb, [])
+                slot.append(k)
+        self._masks = sorted(set(self.enabled))  # the distinct enabled masks
+        self._near: tuple[list, list] | None = None  # successors, predecessors
+        self._trimmed: dict[tuple[int, ...], list[int]] = {}
         self._cores: dict[tuple[int, ...], list[int]] = {}
+
+    def _start(self, barb: Barb) -> tuple[int, ...]:
+        """The enabled masks that name the barb's starting set."""
+        k = self.observed.get(barb, 0)
+        return tuple(m for m in self._masks if not m & k)
+
+    def _trim(self, starts) -> None:
+        """Trim the given starting sets to a fixpoint, at once: each is one
+        bit, each state carries the mask of the sets it is still in, and a
+        state leaves set t when it has no successor or no predecessor left
+        in t (a self-loop keeps it).  None of the states it drops lies on a
+        cycle inside the set.  Each set's trimmed states go to `_trimmed`,
+        in ascending order, as they are in the starting set."""
+        if self._near is None:  # built by the first trim, once per check
+            succ = [[j for _, j in row] for row in self.out]
+            pred: list[list[int]] = [[] for _ in succ]
+            for i, row in enumerate(succ):
+                for j in row:
+                    pred[j].append(i)
+            self._near = succ, pred
+        succ, pred = self._near
+        named = {}  # enabled mask -> the bits of the sets holding its states
+        starts = list(starts)
+        for t, start in enumerate(starts):
+            for m in start:
+                named[m] = named.get(m, 0) | 1 << t
+        mask = [named.get(m, 0) for m in self.enabled]
+        work = [i for i, m in enumerate(mask) if m]
+        queued = [bool(m) for m in mask]
+        while work:
+            i = work.pop()
+            queued[i] = False
+            m = mask[i]
+            reach = 0
+            for j in succ[i]:
+                reach |= mask[j]
+            keep = m & reach
+            if keep:
+                reach = 0
+                for j in pred[i]:
+                    reach |= mask[j]
+                keep &= reach
+            if keep != m:
+                mask[i] = keep
+                lost = m ^ keep
+                for near in (succ[i], pred[i]):
+                    for j in near:
+                        if not queued[j] and mask[j] & lost:
+                            queued[j] = True
+                            work.append(j)
+        kept: list[list[int]] = [[] for _ in starts]
+        for i, m in enumerate(mask):
+            while m:
+                low = m & -m
+                kept[low.bit_length() - 1].append(i)
+                m ^= low
+        self._trimmed.update(zip(starts, kept))
 
     def _split(self, group: list[int]) -> list[list[int]]:
         """SCCs of the edges inside `group`, after trimming to a fixpoint the
@@ -476,15 +557,25 @@ class _FairCycles:
     def core(self, barb: Barb) -> list[int]:
         """Greatest subset of the barb's starting set whose states each lie
         in a non-trivial SCC whose internal labels cover their enabled ones.
-        Split each group into SCCs and drop trivial ones and the states they
-        cannot cover; a component that lost nothing is final, the rest form
-        a new group.  Removal is monotone, so the fixpoint is unique."""
-        k = self.observed.get(barb, 0)
-        start = tuple(i for i, m in enumerate(self.enabled) if not m & k)
+        The first call trims every starting set `starving` must refine, and
+        this one, in one pass (`_trim`); a set trimmed empty has an empty
+        core at once.  Refinement starts from the trimmed set: split each
+        group into SCCs and drop trivial ones and the states they cannot
+        cover; a component that lost nothing is final, the rest form a new
+        group.  A trimmed state lies on no cycle inside its set, and removal
+        is monotone, so the fixpoint is unique and the trim does not change
+        it."""
+        start = self._start(barb)
         if start in self._cores:
             return self._cores[start]
+        if start not in self._trimmed:
+            starts = {start}
+            if self._near is None:  # the first call
+                starts.update(self._start(b) for b in self.members if not self._observes_all(b))
+            self._trim(starts)
+        trimmed = self._trimmed.pop(start)
         core = self._cores[start] = []
-        work = [list(start)]
+        work = [trimmed] if trimmed else []
         while work:
             for comp in self._split(work.pop()):
                 inside = set(comp)
@@ -498,12 +589,18 @@ class _FairCycles:
                     work.append(keep)
         return core
 
+    def _observes_all(self, barb: Barb) -> bool:
+        """Whether every state offering `barb` enables a label observing it,
+        so no member is in its starting set and `starving` refines nothing."""
+        k = self.observed.get(barb, 0)
+        return all(self.enabled[i] & k for i in self.members[barb])
+
     def starving(self, barb: Barb):
         """(component, member with the barb) of a fair cycle that never
         observes `barb`, or None: the first member in Tarjan order over the
-        sorted core.  Refines nothing if no member is in the starting set."""
-        k = self.observed.get(barb, 0)
-        if all(self.enabled[i] & k for i in self.members[barb]):
+        sorted core.  Refines nothing if no member is in the starting set,
+        and otherwise takes the core from `core`."""
+        if self._observes_all(barb):
             return None
         core = self.core(barb)
         members = set(self.members[barb]).intersection(core)

@@ -251,6 +251,26 @@ def rand_context(rng: random.Random, fuel: int = 5):
         return None
 
 
+def rand_fair_context(rng: random.Random, fuel: int = 5):
+    """Small typing contexts biased toward fair cycles: a dual p/q pair
+    around `rec z. q+{a: z}` or `rec z. q+{a: z, b: T}`, T a closed random
+    local type, and with probability 0.8 a third participant r that can
+    be starved or left stuck."""
+    from mpstk.ast import typing_context
+    from mpstk.parse import parse
+
+    branches = [("a", TVar("z"))]
+    if rng.random() < 0.5:
+        t = rand_local(rng, fuel, peers=["q"])
+        branches.append(("b", t if is_closed(t) else TEnd()))
+    t = TRec("z", TSel("q", tuple(branches)))
+    entries = [("p", retarget_peers(t, "q")), ("q", dualize(t, "p"))]
+    if rng.random() < 0.8:
+        entries.append(("r", parse("local", rng.choice(
+            ["p?(int); end", "q?(int); end", "p!(int); end"]))))
+    return typing_context(entries)
+
+
 def rand_qbf(rng: random.Random, n: int, m: int):
     """Random QBF with `n` variables and `m` three-literal clauses."""
     from mpstk.hardness import QBF

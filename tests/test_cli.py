@@ -395,6 +395,7 @@ def test_bench_params_out_of_range_exit_cleanly(family):
 @pytest.mark.parametrize("family,bad,domain", [
     ("fullmerge-nlog2", "-1", "n must be >= 0"),
     ("tirore", "0", "n must be >= 1"),
+    ("live-tautology", "0", "n must be >= 1"),
 ])
 def test_bench_params_out_of_range_name_the_domain(family, bad, domain, capsys):
     assert main(["bench", "--family", family, f"--params={bad}"]) == 2

@@ -6,8 +6,10 @@ from functools import cache
 
 import pytest
 
-from mpstk.ast import alpha_canon, free_vars, size, subst, unfold
-from mpstk.context import CHECKERS, check_safety, dot_context_graph
+from mpstk.ast import (
+    INT, SessionTypeError, TOut, TRec, TVar, alpha_canon, free_vars, size, subst, unfold,
+)
+from mpstk.context import CHECKERS, check_liveness, check_safety, dot_context_graph
 from mpstk.inference import infer
 from mpstk.parse import parse
 from mpstk.pipeline import run_bottomup, run_topdown, synth_process
@@ -59,6 +61,26 @@ def test_ast_walks():
     assert free_vars(t.body) == {"t"}
     assert subst(t.body, "t", t) is unfold(t)
     assert alpha_canon(t) is alpha_canon(parse("local", "rec u. " + "p!(int); " * D + "u"))
+
+
+def test_unfold_is_bounded_by_leading_binders():
+    """A guarded chain of 10,001 binders unfolds to its head, one step per
+    binder; unguarded terms still raise, however few their binders."""
+    t = TOut("q", INT, TVar("X0"))
+    for i in reversed(range(10_001)):
+        t = TRec(f"X{i}", t)
+    assert unfold(t) is TOut("q", INT, t)
+    for bad in (TRec("x", TVar("x")), TRec("x", TRec("y", TVar("x")))):
+        with pytest.raises(SessionTypeError, match="unguarded recursion in unfold"):
+            unfold(bad)
+
+
+def test_liveness_of_nested_binders():
+    """Each unfolding substitutes only where the variable is free, so 2,000
+    nested binders are unfolded in time linear in their number."""
+    binders = "".join(f"rec X{i}. " for i in range(2_000))
+    ctx = parse("context", f"p: {binders}q!(int); X0, q: rec Y. p?(int); Y")
+    assert check_liveness(ctx).holds
 
 
 def test_graphs_and_subtyping():

@@ -23,6 +23,7 @@ GOLDEN_WORK = [
     ("subset-primes", [1, 2, 3], [4, 8, 32]),
     ("tirore", [2, 4, 8], [4, 6, 10]),
     ("lcm", [[2], [2, 3], [2, 3, 5]], [2, 6, 30]),
+    ("live-tautology", [5, 6], [2846, 7934]),
 ]
 
 # the projection points of the benchmark's paper-families ladder

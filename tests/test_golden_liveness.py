@@ -197,36 +197,65 @@ def test_fair_core_equals_reference_on_every_barb():
     assert seen == Counter(barbs=1651, nonempty=67, found=7, resplit=9)
 
 
+def _watch_search(monkeypatch):
+    """Record each `_trim` call, as {starting set: its trimmed states}
+    with each set given as its states, and each `_split` group."""
+    trims, groups = [], []
+    trim, split = context._FairCycles._trim, context._FairCycles._split
+
+    def watch_trim(self, starts):
+        starts = list(starts)
+        trim(self, starts)
+        trims.append({tuple(i for i, m in enumerate(self.enabled) if m in start):
+                      self._trimmed[start] for start in starts})
+
+    monkeypatch.setattr(context._FairCycles, "_trim", watch_trim)
+    monkeypatch.setattr(context._FairCycles, "_split",
+                        lambda self, group: groups.append(tuple(group)) or split(self, group))
+    return trims, groups
+
+
+def _starting_sets(rg):
+    """barb -> its starting set: the states none of whose enabled labels
+    observe it."""
+    barbs = set().union(*map(rg.lts.barbs, rg.states))
+    return {b: tuple(i for i, row in enumerate(rg.edges)
+                     if not any(b in observations(lab) for lab, _ in row)) for b in barbs}
+
+
 def test_liveness_shares_labels_and_starting_sets(monkeypatch):
-    """`observations` runs once per distinct label and each distinct
-    starting set enters the refinement (trim, then Tarjan) at most once, on
-    a true-live gadget: fewer times than half the number of barbs, and
-    exactly once when every barb's core is asked for."""
+    """`observations` runs once per distinct label, and on a true-live
+    gadget one pass trims every distinct starting set that holds a state
+    offering its barb, each to nothing, so no SCC is ever split."""
     ctx = gen_qbf_context(parse_qbf("A x1. E x2. A x3. (x1 | x2 | x3) & (~x1 | ~x2 | x3)"), "live")
     observed = Counter()
     monkeypatch.setattr(context, "observations",
                         lambda lab: observed.update([lab]) or observations(lab))
-    groups = []
-    split = context._FairCycles._split
-    monkeypatch.setattr(context._FairCycles, "_split",
-                        lambda self, group: groups.append(tuple(group)) or split(self, group))
+    trims, groups = _watch_search(monkeypatch)
     v = check_liveness(ctx)
     assert v.holds
     rg = v.graph
     assert observed == Counter({lab for row in rg.edges for lab, _ in row})
-    barbs = set().union(*map(rg.lts.barbs, rg.states))
-    starts = {tuple(i for i, row in enumerate(rg.edges)
-                    if not any(b in observations(lab) for lab, _ in row)) for b in barbs}
-    refined = Counter(g for g in groups if g in starts)
-    assert set(refined.values()) == {1} and len(refined) < len(barbs) // 2
-    # asked for the core of every barb, a fresh search still refines each
-    # distinct starting set exactly once
+    starts = {start for b, start in _starting_sets(rg).items()
+              if any(b in rg.lts.barbs(rg.states[i]) for i in start)}
+    assert len(trims) == 1 and set(trims[0]) == starts and len(starts) > 1
+    assert not any(trims[0].values()) and groups == []
+
+
+def test_liveness_splits_each_set_left_by_the_trim(monkeypatch):
+    """On the fair loop of p and q with r left waiting, the trim keeps the
+    one state in the starting set of r's barb: asked for every barb's core,
+    the search trims each distinct starting set once, and splits each set
+    left non-empty once, from its trimmed states."""
+    ctx = parse("context", "p: rec t. q+{a: t, b: t}, q: rec u. p&{a: u, b: u}, r: s?(bool); end")
+    rg = reachable_graph(ctx)
+    trims, groups = _watch_search(monkeypatch)
     fair = context._FairCycles(rg)
-    groups.clear()
-    for barb in barbs:
+    for barb in sorted(fair.members, key=str):
         fair.core(barb)
-    refined = Counter(g for g in groups if g in starts)
-    assert set(refined.values()) == {1} and len(refined) == len(starts) < len(barbs)
+    trimmed = {start: kept for trim in trims for start, kept in trim.items()}
+    assert sum(map(len, trims)) == len(trimmed) == len(set(_starting_sets(rg).values()))
+    assert trimmed[(0,)] == [0] and groups == [tuple(k) for k in trimmed.values() if k]
 
 
 def _rendering_digests(contexts):
