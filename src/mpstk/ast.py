@@ -21,7 +21,11 @@ node: a post-order fold with an explicit stack, so no input is too deep for
 it, with a pre-order hook for walks that carry an environment or choose the
 children they visit.  Two printers keep a stack of their own, because they
 only append text left to right and a fold's hook calls per node would cost
-more than their work: `printer._text` and `typegraph.graph_text`.
+more than their work: `printer._text` and `typegraph.graph_text`.  Every
+walk with binders, the parser's included, keeps one scope map per call: a
+binder's pre hook `bind`s its name, keeping the binding it hides in its env,
+and its post hook `unbind`s it.  A copy of the map per binder would stay
+alive on the fold's stack, memory quadratic in the depth of binders.
 
 Three process-wide tables memoise the metrics, keyed by node: `_fv_memo`
 holds free variables, `_canon_memo` alpha-canonical forms, and
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, fields
+from itertools import count
 from operator import attrgetter, is_, itemgetter
 
 _first, _second = itemgetter(0), itemgetter(1)
@@ -509,6 +514,21 @@ class Visit:
         self.env = env
 
 
+def bind(scope: dict, name: str, value):
+    """Bind `name` to `value` in `scope`; return the binding it hides."""
+    old = scope.get(name)
+    scope[name] = value
+    return old
+
+
+def unbind(scope: dict, name: str, old) -> None:
+    """Restore the binding of `name` that `bind` returned."""
+    if old is None:
+        del scope[name]
+    else:
+        scope[name] = old
+
+
 def fold(t, post, pre=None, env=None, memo=None):
     """The walk over ASTs that computes a result per node (module docstring):
     a post-order fold with an explicit stack, so no depth of input reaches
@@ -518,7 +538,8 @@ def fold(t, post, pre=None, env=None, memo=None):
     its children, in order.  `pre(node, env)`, if given, runs when the node
     is reached and returns the env its children are folded in (which post
     receives too), or a Done or a Visit.  `memo` maps nodes to results: a
-    node found there is not visited again, and every result is stored."""
+    node found there is not visited again, and every result is stored.
+    A node's pre and post run before and after its whole subtree (`bind`)."""
     # A node waiting for its children: (node, env) if it has one, else
     # [node, env, kids, the next kid's index, where its results start].
     frames: list = []
@@ -687,28 +708,31 @@ def check_guarded(t) -> None:
     """Reject recursion binders whose variable occurs without an intervening
     communication prefix.  mu t.t is out; mu t.mu u.p!(int);t is fine.
 
-    Conditionals do not count as guards: mu X. if e then X else X would
-    reduce forever without communicating and yields an unconstrained
-    inference variable, so it is rejected as input.
+    The parser's rule: each prefix takes a fresh guard number, and a
+    variable is unguarded while its binder's number is in force.  A
+    conditional is no prefix: mu X. if e then X else X would reduce
+    forever without communicating, leaving an inference variable unconstrained.
     """
+    scope: dict = {}  # binder name -> its guard number
+    guards = count(1)
 
-    def enter(u, pending: frozenset[str]):
+    def enter(u, env):  # env: (the guard number in force, the hidden binding)
         if type(u) in _VARS:
-            if u.var in pending:
+            if scope.get(u.var) == env[0]:
                 kind = "process" if type(u) is PVar else "recursion"
                 raise SessionTypeError(f"unguarded {kind} variable {u.var}")
             return _DONE
         if type(u) in _RECS:
-            return pending | {u.var}
+            return env[0], bind(scope, u.var, env[0])
         if type(u) in _EXPRS:
             return _DONE
-        return _NONE if type(u) in _PREFIXES else pending
+        return (next(guards), None) if type(u) in _PREFIXES else env
 
-    fold(t, _nothing, enter, _NONE)
+    def leave(u, vals, env):
+        if type(u) in _RECS:
+            unbind(scope, u.var, env[1])
 
-
-def _nothing(u, vals, env):
-    return None
+    fold(t, leave, enter, (0, None))
 
 
 _DONE = Done(None)
@@ -761,12 +785,12 @@ def alpha_canon(t):
     interning over heavily shared subformulas stays near-linear.
     """
     hit = _canon_memo.get((t, ()))
-    return hit if hit is not None else fold(t, _canon, _canon_enter, ({}, 0, None))
+    return hit if hit is not None else fold(t, _canon, _canon_enter, ({}, 0, None, None))
 
 
 def _canon_enter(u, env):
-    """The env of a node: (binder depths, its depth, its memo key)."""
-    names, depth, _ = env
+    """The env of a node: (binder depths, its depth, memo key, hidden depth)."""
+    names, depth, _, _ = env
     if type(u) in _VARS:
         off = names.get(u.var)
         return Done(type(u)(u.var if off is None else f"%{depth - off}"))
@@ -776,11 +800,13 @@ def _canon_enter(u, env):
     if hit is not None:
         return Done(hit)
     if type(u) in _RECS:
-        return {**names, u.var: depth}, depth + 1, key
-    return names, depth, key
+        return names, depth + 1, key, bind(names, u.var, depth)
+    return names, depth, key, None
 
 
 def _canon(u, vals, env):
+    if type(u) in _RECS:
+        unbind(env[0], u.var, env[3])
     out = _canon_memo[env[2]] = type(u)("%", vals[0]) if type(u) in _RECS else rebuild(u, vals)
     return out
 
@@ -824,15 +850,20 @@ def uniquify_binders(t):
 
     fold(t, name)
     fresh = Renaming(idents).fresh
+    scope: dict = {}  # binder name -> its new name
 
-    def enter(u, env):
+    def enter(u, env):  # env: the binding a binder hides
         if type(u) in _VARS:
-            return Done(type(u)(env.get(u.var, u.var)))
+            return Done(type(u)(scope.get(u.var, u.var)))
         if type(u) in _RECS:
-            return {**env, u.var: fresh(u.var)}
-        return Done(u) if type(u) in _EXPRS else env
+            return bind(scope, u.var, fresh(u.var))
+        return Done(u) if type(u) in _EXPRS else None
 
     def leave(u, vals, env):
-        return type(u)(env[u.var], vals[0]) if type(u) in _RECS else rebuild(u, vals)
+        if type(u) not in _RECS:
+            return rebuild(u, vals)
+        new = scope[u.var]
+        unbind(scope, u.var, env)
+        return type(u)(new, vals[0])
 
-    return fold(t, leave, enter, {})
+    return fold(t, leave, enter)

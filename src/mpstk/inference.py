@@ -19,6 +19,7 @@ of the dependency labels while branchings take the intersection.
 
 from __future__ import annotations
 
+import itertools
 import string
 from dataclasses import dataclass, field
 
@@ -26,7 +27,7 @@ from .ast import (
     BOOL, INT, NAT,
     Done, EAdd, EInt, ENat, ENeg, ENonDet, ENot, EOr, ETrue, EFalse, EVar, Expr,
     LocalT, PBra, PCond, PInact, PRec, PRecv, PSel, PSend, PVar, Proc,
-    SessionTypeError, Sort, SortVar, Visit, fold, uniquify_binders,
+    SessionTypeError, Sort, SortVar, Visit, bind, fold, unbind, uniquify_binders,
 )
 from .typegraph import Action, END_ACT, ENDK, IN, OUT, SEL, BRA, TypeGraph, explore
 from .typegraph import _extract_type
@@ -85,20 +86,6 @@ def show_constraint(c) -> str:
 # Constraint derivation
 
 
-class _Fresh:
-    def __init__(self):
-        self.t = 0
-        self.s = 0
-
-    def tvar(self) -> str:
-        self.t += 1
-        return f"x{self.t}"
-
-    def svar(self) -> SortVar:
-        self.s += 1
-        return SortVar(f"s{self.s}")
-
-
 @dataclass
 class Derivation:
     root: str
@@ -113,13 +100,16 @@ def derive_constraints(p: Proc) -> Derivation:
 
     One fold: a process node takes its type variable when it is reached,
     an input its payload's sort variable too; a literal or an operator
-    takes its sort variable once its operands are done.  The env of a node
-    is (variables in scope, the type variable its binder forces on it, its
-    own type variable, its input's sort variable)."""
-    fresh = _Fresh()
+    takes its sort variable once its operands are done.  Process and value
+    variables are in scope in two maps, `procs` and `values` (`ast.bind`).
+    The env of a node is (the type variable its binder forces on it, its
+    own type variable, the binding it hides)."""
+    tvars = map("x{}".format, itertools.count(1))
+    svars = map(SortVar, map("s{}".format, itertools.count(1)))
     out: list = []
     seen: set = set()
     count = [0]
+    procs, values = {}, {}
 
     def emit(*cs):
         # constraint sets are sets: C-True and C-Cond may both contribute
@@ -131,42 +121,37 @@ def derive_constraints(p: Proc) -> Derivation:
 
     def enter(u, env):
         count[0] += 1
-        scope, forced = env[0], env[1]
         if type(u) is EVar:
-            try:
-                return Done(scope[u.name])
-            except KeyError:
-                raise Untypable(f"free value variable {u.name}") from None
+            if u.name not in values:
+                raise Untypable(f"free value variable {u.name}")
+            return Done(values[u.name])
         if isinstance(u, Expr):
             return env
-        xi = forced if forced is not None else fresh.tvar()
+        xi = env[0] if env[0] is not None else next(tvars)
         if type(u) is PRec:
-            return {**scope, u.var: xi}, xi, xi, None
+            return xi, xi, bind(procs, u.var, xi)
         if type(u) is PInact:
             emit(CHead(ENDK, None, None, (), xi))
             return Done(xi)
         if type(u) is PVar:
-            try:
-                psi = scope[u.var]
-            except KeyError:
-                raise Untypable(f"free process variable {u.var}") from None
-            emit(CVarLe(psi, xi))
+            if u.var not in procs:
+                raise Untypable(f"free process variable {u.var}")
+            emit(CVarLe(procs[u.var], xi))
             return Done(xi)
         if type(u) is PRecv:
-            a = fresh.svar()
-            return {**scope, u.var: a}, None, xi, a
+            return None, xi, bind(values, u.var, next(svars))
         if type(u) is PSend:
-            return Visit((u.cont, u.expr), (scope, None, xi, None))
+            return Visit((u.cont, u.expr), (None, xi, None))
         if type(u) is PCond:
-            return Visit((u.then, u.orelse, u.cond), (scope, None, xi, None))
+            return Visit((u.then, u.orelse, u.cond), (None, xi, None))
         if type(u) in (PSel, PBra):
-            return scope, None, xi, None
+            return None, xi, None
         raise TypeError(f"proc constraints: {u!r}")
 
     def leave(u, vals, env) -> str | SortVar:
         if isinstance(u, Expr):
             if type(u) in (ETrue, EFalse, ENat, EInt):
-                a = fresh.svar()
+                a = next(svars)
                 emit(CSortEq(a, BOOL if type(u) in (ETrue, EFalse) else
                              NAT if type(u) is ENat else INT))
                 return a
@@ -174,7 +159,7 @@ def derive_constraints(p: Proc) -> Derivation:
                 emit(CSortEq(vals[0], BOOL if type(u) is ENot else INT))
                 return vals[0]
             a1, a2 = vals
-            b = fresh.svar()
+            b = next(svars)
             if type(u) is EOr:
                 emit(CSortEq(a1, BOOL), CSortEq(a2, BOOL), CSortEq(b, BOOL))
             elif type(u) is EAdd:
@@ -184,9 +169,10 @@ def derive_constraints(p: Proc) -> Derivation:
             else:
                 raise TypeError(f"expr constraints: {u!r}")
             return b
-        xi = env[2]
+        xi = env[1]
         if type(u) is PRecv:
-            emit(CHead(IN, u.peer, env[3], ((None, vals[0]),), xi))
+            emit(CHead(IN, u.peer, values[u.var], ((None, vals[0]),), xi))
+            unbind(values, u.var, env[2])
         elif type(u) is PSend:
             emit(CHead(OUT, u.peer, vals[1], ((None, vals[0]),), xi))
         elif type(u) is PSel:
@@ -195,9 +181,11 @@ def derive_constraints(p: Proc) -> Derivation:
             emit(CHead(BRA, u.peer, None, tuple(zip([l for l, _ in u.branches], vals)), xi))
         elif type(u) is PCond:
             emit(CSortEq(vals[2], BOOL), CVarLe(vals[0], xi), CVarLe(vals[1], xi))
+        elif type(u) is PRec:
+            unbind(procs, u.var, env[2])
         return xi
 
-    root = fold(p, leave, enter, ({}, None))
+    root = fold(p, leave, enter, (None,))
     return Derivation(root, out, count[0])
 
 

@@ -26,7 +26,7 @@ from .ast import (
     GChoice, GEnd, GMsg, GRec, GVar,
     PBra, PCond, PRec, PRecv, PSel, PSend, PVar,
     Renaming, SessionTypeError, TBra, TEnd, TIn, TOut, TRec, TSel, TVar,
-    branches, session, typing_context,
+    bind, branches, session, typing_context, unbind,
 )
 
 
@@ -188,8 +188,7 @@ def parse(category: str, text: str):
                 user = ident("process variable" if goal == PROCESS else "type variable")
                 expect(".")
                 new = renaming.fresh(user)
-                stack.append((_REC, rec_cls, user, new, scope.get(user)))
-                scope[user] = (new, guard)
+                stack.append((_REC, rec_cls, user, new, bind(scope, user, (new, guard))))
                 continue
             name = ident("participant or process variable" if goal == PROCESS
                          else "participant or type variable")
@@ -265,10 +264,7 @@ def parse(category: str, text: str):
             value = f[1](*f[2], value)
         elif tag == _REC:
             _, rec_cls, user, new, outer = f
-            if outer is None:
-                del scope[user]
-            else:
-                scope[user] = outer
+            unbind(scope, user, outer)
             value = rec_cls(new, value)
         elif tag == _BRANCH:
             f[3].append((f[4], value))

@@ -2,15 +2,18 @@
 recursion limit of 1,000: no walk may recurse on the depth of its input."""
 
 import sys
+import tracemalloc
 from functools import cache
 
 import pytest
 
+from mpstk import ast
 from mpstk.ast import (
-    INT, SessionTypeError, TOut, TRec, TVar, alpha_canon, free_vars, size, subst, unfold,
+    INACT, INT, PRecv, SessionTypeError, TOut, TRec, TVar, alpha_canon, check_guarded,
+    free_vars, size, subst, unfold, uniquify_binders,
 )
 from mpstk.context import CHECKERS, check_liveness, check_safety, dot_context_graph
-from mpstk.inference import infer
+from mpstk.inference import derive_constraints, infer
 from mpstk.parse import parse
 from mpstk.pipeline import run_bottomup, run_topdown, synth_process
 from mpstk.printer import show
@@ -25,6 +28,8 @@ D = 5_000
 
 LOCAL = "p!(int); " * D + "end"
 GLOBAL = "p->q(int); " * D + "end"
+BINDERS = "".join(f"rec X{i}. " for i in range(D)) + "q!(int); X0"
+RECEIVES = "".join(f"q?(y{i}); " for i in range(D)) + "0"
 
 
 @pytest.fixture(autouse=True)
@@ -76,11 +81,70 @@ def test_unfold_is_bounded_by_leading_binders():
 
 
 def test_liveness_of_nested_binders():
-    """Each unfolding substitutes only where the variable is free, so 2,000
-    nested binders are unfolded in time linear in their number."""
-    binders = "".join(f"rec X{i}. " for i in range(2_000))
-    ctx = parse("context", f"p: {binders}q!(int); X0, q: rec Y. p?(int); Y")
+    """Each unfolding substitutes only where the variable is free, and each
+    walk keeps its binders in one map, so nested binders take time and
+    memory linear in their number."""
+    t = parsed("local", BINDERS)
+    assert local_graph(t).node_count() == 1
+    assert subtype_sim(t, parse("local", "rec Y. q!(int); Y")).result
+    ctx = parse("context", f"p: {BINDERS}, q: rec Y. p?(int); Y")
     assert check_liveness(ctx).holds
+
+
+def test_receive_chains():
+    r = infer(parse("process", RECEIVES))
+    assert r.typable and r.graph.node_count() == D + 2
+    # the receiver uses every value as a boolean, so the session is safe
+    inputs = "".join(f"p?(y{i}); " for i in range(D))
+    uses = " \\/ ".join(f"y{i}" for i in range(D))
+    s = parse("session", "p::" + "q!<true>; " * D + f"0 | q::{inputs}if {uses} then 0 else 0")
+    assert run_bottomup(s, "safety").accepted
+
+
+def _binder_chain(n):
+    t = TOut("q", INT, TVar("X0"))
+    for i in reversed(range(n)):
+        t = TRec(f"X{i}", t)
+    return t
+
+
+def _receive_chain(n):
+    p = INACT
+    for i in reversed(range(n)):
+        p = PRecv("q", f"y{i}", p)
+    return p
+
+
+def _peak(walk, term):
+    """The tracemalloc peak of a second walk(term), on an empty canonical-form
+    memo.  The first walk has interned every node the walk makes and filled
+    the free-variable memo, so no process-wide table grows while the second
+    is measured."""
+    kept = walk(term)  # noqa: F841 -- keeps the interned nodes alive
+    ast._canon_memo.clear()
+    tracemalloc.start()
+    try:
+        walk(term)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("walk,chain", [
+    (derive_constraints, _receive_chain),
+    (alpha_canon, _binder_chain),
+    (check_guarded, _binder_chain),
+    (uniquify_binders, _binder_chain),
+], ids=lambda x: getattr(x, "__name__", ""))
+def test_binder_walks_take_memory_linear_in_depth(walk, chain, monkeypatch):
+    """A walk binds in one map and restores on leave.  A copy of the scope
+    per binder would keep one per frame of the fold's stack alive, and read
+    4x the peak at twice the depth."""
+    monkeypatch.setattr(ast, "_canon_memo", {})
+    small = _peak(walk, chain(D))
+    # a walk quadratic in depth fails here, before it takes gigabytes at 2 D
+    assert small < 16 << 20
+    assert _peak(walk, chain(2 * D)) <= 2.5 * small
 
 
 def test_graphs_and_subtyping():

@@ -287,3 +287,25 @@ def test_branch_cycle_process_size():
 def test_free_variables_rejected():
     with pytest.raises(Untypable):
         derive_constraints(parse("process", "p!<x>; 0"))
+
+
+def test_value_and_process_variables_have_separate_scopes():
+    """A receive's value variable and a recursion binder of the same name
+    hide nothing of each other, and each binding is restored where its
+    binder's scope ends."""
+    from mpstk.ast import PBra, PRec, PSel, PVar
+    from mpstk.pipeline import synth_process
+
+    assert show(infer_min_type(parse("process", "rec x. q?(x); x"))) == "rec t0. q?('a); t0"
+    assert show(infer_min_type(parse("process", "q?(x); rec x. q!<x>; x"))) == \
+        "q?('a); rec t0. q!('a); t0"
+    assert show(infer_min_type(synth_process(parse("local", "rec x. q?(int); x")))) == \
+        "rec t0. q?('a); t0"
+    # the branch b uses the outer x, a bool; the inner one, in branch a, is an int
+    p = parse("process", "q?(x); p&{a: q?(x); r!<x + -1>; 0, b: r!<x \\/ true>; 0}")
+    assert show(infer_min_type(p)) == "q?(bool); p&{a: q?(int); r!(int); end, b: r!(bool); end}"
+    # built by hand, as the parser renames the inner X: b's X is the outer one
+    shadowed = PRec("X", PBra("q", (("a", PRec("X", PSel("p", "l", PVar("X")))),
+                                    ("b", PSel("r", "m", PVar("X"))))))
+    assert show(infer_min_type(shadowed)) == \
+        "rec t1. q&{a: rec t0. p+{l: t0}, b: r+{m: t1}}"

@@ -10,11 +10,11 @@ from conftest import rand_expr, rand_global, rand_local, rand_process
 
 from mpstk import ast
 from mpstk.ast import (
-    END, INACT, INT, Session, SessionTypeError, TypingContext,
+    END, INACT, INT, TRUE, Session, SessionTypeError, TypingContext,
     GChoice, GEnd, GMsg, GRec, GVar,
     PBra, PCond, PRec, PSel, PSend, PVar,
     TBra, TEnd, TIn, TOut, TRec, TSel, TVar,
-    alpha_canon, alpha_eq, free_vars, participants, session, size,
+    alpha_canon, alpha_eq, check_guarded, free_vars, participants, session, size,
     subformulas, subst, typing_context, unfold, uniquify_binders,
 )
 from mpstk.parse import ParseError, parse
@@ -313,6 +313,68 @@ def test_alpha_canon_of_renamed_types_is_one_object():
     assert a is not b
     assert alpha_canon(a) is alpha_canon(b)
     assert alpha_eq(a, b)
+
+
+# Shadowed binders, built by hand as the parser renames them apart: each walk
+# binds on enter and must restore the outer binding on leave.
+SHADOWED = TRec("X", TSel("p", (("a", TRec("X", TOut("q", INT, TVar("X")))), ("b", TVar("X")))))
+
+
+def test_alpha_canon_of_shadowed_binders():
+    renamed = TRec("X", TSel("p", (("a", TRec("Y", TOut("q", INT, TVar("Y")))), ("b", TVar("X")))))
+    assert alpha_canon(SHADOWED) is alpha_canon(renamed)
+
+
+def test_uniquify_binders_keeps_the_sibling_bound_to_the_outer_binder():
+    assert show(uniquify_binders(SHADOWED)) == "rec X. p+{a: rec X_1. q!(int); X_1, b: X}"
+
+
+def test_check_guarded_of_shadowed_binders():
+    with pytest.raises(SessionTypeError, match="unguarded recursion variable X"):
+        check_guarded(TRec("X", TOut("p", INT, TRec("X", TVar("X")))))
+    check_guarded(TRec("X", TRec("X", TOut("p", INT, TVar("X")))))
+
+
+def _reused_binders(rng, fuel, process):
+    """A random local type or process whose binders are all named X or Y,
+    so they shadow each other, and whose variables may be free, guarded by
+    a conditional only, or not guarded at all."""
+    var, rec = (PVar, PRec) if process else (TVar, TRec)
+    if fuel <= 1:
+        return var(rng.choice("XY")) if rng.random() < 0.7 else INACT if process else END
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rec(rng.choice("XY"), _reused_binders(rng, fuel - 1, process))
+    if kind == 1:
+        k = _reused_binders(rng, fuel - 1, process)
+        return PSend("q", TRUE, k) if process else TOut("q", INT, k)
+    a, b = (_reused_binders(rng, (fuel - 1) // 2, process) for _ in range(2))
+    if kind == 2 and process:
+        return PCond(TRUE, a, b)
+    return (PBra if process else TSel)("q", (("a", a), ("b", b)))
+
+
+def test_check_guarded_agrees_with_the_parser():
+    """One guardedness rule: check_guarded rejects a term exactly when the
+    parser rejects its text as unguarded."""
+    rng = random.Random(29)
+    guarded = 0
+    for i in range(1_200):
+        process = i % 2 == 1
+        t = _reused_binders(rng, 8, process)
+        try:
+            check_guarded(t)
+            ok = True
+        except SessionTypeError:
+            ok = False
+        try:
+            parse("process" if process else "local", show(t))
+            parsed = True
+        except SessionTypeError as e:
+            parsed = not str(e).startswith("unguarded")
+        assert ok == parsed, show(t)
+        guarded += ok
+    assert 150 < guarded < 1_050  # both answers are common
 
 
 def test_unfold_returns_the_nodes_built_by_hand():
