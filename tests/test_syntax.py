@@ -1,8 +1,12 @@
 """Syntax module: parsing, printing, metrics and their independent oracles."""
 
 import gc
+import os
 import random
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +146,68 @@ def test_tokenizer_error_names_the_bad_character(text, message):
     with pytest.raises(ParseError) as err:
         parse("local", text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("category,text,outcome", [
+    ("local", "p!(int); é end", "unexpected character 'é' (at offset 9)"),
+    ("expr", "²", "unexpected character '²' (at offset 0)"),
+    ("process", "q!<²>; 0", "unexpected character '²' (at offset 3)"),
+    ("expr", "\\", "unexpected character '\\\\' (at offset 0)"),
+    ("expr", "true \\/ false", "ok true \\/ false"),
+    ("local", "_x", "unexpected character '_' (at offset 0)"),
+    ("local", "p!(int); t_x", "free type variables ['t_x']"),
+    ("expr", "٣", "ok 3"),
+    ("expr", "1٣ + 0", "ok 13 + 0"),
+    ("process", "q!<٣>; 0", "ok q!<3>; 0"),
+    ("process", "00", "ok 0"),
+    ("process", "٠", "ok 0"),
+    ("process", "7", "expected 'IDENT', found 'NUM' (at offset 0)"),
+    ("global", "p -> q(int); end", "ok p->q(int); end"),
+    ("global", "p - > q(int); end", "trailing input '-' (at offset 2)"),
+    ("expr", "1 (+) 2", "ok 1 (+) 2"),
+    ("expr", "1 ( + ) 2", "trailing input '(' (at offset 2)"),
+    ("process", "q ( + ) l; 0", "trailing input '(' (at offset 2)"),
+    ("expr", "- NUM", "expected 'NUM', found 'IDENT' (at offset 2)"),
+    ("expr", "- EOF", "expected 'NUM', found 'IDENT' (at offset 2)"),
+    ("local", "p!(int); end end", "trailing input 'IDENT' (at offset 13)"),
+    ("local", "p!(int);", "expected 'IDENT', found 'EOF' (at offset 8)"),
+    ("context", "IDENT: NUM!(int); end, NUM: IDENT?(int); end",
+     "ok IDENT: NUM!(int); end, NUM: IDENT?(int); end"),
+    ("context", "EOF: NUM!(int); end, NUM: EOF?(int); end",
+     "ok EOF: NUM!(int); end, NUM: EOF?(int); end"),
+    ("session", "IDENT::EOF!<1>; 0 | EOF::IDENT?(x); 0",
+     "ok EOF::IDENT?(x); 0 | IDENT::EOF!<1>; 0"),
+    ("local", "rec EOF. p!(int); EOF", "ok rec EOF. p!(int); EOF"),
+])
+def test_edge_characters(category, text, outcome):
+    """Characters at the edges of the token classes: a letter outside ASCII,
+    digits outside ASCII (which `\\d` and `int` read), a superscript, a
+    backslash or underscore alone, symbols split by spaces, and identifiers
+    spelled like the token kinds that the messages name."""
+    try:
+        got = "ok " + show(parse(category, text))
+    except SessionTypeError as e:
+        got = str(e)
+    assert got == outcome
+
+
+def test_first_bad_character_in_text_order_under_any_hash_seed():
+    """Of two bad characters, the first in the text is reported, whatever
+    order a set of them iterates in under the hash seed."""
+    bad = "$#%@`~^é²\\_"
+    texts = [f"p!(int); {a} end {b}" for a in bad for b in bad if a != b]
+    script = ("import sys\nfrom mpstk.parse import parse\n"
+              "for text in sys.argv[1:]:\n"
+              "    try:\n        parse('local', text)\n"
+              "    except Exception as e:\n        print(ascii(str(e)))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    want = [ascii(f"unexpected character {text[9]!r} (at offset 9)") for text in texts]
+    for seed in ("0", "123"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        run = subprocess.run([sys.executable, "-c", script, *texts], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == want
 
 
 @pytest.mark.parametrize("category,text,message", [
