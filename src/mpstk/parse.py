@@ -4,7 +4,13 @@ Categories: local and global types, expressions, processes, sessions and
 typing contexts.  Whitespace-insensitive; participants and labels are
 identifiers [A-Za-z][A-Za-z0-9_]*.
 
-One pass over the token list, in a loop with an explicit stack of frames,
+A token is its word, a plain string: one `findall` splits the text, and
+the kind of each distinct word (a symbol, "NUM" or "IDENT") is worked out
+once per text.  No token keeps its offset; an error finds the offset of its
+token by scanning the text again, so only a failing parse pays for it.  A
+bad character is reported before any syntax error, the first in the text.
+
+One pass over the word list, in a loop with an explicit stack of frames,
 so no depth of input reaches the interpreter's recursion limit.  A frame
 is the rest of a production, waiting for the term it asked for.  As it
 reads, the loop renames recursion binders apart (`ast.Renaming`) and notes,
@@ -19,6 +25,7 @@ p != p and distinct participants as each term is built.
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .ast import (
     FALSE, INACT, SORTS, TRUE,
@@ -36,30 +43,36 @@ class ParseError(SessionTypeError):
         self.pos = pos
 
 
-# A search skips whitespace; any other character that starts no token is bad.
-_TOKEN_RE = re.compile(
-    r"(?P<sym>\(\+\)|->|::|\\/|[!?+&{}():;,.<>|*-])|(?P<NUM>\d+)"
-    r"|(?P<IDENT>[A-Za-z][A-Za-z0-9_]*)|(?P<bad>\S)")
+# One search skips whitespace; any other character that starts no token is
+# a bad word of its own.
+_TOKEN_RE = re.compile(r"\(\+\)|->|::|\\/|[!?+&{}():;,.<>|*-]|\d+|[A-Za-z][A-Za-z0-9_]*|\S")
+_SYMBOLS = {"(+)", "->", "::", "\\/", *"!?+&{}():;,.<>|*-"}
 
 KEYWORDS = {"end", "rec", "true", "false", "if", "then", "else", "neg", "bool", "nat", "int"}
 
 
-def tokenize(text: str) -> list[tuple]:
-    """(kind, offset, value) per token, then ("EOF", len(text), None).  The
-    kind of a symbol is the symbol itself, else "NUM" or "IDENT"."""
-    out = []
-    for m in _TOKEN_RE.finditer(text):
-        kind, word = m.lastgroup, m[0]
-        if kind == "sym":
-            out.append((word, m.start(), None))
-        elif kind == "IDENT":
-            out.append((kind, m.start(), word))
-        elif kind == "NUM":
-            out.append((kind, m.start(), int(word)))
-        else:
-            raise ParseError(f"unexpected character {word!r}", m.start())
-    out.append(("EOF", len(text), None))
-    return out
+def tokenize(text: str) -> tuple[list[str], dict]:
+    """The words of `text`, then "" for its end, and the kind of each
+    distinct word: a symbol is its own kind, else "NUM" or "IDENT", and ""
+    is "EOF".  No offset is kept: `_offset` scans for one when an error
+    needs it.  A bad character raises, the first in the text first."""
+    words = _TOKEN_RE.findall(text)
+    kinds = {"": "EOF"}
+    for w in set(words):
+        c = w[0]
+        kinds[w] = (w if w in _SYMBOLS else "NUM" if c.isdecimal()
+                    else "IDENT" if c.isascii() and c.isalpha() else None)
+    if None in kinds.values():
+        i = next(i for i, w in enumerate(words) if kinds[w] is None)
+        raise ParseError(f"unexpected character {words[i]!r}", _offset(text, i))
+    words.append("")
+    return words, kinds
+
+
+def _offset(text: str, i: int) -> int:
+    """The offset of word i of `text`, or len(text) for its end."""
+    m = next(islice(_TOKEN_RE.finditer(text), i, None), None)
+    return len(text) if m is None else m.start()
 
 
 # What the loop reads next: a term of one category, or an operand of an
@@ -83,23 +96,26 @@ def parse(category: str, text: str):
     context, enforcing all structural invariants."""
     if category not in ("local", "global", "expr", "process", "session", "context"):
         raise ValueError(f"unknown category {category!r}")
-    toks = tokenize(text)
-    idents = {v for k, _, v in toks if k == "IDENT"}
+    toks, kinds = tokenize(text)
+    idents = {w for w, k in kinds.items() if k == "IDENT"}
     i = 0
+
+    def error(msg, at):
+        return ParseError(msg, _offset(text, at))
 
     def expect(kind):
         nonlocal i
-        t = toks[i]
+        w = toks[i]
         i += 1
-        if t[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {t[0]!r}", t[1])
-        return t
+        if kinds[w] != kind:
+            raise error(f"expected {kind!r}, found {kinds[w]!r}", i - 1)
+        return w
 
     def ident(what):
-        t = expect("IDENT")
-        if t[2] in KEYWORDS:
-            raise ParseError(f"expected {what}, found keyword {t[2]!r}", t[1])
-        return t[2]
+        w = expect("IDENT")
+        if w in KEYWORDS:
+            raise error(f"expected {what}, found keyword {w!r}", i - 1)
+        return w
 
     def branch_label():
         name = ident("label")
@@ -107,10 +123,10 @@ def parse(category: str, text: str):
         return name
 
     def sort():
-        t = expect("IDENT")
-        if t[2] not in SORTS:
-            raise ParseError(f"unknown sort {t[2]!r}", t[1])
-        return SORTS[t[2]]
+        w = expect("IDENT")
+        if w not in SORTS:
+            raise error(f"unknown sort {w!r}", i - 1)
+        return SORTS[w]
 
     # Per entry: its renaming, the binders in scope (user name -> (new
     # name, guard)) and [participant, the unguardedness error, the free
@@ -141,49 +157,49 @@ def parse(category: str, text: str):
     value = None
     while True:
         if goal is not None:  # read the start of a term
-            t = toks[i]
-            k = t[0]
+            w = toks[i]
             if goal == OPERAND:
-                if k == "!" or k == "IDENT" and t[2] == "neg":
+                if w == "!" or w == "neg":
                     i += 1
-                    stack.append((_UNARY, ENot if k == "!" else ENeg))
+                    stack.append((_UNARY, ENot if w == "!" else ENeg))
                     continue
-                if k == "(":
+                if w == "(":
                     i += 1
                     stack.append((_PAREN,))
                     stack.append((_BINARY, 1, None, None))
                     continue
+                k = kinds[w]
                 if k == "NUM":
                     i += 1
-                    value = ENat(t[2])
-                elif k == "-":
+                    value = ENat(int(w))
+                elif w == "-":
                     i += 1
-                    value = EInt(-expect("NUM")[2])
-                elif k == "IDENT" and t[2] in ("true", "false"):
+                    value = EInt(-int(expect("NUM")))
+                elif w == "true" or w == "false":
                     i += 1
-                    value = TRUE if t[2] == "true" else FALSE
+                    value = TRUE if w == "true" else FALSE
                 elif k == "IDENT":
                     value = EVar(ident("variable"))
                 else:
-                    raise ParseError(f"expected expression, found {k!r}", t[1])
+                    raise error(f"expected expression, found {k!r}", i)
                 goal = None
                 continue
-            if goal == PROCESS and k == "NUM" and t[2] == 0:
+            if goal == PROCESS and kinds[w] == "NUM" and int(w) == 0:
                 i += 1
                 value, goal = INACT, None
                 continue
-            if goal == PROCESS and k == "IDENT" and t[2] == "if":
+            if goal == PROCESS and w == "if":
                 i += 1
                 stack.append((_IF,))
                 stack.append((_BINARY, 1, None, None))
                 goal = OPERAND
                 continue
-            if goal != PROCESS and k == "IDENT" and t[2] == "end":
+            if goal != PROCESS and w == "end":
                 i += 1
                 value, goal = (TEnd() if goal == LOCAL else GEnd()), None
                 continue
             var_cls, rec_cls = _TERMS[goal]
-            if k == "IDENT" and t[2] == "rec":
+            if w == "rec":
                 i += 1
                 user = ident("process variable" if goal == PROCESS else "type variable")
                 expect(".")
@@ -192,23 +208,23 @@ def parse(category: str, text: str):
                 continue
             name = ident("participant or process variable" if goal == PROCESS
                          else "participant or type variable")
-            k = toks[i][0]
-            if goal == LOCAL and k in ("!", "?"):
+            w = toks[i]
+            if goal == LOCAL and (w == "!" or w == "?"):
                 i += 1
                 expect("(")
                 s = sort()
                 expect(")")
                 expect(";")
-                stack.append((_PREFIX, TOut if k == "!" else TIn, (name, s), guard))
-            elif goal == LOCAL and k in ("+", "&"):
+                stack.append((_PREFIX, TOut if w == "!" else TIn, (name, s), guard))
+            elif goal == LOCAL and (w == "+" or w == "&"):
                 i += 1
                 expect("{")
-                stack.append((_BRANCH, TSel if k == "+" else TBra, (name,), [], branch_label(),
+                stack.append((_BRANCH, TSel if w == "+" else TBra, (name,), [], branch_label(),
                               guard, LOCAL))
-            elif goal == GLOBAL and k == "->":
+            elif goal == GLOBAL and w == "->":
                 i += 1
                 to = ident("participant")
-                if toks[i][0] == "(":
+                if toks[i] == "(":
                     i += 1
                     s = sort()
                     expect(")")
@@ -217,26 +233,26 @@ def parse(category: str, text: str):
                 else:
                     expect("{")
                     stack.append((_BRANCH, GChoice, (name, to), [], branch_label(), guard, GLOBAL))
-            elif goal == PROCESS and k == "!":
+            elif goal == PROCESS and w == "!":
                 i += 1
                 expect("<")
                 stack.append((_SEND, name))
                 stack.append((_BINARY, 1, None, None))
                 goal = OPERAND
                 continue
-            elif goal == PROCESS and k == "?":
+            elif goal == PROCESS and w == "?":
                 i += 1
                 expect("(")
                 var = ident("value variable")
                 expect(")")
                 expect(";")
                 stack.append((_PREFIX, PRecv, (name, var), guard))
-            elif goal == PROCESS and k == "(+)":
+            elif goal == PROCESS and w == "(+)":
                 i += 1
                 label = ident("label")
                 expect(";")
                 stack.append((_PREFIX, PSel, (name, label), guard))
-            elif goal == PROCESS and k == "&":
+            elif goal == PROCESS and w == "&":
                 i += 1
                 expect("{")
                 stack.append((_BRANCH, PBra, (name,), [], branch_label(), guard, PROCESS))
@@ -268,7 +284,7 @@ def parse(category: str, text: str):
             value = rec_cls(new, value)
         elif tag == _BRANCH:
             f[3].append((f[4], value))
-            if toks[i][0] == ",":
+            if toks[i] == ",":
                 i += 1
                 stack.append(f[:4] + (branch_label(),) + f[5:])
                 goal = f[6]
@@ -280,11 +296,11 @@ def parse(category: str, text: str):
             _, least, lhs, op = f
             if op is not None:
                 value = _BINOP[op](lhs, value)
-            k = toks[i][0]
-            if _PREC.get(k, 0) >= least:
+            w = toks[i]
+            if _PREC.get(w, 0) >= least:
                 i += 1
-                stack.append((_BINARY, least, value, k))
-                stack.append((_BINARY, _PREC[k] + 1, None, None))
+                stack.append((_BINARY, least, value, w))
+                stack.append((_BINARY, _PREC[w] + 1, None, None))
                 goal = OPERAND
         elif tag == _UNARY:
             value = f[1](value)
@@ -302,15 +318,15 @@ def parse(category: str, text: str):
                 value = PCond(f[1], f[2], value)
             else:
                 word = "then" if len(f) == 1 else "else"
-                if not (toks[i][0] == "IDENT" and toks[i][2] == word):
-                    raise ParseError(f"expected {word!r}", toks[i][1])
+                if toks[i] != word:
+                    raise error(f"expected {word!r}", i)
                 i += 1
                 stack.append(f + (value,))
                 goal = PROCESS
         elif tag == _ENTRY:
             _, sep, colon, term, name, pairs = f
             pairs.append((name, value))
-            if toks[i][0] == sep:
+            if toks[i] == sep:
                 i += 1
                 name = ident("participant")
                 expect(colon)
@@ -322,9 +338,8 @@ def parse(category: str, text: str):
         else:  # _TOP
             break
 
-    t = toks[i]
-    if t[0] != "EOF":
-        raise ParseError(f"trailing input {t[0]!r}", t[1])
+    if toks[i]:
+        raise error(f"trailing input {kinds[toks[i]]!r}", i)
     for _, unguarded, free in sorted(checks, key=lambda c: c[0] or ""):
         if unguarded is not None:
             raise SessionTypeError(unguarded)
