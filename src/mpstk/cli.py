@@ -38,9 +38,11 @@ def budget(text: str) -> int:
 
 
 def _read(path: str) -> str:
+    """The text of a file, or of stdin for "-", decoded as UTF-8 whatever
+    the locale."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
+        return sys.stdin.buffer.read().decode("utf-8")
+    with open(path, encoding="utf-8") as fh:
         return fh.read()
 
 

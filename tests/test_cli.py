@@ -78,6 +78,24 @@ def test_unreadable_input_is_an_input_error(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_input_is_read_as_utf8_in_any_locale(tmp_path):
+    """Files and stdin decode as UTF-8 under the C locale too: `é` is the
+    parser's bad character, not the codec's, and `٣` is a number."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "LANG")}
+    env.update(PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0")
+    for category, text, code, out in (
+            ("local", "p!(int); é end", 2, "unexpected character '\\xe9' (at offset 9)"),
+            ("process", "q!<٣>; 0", 0, "q!<3>; 0")):
+        f = tmp_path / "t.mpst"
+        f.write_bytes(text.encode("utf-8"))
+        for path in (str(f), "-"):
+            run = subprocess.run([sys.executable, "-m", "mpstk", "parse", category, path],
+                                 env=env, input=f.read_bytes(), capture_output=True, timeout=60)
+            assert run.returncode == code, run.stderr
+            assert out in (run.stdout if code == 0 else run.stderr).decode("ascii")
+
+
 def test_subtype_json(files, capsys):
     a = files("a.mpst", "rec t. p+{l1: p+{l1: t}, l2: end}")
     b = files("b.mpst", "rec t. p+{l1: t, l2: end}")
