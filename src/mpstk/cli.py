@@ -38,8 +38,7 @@ def budget(text: str) -> int:
 
 
 def _read(path: str) -> str:
-    """The text of a file, or of stdin for "-", decoded as UTF-8 whatever
-    the locale."""
+    # a file, or stdin for "-", is UTF-8 whatever the locale
     if path == "-":
         return sys.stdin.buffer.read().decode("utf-8")
     with open(path, encoding="utf-8") as fh:
