@@ -14,13 +14,14 @@ along a fair lasso.  A lasso is fair here in the strong, per-label sense
 of the counterwitness definition: the set of labels it keeps taking must
 equal the set of labels enabled anywhere along it, choice labels being
 distinguished by their label.  The search builds its tables once per
-check.  A barb's starting set is the states none of whose enabled
-reductions would discharge it; one bit-parallel pass trims every distinct
-starting set at once, dropping the states that have no successor or no
-predecessor left in the set (none lies on a cycle there), and only the
-sets left non-empty are refined, each once, by a worklist that keeps
-non-trivial SCCs covering every label enabled in them and splits again
-only an SCC that lost a state.  A brute-force enumerator of bounded
+check, with an index per distinct label and a set of labels as an int
+mask over those indices.  A barb's starting set is the states none of
+whose enabled reductions would discharge it; one bit-parallel pass, the
+only trim, trims every distinct starting set at once, dropping the states
+that have no successor or no predecessor left in the set (none lies on a
+cycle there), and only the sets left non-empty are refined, each once, by
+a worklist that keeps non-trivial SCCs covering every label enabled in
+them and splits again only an SCC that lost a state.  A brute-force enumerator of bounded
 paths and lassos checks the same two counterwitness conditions literally
 and serves as the oracle; one test, `_lasso_witness`, checks both, a
 finite maximal path being the lasso with an empty cycle.
@@ -432,10 +433,11 @@ def dot_context_graph(rg: ContextGraph, highlight: set[int] | None = None,
 
 
 class _FairCycles:
-    """The fair-cycle search of one reachable graph: each distinct label is
-    one bit (its `observations` taken once), each state keeps its (label
-    bit, successor) edges and enabled-label mask, each barb its states, and
-    cores are cached by starting set (`!pq` and `?qp` share one).
+    """The fair-cycle search of one reachable graph: each distinct label has
+    an index k (its `observations` taken once), and a label set is an int
+    mask with bit k for each.  Each state keeps its (label index, successor)
+    edges and enabled-label mask, each barb its states, and cores are
+    cached by starting set (`!pq` and `?qp` share one).
 
     A barb's starting set is the states none of whose enabled labels
     observe it, so it is the union of the states of some distinct enabled
@@ -444,14 +446,14 @@ class _FairCycles:
     bit-parallel pass (`_trim`), and `core` refines only what is left."""
 
     def __init__(self, rg: ContextGraph):
-        bits: dict[Label, int] = {}
-        self.out = [[(bits.setdefault(lab, 1 << len(bits)), j) for lab, j in row]
+        index: dict[Label, int] = {}
+        self.out = [[(index.setdefault(lab, len(index)), j) for lab, j in row]
                     for row in rg.edges]
-        self.enabled = [reduce(or_, (b for b, _ in row), 0) for row in self.out]
+        self.enabled = [reduce(or_, (1 << k for k, _ in row), 0) for row in self.out]
         self.observed: dict[Barb, int] = {}  # barb -> the labels observing it
-        for lab, b in bits.items():
+        for lab, k in index.items():
             for barb in observations(lab):
-                self.observed[barb] = self.observed.get(barb, 0) | b
+                self.observed[barb] = self.observed.get(barb, 0) | 1 << k
         # barb -> the states offering it, from each participant's head rows:
         # one lookup per (participant, node), made when a state first has it
         self.members: dict[Barb, list[int]] = {}
@@ -528,31 +530,10 @@ class _FairCycles:
         self._trimmed.update(zip(starts, kept))
 
     def _split(self, group: list[int]) -> list[list[int]]:
-        """SCCs of the edges inside `group`, after trimming to a fixpoint the
-        states with no successor or no predecessor there (none lies on a
-        cycle).  Trimming keeps the order of `group` and of each edge list."""
+        """SCCs of the edges inside `group`, in `sccs` order.  A state on no
+        cycle there comes back as a trivial component, which `core` skips."""
         inside = set(group)
-        succ = {i: [j for _, j in self.out[i] if j in inside] for i in group}
-        pred: dict[int, list[int]] = {i: [] for i in group}
-        for i in group:
-            for j in succ[i]:
-                pred[j].append(i)
-        n_out = {i: len(succ[i]) for i in group}
-        n_in = {i: len(pred[i]) for i in group}
-        drop = [i for i in group if not n_out[i] or not n_in[i]]
-        gone = set(drop)
-        while drop:
-            i = drop.pop()
-            for degree, near in ((n_in, succ[i]), (n_out, pred[i])):
-                for j in near:
-                    degree[j] -= 1
-                    if not degree[j] and j not in gone:
-                        gone.add(j)
-                        drop.append(j)
-        if gone:
-            group = [i for i in group if i not in gone]
-            succ = {i: [j for j in succ[i] if j not in gone] for i in group}
-        return sccs(group, succ)
+        return sccs(group, {i: [j for _, j in self.out[i] if j in inside] for i in group})
 
     def core(self, barb: Barb) -> list[int]:
         """Greatest subset of the barb's starting set whose states each lie
@@ -564,7 +545,8 @@ class _FairCycles:
         cover; a component that lost nothing is final, the rest form a new
         group.  A trimmed state lies on no cycle inside its set, and removal
         is monotone, so the fixpoint is unique and the trim does not change
-        it."""
+        it; `_trim` is the only trim, and a group's states on no cycle come
+        back from `_split` as trivial components."""
         start = self._start(barb)
         if start in self._cores:
             return self._cores[start]
@@ -579,7 +561,8 @@ class _FairCycles:
         while work:
             for comp in self._split(work.pop()):
                 inside = set(comp)
-                internal = reduce(or_, (b for i in comp for b, j in self.out[i] if j in inside), 0)
+                internal = reduce(or_, (1 << k for i in comp for k, j in self.out[i]
+                                        if j in inside), 0)
                 if not internal:  # trivial: one state, no self-loop
                     continue
                 keep = [i for i in comp if not self.enabled[i] & ~internal]

@@ -34,7 +34,8 @@ class _Untrimmed(context._FairCycles):
         while work:
             for comp in self._split(work.pop()):
                 inside = set(comp)
-                internal = reduce(or_, (b for i in comp for b, j in self.out[i] if j in inside), 0)
+                internal = reduce(or_, (1 << k for i in comp for k, j in self.out[i]
+                                        if j in inside), 0)
                 if not internal:
                     continue
                 keep = [i for i in comp if not self.enabled[i] & ~internal]
