@@ -147,6 +147,24 @@ def test_binder_walks_take_memory_linear_in_depth(walk, chain, monkeypatch):
     assert _peak(walk, chain(2 * D)) <= 2.5 * small
 
 
+def _wide_context(n):
+    """p selects one of n labels at q, and q offers them all."""
+    branches = ", ".join(f"l{k}: end" for k in range(n))
+    return parse("context", f"p: q+{{{branches}}}, q: p&{{{branches}}}")
+
+
+def test_liveness_takes_memory_linear_in_labels(monkeypatch):
+    """Each distinct label has an index, and a set of labels is one mask.
+    A one-hot int per label would hold about L²/2 bits: 3.3x the peak at
+    twice the labels, and 4.9x safety's peak on the same context."""
+    monkeypatch.setattr(ast, "_canon_memo", {})
+    small = _peak(check_liveness, _wide_context(D))
+    wide = _wide_context(2 * D)
+    big = _peak(check_liveness, wide)
+    assert big <= 2.5 * small
+    assert big <= 1.5 * _peak(check_safety, wide)
+
+
 def test_graphs_and_subtyping():
     t = parsed("local", LOCAL)
     g = local_graph(t)
