@@ -38,10 +38,11 @@ def budget(text: str) -> int:
 
 
 def _read(path: str) -> str:
-    # a file, or stdin for "-", is UTF-8 whatever the locale
+    # a file, or stdin for "-", is UTF-8 whatever the locale, its newlines
+    # kept as they are, so that both give the same offsets
     if path == "-":
         return sys.stdin.buffer.read().decode("utf-8")
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         return fh.read()
 
 
@@ -115,7 +116,7 @@ def cmd_infer(args) -> int:
     payload["failure"] = r.failure
     if r.failure_node:
         payload["failure_node"] = sorted(r.failure_node)
-    _emit(args, payload, f"untypable: {r.failure}")
+    _emit(args, payload, r.failure)  # Untypable's message, which says "untypable: "
     return REJECT
 
 

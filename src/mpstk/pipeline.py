@@ -101,7 +101,7 @@ def _minima(sess: Session, budget: int) -> dict[str, TypeGraph]:
     for p, q in sess.roles:
         r = infer(q, budget)
         if not r.typable:
-            raise Untypable(f"{p}: {r.failure}")
+            raise Untypable(f"{p}: {r.failure.removeprefix('untypable: ')}")
         minima[p] = quotient(r.graph)
     return minima
 

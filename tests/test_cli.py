@@ -96,6 +96,34 @@ def test_input_is_read_as_utf8_in_any_locale(tmp_path):
             assert out in (run.stdout if code == 0 else run.stderr).decode("ascii")
 
 
+def test_file_and_stdin_give_the_same_offsets(tmp_path):
+    """A file's newlines are read as they are, as stdin's are: the `\r` of
+    a CRLF counts in the offset either way."""
+    f = tmp_path / "t.mpst"
+    f.write_bytes(b"p!(int);\r\n$end")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for path in (str(f), "-"):
+        run = subprocess.run([sys.executable, "-m", "mpstk", "parse", "local", path],
+                             env=env, input=f.read_bytes(), capture_output=True, timeout=60)
+        assert run.returncode == 2
+        assert b"unexpected character '$' (at offset 10)" in run.stderr
+
+
+def test_untypable_is_said_once(files, capsys):
+    """`infer` and the pipelines' inference stage say "untypable" once."""
+    p = files("p.mpst", "p?(x); p!<x + 1>; 0")
+    sess = files("s.sess", "q::p?(x); p!<x + 1>; 0 | p::q!<1>; q?(y); 0")
+    g = files("g.mpst", "p->q(int); q->p(int); end")
+    reason = "untypable: sorts nat and int forced equal\n"
+    assert main(["infer", p]) == 1
+    assert capsys.readouterr().out == reason
+    stage = "inference: untypable: q: sorts nat and int forced equal\n"
+    assert main(["bottomup", sess, "--prop", "safety"]) == 1
+    assert capsys.readouterr().out == "violated or untypable: " + stage
+    assert main(["topdown", sess, g]) == 1
+    assert capsys.readouterr().out == "rejected: " + stage
+
+
 def test_subtype_json(files, capsys):
     a = files("a.mpst", "rec t. p+{l1: p+{l1: t}, l2: end}")
     b = files("b.mpst", "rec t. p+{l1: t, l2: end}")
