@@ -16,15 +16,16 @@ equal the set of labels enabled anywhere along it, choice labels being
 distinguished by their label.  The search builds its tables once per
 check, with an index per distinct label and a set of labels as an int
 mask over those indices.  A barb's starting set is the states none of
-whose enabled reductions would discharge it; one bit-parallel pass, the
-only trim, trims every distinct starting set at once, dropping the states
-that have no successor or no predecessor left in the set (none lies on a
-cycle there), and only the sets left non-empty are refined, each once, by
-a worklist that keeps non-trivial SCCs covering every label enabled in
-them and splits again only an SCC that lost a state.  A brute-force enumerator of bounded
-paths and lassos checks the same two counterwitness conditions literally
-and serves as the oracle; one test, `_lasso_witness`, checks both, a
-finite maximal path being the lasso with an empty cycle.
+whose enabled reductions would discharge it; one bit-parallel pass trims
+every distinct starting set at once, dropping the states that have no
+successor or no predecessor left in the set (none lies on a cycle there).
+It is the only trim: only the sets left non-empty are refined, each once,
+by a worklist that keeps non-trivial SCCs covering every label enabled in
+them and splits again only an SCC that lost a state, a state on no cycle
+being a trivial SCC.  A brute-force enumerator of bounded paths and
+lassos checks the same two counterwitness conditions literally and serves
+as the oracle; one test, `_lasso_witness`, checks both, a finite maximal
+path being the lasso with an empty cycle.
 
 Each step of the checkers has one copy: `reachable_graph` is the one
 breadth-first closure, `_stuck_trace` the one scan for the finite
@@ -545,8 +546,7 @@ class _FairCycles:
         cover; a component that lost nothing is final, the rest form a new
         group.  A trimmed state lies on no cycle inside its set, and removal
         is monotone, so the fixpoint is unique and the trim does not change
-        it; `_trim` is the only trim, and a group's states on no cycle come
-        back from `_split` as trivial components."""
+        it."""
         start = self._start(barb)
         if start in self._cores:
             return self._cores[start]
