@@ -13,6 +13,11 @@ The main digest records tr(C) sorted.  The second pins tr(C) in order,
 in fresh interpreters under two values of PYTHONHASHSEED: where a variable
 with several incoming links gets copies, the link sources are visited in
 sorted order, so the order of tr(C) must not depend on the hash seed.
+
+The third pins the answers alone, which no rewrite of tr(C) that keeps it
+the same set may move: the sorted set of tr(C), the root after tr, the
+minimum graph with its node sets and the set of its sort equations, the
+sort-solved graph, and each failure's text and node.
 """
 
 import hashlib
@@ -75,12 +80,34 @@ def _digest(ordered_tr=False):
     return hashlib.sha256(repr(records).encode()).hexdigest()
 
 
+def _answer(p):
+    try:
+        r = infer(p)
+    except Untypable as e:
+        return ("underivable", str(e))
+    rec = (r.typable, r.failure, sorted(r.failure_node) if r.failure_node else None,
+           eliminate_transitive(r.derivation.constraints, r.derivation.root)[1],
+           sorted({show_constraint(c) for c in r.tr_constraints}))
+    if not r.typable:
+        return rec
+    mg = r.min_graph
+    return rec + (_graph(mg.graph), [sorted(s or ()) for s in mg.graph.desc],
+                  sorted({show_constraint(c) for c in mg.sort_eqs}), _graph(r.graph))
+
+
 DUMP_SHA256 = "e22ab6a986116cc1beedd8b57df10cec367160387ec114d5f41e688a238bf152"
 ORDERED_TR_SHA256 = "ab6603594fa2099381126c35a847c89f9c8877f827bb11b96d9c469e277a6356"
+ANSWERS_SHA256 = "68c2d9c60b3ed208c71e4fd0f74ec1170c2a3749488292ffdc61335d2e1dbe8b"
 
 
 def test_inference_dump_is_exact():
     assert _digest() == DUMP_SHA256
+
+
+def test_inference_answers_are_exact():
+    records = [_answer(p) for p in _processes()]
+    assert sum(r[0] is True for r in records) == 852  # typable
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == ANSWERS_SHA256
 
 
 def test_printed_minimum_graph_is_the_printed_minimum_type():
