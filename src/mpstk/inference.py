@@ -19,6 +19,7 @@ of the dependency labels while branchings take the intersection.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import string
 from dataclasses import dataclass, field
@@ -29,14 +30,17 @@ from .ast import (
     LocalT, PBra, PCond, PInact, PRec, PRecv, PSel, PSend, PVar, Proc,
     SessionTypeError, Sort, SortVar, Visit, bind, fold, unbind, uniquify_binders,
 )
-from .typegraph import Action, END_ACT, ENDK, IN, OUT, SEL, BRA, TypeGraph, explore
+from .typegraph import Action, END_ACT, ENDK, IN, OUT, SEL, BRA, TypeGraph, explore, sccs
 from .typegraph import _extract_type
+
+
+def _at(node) -> str:
+    return f" at node {{{', '.join(sorted(node))}}}" if node else ""
 
 
 class Untypable(SessionTypeError):
     def __init__(self, reason, node=None):
-        suffix = f" at node {{{', '.join(sorted(node))}}}" if node else ""
-        super().__init__(f"untypable: {reason}{suffix}")
+        super().__init__(f"untypable: {reason}{_at(node)}")
         self.reason = reason
         self.node = node
 
@@ -193,68 +197,81 @@ def derive_constraints(p: Proc) -> Derivation:
 # tr(C): eliminate variable-to-variable constraints
 
 
-def _subst_var(c, old: str, new: str):
-    r = new if c.rhs == old else c.rhs
-    if type(c) is CVarLe:
-        return CVarLe(new if c.lhs == old else c.lhs, r)
-    return CHead(c.kind, c.peer, c.payload,
-                 tuple((l, new if v == old else v) for l, v in c.succ), r)
-
-
 def eliminate_transitive(constraints: list, root: str) -> tuple[list, str]:
-    """Remove every variable-to-variable constraint xi <= psi.
+    """Remove every variable-to-variable constraint xi <= psi.  Given a set,
+    as `derive_constraints` makes, the result is a set, in first-occurrence
+    order.
 
     When the link is the only constraint defining psi, psi is renamed to xi
-    (the paper's substitution).  A variable with several incoming links (a
+    (the paper's substitution), the first such link in list order first.  A
+    link the renaming turns into x <= x goes, which may leave its variable
+    with one link to rename.  A variable with several incoming links (a
     conditional joining two behaviours) must keep the link sources apart:
     renaming would merge two independently defined variables and lose the
     relative phase of their recursions, so such links are resolved by
-    transitivity instead, copying the sources' structural definitions onto
-    the target.
+    transitivity instead: the target gets the distinct heads of every
+    variable that flows into it, gathered once per SCC of the links,
+    sources first.
     """
-    work = list(constraints)
-    while True:
-        work = [c for c in work if not (isinstance(c, CVarLe) and c.lhs == c.rhs)]
-        links = [c for c in work if isinstance(c, CVarLe)]
-        if not links:
-            return work, root
-        incoming: dict[str, int] = {}
-        for c in work:
-            if not isinstance(c, CSortEq):
-                incoming[c.rhs] = incoming.get(c.rhs, 0) + 1
-        single = next((c for c in links if incoming[c.rhs] == 1), None)
-        if single is not None:
-            old, new = single.rhs, single.lhs
-            work = [
-                _subst_var(k, old, new)
-                for k in work
-                if k is not single and not isinstance(k, CSortEq)
-            ] + [k for k in work if isinstance(k, CSortEq)]
-            if root == old:
-                root = new
-            continue
-        # only multi-in links remain: copy transitive structural definitions
-        preds: dict[str, set[str]] = {}
-        for c in links:
-            preds.setdefault(c.rhs, set()).add(c.lhs)
-        structural: dict[str, list] = {}
-        for c in work:
-            if type(c) is CHead:
-                structural.setdefault(c.rhs, []).append(c)
+    links = [c for c in constraints if type(c) is CVarLe and c.lhs != c.rhs]
+    if not links:
+        return list(constraints), root
+    heads = [c.rhs for c in constraints if type(c) is CHead]
+    headed = set(heads)
+    ins: dict[str, list[int]] = {}  # the links into each variable, by index
+    for i, c in enumerate(links):
+        ins.setdefault(c.rhs, []).append(i)
+    single = [ls[0] for v, ls in ins.items() if len(ls) == 1 and v not in headed]
+    heapq.heapify(single)
+    live = [True] * len(links)
+    parent: dict[str, str] = {}  # union-find of renamings
 
-        copies = []
-        for tgt, direct in preds.items():
-            stack = sorted(direct)
-            seen = set(stack) | {tgt}
-            while stack:
-                u = stack.pop()
-                copies.extend(CHead(c.kind, c.peer, c.payload, c.succ, tgt)
-                              for c in structural.get(u, ()))
-                for w in sorted(preds.get(u, ())):  # links form a DAG by freshness
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        work = [c for c in work if not isinstance(c, CVarLe)] + copies
+    def find(v):
+        while v in parent:  # path halving
+            parent[v] = v = parent.get(parent[v], parent[v])
+        return v
+
+    while single:
+        i = heapq.heappop(single)
+        if not live[i]:
+            continue
+        live[i] = False  # rename rhs to lhs: this link is all that defines rhs
+        new = parent[links[i].rhs] = find(links[i].lhs)
+        loops = [j for j in ins.get(new, ()) if live[j] and find(links[j].lhs) == new]
+        for j in loops:
+            live[j] = False
+        left = [j for j in ins.get(new, ()) if live[j]]
+        if loops and len(left) == 1 and new not in headed:
+            heapq.heappush(single, left[0])
+
+    def rename(c):
+        succ = tuple((l, find(v)) for l, v in c.succ)
+        return c if succ == c.succ else CHead(c.kind, c.peer, c.payload, succ, c.rhs)
+
+    out = [rename(c) if type(c) is CHead else c for c in constraints if type(c) is not CVarLe]
+    preds: dict[str, list[str]] = {}
+    for i, c in enumerate(links):
+        if live[i]:
+            preds.setdefault(c.rhs, []).append(find(c.lhs))
+    if preds:
+        own: dict[str, dict] = {}  # each variable's heads, without rhs
+        for c in out:
+            if type(c) is CHead:
+                own.setdefault(c.rhs, {})[c.kind, c.peer, c.payload, c.succ] = None
+        flows: dict[str, dict] = {}  # the heads of each SCC and its sources
+        for comp in sccs(list(preds), preds):
+            into: dict = {}
+            for v in comp:
+                into.update(own.get(v, ()))
+                for u in preds.get(v, ()):
+                    into.update(flows.get(u, ()))
+            flows.update(dict.fromkeys(comp, into))
+            out.extend(CHead(*h, v) for v in comp if v in preds for h in into)
+    # a renaming can make two heads of one variable equal, and a copy one
+    # the target has
+    if preds or len(headed) < len(heads):
+        out = list(dict.fromkeys(out))
+    return out, find(root)
 
 
 # ---------------------------------------------------------------------------
@@ -314,23 +331,20 @@ class MinGraphBuilder:
                 eqs.extend(CSortEq(alpha, c.payload) for c in deps)
             # selections union their labels, branchings intersect them; an
             # input or output has the one label None, which carries alpha
-            label_sets = [{l for l, _ in c.succ} for c in deps]
+            succ: dict = {}
+            for c in deps:
+                for l, v in c.succ:
+                    succ.setdefault(l, set()).add(v)
+            labels = succ
             if kind == BRA:
-                labels = set.intersection(*label_sets)
+                labels = set.intersection(*({l for l, _ in c.succ} for c in deps))
                 if not labels:
                     raise Untypable("branching dependencies share no label", s)
-            else:
-                labels = set().union(*label_sets)
             for l in sorted(labels):
-                succ = frozenset(v for c in deps for lab, v in c.succ if lab == l)
-                yield Action(kind, peer, alpha if l is None else l), succ
+                yield Action(kind, peer, alpha if l is None else l), frozenset(succ[l])
 
         init, edges, states, skip = explore(start, expand, budget=budget)
         return MinGraph(TypeGraph(init, edges, skip, states), eqs)
-
-
-def build_min_graph(tr_constraints: list, root: str, budget: int = 1_000_000) -> MinGraph:
-    return MinGraphBuilder(tr_constraints).build(frozenset([root]), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +445,12 @@ def infer(p: Proc, budget: int = 1_000_000) -> InferResult:
     d = derive_constraints(p)
     tr, root = eliminate_transitive(d.constraints, d.root)
     try:
-        mg = build_min_graph(tr, root, budget)
+        mg = MinGraphBuilder(tr).build(frozenset([root]), budget)
         subst = solve_sorts(mg.sort_eqs)
     except Untypable as e:
         return InferResult(
             False, derivation=d, tr_constraints=tr,
-            failure=str(e), failure_node=getattr(e, "node", None),
+            failure=str(e), failure_node=e.node,
         )
     graph = apply_sort_subst(mg.graph, subst)
     return InferResult(
@@ -446,9 +460,12 @@ def infer(p: Proc, budget: int = 1_000_000) -> InferResult:
 
 
 def infer_min_type(p: Proc) -> LocalT:
+    """The minimum type of `p`; an untypable `p` raises the reason and node
+    of its failure."""
     r = infer(p)
     if not r.typable:
-        raise Untypable(r.failure or "no minimum type")
+        reason = r.failure.removeprefix("untypable: ").removesuffix(_at(r.failure_node))
+        raise Untypable(reason, r.failure_node)
     return r.min_type
 
 
