@@ -10,9 +10,12 @@ reorders or renumbers constraints, fresh type variables or sort variables
 fails here.
 
 The main digest records tr(C) sorted.  The second pins tr(C) in order,
-in fresh interpreters under two values of PYTHONHASHSEED: where a variable
-with several incoming links gets copies, the link sources are visited in
-sorted order, so the order of tr(C) must not depend on the hash seed.
+in fresh interpreters under two values of PYTHONHASHSEED: tr(C) is a set
+in first-occurrence order, and the heads copied onto a joined variable
+follow the links in list order, never the iteration order of a set, so the
+order of tr(C) must not depend on the hash seed.  Both digests moved when
+tr(C) became a set: the corpus held 246 duplicate tr constraints in 190
+processes (8,905 -> 8,659).
 
 The third pins the answers alone, which no rewrite of tr(C) that keeps it
 the same set may move: the sorted set of tr(C), the root after tr, the
@@ -95,8 +98,8 @@ def _answer(p):
                   sorted({show_constraint(c) for c in mg.sort_eqs}), _graph(r.graph))
 
 
-DUMP_SHA256 = "e22ab6a986116cc1beedd8b57df10cec367160387ec114d5f41e688a238bf152"
-ORDERED_TR_SHA256 = "ab6603594fa2099381126c35a847c89f9c8877f827bb11b96d9c469e277a6356"
+DUMP_SHA256 = "5700e58b5096006b9bc61d2b91c261d5b1882147f19276f8702eabae5bc48293"
+ORDERED_TR_SHA256 = "62f46213fc08ba48186618a022dab7485967e2979e170658b8704ce9e931257a"
 ANSWERS_SHA256 = "68c2d9c60b3ed208c71e4fd0f74ec1170c2a3749488292ffdc61335d2e1dbe8b"
 
 
