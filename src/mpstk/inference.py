@@ -1,9 +1,9 @@
 """Minimum type inference for processes.
 
 Pipeline: derive subtype/sort constraints from the process, eliminate the
-variable-to-variable constraints (tr), build the minimum type graph over
-sets of type variables, solve the accumulated sort equalities with a
-union-find, and read the minimum type off the graph.
+variable-to-variable constraints (tr, a set in first-occurrence order),
+build the minimum type graph over sets of type variables, solve the sort
+equalities with a union-find, and read the minimum type off the graph.
 
 A head constraint `T <= x` (`CHead`) is one type-graph node of x whose
 successors are type variables: it carries typegraph's kind (ENDK, IN, OUT,
@@ -34,13 +34,10 @@ from .typegraph import Action, END_ACT, ENDK, IN, OUT, SEL, BRA, TypeGraph, expl
 from .typegraph import _extract_type
 
 
-def _at(node) -> str:
-    return f" at node {{{', '.join(sorted(node))}}}" if node else ""
-
-
 class Untypable(SessionTypeError):
     def __init__(self, reason, node=None):
-        super().__init__(f"untypable: {reason}{_at(node)}")
+        suffix = f" at node {{{', '.join(sorted(node))}}}" if node else ""
+        super().__init__(f"untypable: {reason}{suffix}")
         self.reason = reason
         self.node = node
 
@@ -203,15 +200,13 @@ def eliminate_transitive(constraints: list, root: str) -> tuple[list, str]:
     order.
 
     When the link is the only constraint defining psi, psi is renamed to xi
-    (the paper's substitution), the first such link in list order first.  A
-    link the renaming turns into x <= x goes, which may leave its variable
-    with one link to rename.  A variable with several incoming links (a
+    (the paper's substitution), first links first; a link the renaming turns
+    into x <= x goes.  A variable with several incoming links (a
     conditional joining two behaviours) must keep the link sources apart:
     renaming would merge two independently defined variables and lose the
     relative phase of their recursions, so such links are resolved by
     transitivity instead: the target gets the distinct heads of every
-    variable that flows into it, gathered once per SCC of the links,
-    sources first.
+    variable that flows into it, once per SCC of the links, sources first.
     """
     links = [c for c in constraints if type(c) is CVarLe and c.lhs != c.rhs]
     if not links:
@@ -221,9 +216,8 @@ def eliminate_transitive(constraints: list, root: str) -> tuple[list, str]:
     ins: dict[str, list[int]] = {}  # the links into each variable, by index
     for i, c in enumerate(links):
         ins.setdefault(c.rhs, []).append(i)
-    single = [ls[0] for v, ls in ins.items() if len(ls) == 1 and v not in headed]
-    heapq.heapify(single)
-    live = [True] * len(links)
+    single = sorted(ls[0] for v, ls in ins.items() if len(ls) == 1 and v not in headed)
+    dead: set[int] = set()  # the links renamed away or turned into x <= x
     parent: dict[str, str] = {}  # union-find of renamings
 
     def find(v):
@@ -233,14 +227,13 @@ def eliminate_transitive(constraints: list, root: str) -> tuple[list, str]:
 
     while single:
         i = heapq.heappop(single)
-        if not live[i]:
+        if i in dead:
             continue
-        live[i] = False  # rename rhs to lhs: this link is all that defines rhs
+        dead.add(i)  # rename rhs to lhs: this link is all that defines rhs
         new = parent[links[i].rhs] = find(links[i].lhs)
-        loops = [j for j in ins.get(new, ()) if live[j] and find(links[j].lhs) == new]
-        for j in loops:
-            live[j] = False
-        left = [j for j in ins.get(new, ()) if live[j]]
+        loops = {j for j in ins.get(new, ()) if j not in dead and find(links[j].lhs) == new}
+        dead |= loops
+        left = [j for j in ins.get(new, ()) if j not in dead]
         if loops and len(left) == 1 and new not in headed:
             heapq.heappush(single, left[0])
 
@@ -251,25 +244,25 @@ def eliminate_transitive(constraints: list, root: str) -> tuple[list, str]:
     out = [rename(c) if type(c) is CHead else c for c in constraints if type(c) is not CVarLe]
     preds: dict[str, list[str]] = {}
     for i, c in enumerate(links):
-        if live[i]:
+        if i not in dead:
             preds.setdefault(c.rhs, []).append(find(c.lhs))
     if preds:
-        own: dict[str, dict] = {}  # each variable's heads, without rhs
+        # a variable's heads without rhs; once its SCC is done, every head
+        # that flows into it
+        flows: dict[str, dict] = {}
         for c in out:
             if type(c) is CHead:
-                own.setdefault(c.rhs, {})[c.kind, c.peer, c.payload, c.succ] = None
-        flows: dict[str, dict] = {}  # the heads of each SCC and its sources
+                flows.setdefault(c.rhs, {})[c.kind, c.peer, c.payload, c.succ] = None
         for comp in sccs(list(preds), preds):
-            into: dict = {}
-            for v in comp:
-                into.update(own.get(v, ()))
-                for u in preds.get(v, ()):
-                    into.update(flows.get(u, ()))
-            flows.update(dict.fromkeys(comp, into))
-            out.extend(CHead(*h, v) for v in comp if v in preds for h in into)
-    # a renaming can make two heads of one variable equal, and a copy one
-    # the target has
-    if preds or len(headed) < len(heads):
+            if comp[0] in preds:  # else a source, which keeps its own heads
+                into: dict = {}
+                for v in comp:
+                    into.update(flows.get(v, ()))
+                    for u in preds[v]:
+                        into.update(flows.get(u, ()))
+                out.extend(CHead(*h, v) for v in comp for h in into if h not in flows.get(v, ()))
+                flows.update(dict.fromkeys(comp, into))
+    if len(headed) < len(heads):  # a renaming may have made two heads of one variable equal
         out = list(dict.fromkeys(out))
     return out, find(root)
 
@@ -335,11 +328,10 @@ class MinGraphBuilder:
             for c in deps:
                 for l, v in c.succ:
                     succ.setdefault(l, set()).add(v)
-            labels = succ
-            if kind == BRA:
-                labels = set.intersection(*({l for l, _ in c.succ} for c in deps))
-                if not labels:
-                    raise Untypable("branching dependencies share no label", s)
+            labels = (set.intersection(*({l for l, _ in c.succ} for c in deps))
+                      if kind == BRA else succ)
+            if not labels:
+                raise Untypable("branching dependencies share no label", s)
             for l in sorted(labels):
                 yield Action(kind, peer, alpha if l is None else l), frozenset(succ[l])
 
@@ -448,10 +440,8 @@ def infer(p: Proc, budget: int = 1_000_000) -> InferResult:
         mg = MinGraphBuilder(tr).build(frozenset([root]), budget)
         subst = solve_sorts(mg.sort_eqs)
     except Untypable as e:
-        return InferResult(
-            False, derivation=d, tr_constraints=tr,
-            failure=str(e), failure_node=e.node,
-        )
+        return InferResult(False, derivation=d, tr_constraints=tr,
+                           failure=str(e), failure_node=e.node)
     graph = apply_sort_subst(mg.graph, subst)
     return InferResult(
         True, graph=graph, min_graph=mg,
@@ -460,12 +450,12 @@ def infer(p: Proc, budget: int = 1_000_000) -> InferResult:
 
 
 def infer_min_type(p: Proc) -> LocalT:
-    """The minimum type of `p`; an untypable `p` raises the reason and node
-    of its failure."""
+    """The minimum type of `p`; else its failure's reason and node, raised."""
     r = infer(p)
     if not r.typable:
-        reason = r.failure.removeprefix("untypable: ").removesuffix(_at(r.failure_node))
-        raise Untypable(reason, r.failure_node)
+        reason = r.failure.removeprefix("untypable: ")
+        raise Untypable(reason.rpartition(" at node ")[0] if r.failure_node else reason,
+                        r.failure_node)
     return r.min_type
 
 
