@@ -6,8 +6,9 @@ joined variable onto it, duplicates included.  The one-pass tr(C) must
 give the same set with no duplicate, the same root, and so the same
 minimum graph, sort-solved graph and failure, on the golden corpus, on
 random processes, and on processes with a conditional directly under
-`rec`.  `rand_process` wraps such a body in a send; without it a renaming
-never turns a link into x <= x and frees another variable to rename.
+`rec`.  `rand_process` wraps such a body in a send, so none of its draws
+has a renaming that turns a link into x <= x and so frees another
+variable to rename; `rec_over_cond` draws them.
 """
 
 import random
@@ -15,11 +16,12 @@ import random
 from conftest import rand_process
 from test_golden_inference import _graph, _processes
 
-from mpstk.ast import ENat, ETrue, PBra, PCond, PInact, PRec, PSend, PSel, PVar
+from mpstk.ast import ENat, ETrue, PBra, PCond, PInact, PRec, PSend, PSel, PVar, SortVar
 from mpstk.inference import (
     CHead, CSortEq, CVarLe, MinGraphBuilder, Untypable, apply_sort_subst,
     derive_constraints, eliminate_transitive, infer, solve_sorts,
 )
+from mpstk.typegraph import ENDK, OUT
 
 # ---------------------------------------------------------------------------
 # Reference: the earlier fixpoint loop, verbatim
@@ -170,3 +172,13 @@ def test_tr_matches_the_reference_with_a_conditional_under_rec():
     rng = random.Random(32)
     seen = _seen(rec_over_cond(rng, rng.randint(2, 12)) for _ in range(4000))
     assert seen["typable"] > 1000 and seen["duplicates"] > 500 and seen["freed"] > 1000
+
+
+def test_tr_of_any_set_is_a_set():
+    """Two heads of one variable that a renaming makes equal are one."""
+    s = SortVar("s1")
+    cs = [CHead(OUT, "p", s, ((None, "a"),), "v"), CHead(OUT, "p", s, ((None, "b"),), "v"),
+          CHead(ENDK, None, None, (), "a"), CVarLe("a", "b")]
+    want, root = reference_tr(cs, "v")
+    assert len(want) == 3 and len(set(want)) == 2
+    assert eliminate_transitive(cs, "v") == (list(dict.fromkeys(want)), root)
