@@ -200,9 +200,10 @@ def eliminate_transitive(constraints: list, root: str) -> tuple[list, str]:
     order.
 
     When the link is the only constraint defining psi, psi is renamed to xi
-    (the paper's substitution), first links first; a link the renaming turns
-    into x <= x goes.  A variable with several incoming links (a
-    conditional joining two behaviours) must keep the link sources apart:
+    (the paper's substitution), earliest link in the list first; a link the
+    renaming turns into x <= x goes, which may leave another variable with
+    one link.  A variable with several incoming links (a conditional
+    joining two behaviours) must keep the link sources apart:
     renaming would merge two independently defined variables and lose the
     relative phase of their recursions, so such links are resolved by
     transitivity instead: the target gets the distinct heads of every
