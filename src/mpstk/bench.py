@@ -14,7 +14,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .ast import BudgetExceeded, TBra, size
+from .ast import BudgetExceeded, size
 from .context import check_liveness
 from .hardness import LIVE, QBF, gen_qbf_context
 from .inference import branch_cycle_length, gen_lcm_process, infer
@@ -196,7 +196,7 @@ def _naive_merge_ops(g, p) -> int:
         c.tick(min(size(a, sizes), size(b, sizes)))
         return merge_full_naive(a, b)
 
-    _project(g, p, TBra, naive_merge)
+    _project(g, p, naive_merge)
     return c.ops
 
 

@@ -4,9 +4,10 @@ Four algorithms:
 
 * inductive projection with plain merging (branches must be equal),
 * inductive projection with full merging (external choices are unioned);
-  the merge runs on local types whose branchings are MBra, a branch map
-  kept in a balanced search tree, so the smaller operand is always
-  inserted into the larger one (`to_tree` and `of_tree` convert),
+  where the merge meets two branchings it makes each an MBra, a branch
+  map kept in a balanced search tree, so the smaller operand is always
+  inserted into the larger one, and `of_tree` makes the result a local
+  type again,
 * the candidate-projection check in the style of Tirore et al.: compute
   ptrans (inductive projection whose merge keeps the left operand), then
   verify it against the global type over the product graph,
@@ -21,7 +22,6 @@ call: None where the head does not involve p, else p's kind, peer and arcs.
 
 The three inductive projections, and the naive-merge oracle of the bench
 harness, are one fold, `_project`, which differs between them only in
-the constructor of its branchings (TBra, or MBra for the full merge) and
 the merge it folds the branches of a choice with when p takes no part in
 that choice.
 
@@ -213,32 +213,27 @@ def treap_get(n, key):
 
 @dataclass(frozen=True, eq=False)
 class MBra:
-    """A branching whose branch map is a treap, label -> local type; the one
-    node of a merge's operands that is not a LocalT.  It hashes by identity,
-    so an interned node can hold one without hashing its treap."""
+    """A branching whose branch map is a treap, label -> local type; the
+    merge's working form of a branching, which no merge result keeps (see
+    `of_tree`).  It hashes by identity, so an interned node can hold one
+    without hashing its treap."""
 
     peer: str
     tree: object
-    size: int
 
 
-def _mbra(peer: str, pairs) -> MBra:
-    """A treap-backed branching on (label, type) pairs."""
+def _mbra(m) -> MBra:
+    """Branching m as an MBra: a TBra's branches are inserted in label
+    order, uncounted (its labels are distinct, so none is combined)."""
+    if type(m) is MBra:
+        return m
     tree = None
-    for l, b in pairs:
-        tree = treap_insert(tree, l, b, _keep_new)
-    return MBra(peer, tree, _tsz(tree))
+    for l, b in m.branches:
+        tree = treap_insert(tree, l, b, None)
+    return MBra(m.peer, tree)
 
 
-def _to_tree(t, kids, env):
-    if type(t) is TBra:
-        return _mbra(t.peer, zip([l for l, _ in t.branches], kids))
-    return rebuild(t, kids)
-
-
-def to_tree(t: LocalT):
-    """t with each branching an MBra."""
-    return fold(t, _to_tree)
+_BRANCHINGS = (TBra, MBra)
 
 
 def _tree_kids(m, env):
@@ -260,11 +255,13 @@ def of_tree(m) -> LocalT:
 
 
 def merge_full_opt(m1, m2, counter: WorkCounter | None = None):
-    """Optimised full merge of two local types whose branchings are MBra;
-    the smaller branch map is inserted into the larger one so each branch
-    moves O(log n) times overall.  One fold over pairs of types, merged in
-    depth-first order; on a branching, the labels the two share are merged
-    first, then the smaller map is inserted."""
+    """Optimised full merge of two local types, plain or results of this
+    merge; the smaller branch map is inserted into the larger one so each
+    branch moves O(log n) times overall.  One fold over pairs of types,
+    merged in depth-first order; on a branching, both operands become MBra
+    (`_mbra`), the labels the two share are merged first, then the smaller
+    map is inserted.  A result's branchings are MBra where two met, and
+    `of_tree` makes it a local type."""
 
     def enter(pair, env):
         m1, m2 = pair
@@ -282,47 +279,44 @@ def merge_full_opt(m1, m2, counter: WorkCounter | None = None):
             if [l for l, _ in m1.branches] != [l for l, _ in m2.branches]:
                 raise SessionTypeError("selection merge needs equal label sets")
             return Visit(tuple(zip([b for _, b in m1.branches], [b for _, b in m2.branches])), env)
-        if type(m1) is MBra and type(m2) is MBra and m1.peer == m2.peer:
-            big, small = (m1, m2) if m1.size >= m2.size else (m2, m1)
+        if type(m1) in _BRANCHINGS and type(m2) in _BRANCHINGS and m1.peer == m2.peer:
+            m1, m2 = _mbra(m1), _mbra(m2)
+            big, small = (m1, m2) if _tsz(m1.tree) >= _tsz(m2.tree) else (m2, m1)
             # merging is symmetric on shared labels, so operand order is free
             items = list(treap_items(small.tree))
             shared = [(treap_get(big.tree, l), b) for l, b in items]
             return Visit(tuple(p for p in shared if p[0] is not None), (big.tree, items))
         if type(m1) is TRec and type(m2) is TRec:
-            body2 = m2.body if m2.var == m1.var else to_tree(
-                subst(of_tree(m2.body), m2.var, TVar(m1.var)))
+            body2 = m2.body if m2.var == m1.var else subst(
+                of_tree(m2.body), m2.var, TVar(m1.var))
             return Visit(((m1.body, body2),), env)
         raise SessionTypeError("incompatible heads in full merge")
 
     def leave(pair, kids, env):
         m1 = pair[0]
-        if type(m1) is MBra:
+        if type(m1) in _BRANCHINGS:
             tree, items = env
             merged = iter(kids)  # taken by the insertions that find their label
             for l, b in items:
                 tree = treap_insert(tree, l, b, lambda old, new: next(merged), counter)
-            return MBra(m1.peer, tree, _tsz(tree))
+            return MBra(m1.peer, tree)
         return rebuild(m1, kids)
 
     return fold((m1, m2), leave, enter)
 
 
-def _keep_new(old, new):
-    return new
-
-
 def merge_full_optimized(t1: LocalT, t2: LocalT, counter: WorkCounter | None = None) -> LocalT:
     """Convenience wrapper on plain ASTs; equals merge_full_naive."""
-    return of_tree(merge_full_opt(to_tree(t1), to_tree(t2), counter))
+    return of_tree(merge_full_opt(t1, t2, counter))
 
 
 # ---------------------------------------------------------------------------
-# Inductive projection: one fold, parameterised by the constructor of the
-# result's branchings and by the merge of the branches p takes no part in.
+# Inductive projection: one fold, parameterised by the merge of the
+# branches p takes no part in.
 
 
-def _project(g: GlobalT, p: str, bra, merge):
-    """Project `g` onto `p`, building each branching with `bra(peer, pairs)`.
+def _project(g: GlobalT, p: str, merge):
+    """Project `g` onto `p`.
 
     Where p takes no part in a choice, the projections of all its branches
     are computed, then folded left to right with the binary `merge`; a
@@ -353,7 +347,7 @@ def _project(g: GlobalT, p: str, bra, merge):
             if p == g.frm:
                 return TSel(g.to, tuple(zip([l for l, _ in g.branches], kids)))
             if p == g.to:
-                return bra(g.frm, tuple(zip([l for l, _ in g.branches], kids)))
+                return TBra(g.frm, tuple(zip([l for l, _ in g.branches], kids)))
             acc = kids[0]
             for t in kids[1:]:
                 try:
@@ -374,9 +368,9 @@ def project_inductive(
     """Inductive projection of `g` onto `p` with plain or full merging."""
     if kind == PLAIN:
         sizes: dict = {}
-        out = _project(g, p, TBra, lambda a, b: merge_plain(a, b, counter, sizes))
+        out = _project(g, p, lambda a, b: merge_plain(a, b, counter, sizes))
     elif kind == FULL:
-        out = of_tree(_project(g, p, _mbra, lambda a, b: merge_full_opt(a, b, counter)))
+        out = of_tree(_project(g, p, lambda a, b: merge_full_opt(a, b, counter)))
     else:
         raise ValueError(f"unknown merge kind {kind!r}")
     try:
@@ -394,7 +388,7 @@ def ptrans(g: GlobalT, p: str) -> LocalT:
     """Candidate projection: inductive projection whose merge keeps the left
     operand.  Always total; the result may be unguarded, which the check
     below rejects."""
-    return _project(g, p, TBra, None)
+    return _project(g, p, None)
 
 
 def _views(gg, p: str) -> list:
