@@ -40,8 +40,8 @@ from .ast import (
     BudgetExceeded, GChoice, GEnd, GMsg, GRec, GVar, GlobalT,
     LocalT, SessionTypeError, Sort,
     TBra, TEnd, TIn, TOut, TRec, TSel, TVar, TypingContext,
-    Done, Visit, alpha_canon, branches, check_guarded, fold, is_closed, participants, rebuild,
-    size, subst,
+    Done, Visit, alpha_canon, branches, check_guarded, fold, free_vars, is_closed, participants,
+    rebuild, size, unfold1,
 )
 from .printer import show, show_local
 from .subtyping import subtype_sim
@@ -97,14 +97,43 @@ def _merge_fail(t1, t2, why):
 
 
 # ---------------------------------------------------------------------------
+# Full merge of two recursions, shared by both merges
+
+
+def _enter_recs(r1: LocalT, r2: LocalT, scope: dict):
+    """A merge's pre hook on two recursions, plain local types r1 and r2.
+
+    `scope` maps each pair of recursions being merged, in either order (the
+    optimised merge may swap operands), to its merged binder, so a pair
+    met again inside its own merge is that binder's variable.  Otherwise the merge goes on with the unfoldings of r1 and r2
+    under a new binder, and a branch that only one side has keeps that
+    side's own closed recursion.  The binder is named after r1's, with the
+    least number appended that keeps it from capturing a free variable of
+    r1 or r2 or an enclosing merged binder.  The pair is the env that the
+    merge's post hook receives, to pop its binder from `scope`."""
+    key = frozenset((r1, r2))
+    name = scope.get(key)
+    if name is not None:
+        return Done(TVar(name))
+    taken = free_vars(r1) | free_vars(r2) | set(scope.values())
+    name, k = r1.var, 0
+    while name in taken:
+        k += 1
+        name = f"{r1.var}{k}"
+    scope[key] = name
+    return Visit(((unfold1(r1), unfold1(r2)),), key)
+
+
+# ---------------------------------------------------------------------------
 # Full merge, naive, on plain ASTs
 
 
 def merge_full_naive(t1: LocalT, t2: LocalT) -> LocalT:
     """Inductive full merge: identical prefixes merge pointwise, selections
     need identical label sets, branchings take the union of their labels.
-    Recursions merge by congruence after aligning the binders.  One fold
+    Two recursions merge by their unfoldings (`_enter_recs`).  One fold
     over pairs of subterms, merged in depth-first order."""
+    scope: dict = {}
 
     def enter(pair, env):
         t1, t2 = pair
@@ -127,8 +156,7 @@ def merge_full_naive(t1: LocalT, t2: LocalT) -> LocalT:
             b1, b2 = dict(t1.branches), dict(t2.branches)
             return Visit(tuple((b1[l], b2[l]) for l in sorted(set(b1) & set(b2))), env)
         if type(t1) is TRec and type(t2) is TRec:
-            body2 = t2.body if t2.var == t1.var else subst(t2.body, t2.var, TVar(t1.var))
-            return Visit(((t1.body, body2),), env)
+            return _enter_recs(t1, t2, scope)
         raise _merge_fail(t1, t2, "incompatible heads in full merge")
 
     def leave(pair, kids, env):
@@ -141,7 +169,7 @@ def merge_full_naive(t1: LocalT, t2: LocalT) -> LocalT:
             b1, b2 = dict(t1.branches), dict(t2.branches)
             merged = dict(zip(sorted(set(b1) & set(b2)), kids))
             return TBra(t1.peer, branches({**b2, **b1, **merged}.items()))
-        return TRec(t1.var, kids[0])
+        return TRec(scope.pop(env), kids[0])
 
     return fold((t1, t2), leave, enter)
 
@@ -260,8 +288,11 @@ def merge_full_opt(m1, m2, counter: WorkCounter | None = None):
     branch moves O(log n) times overall.  One fold over pairs of types,
     merged in depth-first order; on a branching, both operands become MBra
     (`_mbra`), the labels the two share are merged first, then the smaller
-    map is inserted.  A result's branchings are MBra where two met, and
-    `of_tree` makes it a local type."""
+    map is inserted.  Two recursions merge by their unfoldings
+    (`_enter_recs`), taken of their plain forms, as `subst` and
+    `free_vars` do not look inside an MBra.  A result's branchings are
+    MBra where two met, and `of_tree` makes it a local type."""
+    scope: dict = {}
 
     def enter(pair, env):
         m1, m2 = pair
@@ -287,9 +318,7 @@ def merge_full_opt(m1, m2, counter: WorkCounter | None = None):
             shared = [(treap_get(big.tree, l), b) for l, b in items]
             return Visit(tuple(p for p in shared if p[0] is not None), (big.tree, items))
         if type(m1) is TRec and type(m2) is TRec:
-            body2 = m2.body if m2.var == m1.var else subst(
-                of_tree(m2.body), m2.var, TVar(m1.var))
-            return Visit(((m1.body, body2),), env)
+            return _enter_recs(of_tree(m1), of_tree(m2), scope)
         raise SessionTypeError("incompatible heads in full merge")
 
     def leave(pair, kids, env):
@@ -300,6 +329,8 @@ def merge_full_opt(m1, m2, counter: WorkCounter | None = None):
             for l, b in items:
                 tree = treap_insert(tree, l, b, lambda old, new: next(merged), counter)
             return MBra(m1.peer, tree)
+        if type(m1) is TRec:
+            return TRec(scope.pop(env), kids[0])
         return rebuild(m1, kids)
 
     return fold((m1, m2), leave, enter)

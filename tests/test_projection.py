@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 from conftest import balanced_globals, mutate_local, rand_global, rand_local
 
 from mpstk.ast import (
-    GChoice, GEnd, GMsg, INT, SessionTypeError, TBra, TEnd, TSel, TVar, TRec,
-    fold, is_closed, participants, size, unfold,
+    GChoice, GEnd, GMsg, GRec, GVar, INT, SessionTypeError, TBra, TEnd, TSel, TVar, TRec,
+    branches, fold, is_closed, participants, size, unfold,
 )
 from mpstk.context import ContextLTS, Label
 from mpstk.parse import parse
@@ -20,10 +20,10 @@ from mpstk.projection import (
     FULL, KINDS, PLAIN, MBra, NotBalanced, ProjUndefined, WorkCounter, check_association,
     gen_lowerbound_family, merge_full_naive, merge_full_optimized,
     project, project_inductive, project_subset, project_tirore, ptrans,
-    treap_get, treap_insert, treap_items,
+    _project, treap_get, treap_insert, treap_items,
 )
 from mpstk.subtyping import graph_equiv, subtype_sim
-from mpstk.typegraph import graph_to_type, is_balanced
+from mpstk.typegraph import graph_to_type, is_balanced, local_graph
 
 G_IP = parse("global", "rec t. q->r{l1: r->p{l1: t}, l2: r->p{l1: t}}")
 G_IF = parse("global", "rec t. q->r{l1: r->p{l1: t}, l2: r->p{l2: end}}")
@@ -76,8 +76,9 @@ def test_merge_idempotent(rng):
 def test_merge_rec_congruence():
     a = parse("local", "rec t. q&{l1: t}")
     b = parse("local", "rec u. q&{l2: end, l1: u}")
-    m = merge_full_naive(a, b)
-    assert graph_equiv(m, parse("local", "rec t. q&{l1: t, l2: end}"))
+    for merge in (merge_full_naive, merge_full_optimized):
+        m = merge(a, b)
+        assert graph_equiv(m, parse("local", "rec t. q&{l1: t, l2: end}"))
 
 
 def test_merge_selection_needs_equal_labels():
@@ -110,7 +111,11 @@ def test_merge_naive_vs_optimized(rng):
                 is_closed(naive) and is_closed(opt) and graph_equiv(naive, opt)
             )
             agree += 1
-            assert size(naive) < size(t1) + size(t2)
+            if is_closed(naive):
+                # a state of the merge is a pair of operand states, or one
+                # state of a branch that only one operand has
+                n1, n2 = (len(local_graph(t).real_nodes()) for t in (t1, t2))
+                assert len(local_graph(naive).real_nodes()) <= n1 * n2 + n1 + n2
     assert agree > 200
 
 
@@ -377,18 +382,69 @@ def test_tirore_accepts_cf_primes_past_ten_periods():
         assert graph_equiv(project_tirore(g, p), project_inductive(g, p, PLAIN))
 
 
+# Two loops that full merging meets out of phase: a branch that only one
+# of them offers must go on in its own loop, not in the merged one.
+OUT_OF_PHASE_LOOPS = [
+    ("q->p{l1: rec v8201. p->r{l3: r->p{l4: end}},"
+     " l4: rec v1014. p->r{l1: r->q{l2: v1014}}}", "r"),
+    ("p->q{l1: rec v5407. q->r{l1: end, l2: end},"
+     " l4: rec v4481. q->r{l3: v4481, l4: end}}", "r"),
+    ("q->r{l1: rec X. q->p{a: X}, l2: rec Y. q->p{b: Y}}", "p"),
+]
+
+
+def _full_by_naive_merge(g, p):
+    """The full projection with the naive merge, the optimised one's oracle."""
+    return _project(g, p, merge_full_naive)
+
+
+@pytest.mark.parametrize("src, p", OUT_OF_PHASE_LOOPS)
+def test_full_projection_of_out_of_phase_loops(src, p):
+    g = parse("global", src)
+    full = project_inductive(g, p, FULL)
+    assert graph_equiv(full, project_subset(g, p))
+    assert graph_equiv(full, _full_by_naive_merge(g, p))
+
+
+def test_one_sided_branches_keep_their_own_loop():
+    g = parse("global", OUT_OF_PHASE_LOOPS[2][0])
+    want = "rec X. q&{a: rec X. q&{a: X}, b: rec Y. q&{b: Y}}"
+    assert show(project_inductive(g, "p", FULL)) == want
+    assert show(_full_by_naive_merge(g, "p")) == want
+
+
+@cache
+def _two_loop_globals():
+    """600 globals q->r{l1: rec x. q->p{…}, l2: rec y. q->p{…}}: each loop
+    offers a random non-empty subset of four labels, whose branches go back
+    to the loop or to end.  The full merge onto p meets the two loops out
+    of phase, which balanced_globals almost never draws."""
+    rng = random.Random(33)
+
+    def loop(var):
+        labels = rng.sample("abcd", rng.randint(1, 4))
+        return GRec(var, GChoice("q", "p", branches(
+            (l, rng.choice((GVar(var), GEnd()))) for l in labels)))
+
+    return [GChoice("q", "r", (("l1", loop("x")), ("l2", loop("y")))) for _ in range(600)]
+
+
 def test_subset_matches_inductive_full_on_lattice(rng):
-    checked = 0
-    for g in balanced_globals(rng, 300, 9):
-        for p in sorted(participants(g)):
-            try:
-                full = project_inductive(g, p, FULL)
-            except ProjUndefined:
-                continue
-            sub = project_subset(g, p)
-            assert graph_equiv(full, sub), (show(g), p)
-            checked += 1
-    assert checked >= 100
+    checked = {}
+    for name, corpus in [("balanced", balanced_globals(rng, 300, 9)),
+                         ("two loops", _two_loop_globals())]:
+        checked[name] = 0
+        for g in corpus:
+            for p in sorted(participants(g)):
+                try:
+                    full = project_inductive(g, p, FULL)
+                except ProjUndefined:
+                    continue
+                sub = project_subset(g, p)
+                assert graph_equiv(full, sub), (show(g), p)
+                assert graph_equiv(full, _full_by_naive_merge(g, p)), (show(g), p)
+                checked[name] += 1
+    assert checked["balanced"] >= 100 and checked["two loops"] >= 1400, checked
 
 
 def test_plain_implies_full(rng):
