@@ -522,6 +522,7 @@ def project_subset(g: GlobalT, p: str, budget: int = 1_000_000) -> TypeGraph:
     mixes members where p must act with members from which p never acts
     again (outside `reaching(gg, p)`).  Any other state has one kind and
     peer, and labels from one GChoice or a sorted union: a well-formed graph.
+    A participant that does not occur in `g` gets the one-node end graph.
     More than `budget` graph nodes, Skip included, raise BudgetExceeded.
     """
     gg = global_graph(g)
@@ -529,10 +530,8 @@ def project_subset(g: GlobalT, p: str, budget: int = 1_000_000) -> TypeGraph:
     reach = _balanced(gg, pts)
     if reach is None:
         raise NotBalanced(f"global type is not balanced: {show(g)}")
-    if p not in pts:
-        raise ProjUndefined(p, "participant does not occur in the global type")
     views = _views(gg, p)
-    live = reach[p]  # nodes where p still takes part
+    live = reach.get(p, set())  # nodes where p still takes part
 
     def describe(s: frozenset[int]) -> str:  # " | " occurs in no global type
         return "{" + " | ".join(show(gg.nodes[u]) for u in sorted(s)) + "}"

@@ -61,7 +61,7 @@ def _record(g):
             for p in sorted(participants(g)) + [ABSENT]]
 
 
-PROJECTION_SHA256 = "cd6c54ec2f4edda1a3c50c158c1a7d58b3b808ccc4746fbdee65cc69fa6a9363"
+PROJECTION_SHA256 = "4e48d34549b7495384b1be99b5ef58d160f3cf9fc6d417e861f7012de56788a8"
 
 
 def test_projection_dump_is_exact():

@@ -297,7 +297,7 @@ def test_subset_mixed_heads_names_the_state():
 
 
 # Every error the Tirore check and the subset construction can raise, with
-# its exact text and place, on globals projected onto p ("z" does not occur).
+# its exact text and place, on globals projected onto p.
 ERROR_TEXTS = [
     ("r->s{a: p->q{l1: end, l2: end}, b: p->q{l1: end}}", "subset", "p",
      "selection label sets differ at {r->s{a: p->q{l1: end, l2: end}, b: p->q{l1: end}}"
@@ -339,7 +339,6 @@ ERROR_TEXTS = [
      "participant absent but local type is not end at end"),
     ("rec t. q->r{l: t, l2: p->q(int); end}", "tbc", "p",
      "candidate does not unravel (unguarded) at rec t. q->r{l: t, l2: p->q(int); end}"),
-    ("p->q(int); end", "subset", "z", "participant does not occur in the global type"),
 ]
 
 
@@ -348,6 +347,13 @@ def test_projection_error_texts(src, kind, p, text):
     with pytest.raises(ProjUndefined) as e:
         project(parse("global", src), p, kind)
     assert str(e.value) == f"projection onto {p} undefined: {text}"
+
+
+def test_absent_role_projects_to_end_under_every_kind():
+    g = parse("global", "p->q(int); end")
+    for kind in KINDS:
+        t = project(g, "z", kind)
+        assert show(graph_to_type(t) if kind == "subset" else t) == "end", kind
 
 
 def _cf_state_oracle(periods):
