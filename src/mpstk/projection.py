@@ -104,13 +104,14 @@ def _enter_recs(r1: LocalT, r2: LocalT, scope: dict):
     """A merge's pre hook on two recursions, plain local types r1 and r2.
 
     `scope` maps each pair of recursions being merged, in either order (the
-    optimised merge may swap operands), to its merged binder, so a pair
-    met again inside its own merge is that binder's variable.  Otherwise the merge goes on with the unfoldings of r1 and r2
-    under a new binder, and a branch that only one side has keeps that
-    side's own closed recursion.  The binder is named after r1's, with the
-    least number appended that keeps it from capturing a free variable of
-    r1 or r2 or an enclosing merged binder.  The pair is the env that the
-    merge's post hook receives, to pop its binder from `scope`."""
+    optimised merge may swap operands), to its merged binder, so a pair met
+    again inside its own merge is that binder's variable.  Otherwise the
+    merge goes on with the unfoldings of r1 and r2 under a new binder, and
+    a branch that only one side has keeps that side's own closed recursion.
+    The binder is named after r1's, with the least number appended that
+    keeps it from capturing a free variable of r1 or r2 or an enclosing
+    merged binder.  The pair's key is the env of the merge's post hook,
+    which pops the binder from `scope`."""
     key = frozenset((r1, r2))
     name = scope.get(key)
     if name is not None:
