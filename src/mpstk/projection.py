@@ -195,10 +195,6 @@ def _prio(label: str) -> int:
     return zlib.crc32(label.encode())
 
 
-def _tsz(n) -> int:
-    return 0 if n is None else n.size
-
-
 def treap_insert(n, key, value, combine, counter=None):
     """Insert or combine; O(log n) expected, counted as one tree op per
     visited node.  Builds a fresh _Treap per node on the search path and
@@ -313,7 +309,8 @@ def merge_full_opt(m1, m2, counter: WorkCounter | None = None):
             return Visit(tuple(zip([b for _, b in m1.branches], [b for _, b in m2.branches])), env)
         if type(m1) in _BRANCHINGS and type(m2) in _BRANCHINGS and m1.peer == m2.peer:
             m1, m2 = _mbra(m1), _mbra(m2)
-            big, small = (m1, m2) if _tsz(m1.tree) >= _tsz(m2.tree) else (m2, m1)
+            # a branching has a branch, so neither treap is empty
+            big, small = (m1, m2) if m1.tree.size >= m2.tree.size else (m2, m1)
             # merging is symmetric on shared labels, so operand order is free
             items = list(treap_items(small.tree))
             shared = [(treap_get(big.tree, l), b) for l, b in items]
