@@ -112,8 +112,8 @@ def test_merge_naive_vs_optimized(rng):
             )
             agree += 1
             if is_closed(naive):
-                # a state of the merge is a pair of operand states, or one
-                # state of a branch that only one operand has
+                # the coinductive merge's bound: each of its states is a pair
+                # of operand states, or a state of a one-sided branch
                 n1, n2 = (len(local_graph(t).real_nodes()) for t in (t1, t2))
                 assert len(local_graph(naive).real_nodes()) <= n1 * n2 + n1 + n2
     assert agree > 200
