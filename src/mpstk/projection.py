@@ -239,9 +239,9 @@ def treap_get(n, key):
 @dataclass(frozen=True, eq=False)
 class MBra:
     """A branching whose branch map is a treap, label -> local type; the
-    merge's working form of a branching, which no merge result keeps (see
-    `of_tree`).  It hashes by identity, so an interned node can hold one
-    without hashing its treap."""
+    full merge's working form of a branching, which `of_tree` makes a TBra
+    again.  It hashes by identity, so an interned node can hold one without
+    hashing its treap."""
 
     peer: str
     tree: object
