@@ -133,6 +133,20 @@ def test_liveness_lasso_trace_replays():
     _assert_trace_replays(v)
 
 
+def test_verdicts_leave_their_graph_out_of_repr_and_equality():
+    """Two runs build two graphs; their verdicts and traces are still
+    equal, and neither repr prints a graph."""
+    v = check_liveness(D7)
+    assert repr(v) == (
+        "Verdict(prop='live', holds=False, trace=Trace(steps=[(0, Label(kind='comm', p='p',"
+        " q='q', arg=None))], final=0, cycle_start=0), states=1, edges=1)")
+    assert "ContextGraph" not in repr(check_safety(D6))
+    again = check_liveness(D7)
+    assert again.graph is not v.graph
+    assert again == v and again.trace == v.trace
+    assert not (again != v or again.trace != v.trace)
+
+
 def _assert_trace_replays(verdict):
     contexts = verdict.trace.contexts()
     labels = [lab for _, lab in verdict.trace.steps]
