@@ -4,9 +4,11 @@ else (size, subformulas, unfolding, free variables, guardedness).
 
 All nodes are immutable and hash-consed: constructing a node equal to a
 live one returns the live one, so equality and hashing are object identity.
-Alpha-insensitive comparison goes through :func:`alpha_canon`.  Nodes are
-slotted dataclasses with no `__dict__`, and the intern table `_live` holds
-each by a weak reference, so it keeps no node alive.
+Alpha-insensitive comparison goes through :func:`alpha_canon`.  A node
+class declares its fields as annotations, which the metaclass `_Interned`
+makes its slots, so a node has no `__dict__`; the metaclass builds each
+node, and the intern table `_live` holds each by a weak reference, so it
+keeps no node alive.
 
 Identity is equality only on a canonical representation, so `_check`
 enforces one invariant once per node, when it is made: the labels of a
@@ -43,7 +45,6 @@ a recursion, so a term still headed by one is unguarded.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, fields
 from itertools import count
 from operator import attrgetter, is_, itemgetter
 
@@ -77,15 +78,29 @@ def _drop(ref: _Ref) -> None:
 
 _live: dict = {}  # (class, *fields) -> a `_Ref` to the live node
 _CHECKED: dict = {}  # the classes `_check` constrains, filled in below
+_SETTERS: dict = {}  # class -> the setters of its fields' slots, in order
 
 
 class _Interned(type):
-    """Metaclass of the AST roots: a node is keyed by its class and its
-    positional fields, and a live node with that key is returned instead of
-    a new one.  Children are interned already, so the key hashes and
-    compares them by identity.  A new node is checked by `_check` before it
-    is made, so a node that breaks the invariant never enters the table,
-    and a hit costs no check."""
+    """Metaclass of the AST classes, and their only constructor.
+
+    A node class is one that does not set `__slots__` itself: its annotated
+    names are its fields, in order, and become its slots.  The abstract
+    roots set `__slots__` and have no fields.
+
+    A node is keyed by its class and its positional fields, and a live node
+    with that key is returned instead of a new one.  Children are interned
+    already, so the key hashes and compares them by identity.  A new node is
+    checked by `_check` before it is made, so a node that breaks the
+    invariant never enters the table, and a hit costs no check.  It is
+    filled in through its slots' setters, as `_Node` refuses assignment."""
+
+    def __new__(mcs, name, bases, ns):
+        fields = tuple(ns.get("__annotations__", ()))
+        ns.setdefault("__slots__", fields)
+        cls = super().__new__(mcs, name, bases, ns)
+        _SETTERS[cls] = tuple(vars(cls)[f].__set__ for f in fields)
+        return cls
 
     def __call__(cls, *args, **kwargs):
         if kwargs:
@@ -94,26 +109,46 @@ class _Interned(type):
         ref = _live.get(key)
         node = None if ref is None else ref()
         if node is None:
+            setters = _SETTERS[cls]
+            if len(args) != len(setters):
+                raise TypeError(f"{cls.__name__} takes {len(setters)} fields, not {len(args)}")
             if cls in _CHECKED:
                 _check(cls, args)
-            node = super().__call__(*args)
+            node = object.__new__(cls)
+            for set_field, value in zip(setters, args):
+                set_field(node, value)
             ref = _live[key] = _Ref(node, _drop)
             ref.key = key
         return node
 
 
 class _Node(metaclass=_Interned):
-    """The root of every AST class.  Nodes are slotted dataclasses, with no
-    `__dict__`; this root gives them the one slot a weak reference needs."""
+    """The root of every AST class.  A node's fields are its slots, with no
+    `__dict__`; this root gives them the one slot a weak reference needs.
+    A node cannot be changed, and its copies and unpickled forms are built
+    by its class, so they are the interned node itself."""
 
     __slots__ = ("__weakref__",)
+
+    def __repr__(self):
+        cls = type(self)
+        return f"{cls.__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in cls.__slots__)})"
+
+    def __reduce__(self):
+        cls = type(self)
+        return cls, tuple(getattr(self, f) for f in cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # Sorts
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Sort(_Node):
     name: str
 
@@ -121,7 +156,6 @@ class Sort(_Node):
         return self.name
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class SortVar(_Node):
     """Sort variable; produced only by inference, never by the parser."""
 
@@ -146,44 +180,37 @@ class LocalT(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class TEnd(LocalT):
     pass
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class TOut(LocalT):
     peer: str
     payload: Sort | SortVar
     cont: LocalT
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class TIn(LocalT):
     peer: str
     payload: Sort | SortVar
     cont: LocalT
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class TSel(LocalT):
     peer: str
     branches: tuple[tuple[str, LocalT], ...]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class TBra(LocalT):
     peer: str
     branches: tuple[tuple[str, LocalT], ...]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class TRec(LocalT):
     var: str
     body: LocalT
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class TVar(LocalT):
     var: str
 
@@ -204,12 +231,10 @@ class GlobalT(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class GEnd(GlobalT):
     pass
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class GMsg(GlobalT):
     frm: str
     to: str
@@ -217,20 +242,17 @@ class GMsg(GlobalT):
     cont: GlobalT
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class GChoice(GlobalT):
     frm: str
     to: str
     branches: tuple[tuple[str, GlobalT], ...]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class GRec(GlobalT):
     var: str
     body: GlobalT
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class GVar(GlobalT):
     var: str
 
@@ -243,55 +265,45 @@ class Expr(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class ETrue(Expr):
     pass
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class EFalse(Expr):
     pass
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class ENat(Expr):
     value: int
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class EInt(Expr):
     value: int
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class EVar(Expr):
     name: str
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class EOr(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class ENot(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class EAdd(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class ENonDet(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class ENeg(Expr):
     arg: Expr
 
@@ -308,52 +320,44 @@ class Proc(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class PInact(Proc):
     pass
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class PSend(Proc):
     peer: str
     expr: Expr
     cont: Proc
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class PRecv(Proc):
     peer: str
     var: str
     cont: Proc
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class PSel(Proc):
     peer: str
     label: str
     cont: Proc
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class PBra(Proc):
     peer: str
     branches: tuple[tuple[str, Proc], ...]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class PCond(Proc):
     cond: Expr
     then: Proc
     orelse: Proc
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class PRec(Proc):
     var: str
     body: Proc
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class PVar(Proc):
     var: str
 
@@ -361,7 +365,6 @@ class PVar(Proc):
 INACT = PInact()
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Session(_Node):
     """Parallel composition as a map participant -> process."""
 
@@ -375,7 +378,6 @@ def session(pairs) -> Session:
     return Session(branches(pairs))
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class TypingContext(_Node):
     """Map participant -> closed local type; the state of the context LTS."""
 
@@ -447,8 +449,8 @@ _PAIRS = {"branches", "roles", "entries"}
 
 def _accessors(cls, names):
     """(the children of a node, the node with new children) for class `cls`,
-    read off its dataclass fields."""
-    all_fields = [f.name for f in fields(cls)]
+    read off its fields, `cls.__slots__`."""
+    all_fields = cls.__slots__
     at = [all_fields.index(n) for n in names]
     get = attrgetter(*names)
     if names[0] in _PAIRS:

@@ -11,7 +11,6 @@ import csv
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ast import BudgetExceeded, size
@@ -27,8 +26,7 @@ from .subtyping import (
 )
 
 
-@dataclass
-class BenchRecord:
+class BenchRecord(NamedTuple):
     family: str
     n: object
     size: int
@@ -37,7 +35,7 @@ class BenchRecord:
     outcome: str
 
     def row(self):
-        return [self.family, self.n, self.size, self.time_ns, self.work, self.outcome]
+        return list(self)
 
 
 CSV_COLUMNS = ["family", "n", "size", "time_ns", "work", "outcome"]

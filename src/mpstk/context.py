@@ -42,7 +42,6 @@ LTSs share one cached graph, which nothing writes to once it is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import or_
 from typing import NamedTuple
@@ -55,11 +54,12 @@ from .typegraph import (
 )
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(NamedTuple):
     """Context LTS label.  kinds: out/in/sel/bra are single-participant
     moves (p acting toward q), comm/choice are the synchronised reductions
-    (p sending to / selecting at q)."""
+    (p sending to / selecting at q).  Labels and barbs are named tuples:
+    each equals the plain tuple of its fields, and no container mixes them
+    with plain tuples or with `typegraph.Action`s."""
 
     kind: str
     p: str
@@ -79,8 +79,7 @@ class Label:
         return f"{op}{self.p}{self.q} {self.arg}"
 
 
-@dataclass(frozen=True)
-class Barb:
+class Barb(NamedTuple):
     kind: str  # "out" | "in" | "sel" | "bra"
     p: str
     q: str
@@ -273,8 +272,7 @@ def ctx_step(ctx: TypingContext):
 # Reachable graph
 
 
-@dataclass
-class ContextGraph:
+class ContextGraph(NamedTuple):
     lts: ContextLTS
     states: list[State]
     edges: list[list[tuple[Label, int]]]  # synchronised successors
@@ -323,8 +321,21 @@ def is_safe_state(ctx: TypingContext) -> bool:
 # Verdicts and traces
 
 
-@dataclass
-class Trace:
+def _repr_sans_graph(r) -> str:
+    fields = (f"{f}={v!r}" for f, v in zip(r._fields, r) if f != "graph")
+    return f"{type(r).__name__}({', '.join(fields)})"
+
+
+def _eq_sans_graph(r, other) -> bool:
+    return type(other) is type(r) and all(
+        a == b for f, a, b in zip(r._fields, r, other) if f != "graph")
+
+
+def _ne_sans_graph(r, other) -> bool:
+    return not _eq_sans_graph(r, other)
+
+
+class Trace(NamedTuple):
     """A counterexample path, kept as state ids of `graph` and rendered on
     demand.
 
@@ -336,12 +347,15 @@ class Trace:
     label enabled along the stem may never be taken.
     `contexts()` and `rendered()` give the typing context, or its text, of
     every state along the path, `final` last; the text is
-    `graph.lts.show_state`, memoised per process by each node's state."""
+    `graph.lts.show_state`, memoised per process by each node's state.
+    `graph` is left out of the trace's repr and `==`."""
 
-    graph: ContextGraph = field(repr=False, compare=False)
+    graph: ContextGraph
     steps: list[tuple[int, Label]]
     final: int
     cycle_start: int | None = None
+
+    __repr__, __eq__, __ne__ = _repr_sans_graph, _eq_sans_graph, _ne_sans_graph
 
     def states(self) -> list[int]:
         return [i for i, _ in self.steps] + [self.final]
@@ -355,16 +369,18 @@ class Trace:
         return [rg.lts.show_state(rg.states[i]) for i in self.states()]
 
 
-@dataclass
-class Verdict:
-    """`graph` is the reachable context graph the verdict was decided on."""
+class Verdict(NamedTuple):
+    """`graph` is the reachable context graph the verdict was decided on,
+    left out of the verdict's repr and `==`."""
 
     prop: str
     holds: bool
     trace: Trace | None
     states: int
     edges: int
-    graph: ContextGraph = field(repr=False, compare=False)
+    graph: ContextGraph
+
+    __repr__, __eq__, __ne__ = _repr_sans_graph, _eq_sans_graph, _ne_sans_graph
 
     def __bool__(self):
         return self.holds

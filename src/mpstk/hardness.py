@@ -12,7 +12,7 @@ brute-force oracle for cross-validation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ast import (
     BOOL, INT, LocalT, SessionTypeError,
@@ -23,26 +23,32 @@ from .context import CHECKERS
 SAFETY, DF, LIVE = "safety", "df", "live"
 
 
-@dataclass(frozen=True)
-class QBF:
+class _QBFFields(NamedTuple):
     prefix: tuple[tuple[str, str], ...]  # ('E' | 'A', variable)
     clauses: tuple[tuple[tuple[str, bool], ...], ...]  # 3 literals (var, positive)
 
-    def __post_init__(self):
-        bound = [v for _, v in self.prefix]
+
+class QBF(_QBFFields):
+    """A prenex 3-CNF formula, checked when it is made."""
+
+    __slots__ = ()
+
+    def __new__(cls, prefix, clauses):
+        bound = [v for _, v in prefix]
         if len(set(bound)) != len(bound):
             raise SessionTypeError("duplicate quantified variable")
-        for q, _ in self.prefix:
+        for q, _ in prefix:
             if q not in ("E", "A"):
                 raise SessionTypeError(f"bad quantifier {q!r}")
-        for cl in self.clauses:
+        for cl in clauses:
             if len(cl) != 3:
                 raise SessionTypeError("clauses must have exactly 3 literals")
             for v, _ in cl:
                 if v not in bound:
                     raise SessionTypeError(f"unbound variable {v}")
-        if not self.clauses:
+        if not clauses:
             raise SessionTypeError("need at least one clause")
+        return super().__new__(cls, prefix, clauses)
 
     def variables(self) -> list[str]:
         return [v for _, v in self.prefix]

@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import string
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ast import (
     BOOL, INT, NAT,
@@ -46,8 +46,7 @@ class Untypable(SessionTypeError):
 # Constraints (exactly the shapes the inference rules can produce)
 
 
-@dataclass(frozen=True)
-class CHead:
+class CHead(NamedTuple):
     kind: str  # typegraph's ENDK, IN, OUT, SEL or BRA
     peer: str | None
     payload: SortVar | None  # of an input or output
@@ -55,14 +54,12 @@ class CHead:
     rhs: str  # head <= rhs
 
 
-@dataclass(frozen=True)
-class CVarLe:
+class CVarLe(NamedTuple):
     lhs: str
     rhs: str  # lhs <= rhs, both type variables
 
 
-@dataclass(frozen=True)
-class CSortEq:
+class CSortEq(NamedTuple):
     a: object  # Sort | SortVar
     b: object
 
@@ -87,8 +84,7 @@ def show_constraint(c) -> str:
 # Constraint derivation
 
 
-@dataclass
-class Derivation:
+class Derivation(NamedTuple):
     root: str
     constraints: list
     judgements: int
@@ -272,8 +268,7 @@ def eliminate_transitive(constraints: list, root: str) -> tuple[list, str]:
 # Minimum type graph
 
 
-@dataclass
-class MinGraph:
+class MinGraph(NamedTuple):
     graph: TypeGraph  # desc[n]: node n's set of type variables (None for Skip)
     sort_eqs: list[CSortEq]
 
@@ -416,13 +411,12 @@ def apply_sort_subst(graph: TypeGraph, subst: dict) -> TypeGraph:
 # Full pipeline
 
 
-@dataclass
-class InferResult:
+class InferResult(NamedTuple):
     typable: bool
     graph: TypeGraph | None = None
     min_graph: MinGraph | None = None
     derivation: Derivation | None = None
-    tr_constraints: list = field(default_factory=list)
+    tr_constraints: list | tuple = ()
     failure: str | None = None
     failure_node: frozenset | None = None
 

@@ -9,7 +9,7 @@ for the requested property.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ast import (
     BOOL, FALSE, INACT, INT, NAT, TRUE,
@@ -62,18 +62,16 @@ def synth_process(t: LocalT) -> Proc:
     return uniquify_binders(fold(t, realize, literal))
 
 
-@dataclass
-class StageReport:
+class StageReport(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
     millis: float = 0.0
 
 
-@dataclass
-class PipelineReport:
+class PipelineReport(NamedTuple):
     accepted: bool
-    stages: list[StageReport] = field(default_factory=list)
+    stages: list[StageReport]
 
     def fail_reason(self) -> str:
         for s in self.stages:
@@ -82,7 +80,7 @@ class PipelineReport:
         return ""
 
 
-def _timed(report: PipelineReport, name: str, fn):
+def _timed(stages: list[StageReport], name: str, fn):
     t0 = time.perf_counter()
     try:
         out = fn()
@@ -90,7 +88,7 @@ def _timed(report: PipelineReport, name: str, fn):
     except (ProjUndefined, NotBalanced, Untypable) as e:
         out, ok, detail = None, False, str(e)
     ms = (time.perf_counter() - t0) * 1000.0
-    report.stages.append(StageReport(name, ok, detail, ms))
+    stages.append(StageReport(name, ok, detail, ms))
     return out, ok
 
 
@@ -110,15 +108,15 @@ def run_topdown(sess: Session, g, kind: str = "full", budget: int = 1_000_000) -
     """kind: one of projection.KINDS.  `budget` bounds the subset
     construction, Tirore's check, each minimum type graph and each subtyping
     product."""
-    report = PipelineReport(accepted=False)
+    stages: list[StageReport] = []
     roles = dict(sess.roles)
     pts = participants(g)
     if set(roles) != set(pts):
-        report.stages.append(StageReport(
+        stages.append(StageReport(
             "participants", False,
             f"session roles {sorted(roles)} != pt(G) {sorted(pts)}"))
-        return report
-    report.stages.append(StageReport("participants", True))
+        return PipelineReport(False, stages)
+    stages.append(StageReport("participants", True))
 
     projections: dict[str, object] = {}
 
@@ -127,13 +125,13 @@ def run_topdown(sess: Session, g, kind: str = "full", budget: int = 1_000_000) -
             projections[p] = project(g, p, kind, budget)
         return projections
 
-    _, ok = _timed(report, "projection", project_all)
+    _, ok = _timed(stages, "projection", project_all)
     if not ok:
-        return report
+        return PipelineReport(False, stages)
 
-    minima, ok = _timed(report, "inference", lambda: _minima(sess, budget))
+    minima, ok = _timed(stages, "inference", lambda: _minima(sess, budget))
     if not ok:
-        return report
+        return PipelineReport(False, stages)
 
     def subtype_all():
         # minimum graphs may carry residual sort variables; they must unify
@@ -145,21 +143,19 @@ def run_topdown(sess: Session, g, kind: str = "full", budget: int = 1_000_000) -
                     f"{p}: minimum type is not a subtype of the projection")
         return True
 
-    _, ok = _timed(report, "subtyping", subtype_all)
-    report.accepted = ok
-    return report
+    _, ok = _timed(stages, "subtyping", subtype_all)
+    return PipelineReport(ok, stages)
 
 
 def run_bottomup(sess: Session, prop: str = "safety", budget: int = 1_000_000) -> PipelineReport:
-    report = PipelineReport(accepted=False)
-    minima, ok = _timed(report, "inference", lambda: _minima(sess, budget))
+    stages: list[StageReport] = []
+    minima, ok = _timed(stages, "inference", lambda: _minima(sess, budget))
     if not ok:
-        return report
+        return PipelineReport(False, stages)
 
     t0 = time.perf_counter()
     verdict = CHECKERS[prop](ContextLTS(minima), budget)
     ms = (time.perf_counter() - t0) * 1000.0
-    report.stages.append(StageReport(f"check-{prop}", verdict.holds,
-                                     "" if verdict.holds else "property violated", ms))
-    report.accepted = verdict.holds
-    return report
+    stages.append(StageReport(f"check-{prop}", verdict.holds,
+                              "" if verdict.holds else "property violated", ms))
+    return PipelineReport(verdict.holds, stages)

@@ -34,7 +34,7 @@ when its precondition fails.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ast import (
     BudgetExceeded, GChoice, GEnd, GMsg, GRec, GVar, GlobalT,
@@ -67,9 +67,13 @@ class NotBalanced(SessionTypeError):
     pass
 
 
-@dataclass
 class WorkCounter:
-    ops: int = 0
+    """The tree ops a merge takes, counted in `ops`."""
+
+    __slots__ = ("ops",)
+
+    def __init__(self, ops: int = 0):
+        self.ops = ops
 
     def tick(self, n: int = 1):
         self.ops += n
@@ -236,12 +240,11 @@ def treap_get(n, key):
     return None if n is None else n.value
 
 
-@dataclass(frozen=True, eq=False)
-class MBra:
+class MBra(NamedTuple):
     """A branching whose branch map is a treap, label -> local type; the
     full merge's working form of a branching, which `of_tree` makes a TBra
-    again.  It hashes by identity, so an interned node can hold one without
-    hashing its treap."""
+    again.  A treap node hashes and compares by identity, so an interned
+    node can hold an MBra without walking its treap."""
 
     peer: str
     tree: object

@@ -9,7 +9,7 @@ every value of a nondeterministic expression is a branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ast import (
     EAdd, EInt, ENat, ENeg, ENonDet, ENot, EOr, ETrue, EFalse, EVar, Expr,
@@ -101,8 +101,7 @@ def subst_value(p: Proc, var: str, value: Expr) -> Proc:
 proc_head = unfold  # the structural rule: unfold top-level recursions
 
 
-@dataclass(frozen=True)
-class SessionState:
+class SessionState(NamedTuple):
     sess: Session
     error: bool = False
 
@@ -163,12 +162,11 @@ def session_step(state: SessionState) -> list[SessionState]:
     return out
 
 
-@dataclass
-class ExploreReport:
-    error_reached: bool = False
-    stuck_nonterminal: bool = False
-    states: int = 0
-    steps: int = 0
+class ExploreReport(NamedTuple):
+    error_reached: bool
+    stuck_nonterminal: bool
+    states: int
+    steps: int
 
 
 def _all_inact(sess: Session) -> bool:
@@ -182,7 +180,8 @@ def explore_session(sess: Session, depth: int = 12, budget: int = 200_000) -> Ex
     would explore nothing."""
     if depth < 1:
         raise ValueError(f"exploration depth must be at least 1, got {depth}")
-    report = ExploreReport()
+    error_reached = stuck = False
+    steps = 0
     start = SessionState(sess)
     seen = {start}
     frontier = [start]
@@ -191,18 +190,17 @@ def explore_session(sess: Session, depth: int = 12, budget: int = 200_000) -> Ex
         nxt = []
         for st in frontier:
             succs = session_step(st)
-            report.steps += len(succs)
-            if report.steps > budget:
+            steps += len(succs)
+            if steps > budget:
                 raise BudgetExceeded("exploration budget exceeded")
             if not succs and not st.error and not _all_inact(st.sess):
-                report.stuck_nonterminal = True
+                stuck = True
             for s2 in succs:
                 if s2.error:
-                    report.error_reached = True
+                    error_reached = True
                 if s2 not in seen:
                     seen.add(s2)
                     nxt.append(s2)
         frontier = nxt
         d += 1
-    report.states = len(seen)
-    return report
+    return ExploreReport(error_reached, stuck, len(seen), steps)

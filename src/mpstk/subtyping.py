@@ -19,7 +19,7 @@ Plus generators for the worst-case families used by the benchmarks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ast import (
     INT, BudgetExceeded, LocalT, SortVar, TBra, TEnd, TIn, TOut, TRec, TSel, TVar, unfold1,
@@ -27,8 +27,7 @@ from .ast import (
 from .typegraph import BRA, ENDK, IN, OUT, SEL, TypeGraph, local_graph, validate_type_graph
 
 
-@dataclass
-class SimResult:
+class SimResult(NamedTuple):
     result: bool
     nodes_visited: int
     edges_visited: int
@@ -37,8 +36,7 @@ class SimResult:
         return self.result
 
 
-@dataclass
-class InductiveResult:
+class InductiveResult(NamedTuple):
     result: bool
     judgements: int
 

@@ -23,7 +23,6 @@ and context graphs; a node shows its `label`, so DOT is linear in the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import count
 from typing import NamedTuple
 
@@ -72,8 +71,7 @@ def show_head(a: Action) -> str:
     return f"{a.peer}{'+' if a.kind == SEL else '&'}"
 
 
-@dataclass
-class TypeGraph:
+class TypeGraph(NamedTuple):
     """Deterministic local type graph, well-formed (module docstring), so a
     node's branch edges are in label order.  `edges[n]` lists (Action,
     target); `skip` is the sink for end actions; `desc[n]` is the state
@@ -83,7 +81,7 @@ class TypeGraph:
     init: int
     edges: list[list[tuple[Action, int]]]
     skip: int | None
-    desc: list = field(default_factory=list)
+    desc: list | tuple = ()
 
     def label(self, n: int) -> str:
         """A set state's sorted members, else node n's head, or Skip."""
@@ -365,8 +363,7 @@ def graph_text(g: TypeGraph, root: int, rows: list | None = None) -> str:
 # Global type graphs
 
 
-@dataclass
-class GlobalGraph:
+class GlobalGraph(NamedTuple):
     """Transition graph over the reachable subformulas of G: `nodes[n]` is
     node n's subformula, `heads[n]` its unfolded head (a GMsg or GChoice, or
     None for end), and `succ[n]` the head's continuations, in its order."""

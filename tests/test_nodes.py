@@ -1,6 +1,13 @@
 """The contract of an AST node: how it prints, how it is built, and that it
 cannot be changed once built."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mpstk import ast
@@ -77,3 +84,48 @@ def test_repr(node, text):
 
 def test_action_repr():
     assert repr(Action(IN, "p", SortVar("a"))) == "Action(kind='in', peer='p', arg=SortVar(name='a'))"
+
+
+@pytest.mark.parametrize("node", NODES, ids=[type(n).__name__ for n in NODES])
+def test_wrong_arity_or_keywords_raise_type_error(node):
+    cls = type(node)
+    fields = [getattr(node, name) for name in cls.__slots__]
+    assert cls(*fields) is node
+    with pytest.raises(TypeError):
+        cls(*fields, None)
+    if fields:
+        with pytest.raises(TypeError):
+            cls(*fields[:-1])
+        with pytest.raises(TypeError):
+            cls(*fields[:-1], **{cls.__slots__[-1]: fields[-1]})
+
+
+@pytest.mark.parametrize("node", NODES, ids=[type(n).__name__ for n in NODES])
+def test_fields_cannot_be_assigned_or_deleted(node):
+    for name in type(node).__slots__ or ("name",):
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+
+
+@pytest.mark.parametrize("node", NODES, ids=[type(n).__name__ for n in NODES])
+def test_copies_are_the_interned_node(node):
+    """Equality is identity, so a copy, a deep copy or an unpickled node must
+    be the node itself, built again through interning."""
+    assert copy.copy(node) is node
+    assert copy.deepcopy(node) is node
+    assert pickle.loads(pickle.dumps(node)) is node
+
+
+def test_import_generates_no_code():
+    """Importing mpstk and its CLI loads neither `dataclasses` nor
+    `inspect`: the metaclass declares the nodes, and records are named
+    tuples.  `-S` keeps the site's .pth files, which may import either
+    themselves, out of the check."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, mpstk, mpstk.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
