@@ -4,11 +4,10 @@ else (size, subformulas, unfolding, free variables, guardedness).
 
 All nodes are immutable and hash-consed: constructing a node equal to a
 live one returns the live one, so equality and hashing are object identity.
-Alpha-insensitive comparison goes through :func:`alpha_canon`.  A node
-class declares its fields as annotations, which the metaclass `_Interned`
-makes its slots, so a node has no `__dict__`; the metaclass builds each
-node, and the intern table `_live` holds each by a weak reference, so it
-keeps no node alive.
+Alpha-insensitive comparison goes through :func:`alpha_canon`.  A node's
+fields are its slots, declared by its class's annotations and filled by the
+metaclass `_Interned`, so a node has no `__dict__`; the intern table `_live`
+holds each node by a weak reference, so it keeps no node alive.
 
 Identity is equality only on a canonical representation, so `_check`
 enforces one invariant once per node, when it is made: the labels of a
@@ -82,18 +81,16 @@ _SETTERS: dict = {}  # class -> the setters of its fields' slots, in order
 
 
 class _Interned(type):
-    """Metaclass of the AST classes, and their only constructor.
-
-    A node class is one that does not set `__slots__` itself: its annotated
-    names are its fields, in order, and become its slots.  The abstract
-    roots set `__slots__` and have no fields.
+    """Metaclass of the AST classes, and the only constructor of nodes.  A
+    class that does not set `__slots__` (the abstract roots do) is a node
+    class: its annotated names are its fields, in order, and its slots.
 
     A node is keyed by its class and its positional fields, and a live node
     with that key is returned instead of a new one.  Children are interned
     already, so the key hashes and compares them by identity.  A new node is
     checked by `_check` before it is made, so a node that breaks the
-    invariant never enters the table, and a hit costs no check.  It is
-    filled in through its slots' setters, as `_Node` refuses assignment."""
+    invariant never enters the table, and a hit costs no check.  Its slots
+    are filled through their setters, as `_Node` refuses assignment."""
 
     def __new__(mcs, name, bases, ns):
         fields = tuple(ns.get("__annotations__", ()))
@@ -131,18 +128,16 @@ class _Node(metaclass=_Interned):
     __slots__ = ("__weakref__",)
 
     def __repr__(self):
-        cls = type(self)
-        return f"{cls.__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in cls.__slots__)})"
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
-        cls = type(self)
-        return cls, tuple(getattr(self, f) for f in cls.__slots__)
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"a node cannot change: {type(self).__name__}.{name}")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    __delattr__ = __setattr__
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ from .subtyping import (
 
 
 class BenchRecord(NamedTuple):
+    """One CSV row."""
+
     family: str
     n: object
     size: int
@@ -34,11 +36,8 @@ class BenchRecord(NamedTuple):
     work: int
     outcome: str
 
-    def row(self):
-        return list(self)
 
-
-CSV_COLUMNS = ["family", "n", "size", "time_ns", "work", "outcome"]
+CSV_COLUMNS = BenchRecord._fields
 
 
 def _record(family, n, sz, fn) -> BenchRecord:
@@ -211,5 +210,4 @@ def write_csv(records: list[BenchRecord], path: str) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
-        for r in records:
-            w.writerow(r.row())
+        w.writerows(records)

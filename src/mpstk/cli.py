@@ -214,7 +214,7 @@ def cmd_bench(args) -> int:
         write_csv(records, args.out)
     print("\t".join(CSV_COLUMNS))
     for r in records:
-        print("\t".join(str(x) for x in r.row()))
+        print("\t".join(map(str, r)))
     return OK
 
 

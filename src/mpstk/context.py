@@ -57,9 +57,7 @@ from .typegraph import (
 class Label(NamedTuple):
     """Context LTS label.  kinds: out/in/sel/bra are single-participant
     moves (p acting toward q), comm/choice are the synchronised reductions
-    (p sending to / selecting at q).  Labels and barbs are named tuples:
-    each equals the plain tuple of its fields, and no container mixes them
-    with plain tuples or with `typegraph.Action`s."""
+    (p sending to / selecting at q)."""
 
     kind: str
     p: str

@@ -68,12 +68,10 @@ class NotBalanced(SessionTypeError):
 
 
 class WorkCounter:
-    """The tree ops a merge takes, counted in `ops`."""
-
     __slots__ = ("ops",)
 
-    def __init__(self, ops: int = 0):
-        self.ops = ops
+    def __init__(self):
+        self.ops = 0
 
     def tick(self, n: int = 1):
         self.ops += n
