@@ -319,6 +319,8 @@ def is_safe_state(ctx: TypingContext) -> bool:
 # Verdicts and traces
 
 
+# A trace's or verdict's repr and `==` leave out its graph.  object.__ne__
+# inverts __eq__, where tuple.__ne__ would compare the graphs too.
 def _repr_sans_graph(r) -> str:
     fields = (f"{f}={v!r}" for f, v in zip(r._fields, r) if f != "graph")
     return f"{type(r).__name__}({', '.join(fields)})"
@@ -327,10 +329,6 @@ def _repr_sans_graph(r) -> str:
 def _eq_sans_graph(r, other) -> bool:
     return type(other) is type(r) and all(
         a == b for f, a, b in zip(r._fields, r, other) if f != "graph")
-
-
-def _ne_sans_graph(r, other) -> bool:
-    return not _eq_sans_graph(r, other)
 
 
 class Trace(NamedTuple):
@@ -353,7 +351,7 @@ class Trace(NamedTuple):
     final: int
     cycle_start: int | None = None
 
-    __repr__, __eq__, __ne__ = _repr_sans_graph, _eq_sans_graph, _ne_sans_graph
+    __repr__, __eq__, __ne__ = _repr_sans_graph, _eq_sans_graph, object.__ne__
 
     def states(self) -> list[int]:
         return [i for i, _ in self.steps] + [self.final]
@@ -378,7 +376,7 @@ class Verdict(NamedTuple):
     edges: int
     graph: ContextGraph
 
-    __repr__, __eq__, __ne__ = _repr_sans_graph, _eq_sans_graph, _ne_sans_graph
+    __repr__, __eq__, __ne__ = _repr_sans_graph, _eq_sans_graph, object.__ne__
 
     def __bool__(self):
         return self.holds

@@ -71,17 +71,20 @@ def show_head(a: Action) -> str:
     return f"{a.peer}{'+' if a.kind == SEL else '&'}"
 
 
-class TypeGraph(NamedTuple):
+class TypeGraph:
     """Deterministic local type graph, well-formed (module docstring), so a
     node's branch edges are in label order.  `edges[n]` lists (Action,
     target); `skip` is the sink for end actions; `desc[n]` is the state
     `explore` interned as node n (None for Skip): a subformula, a set of
-    global-graph nodes (subset) or of type variables."""
+    global-graph nodes (subset) or of type variables.  Slotted, not a named
+    tuple: the product walks read its fields per step, and a slot reads
+    faster than a named tuple's field."""
 
-    init: int
-    edges: list[list[tuple[Action, int]]]
-    skip: int | None
-    desc: list | tuple = ()
+    __slots__ = ("init", "edges", "skip", "desc")
+
+    def __init__(self, init: int, edges: list[list[tuple[Action, int]]], skip: int | None,
+                 desc: list | tuple = ()):
+        self.init, self.edges, self.skip, self.desc = init, edges, skip, desc
 
     def label(self, n: int) -> str:
         """A set state's sorted members, else node n's head, or Skip."""
@@ -363,15 +366,17 @@ def graph_text(g: TypeGraph, root: int, rows: list | None = None) -> str:
 # Global type graphs
 
 
-class GlobalGraph(NamedTuple):
+class GlobalGraph:
     """Transition graph over the reachable subformulas of G: `nodes[n]` is
     node n's subformula, `heads[n]` its unfolded head (a GMsg or GChoice, or
-    None for end), and `succ[n]` the head's continuations, in its order."""
+    None for end), and `succ[n]` the head's continuations, in its order.
+    Slotted, as `TypeGraph` is."""
 
-    init: int
-    succ: list[list[int]]
-    nodes: list[GlobalT]
-    heads: list[GMsg | GChoice | None]
+    __slots__ = ("init", "succ", "nodes", "heads")
+
+    def __init__(self, init: int, succ: list[list[int]], nodes: list[GlobalT],
+                 heads: list[GMsg | GChoice | None]):
+        self.init, self.succ, self.nodes, self.heads = init, succ, nodes, heads
 
     def node_count(self) -> int:
         return len(self.succ)
