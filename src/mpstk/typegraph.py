@@ -76,14 +76,12 @@ class TypeGraph:
     node's branch edges are in label order.  `edges[n]` lists (Action,
     target); `skip` is the sink for end actions; `desc[n]` is the state
     `explore` interned as node n (None for Skip): a subformula, a set of
-    global-graph nodes (subset) or of type variables.  Slotted, not a named
-    tuple: the product walks read its fields per step, and a slot reads
-    faster than a named tuple's field."""
+    global-graph nodes (subset) or of type variables.  Slotted, as the
+    product walks read its fields at each step: a named tuple reads slower."""
 
     __slots__ = ("init", "edges", "skip", "desc")
 
-    def __init__(self, init: int, edges: list[list[tuple[Action, int]]], skip: int | None,
-                 desc: list | tuple = ()):
+    def __init__(self, init: int, edges: list, skip: int | None, desc: list | tuple = ()):
         self.init, self.edges, self.skip, self.desc = init, edges, skip, desc
 
     def label(self, n: int) -> str:
@@ -369,13 +367,11 @@ def graph_text(g: TypeGraph, root: int, rows: list | None = None) -> str:
 class GlobalGraph:
     """Transition graph over the reachable subformulas of G: `nodes[n]` is
     node n's subformula, `heads[n]` its unfolded head (a GMsg or GChoice, or
-    None for end), and `succ[n]` the head's continuations, in its order.
-    Slotted, as `TypeGraph` is."""
+    None for end), and `succ[n]` the head's continuations, in its order."""
 
     __slots__ = ("init", "succ", "nodes", "heads")
 
-    def __init__(self, init: int, succ: list[list[int]], nodes: list[GlobalT],
-                 heads: list[GMsg | GChoice | None]):
+    def __init__(self, init: int, succ: list, nodes: list, heads: list):
         self.init, self.succ, self.nodes, self.heads = init, succ, nodes, heads
 
     def node_count(self) -> int:
