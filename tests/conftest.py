@@ -298,3 +298,11 @@ def balanced_globals(rng: random.Random, count: int, fuel: int):
         if is_closed(g) and is_balanced(g):
             out.append(g)
     return out
+
+
+def graph_record(g):
+    """Every field of a type graph, and its text from the initial node."""
+    from mpstk.typegraph import graph_text
+
+    return (g.init, [[(repr(a), m) for a, m in out] for out in g.edges], g.skip,
+            [sorted(s or ()) for s in g.desc], graph_text(g, g.init))

@@ -21,6 +21,9 @@ The third pins the answers alone, which no rewrite of tr(C) that keeps it
 the same set may move: the sorted set of tr(C), the root after tr, the
 minimum graph with its node sets and the set of its sort equations, the
 sort-solved graph, and each failure's text and node.
+
+The fourth pins each typable process's sort-solved graph quotiented by
+bisimulation, every field of it, as the pipelines receive it.
 """
 
 import hashlib
@@ -30,14 +33,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import rand_local, rand_process
+from conftest import graph_record, rand_local, rand_process
 from mpstk.ast import is_closed
 from mpstk.inference import (
     Untypable, eliminate_transitive, gen_lcm_process, infer, show_constraint,
 )
 from mpstk.pipeline import synth_process
 from mpstk.printer import show
-from mpstk.typegraph import graph_text
+from mpstk.typegraph import graph_text, quotient
 
 
 def _processes():
@@ -101,6 +104,7 @@ def _answer(p):
 DUMP_SHA256 = "5700e58b5096006b9bc61d2b91c261d5b1882147f19276f8702eabae5bc48293"
 ORDERED_TR_SHA256 = "62f46213fc08ba48186618a022dab7485967e2979e170658b8704ce9e931257a"
 ANSWERS_SHA256 = "68c2d9c60b3ed208c71e4fd0f74ec1170c2a3749488292ffdc61335d2e1dbe8b"
+QUOTIENT_SHA256 = "e600d54c95bf41d449517fd1418459a21117fcafe0f826636dc38f33be4cbbce"
 
 
 def test_inference_dump_is_exact():
@@ -111,6 +115,21 @@ def test_inference_answers_are_exact():
     records = [_answer(p) for p in _processes()]
     assert sum(r[0] is True for r in records) == 852  # typable
     assert hashlib.sha256(repr(records).encode()).hexdigest() == ANSWERS_SHA256
+
+
+def test_quotiented_minimum_graphs_are_exact():
+    """quotient(infer(p).graph), as `pipeline._minima` hands it on, for each
+    typable process."""
+    records = []
+    for p in _processes():
+        try:
+            r = infer(p)
+        except Untypable:
+            continue
+        if r.typable:
+            records.append(graph_record(quotient(r.graph)))
+    assert len(records) == 852
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == QUOTIENT_SHA256
 
 
 def test_printed_minimum_graph_is_the_printed_minimum_type():

@@ -5,7 +5,8 @@ global type.  The digest covers `run_topdown` (full and subset) and
 `run_bottomup` (safety, df and live), so a change to what the pipelines hand
 from stage to stage that moves any verdict fails here.  The bottom-up
 checkers run on the quotiented minimum graphs; their oracle is the typing
-context of the minimum types read off the graphs.
+context of the minimum types read off the graphs.  A second digest pins
+those graphs themselves, every field of each, as `_minima` hands them on.
 """
 
 import hashlib
@@ -13,7 +14,7 @@ import random
 
 import pytest
 
-from conftest import balanced_globals
+from conftest import balanced_globals, graph_record
 from mpstk.ast import participants, session, typing_context
 from mpstk.context import CHECKERS, ContextLTS
 from mpstk.inference import infer
@@ -59,6 +60,17 @@ def test_pipeline_verdicts_are_exact(corpus):
     assert sum(r[3] for r in records) == 118  # bottom-up safe
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == VERDICTS_SHA256
+
+
+MINIMA_SHA256 = "518ba3f322aeea80757cb560a0cb6151be57415aecd9d45e06495d606c73f4b1"
+
+
+def test_minimum_graphs_are_exact(corpus):
+    """Each role's quotiented minimum graph, as `_minima` hands it on."""
+    records = [[(p, graph_record(m)) for p, m in _minima(sess, 1_000_000).items()]
+               for _, sess in corpus]
+    assert sum(map(len, records)) == 1586
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == MINIMA_SHA256
 
 
 def test_minimum_graphs_reach_no_more_states(corpus):
