@@ -4,6 +4,9 @@ Pipeline: derive subtype/sort constraints from the process, eliminate the
 variable-to-variable constraints (tr, a set in first-occurrence order),
 build the minimum type graph over sets of type variables, solve the sort
 equalities with a union-find, and read the minimum type off the graph.
+Roles are small, so each stage keeps its fixed cost low: a state with one
+head is expanded without the general rules, and a named tuple is built
+through `tuple.__new__`.
 
 A head constraint `T <= x` (`CHead`) is one type-graph node of x whose
 successors are type variables: it carries typegraph's kind (ENDK, IN, OUT,
@@ -22,13 +25,15 @@ from __future__ import annotations
 import heapq
 import itertools
 import string
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from .ast import (
     BOOL, INT, NAT,
     Done, EAdd, EInt, ENat, ENeg, ENonDet, ENot, EOr, ETrue, EFalse, EVar, Expr,
     LocalT, PBra, PCond, PInact, PRec, PRecv, PSel, PSend, PVar, Proc,
-    SessionTypeError, Sort, SortVar, Visit, bind, fold, unbind, uniquify_binders,
+    SessionTypeError, SortVar, Visit, bind, fold, unbind, uniquify_binders,
 )
 from .typegraph import Action, END_ACT, ENDK, IN, OUT, SEL, BRA, TypeGraph, explore, sccs
 from .typegraph import _extract_type
@@ -84,6 +89,12 @@ def show_constraint(c) -> str:
 # Constraint derivation
 
 
+_new = tuple.__new__  # builds a named tuple without its Python-level __new__
+_first, _second = itemgetter(0), itemgetter(1)
+_EXPRS = frozenset(Expr.__subclasses__())
+_LITERALS = {ETrue: BOOL, EFalse: BOOL, ENat: NAT, EInt: INT}
+
+
 class Derivation(NamedTuple):
     root: str
     constraints: list
@@ -104,90 +115,95 @@ def derive_constraints(p: Proc) -> Derivation:
     tvars = map("x{}".format, itertools.count(1))
     svars = map(SortVar, map("s{}".format, itertools.count(1)))
     out: list = []
-    seen: set = set()
-    count = [0]
+    add = out.append
+    judgements = 0
     procs, values = {}, {}
 
-    def emit(*cs):
-        # constraint sets are sets: C-True and C-Cond may both contribute
-        # the same sort equation
-        for c in cs:
-            if c not in seen:
-                seen.add(c)
-                out.append(c)
-
     def enter(u, env):
-        count[0] += 1
-        if type(u) is EVar:
+        nonlocal judgements
+        judgements += 1
+        t = type(u)
+        if t in _EXPRS:
+            if t in _LITERALS:
+                a = next(svars)
+                add(_new(CSortEq, (a, _LITERALS[t])))
+                return Done(a)
+            if t is not EVar:
+                return env
             if u.name not in values:
                 raise Untypable(f"free value variable {u.name}")
             return Done(values[u.name])
-        if isinstance(u, Expr):
-            return env
-        xi = env[0] if env[0] is not None else next(tvars)
-        if type(u) is PRec:
-            return xi, xi, bind(procs, u.var, xi)
-        if type(u) is PInact:
-            emit(CHead(ENDK, None, None, (), xi))
+        xi = env[0] or next(tvars)
+        if t is PSend:
+            return Visit((u.cont, u.expr), (None, xi, None))
+        if t is PSel or t is PBra:
+            return None, xi, None
+        if t is PInact:
+            add(_new(CHead, (ENDK, None, None, (), xi)))
             return Done(xi)
-        if type(u) is PVar:
+        if t is PRecv:
+            return None, xi, bind(values, u.var, next(svars))
+        if t is PCond:
+            return Visit((u.then, u.orelse, u.cond), (None, xi, None))
+        if t is PRec:
+            return xi, xi, bind(procs, u.var, xi)
+        if t is PVar:
             if u.var not in procs:
                 raise Untypable(f"free process variable {u.var}")
-            emit(CVarLe(procs[u.var], xi))
+            add(_new(CVarLe, (procs[u.var], xi)))
             return Done(xi)
-        if type(u) is PRecv:
-            return None, xi, bind(values, u.var, next(svars))
-        if type(u) is PSend:
-            return Visit((u.cont, u.expr), (None, xi, None))
-        if type(u) is PCond:
-            return Visit((u.then, u.orelse, u.cond), (None, xi, None))
-        if type(u) in (PSel, PBra):
-            return None, xi, None
         raise TypeError(f"proc constraints: {u!r}")
 
     def leave(u, vals, env) -> str | SortVar:
-        if isinstance(u, Expr):
-            if type(u) in (ETrue, EFalse, ENat, EInt):
-                a = next(svars)
-                emit(CSortEq(a, BOOL if type(u) in (ETrue, EFalse) else
-                             NAT if type(u) is ENat else INT))
-                return a
-            if type(u) in (ENot, ENeg):
-                emit(CSortEq(vals[0], BOOL if type(u) is ENot else INT))
+        t = type(u)
+        if t in _EXPRS:
+            if t is ENot or t is ENeg:
+                add(_new(CSortEq, (vals[0], BOOL if t is ENot else INT)))
                 return vals[0]
             a1, a2 = vals
             b = next(svars)
-            if type(u) is EOr:
-                emit(CSortEq(a1, BOOL), CSortEq(a2, BOOL), CSortEq(b, BOOL))
-            elif type(u) is EAdd:
-                emit(CSortEq(a1, b), CSortEq(a2, b), CSortEq(b, INT))
-            elif type(u) is ENonDet:
-                emit(CSortEq(a1, b), CSortEq(a2, b))
+            if t is EOr:
+                out.extend((CSortEq(a1, BOOL), CSortEq(a2, BOOL), CSortEq(b, BOOL)))
+            elif t is EAdd:
+                out.extend((CSortEq(a1, b), CSortEq(a2, b), CSortEq(b, INT)))
+            elif t is ENonDet:
+                out.extend((CSortEq(a1, b), CSortEq(a2, b)))
             else:
                 raise TypeError(f"expr constraints: {u!r}")
             return b
         xi = env[1]
-        if type(u) is PRecv:
-            emit(CHead(IN, u.peer, values[u.var], ((None, vals[0]),), xi))
+        if t is PSend:
+            add(_new(CHead, (OUT, u.peer, vals[1], ((None, vals[0]),), xi)))
+        elif t is PSel:
+            add(_new(CHead, (SEL, u.peer, None, ((u.label, vals[0]),), xi)))
+        elif t is PRecv:
+            add(_new(CHead, (IN, u.peer, values[u.var], ((None, vals[0]),), xi)))
             unbind(values, u.var, env[2])
-        elif type(u) is PSend:
-            emit(CHead(OUT, u.peer, vals[1], ((None, vals[0]),), xi))
-        elif type(u) is PSel:
-            emit(CHead(SEL, u.peer, None, ((u.label, vals[0]),), xi))
-        elif type(u) is PBra:
-            emit(CHead(BRA, u.peer, None, tuple(zip([l for l, _ in u.branches], vals)), xi))
-        elif type(u) is PCond:
-            emit(CSortEq(vals[2], BOOL), CVarLe(vals[0], xi), CVarLe(vals[1], xi))
-        elif type(u) is PRec:
+        elif t is PBra:
+            add(_new(CHead, (BRA, u.peer, None, tuple(zip(map(_first, u.branches), vals)), xi)))
+        elif t is PCond:
+            add(_new(CSortEq, (vals[2], BOOL)))
+            add(_new(CVarLe, (vals[0], xi)))
+            add(_new(CVarLe, (vals[1], xi)))
+        elif t is PRec:
             unbind(procs, u.var, env[2])
         return xi
 
     root = fold(p, leave, enter, (None,))
-    return Derivation(root, out, count[0])
+    # a set: C-True and C-Cond, or two operators, may give one sort
+    # equation twice; a head or link has a fresh variable
+    return Derivation(root, list(dict.fromkeys(out)), judgements)
 
 
 # ---------------------------------------------------------------------------
 # tr(C): eliminate variable-to-variable constraints
+
+
+def _find(parent: dict, v):
+    """v's root in the union-find `parent`, which lists non-roots only."""
+    while v in parent:  # path halving
+        parent[v] = v = parent.get(parent[v], parent[v])
+    return v
 
 
 def eliminate_transitive(constraints: list, root: str) -> tuple[list, str]:
@@ -216,52 +232,55 @@ def eliminate_transitive(constraints: list, root: str) -> tuple[list, str]:
     single = sorted(ls[0] for v, ls in ins.items() if len(ls) == 1 and v not in headed)
     dead: set[int] = set()  # the links renamed away or turned into x <= x
     parent: dict[str, str] = {}  # union-find of renamings
-
-    def find(v):
-        while v in parent:  # path halving
-            parent[v] = v = parent.get(parent[v], parent[v])
-        return v
-
     while single:
         i = heapq.heappop(single)
         if i in dead:
             continue
         dead.add(i)  # rename rhs to lhs: this link is all that defines rhs
-        new = parent[links[i].rhs] = find(links[i].lhs)
-        loops = {j for j in ins.get(new, ()) if j not in dead and find(links[j].lhs) == new}
+        new = parent[links[i].rhs] = _find(parent, links[i].lhs)
+        loops = {j for j in ins.get(new, ())
+                 if j not in dead and _find(parent, links[j].lhs) == new}
         dead |= loops
         left = [j for j in ins.get(new, ()) if j not in dead]
         if loops and len(left) == 1 and new not in headed:
             heapq.heappush(single, left[0])
 
-    def rename(c):
-        succ = tuple((l, find(v)) for l, v in c.succ)
-        return c if succ == c.succ else CHead(c.kind, c.peer, c.payload, succ, c.rhs)
+    def rename(c):  # a head with a renamed successor
+        if type(c) is CHead and not parent.keys().isdisjoint(map(_second, c.succ)):
+            return _new(CHead, (*c[:3], tuple([(l, _find(parent, v)) for l, v in c.succ]), c.rhs))
+        return c
 
-    out = [rename(c) if type(c) is CHead else c for c in constraints if type(c) is not CVarLe]
+    out = [c for c in constraints if type(c) is not CVarLe]
+    if parent:
+        out = list(map(rename, out))
     preds: dict[str, list[str]] = {}
     for i, c in enumerate(links):
         if i not in dead:
-            preds.setdefault(c.rhs, []).append(find(c.lhs))
+            preds.setdefault(c.rhs, []).append(_find(parent, c.lhs))
     if preds:
         # a variable's heads without rhs; once its SCC is done, every head
         # that flows into it
         flows: dict[str, dict] = {}
         for c in out:
             if type(c) is CHead:
-                flows.setdefault(c.rhs, {})[c.kind, c.peer, c.payload, c.succ] = None
-        for comp in sccs(list(preds), preds):
+                flows.setdefault(c.rhs, {})[c[:4]] = None
+        # links acyclic and each source listed before its target: the SCCs
+        # are the targets, in this order
+        rank = dict(zip(preds, itertools.count()))
+        acyclic = all(rank.get(u, -1) < rank[v] for v, us in preds.items() for u in us)
+        for comp in [(v,) for v in preds] if acyclic else sccs(list(preds), preds):
             if comp[0] in preds:  # else a source, which keeps its own heads
                 into: dict = {}
                 for v in comp:
                     into.update(flows.get(v, ()))
                     for u in preds[v]:
                         into.update(flows.get(u, ()))
-                out.extend(CHead(*h, v) for v in comp for h in into if h not in flows.get(v, ()))
+                out.extend(_new(CHead, (*h, v))
+                           for v in comp for h in into if h not in flows.get(v, ()))
                 flows.update(dict.fromkeys(comp, into))
     if len(headed) < len(heads):  # a renaming may have made two heads of one variable equal
         out = list(dict.fromkeys(out))
-    return out, find(root)
+    return out, _find(parent, root)
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +298,20 @@ class MinGraphBuilder:
     and accumulating their equalities.  The graph is well-formed: `expand`
     raises Untypable on a missing definition, mixed kinds, mixed peers or an
     empty branching intersection, and else yields one or more edges of one
-    kind and peer, labelled from a set (an input or output: the one None)."""
+    kind and peer, labelled from a set (an input or output: the one None).
+    A state with one dependency, one head, takes that head's edges as they
+    are, in label order; the general rules give the same edges and fail in
+    the same way (`general`)."""
 
     def __init__(self, tr_constraints: list):
         self.by_rhs: dict[str, list] = {}
-        self.base_eqs = [c for c in tr_constraints if isinstance(c, CSortEq)]
-        for c in tr_constraints:
-            if not isinstance(c, CSortEq):
-                self.by_rhs.setdefault(c.rhs, []).append(c)
+        self.base_eqs: list[CSortEq] = []
         self._alpha = 0
+        for c in tr_constraints:
+            if type(c) is CSortEq:
+                self.base_eqs.append(c)
+            else:
+                self.by_rhs.setdefault(c.rhs, []).append(c)
 
     def _fresh_alpha(self) -> SortVar:
         self._alpha += 1
@@ -296,21 +320,36 @@ class MinGraphBuilder:
     def build(self, start: frozenset[str], budget: int = 1_000_000) -> MinGraph:
         """More than `budget` graph nodes, Skip included, raise BudgetExceeded."""
         eqs = list(self.base_eqs)
+        by_rhs = self.by_rhs
 
         def expand(n: int, s: frozenset[str]):
             deps = []
-            for v in sorted(s):
-                cs = self.by_rhs.get(v)
+            for v in sorted(s) if len(s) > 1 else s:
+                cs = by_rhs.get(v)
                 if not cs:
                     raise Untypable(f"variable {v} has no defining constraint", s)
-                deps.extend(cs)
+                deps += cs
+            if len(deps) > 1:
+                return general(s, deps)
+            kind, peer, payload, succ, _ = deps[0]  # one head: its edges as they are
+            if kind == ENDK:
+                return ((END_ACT, None),)
+            if kind == IN or kind == OUT:
+                alpha = self._fresh_alpha()
+                eqs.append(_new(CSortEq, (alpha, payload)))
+                return ((_new(Action, (kind, peer, alpha)), frozenset((succ[0][1],))),)
+            if not succ:
+                return general(s, deps)
+            return [(_new(Action, (kind, peer, l)), frozenset((v,)))
+                    for l, v in (sorted(succ) if len(succ) > 1 else succ)]
+
+        def general(s, deps):
             kinds = {c.kind for c in deps}
             if len(kinds) != 1:
                 raise Untypable("mixed dependency heads", s)
             kind = kinds.pop()
             if kind == ENDK:
-                yield END_ACT, None
-                return
+                return [(END_ACT, None)]
             peers = {c.peer for c in deps}
             if len(peers) != 1:
                 raise Untypable("mixed peers in dependencies", s)
@@ -328,8 +367,8 @@ class MinGraphBuilder:
                       if kind == BRA else succ)
             if not labels:
                 raise Untypable("branching dependencies share no label", s)
-            for l in sorted(labels):
-                yield Action(kind, peer, alpha if l is None else l), frozenset(succ[l])
+            return [(Action(kind, peer, alpha if l is None else l), frozenset(succ[l]))
+                    for l in sorted(labels)]
 
         init, edges, states, skip = explore(start, expand, budget=budget)
         return MinGraph(TypeGraph(init, edges, skip, states), eqs)
@@ -347,38 +386,25 @@ def solve_sorts(eqs: list[CSortEq]) -> dict[SortVar, object]:
     """Most general solution of the sort equalities: each class maps to its
     concrete sort if it has one (two distinct concrete sorts are
     unsatisfiable), else to a canonical representative variable."""
-    parent: dict = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for eq in eqs:
-        union(eq.a, eq.b)
+    parent: dict = {}  # union-find; sorts are interned, so `is` compares them
+    for a, b in eqs:
+        if a in parent:
+            a = _find(parent, a)
+        if b in parent:
+            b = _find(parent, b)
+        if a is not b:
+            parent[a] = b
     concrete: dict = {}
-    for x in list(parent):
-        if isinstance(x, Sort):
-            r = find(x)
-            if r in concrete and concrete[r] != x:
-                raise SortUnsat(f"sorts {concrete[r]} and {x} forced equal")
-            concrete.setdefault(r, x)
     members: dict = {}
-    for x in list(parent):
-        if isinstance(x, SortVar):
-            members.setdefault(find(x), []).append(x)
+    for x in dict.fromkeys(chain.from_iterable(eqs)):
+        r = _find(parent, x) if x in parent else x
+        if type(x) is SortVar:
+            members.setdefault(r, []).append(x)
+        elif concrete.setdefault(r, x) is not x:
+            raise SortUnsat(f"sorts {concrete[r]} and {x} forced equal")
     subst: dict[SortVar, object] = {}
     for r, vs in members.items():
-        rep = concrete.get(r) or min(vs, key=lambda v: v.name)
-        for v in vs:
-            subst[v] = rep
+        subst.update(dict.fromkeys(vs, concrete.get(r) or min(vs, key=lambda v: v.name)))
     return subst
 
 
@@ -388,22 +414,19 @@ def apply_sort_subst(graph: TypeGraph, subst: dict) -> TypeGraph:
     canon: dict[SortVar, SortVar] = {}
 
     def conv(payload):
-        if isinstance(payload, SortVar):
-            payload = subst.get(payload, payload)
-        if isinstance(payload, SortVar):
+        payload = subst.get(payload, payload)
+        if type(payload) is SortVar:
             if payload not in canon:
                 i = len(canon)  # a..z, then a0, a1, ...
                 canon[payload] = SortVar(string.ascii_lowercase[i] if i < 26 else f"a{i - 26}")
             return canon[payload]
         return payload
 
-    edges = [
-        [
-            (Action(a.kind, a.peer, conv(a.arg)) if a.kind in (IN, OUT) else a, m)
-            for a, m in out
-        ]
-        for out in graph.edges
-    ]
+    edges = []
+    for out in graph.edges:  # a node with no payload keeps its list
+        if out and out[0][0].kind in (IN, OUT):
+            out = [(_new(Action, (a.kind, a.peer, conv(a.arg))), m) for a, m in out]
+        edges.append(out)
     return TypeGraph(graph.init, edges, graph.skip, list(graph.desc))
 
 

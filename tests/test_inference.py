@@ -17,7 +17,7 @@ from mpstk.inference import (
 from mpstk.parse import parse
 from mpstk.printer import show
 from mpstk.subtyping import graph_equiv, subtype_sim_matching
-from mpstk.typegraph import BRA, ENDK, IN, OUT, SEL, graph_to_type
+from mpstk.typegraph import BRA, END_ACT, ENDK, IN, OUT, SEL, Action, explore, graph_to_type
 
 EX1 = parse("process",
             "if true then p&{l1: q(+)l2; 0, l3: 0} else p&{l1: q(+)l4; 0, l5: 0}")
@@ -298,3 +298,107 @@ def test_value_and_process_variables_have_separate_scopes():
                                     ("b", PSel("r", "m", PVar("X"))))))
     assert show(infer_min_type(shadowed)) == \
         "rec t1. q&{a: rec t0. p+{l: t0}, b: r+{m: t1}}"
+
+
+def _reference_build(tr, start):
+    """The minimum graph with every state through the general rules, one
+    head or many: the reference for `MinGraphBuilder`'s one-head path.
+    Returns (init, edges, skip, desc, sort equations), or the failure's
+    (reason, node)."""
+    by_rhs, eqs, alphas = {}, [c for c in tr if type(c) is CSortEq], iter(range(1, 10**9))
+    for c in tr:
+        if type(c) is not CSortEq:
+            by_rhs.setdefault(c.rhs, []).append(c)
+
+    def expand(n, s):
+        deps = []
+        for v in sorted(s):
+            if not by_rhs.get(v):
+                raise Untypable(f"variable {v} has no defining constraint", s)
+            deps.extend(by_rhs[v])
+        if len({c.kind for c in deps}) != 1:
+            raise Untypable("mixed dependency heads", s)
+        kind = deps[0].kind
+        if kind == ENDK:
+            return [(END_ACT, None)]
+        if len({c.peer for c in deps}) != 1:
+            raise Untypable("mixed peers in dependencies", s)
+        alpha = None
+        if kind in (IN, OUT):
+            alpha = SortVar(f"a{next(alphas)}")
+            eqs.extend(CSortEq(alpha, c.payload) for c in deps)
+        succ = {}
+        for c in deps:
+            for l, v in c.succ:
+                succ.setdefault(l, set()).add(v)
+        labels = (set.intersection(*({l for l, _ in c.succ} for c in deps))
+                  if kind == BRA else succ)
+        if not labels:
+            raise Untypable("branching dependencies share no label", s)
+        return [(Action(kind, deps[0].peer, alpha if l is None else l), frozenset(succ[l]))
+                for l in sorted(labels)]
+
+    try:
+        init, edges, states, skip = explore(start, expand)
+    except Untypable as e:
+        return e.reason, e.node
+    return init, edges, skip, states, eqs
+
+
+def _build(tr, start):
+    try:
+        mg = MinGraphBuilder(tr).build(start)
+    except Untypable as e:
+        return e.reason, e.node
+    g = mg.graph
+    return g.init, g.edges, g.skip, g.desc, mg.sort_eqs
+
+
+S1, S2 = SortVar("s1"), SortVar("s2")
+ONE_HEAD_FAILURES = [
+    # x2 has no defining constraint: the state {x2} has no dependency at all
+    ([CHead(OUT, "p", S1, ((None, "x2"),), "x1"), CSortEq(S1, INT)], "x1",
+     "variable x2 has no defining constraint", {"x2"}),
+    # one variable, two heads of different kinds
+    ([CHead(SEL, "p", None, (("l", "x2"),), "x1"), CHead(ENDK, None, None, (), "x2"),
+      CHead(IN, "p", S1, ((None, "x3"),), "x2"), CHead(ENDK, None, None, (), "x3")], "x1",
+     "mixed dependency heads", {"x2"}),
+    # one variable, two outputs to different peers
+    ([CHead(OUT, "p", S1, ((None, "x2"),), "x1"), CHead(OUT, "q", S2, ((None, "x2"),), "x1"),
+      CHead(ENDK, None, None, (), "x2")], "x1",
+     "mixed peers in dependencies", {"x1"}),
+    # one head, a branching with no branch at all
+    ([CHead(SEL, "p", None, (("l", "x2"),), "x1"), CHead(BRA, "q", None, (), "x2")], "x1",
+     "branching dependencies share no label", {"x2"}),
+    # one variable, two branchings with no label in common
+    ([CHead(BRA, "q", None, (("l1", "x2"),), "x1"), CHead(BRA, "q", None, (("l2", "x2"),), "x1"),
+      CHead(ENDK, None, None, (), "x2")], "x1",
+     "branching dependencies share no label", {"x1"}),
+]
+
+
+@pytest.mark.parametrize("tr, root, reason, node", ONE_HEAD_FAILURES)
+def test_one_variable_states_fail_as_the_general_rules(tr, root, reason, node):
+    """A state of one variable fails with the general rules' reason and node,
+    whether its variable has one head or several."""
+    start = frozenset([root])
+    assert _build(tr, start) == _reference_build(tr, start) == (reason, node)
+
+
+def test_one_head_states_build_the_general_rules_graph(rng):
+    """Over random processes, typable or not, the builder gives the general
+    rules' graph and sort equations, or their failure, field by field."""
+    seen = {"graph": 0, "failure": 0, "one-head": 0}
+    for _ in range(1000):
+        try:
+            d = derive_constraints(rand_process(rng, rng.randint(2, 10)))
+        except Untypable:
+            continue
+        tr, root = eliminate_transitive(d.constraints, d.root)
+        got = _build(tr, frozenset([root]))
+        assert got == _reference_build(tr, frozenset([root]))
+        seen["graph" if len(got) == 5 else "failure"] += 1
+        seen["one-head"] += len(got) == 5 and any(
+            len(s) == 1 and sum(c.rhs in s for c in tr if type(c) is CHead) == 1
+            for s in got[3] if s)
+    assert min(seen.values()) >= 150, seen

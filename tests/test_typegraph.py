@@ -396,3 +396,96 @@ def test_dot_export_smoke():
     t1 = parse("local", "rec t. p+{l1: p+{l1: t}, l2: end}")
     dot = dot_type_graph(local_graph(t1))
     assert dot.startswith("digraph") and "Skip" in dot
+
+
+def _refined(g):
+    """The quotient by Hopcroft's refinement, run on every graph: the
+    reference for the graphs whose partition by actions is already stable."""
+    preds = [[] for _ in g.edges]
+    for n, out in enumerate(g.edges):
+        for a, m in out:
+            preds[m].append((a, n))
+    first = {}
+    block_of = [first.setdefault(frozenset(a for a, _ in out), len(first)) for out in g.edges]
+    blocks = [set() for _ in first]
+    for n, b in enumerate(block_of):
+        blocks[b].add(n)
+    work, waiting = list(range(len(blocks))), set(range(len(blocks)))
+    while work:
+        splitter = work.pop()
+        waiting.discard(splitter)
+        by_action = {}
+        for m in blocks[splitter]:
+            for a, n in preds[m]:
+                by_action.setdefault(a, []).append(n)
+        for sources in by_action.values():
+            hit = {}
+            for n in sources:
+                hit.setdefault(block_of[n], []).append(n)
+            for b, moved in hit.items():
+                if len(moved) < len(blocks[b]):
+                    new = len(blocks)
+                    blocks.append(set(moved))
+                    blocks[b].difference_update(moved)
+                    for n in moved:
+                        block_of[n] = new
+                    work.append(new if b in waiting or len(moved) <= len(blocks[b]) else b)
+                    waiting.add(work[-1])
+    ids = {b: i for i, b in enumerate(dict.fromkeys(block_of))}
+    node, reps = [ids[b] for b in block_of], [min(blocks[b]) for b in ids]
+    return TypeGraph(node[g.init], [[(a, node[m]) for a, m in g.edges[r]] for r in reps],
+                     None if g.skip is None else node[g.skip], [g.desc[r] for r in reps])
+
+
+def _fields(g):
+    return g.init, g.edges, g.skip, list(g.desc)
+
+
+_OUT_INT = Action(OUT, "p", INT)
+HAND_BUILT = [
+    # discrete: no two nodes enable the same actions
+    (local_graph(parse("local", "rec t. p!(int); q?(bool); t")), True, 2),
+    # stable: the two `end` nodes merge, and nothing else can
+    (TypeGraph(0, [[(Action(BRA, "p", "l1"), 1), (Action(BRA, "p", "l2"), 2)],
+                   [(END_ACT, 3)], [(END_ACT, 3)], []], 3, (*"abc", None)), False, 3),
+    # stable: a cycle of three equal outputs is one node
+    (TypeGraph(0, [[(_OUT_INT, 1)], [(_OUT_INT, 2)], [(_OUT_INT, 0)]], None, "abc"), False, 1),
+    # refined: the nodes enabling !p(int) split by what follows
+    (TypeGraph(0, [[(_OUT_INT, 1)], [(_OUT_INT, 2)], [(END_ACT, 3)], []], 3, (*"abc", None)),
+     False, 4),
+    (local_graph(parse("local", "p+{l1: rec t. q!(int); q!(int); t, l2: rec u. q!(int); u}")),
+     False, 2),
+]
+
+
+@pytest.mark.parametrize("g, discrete, size", HAND_BUILT)
+def test_quotient_equals_the_refinement_loop(g, discrete, size):
+    """Hand-built graphs: a discrete partition by actions returns the graph
+    itself; every quotient equals the refinement loop's, field by field."""
+    q = quotient(g)
+    assert (q is g) == discrete
+    assert _fields(q) == _fields(_refined(g))
+    assert q.node_count() == size
+
+
+def test_quotient_of_minimum_graphs_equals_the_refinement_loop(rng):
+    """`infer` graphs of random processes: the same fields as the refinement
+    loop's quotient, and the graph itself whenever no two nodes enable the
+    same actions."""
+    from mpstk.inference import Untypable, infer
+
+    kinds = {"discrete": 0, "merged": 0, "kept": 0}
+    for _ in range(1500):
+        try:
+            r = infer(rand_process(rng, rng.randint(2, 10)))
+        except Untypable:
+            continue
+        if not r.typable:
+            continue
+        g, q = r.graph, quotient(r.graph)
+        assert _fields(q) == _fields(_refined(g))
+        discrete = len({frozenset(a for a, _ in out) for out in g.edges}) == g.node_count()
+        assert (q is g) == discrete
+        kinds["discrete" if discrete else "merged" if q.node_count() < g.node_count()
+              else "kept"] += 1
+    assert min(kinds.values()) >= 10, kinds
