@@ -25,16 +25,16 @@ from __future__ import annotations
 import heapq
 import itertools
 import string
-from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
 from .ast import (
     BOOL, INT, NAT,
-    Done, EAdd, EInt, ENat, ENeg, ENonDet, ENot, EOr, ETrue, EFalse, EVar, Expr,
+    Done, EAdd, EInt, ENat, ENeg, ENonDet, ENot, EOr, ETrue, EFalse, EVar,
     LocalT, PBra, PCond, PInact, PRec, PRecv, PSel, PSend, PVar, Proc,
     SessionTypeError, SortVar, Visit, bind, fold, unbind, uniquify_binders,
 )
+from .ast import _EXPRS
 from .typegraph import Action, END_ACT, ENDK, IN, OUT, SEL, BRA, TypeGraph, explore, sccs
 from .typegraph import _extract_type
 
@@ -91,7 +91,6 @@ def show_constraint(c) -> str:
 
 _new = tuple.__new__  # builds a named tuple without its Python-level __new__
 _first, _second = itemgetter(0), itemgetter(1)
-_EXPRS = frozenset(Expr.__subclasses__())
 _LITERALS = {ETrue: BOOL, EFalse: BOOL, ENat: NAT, EInt: INT}
 
 
@@ -396,7 +395,7 @@ def solve_sorts(eqs: list[CSortEq]) -> dict[SortVar, object]:
             parent[a] = b
     concrete: dict = {}
     members: dict = {}
-    for x in dict.fromkeys(chain.from_iterable(eqs)):
+    for x in dict.fromkeys(itertools.chain.from_iterable(eqs)):
         r = _find(parent, x) if x in parent else x
         if type(x) is SortVar:
             members.setdefault(r, []).append(x)

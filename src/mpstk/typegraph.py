@@ -221,11 +221,11 @@ def quotient(g: TypeGraph) -> TypeGraph:
     A block is numbered by, and keeps the edges and `desc` of, its first node;
     no block mixes action sets, so the result is well-formed if `g` is.
     Refinement runs only if the nodes of some block reach different blocks
-    by one action.  So when no two nodes enable the same actions, `g` is its
-    own quotient and is returned as it is; when only `end` nodes share
-    theirs, they merge without a refinement."""
+    by one action.  So `g` is returned as it is when no two nodes enable the
+    same actions, and nodes that reach the same blocks, `end` nodes say,
+    merge at once."""
     edges = g.edges
-    first: dict = {}
+    first: dict = {}  # a node's actions are the keys of dict(out)
     block_of = [first.setdefault(frozenset(dict(out)), len(first)) for out in edges]
     if len(first) == len(edges):
         return g
