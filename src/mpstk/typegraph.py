@@ -229,8 +229,8 @@ def quotient(g: TypeGraph) -> TypeGraph:
     block_of = [first.setdefault(frozenset(dict(out)), len(first)) for out in edges]
     if len(first) == len(edges):
         return g
-    moves = {(b, *[(a, block_of[m]) for a, m in out]) for b, out in zip(block_of, edges)}
-    if len(moves) > len(first):  # some block splits
+    moves = {(block_of[n], a, block_of[m]) for n, out in enumerate(edges) for a, m in out}
+    if len(moves) > sum(map(len, first)):  # a block reaches two blocks by one action
         preds: list[list[tuple[Action, int]]] = [[] for _ in edges]
         blocks: list[set[int]] = [set() for _ in first]
         for n, out in enumerate(edges):
@@ -262,7 +262,7 @@ def quotient(g: TypeGraph) -> TypeGraph:
     for n, b in enumerate(block_of):
         reps.setdefault(b, n)
     ids = dict(zip(reps, range(len(reps))))
-    node = [ids[b] for b in block_of]
+    node = list(map(ids.__getitem__, block_of))
     return TypeGraph(node[g.init], [[(a, node[m]) for a, m in edges[r]] for r in reps.values()],
                      None if g.skip is None else node[g.skip], [g.desc[r] for r in reps.values()])
 
