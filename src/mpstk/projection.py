@@ -199,36 +199,44 @@ def _prio(label: str) -> int:
 
 def treap_insert(n, key, value, combine, counter=None):
     """Insert or combine; O(log n) expected, counted as one tree op per
-    visited node.  Builds a fresh _Treap per node on the search path and
-    shares the rest.  Recursive, as the depth of a treap is logarithmic in
-    its size with high probability."""
+    visited node.  Walks the search path down, then builds a fresh _Treap
+    per node on it upward, with the rotations, and shares the rest: a
+    degenerate treap is slow but never deep."""
+    path = []
+    while n is not None and key != n.key:
+        path.append(n)
+        n = n.left if key < n.key else n.right
     if counter is not None:
-        counter.tick()
-    if n is None:
-        return _Treap(key, _prio(key), value, None, None)
-    if key == n.key:
-        return _Treap(n.key, n.prio, combine(n.value, value), n.left, n.right)
-    if key < n.key:
-        child = treap_insert(n.left, key, value, combine, counter)
-        if child.prio > n.prio:
-            return _Treap(child.key, child.prio, child.value, child.left,
-                          _Treap(n.key, n.prio, n.value, child.right, n.right))
-        return _Treap(n.key, n.prio, n.value, child, n.right)
-    child = treap_insert(n.right, key, value, combine, counter)
-    if child.prio > n.prio:
-        return _Treap(child.key, child.prio, child.value,
-                      _Treap(n.key, n.prio, n.value, n.left, child.left), child.right)
-    return _Treap(n.key, n.prio, n.value, n.left, child)
+        counter.tick(len(path) + 1)
+    child = (_Treap(key, _prio(key), value, None, None) if n is None
+             else _Treap(n.key, n.prio, combine(n.value, value), n.left, n.right))
+    for n in reversed(path):
+        if key < n.key:
+            if child.prio > n.prio:
+                child = _Treap(child.key, child.prio, child.value, child.left,
+                               _Treap(n.key, n.prio, n.value, child.right, n.right))
+            else:
+                child = _Treap(n.key, n.prio, n.value, child, n.right)
+        elif child.prio > n.prio:
+            child = _Treap(child.key, child.prio, child.value,
+                           _Treap(n.key, n.prio, n.value, n.left, child.left), child.right)
+        else:
+            child = _Treap(n.key, n.prio, n.value, n.left, child)
+    return child
 
 
-def treap_items(n):
-    """The (key, value) pairs in key order; recursive, as the depth of a
-    treap is logarithmic in its size with high probability."""
-    if n is None:
-        return
-    yield from treap_items(n.left)
-    yield (n.key, n.value)
-    yield from treap_items(n.right)
+def treap_items(n) -> list:
+    """The (key, value) pairs in key order, by an explicit stack: a
+    degenerate treap is slow but never deep."""
+    out, stack = [], []
+    while stack or n is not None:
+        while n is not None:
+            stack.append(n)
+            n = n.left
+        n = stack.pop()
+        out.append((n.key, n.value))
+        n = n.right
+    return out
 
 
 def treap_get(n, key):
@@ -313,7 +321,7 @@ def merge_full_opt(m1, m2, counter: WorkCounter | None = None):
             # a branching has a branch, so neither treap is empty
             big, small = (m1, m2) if m1.tree.size >= m2.tree.size else (m2, m1)
             # merging is symmetric on shared labels, so operand order is free
-            items = list(treap_items(small.tree))
+            items = treap_items(small.tree)
             shared = [(treap_get(big.tree, l), b) for l, b in items]
             return Visit(tuple(p for p in shared if p[0] is not None), (big.tree, items))
         if type(m1) is TRec and type(m2) is TRec:
@@ -444,7 +452,8 @@ def project_tirore(g: GlobalT, p: str, budget: int = 1_000_000) -> LocalT:
     direction, peer, payload, and identical label sets); otherwise T' waits
     while G' branches.  Passing the check at every node is precisely the
     coinductive projection with plain merging of the candidate.  More than
-    `budget` pairs raise BudgetExceeded.
+    `budget` pairs raise BudgetExceeded.  The walk codes the pair of global
+    node u and local node v as the int u * nv + v, nv the local node count.
     """
     cand = ptrans(g, p)
     try:
@@ -455,33 +464,38 @@ def project_tirore(g: GlobalT, p: str, budget: int = 1_000_000) -> LocalT:
     lg = local_graph(cand)
     views = _views(gg, p)
     live = reaching(gg, p)  # nodes where p still takes part
+    # the action p's candidate must take at each message node
+    wants = [Action(w[0], w[1], w[2][0][0]) if w and w[0] in (IN, OUT) else None for w in views]
+    edges, nv = lg.edges, len(lg.edges)
 
-    start = (gg.init, lg.init)
+    start = gg.init * nv + lg.init
     seen = {start}
     stack = [start]
     while stack:
-        u, v = stack.pop()
+        u, v = divmod(stack.pop(), nv)
         if u not in live:
             if lg.kind(v) != ENDK:
                 raise ProjUndefined(p, "participant absent but local type is not end",
                                     show(gg.nodes[u]))
             continue
         if views[u] is None:  # the candidate waits on every branch
-            pairs = [(u2, v) for u2 in gg.succ[u]]
-        elif views[u][0] in (IN, OUT):  # the candidate must take the same action
-            kind, peer, ((a, u2),) = views[u]
-            want = Action(kind, peer, a)
-            v2 = lg.step(v, want)
-            if v2 is None:
+            pairs = [u2 * nv + v for u2 in gg.succ[u]]
+        elif wants[u]:  # the candidate must take the same action
+            want = wants[u]
+            for a, v2 in edges[v]:
+                if a == want:
+                    break
+            else:
                 raise ProjUndefined(p, f"head mismatch, wanted {want}", show(gg.nodes[u]))
-            pairs = ((u2, v2),)
+            pairs = (views[u][2][0][1] * nv + v2,)
         else:  # the candidate must offer the same labels
             kind, peer, arcs = views[u]
             want = [l for l, _ in arcs]
-            got = [a.arg for a, _ in lg.out(v) if a.kind == kind and a.peer == peer]
+            got = [a.arg for a, _ in edges[v] if a.kind == kind and a.peer == peer]
             if lg.kind(v) != kind or got != want:
                 raise ProjUndefined(p, f"label sets differ ({want} vs {got})", show(gg.nodes[u]))
-            pairs = [(u2, lg.step(v, Action(kind, peer, l))) for l, u2 in arcs]
+            # the local edges are then the global arcs, label by label
+            pairs = [u2 * nv + v2 for (_, u2), (_, v2) in zip(arcs, edges[v])]
         for pair in pairs:
             if pair not in seen:
                 if len(seen) >= budget:

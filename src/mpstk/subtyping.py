@@ -71,20 +71,22 @@ def _product_walk(g1: TypeGraph, g2: TypeGraph, step1, step2, budget: int):
     visited = {start}
     stack = [start]
     edges = 0
+    e1, e2, skip1, skip2 = g1.edges, g2.edges, g1.skip, g2.skip
     while stack:
         n1, n2 = stack.pop()
         # a branching node is only consistent facing another branching:
         # neither simulation clause constrains it against an active head
-        if g1.kind(n1) == BRA and g2.kind(n2) != BRA:
+        if (n1 != skip1 and e1[n1][0][0].kind == BRA
+                and (n2 == skip2 or e2[n2][0][0].kind != BRA)):
             return False, visited, edges
         succs = []
-        for a, m1 in g1.out(n1):
+        for a, m1 in e1[n1]:
             if a.kind in _LEFT_KINDS:
                 m2 = step2(n2, a)
                 if m2 is None:
                     return False, visited, edges
                 succs.append((m1, m2))
-        for a, m2 in g2.out(n2):
+        for a, m2 in e2[n2]:
             if a.kind in _RIGHT_KINDS:
                 m1 = step1(n1, a)
                 if m1 is None:

@@ -311,6 +311,24 @@ def test_project_tbc_honours_budget(files, capsys):
     assert "more than 15 product nodes" in capsys.readouterr().err
 
 
+def test_full_projection_through_a_treap_as_deep_as_it_is_wide(files, capsys):
+    """1,200 labels k<r>x<s>, s the least suffix whose crc32 falls in the
+    r-th of 1,200 equal bands of 2**32: their treap priorities rise in
+    label order, so the full merge's treap is a chain 1,200 deep.  The
+    projection prints, and equals the subset construction's."""
+    from mpstk.projection import _prio, project_subset
+    from mpstk.subtyping import graph_equiv
+
+    labels = (Path(__file__).parent / "golden" / "treap_chain_labels.txt").read_text().split()
+    assert len(labels) == 1_200 and labels == sorted(labels)
+    assert [_prio(l) for l in labels] == sorted(_prio(l) for l in labels)
+    body = ", ".join(f"{l}: end" for l in labels)
+    src = f"p->q{{l1: r->s{{{body}}}, l2: r->s{{{body}}}}}"
+    assert main(["project", files("g.mpst", src), "--role", "s", "--algo", "full"]) == 0
+    full = parse("local", capsys.readouterr().out)
+    assert graph_equiv(full, project_subset(parse("global", src), "s"))
+
+
 def test_topdown_and_bench_honour_the_product_budget(files, capsys):
     """p's one-node minimum type against its 5-cycle projection: 5 product
     nodes; the coprime 3x4 and tirore 3 points walk 12 and 16."""

@@ -3,7 +3,8 @@
 Every walk over an AST goes through `ast.fold`, which keeps its own stack,
 so no input is too deep for the interpreter's recursion limit.  This lint
 parses each module of `src/mpstk`, builds its call graph over calls by bare
-name and `self.` method calls, and fails on any cycle outside ALLOWED.
+name and `self.` method calls, and fails on any cycle outside ALLOWED, and
+on an entry of ALLOWED that lies on no cycle.
 A call through an attribute of another object, `super()` included, is not
 followed.
 """
@@ -20,8 +21,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "mpstk"
 
 # (module, function) -> why its depth is bounded
 ALLOWED = {
-    ("projection", "treap_insert"): "a treap's depth is logarithmic in its size",
-    ("projection", "treap_items"): "a treap's depth is logarithmic in its size",
     ("hardness", "eval_qbf.go"): "one level per quantified variable, at most _limit (20)",
     ("context", "brute_force_liveness.dfs"): "one level per step, at most `bound`",
 }
@@ -100,6 +99,11 @@ def recursive_functions() -> set[tuple[str, str]]:
 def test_only_bounded_functions_recurse():
     found = recursive_functions()
     assert found - ALLOWED.keys() == set(), sorted(found - ALLOWED.keys())
+
+
+def test_every_allowed_function_recurses():
+    stale = ALLOWED.keys() - recursive_functions()
+    assert stale == set(), sorted(stale)
 
 
 def test_the_lint_finds_recursion():

@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import Counter
 from functools import cache
 
 import pytest
@@ -386,6 +387,122 @@ def test_tirore_accepts_cf_primes_past_ten_periods():
     assert [l for l, _ in g.branches] == sorted(f"l{i}" for i in range(11))
     for p in ("p", "q", "r"):
         assert graph_equiv(project_tirore(g, p), project_inductive(g, p, PLAIN))
+
+
+def _reference_tirore(g, p: str, budget: int = 1_000_000):
+    """project_tirore as it walked (global node, local node) tuples and
+    looked each action up with `TypeGraph.step`, kept verbatim as the
+    reference for the int-coded walk."""
+    from mpstk.ast import BudgetExceeded, check_guarded
+    from mpstk.projection import _views
+    from mpstk.typegraph import ENDK, IN, OUT, Action, global_graph, reaching
+
+    cand = ptrans(g, p)
+    try:
+        check_guarded(cand)
+    except SessionTypeError:
+        raise ProjUndefined(p, "candidate does not unravel (unguarded)", show(g))
+    gg = global_graph(g)
+    lg = local_graph(cand)
+    views = _views(gg, p)
+    live = reaching(gg, p)  # nodes where p still takes part
+
+    start = (gg.init, lg.init)
+    seen = {start}
+    stack = [start]
+    while stack:
+        u, v = stack.pop()
+        if u not in live:
+            if lg.kind(v) != ENDK:
+                raise ProjUndefined(p, "participant absent but local type is not end",
+                                    show(gg.nodes[u]))
+            continue
+        if views[u] is None:  # the candidate waits on every branch
+            pairs = [(u2, v) for u2 in gg.succ[u]]
+        elif views[u][0] in (IN, OUT):  # the candidate must take the same action
+            kind, peer, ((a, u2),) = views[u]
+            want = Action(kind, peer, a)
+            v2 = lg.step(v, want)
+            if v2 is None:
+                raise ProjUndefined(p, f"head mismatch, wanted {want}", show(gg.nodes[u]))
+            pairs = ((u2, v2),)
+        else:  # the candidate must offer the same labels
+            kind, peer, arcs = views[u]
+            want = [l for l, _ in arcs]
+            got = [a.arg for a, _ in lg.out(v) if a.kind == kind and a.peer == peer]
+            if lg.kind(v) != kind or got != want:
+                raise ProjUndefined(p, f"label sets differ ({want} vs {got})", show(gg.nodes[u]))
+            pairs = [(u2, lg.step(v, Action(kind, peer, l))) for l, u2 in arcs]
+        for pair in pairs:
+            if pair not in seen:
+                if len(seen) >= budget:
+                    raise BudgetExceeded(f"more than {budget} product nodes")
+                seen.add(pair)
+                stack.append(pair)
+    return cand
+
+
+class _BudgetProbe:
+    """A budget no walk exceeds, which keeps the largest pair count tested
+    against it: a walk tests `len(seen) >= budget` before it adds a pair,
+    so it visits `most + 1` pairs in all."""
+
+    def __init__(self):
+        self.most = 0
+
+    def __le__(self, count):  # the reflection of `count >= self`
+        self.most = max(self.most, count)
+        return False
+
+
+def _tirore_outcome(walk, g, p, budget):
+    """The walk's projection, or the text of its ProjUndefined."""
+    try:
+        return walk(g, p, budget)
+    except ProjUndefined as e:
+        return str(e)
+
+
+def _assert_tirore_as_reference(g, p):
+    """The same projection or message as the reference, and the same least
+    passing budget: the reference's pair count."""
+    from mpstk.ast import BudgetExceeded
+
+    probe = _BudgetProbe()
+    want = _tirore_outcome(_reference_tirore, g, p, probe)
+    pairs = probe.most + 1
+    assert _tirore_outcome(project_tirore, g, p, pairs) == want, (show(g), p)
+    if pairs > 1:
+        for walk in (_reference_tirore, project_tirore):
+            with pytest.raises(BudgetExceeded):
+                walk(g, p, pairs - 1)
+    return want, pairs
+
+
+def test_tirore_walk_equals_the_reference_on_random_globals(rng):
+    """1,000 random globals over four participants, onto each of theirs:
+    every text the check raises turns up, each at least 20 times."""
+    outcomes = Counter()
+    for _ in range(1_000):
+        g = rand_global(rng, rng.randint(4, 20), parts=("p", "q", "r", "s"))
+        for p in sorted(participants(g)):
+            want, _ = _assert_tirore_as_reference(g, p)
+            outcomes[want.split(": ")[1][:12] if isinstance(want, str) else "defined"] += 1
+    assert sum(outcomes.values()) >= 2_000
+    assert len(outcomes) == 5 and min(outcomes.values()) >= 20, outcomes
+
+
+def test_tirore_walk_equals_the_reference_on_fixtures():
+    for src, kind, p, _ in ERROR_TEXTS:
+        if kind == "tbc":
+            want, _ = _assert_tirore_as_reference(parse("global", src), p)
+            assert isinstance(want, str)
+    for n in range(1, 31):
+        g = gen_lowerbound_family("tirore_quadratic", n)
+        want, pairs = _assert_tirore_as_reference(g, "p")
+        # the initial pair, the first chain's n nodes in step with the
+        # candidate's n, and the second chain's n + 1 against all n of them
+        assert not isinstance(want, str) and pairs == 1 + n + n * (n + 1)
 
 
 # Two loops that full merging meets out of phase, the participant, and its

@@ -6,11 +6,14 @@ import pytest
 
 from conftest import rand_local, rand_local_pair
 
-from mpstk.ast import INT, TBra, TEnd, TSel, is_closed, size, unfold
+from mpstk.ast import (
+    INT, BudgetExceeded, SortVar, TBra, TEnd, TIn, TOut, TRec, TSel, is_closed, size, unfold,
+)
 from mpstk.parse import parse
 from mpstk.printer import show
+from mpstk import subtyping
 from mpstk.subtyping import (
-    gen_coprime_pair, gen_exponential_pair, graph_equiv, subtype_inductive,
+    _product_walk, gen_coprime_pair, gen_exponential_pair, graph_equiv, subtype_inductive,
     subtype_sim, subtype_sim_matching,
 )
 
@@ -180,3 +183,97 @@ def test_handed_in_graphs_are_checked():
         for decide in (subtype_sim, subtype_sim_matching):
             with pytest.raises(MalformedGraph):
                 decide(left, right)
+
+
+# ---------------------------------------------------------------------------
+# The product walk against the walk through the graphs' methods
+
+
+def _reference_product_walk(g1, g2, step1, step2, budget: int):
+    """_product_walk as it read each node through `TypeGraph.kind` and
+    `TypeGraph.out`, kept verbatim as the reference for the walk that reads
+    the graphs' edge lists and Skip nodes directly."""
+    from mpstk.subtyping import _LEFT_KINDS, _RIGHT_KINDS
+    from mpstk.typegraph import BRA
+
+    start = (g1.init, g2.init)
+    visited = {start}
+    stack = [start]
+    edges = 0
+    while stack:
+        n1, n2 = stack.pop()
+        # a branching node is only consistent facing another branching:
+        # neither simulation clause constrains it against an active head
+        if g1.kind(n1) == BRA and g2.kind(n2) != BRA:
+            return False, visited, edges
+        succs = []
+        for a, m1 in g1.out(n1):
+            if a.kind in _LEFT_KINDS:
+                m2 = step2(n2, a)
+                if m2 is None:
+                    return False, visited, edges
+                succs.append((m1, m2))
+        for a, m2 in g2.out(n2):
+            if a.kind in _RIGHT_KINDS:
+                m1 = step1(n1, a)
+                if m1 is None:
+                    return False, visited, edges
+                succs.append((m1, m2))
+        for pair in succs:
+            edges += 1
+            if pair not in visited:
+                if len(visited) >= budget:
+                    raise BudgetExceeded(f"more than {budget} product nodes")
+                visited.add(pair)
+                stack.append(pair)
+    return True, visited, edges
+
+
+def test_product_walk_equals_the_reference(rng):
+    """The same verdict, product nodes and edge count on 2,000 random pairs,
+    and on each random graph against a graph whose root is its Skip node,
+    either way round; and the same least passing budget: the reference's
+    node count."""
+    from mpstk.typegraph import TypeGraph, local_graph
+
+    skip = TypeGraph(0, [[]], 0)
+    verdicts = set()
+    for _ in range(2_000):
+        t1, t2 = rand_local_pair(rng, rng.randint(2, 12))
+        g1, g2 = local_graph(t1), local_graph(t2)
+        for h1, h2 in ((g1, g2), (g1, skip), (skip, g1)):
+            want = _reference_product_walk(h1, h2, h1.step, h2.step, 1_000_000)
+            nodes = len(want[1])
+            assert _product_walk(h1, h2, h1.step, h2.step, nodes) == want, (show(t1), show(t2))
+            if nodes > 1:
+                with pytest.raises(BudgetExceeded):
+                    _product_walk(h1, h2, h1.step, h2.step, nodes - 1)
+            verdicts.add(want[0])
+    assert verdicts == {True, False}
+
+
+def _lift_sorts(t, names):
+    """t with each payload sort a sort variable drawn from `names`, so that
+    some variables occur more than once."""
+    if type(t) in (TIn, TOut):
+        return type(t)(t.peer, SortVar(next(names)), _lift_sorts(t.cont, names))
+    if type(t) in (TSel, TBra):
+        return type(t)(t.peer, tuple((l, _lift_sorts(b, names)) for l, b in t.branches))
+    if type(t) is TRec:
+        return TRec(t.var, _lift_sorts(t.body, names))
+    return t
+
+
+def test_matching_binds_as_the_reference(rng, monkeypatch):
+    """subtype_sim_matching gives the same verdict and binding through the
+    reference walk, on 2,000 random pairs with sort variables on the left."""
+    runs = []
+    for _ in range(2_000):
+        t1, t2 = rand_local_pair(rng, rng.randint(2, 12))
+        t1 = _lift_sorts(t1, iter(lambda: rng.choice("abc"), None))
+        runs.append((t1, t2, subtype_sim_matching(t1, t2)))
+    assert {ok for _, _, (ok, _) in runs} == {True, False}
+    assert any(binding for _, _, (_, binding) in runs)
+    monkeypatch.setattr(subtyping, "_product_walk", _reference_product_walk)
+    for t1, t2, got in runs:
+        assert subtype_sim_matching(t1, t2) == got, (show(t1), show(t2))
