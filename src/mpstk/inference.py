@@ -1,12 +1,13 @@
 """Minimum type inference for processes.
 
-Pipeline: derive subtype/sort constraints from the process, eliminate the
-variable-to-variable constraints (tr, a set in first-occurrence order),
-build the minimum type graph over sets of type variables, solve the sort
-equalities with a union-find, and read the minimum type off the graph.
-Roles are small, so each stage keeps its fixed cost low: a state with one
-head is expanded without the general rules, and a named tuple is built
-through `tuple.__new__`.
+Pipeline: derive subtype/sort constraints from the process, rename away
+lone variable-to-variable links (tr, a set in first-occurrence order),
+build the minimum type graph over sets of type variables, where a joined
+variable reads the heads that reach it through the links left, solve the
+sort equalities with a union-find, and read the minimum type off the
+graph.  Roles are small, so each stage keeps its fixed cost low: a state
+with one head is expanded without the general rules, and a named tuple is
+built through `tuple.__new__`.
 
 A head constraint `T <= x` (`CHead`) is one type-graph node of x whose
 successors are type variables: it carries typegraph's kind (ENDK, IN, OUT,
@@ -35,7 +36,7 @@ from .ast import (
     SessionTypeError, SortVar, Visit, bind, fold, unbind, uniquify_binders,
 )
 from .ast import _EXPRS
-from .typegraph import Action, END_ACT, ENDK, IN, OUT, SEL, BRA, TypeGraph, explore, sccs
+from .typegraph import Action, END_ACT, ENDK, IN, OUT, SEL, BRA, TypeGraph, explore
 from .typegraph import _extract_type
 
 
@@ -206,25 +207,22 @@ def _find(parent: dict, v):
 
 
 def eliminate_transitive(constraints: list, root: str) -> tuple[list, str]:
-    """Remove every variable-to-variable constraint xi <= psi.  Given a set,
-    as `derive_constraints` makes, the result is a set, in first-occurrence
-    order.
+    """Rename away each variable-to-variable constraint xi <= psi that is
+    all that defines psi.  Given a set, as `derive_constraints` makes, the
+    result is a set, in first-occurrence order, the links left last.
 
-    When the link is the only constraint defining psi, psi is renamed to xi
-    (the paper's substitution), earliest link in the list first; a link the
-    renaming turns into x <= x goes, which may leave another variable with
-    one link.  A variable with several incoming links (a conditional
-    joining two behaviours) must keep the link sources apart:
-    renaming would merge two independently defined variables and lose the
-    relative phase of their recursions, so such links are resolved by
-    transitivity instead: the target gets the distinct heads of every
-    variable that flows into it, once per SCC of the links, sources first.
+    psi is renamed to xi (the paper's substitution), earliest link in the
+    list first; a link the renaming turns into x <= x goes, which may leave
+    another variable with one link.  A variable with several incoming links
+    (a conditional joining two behaviours) keeps them, their sources
+    renamed: renaming would merge two independently defined variables and
+    lose the relative phase of their recursions.  `MinGraphBuilder`
+    resolves them by transitivity.
     """
     links = [c for c in constraints if type(c) is CVarLe and c.lhs != c.rhs]
     if not links:
         return list(constraints), root
-    heads = [c.rhs for c in constraints if type(c) is CHead]
-    headed = set(heads)
+    headed = {c.rhs for c in constraints if type(c) is CHead}
     ins: dict[str, list[int]] = {}  # the links into each variable, by index
     for i, c in enumerate(links):
         ins.setdefault(c.rhs, []).append(i)
@@ -252,34 +250,9 @@ def eliminate_transitive(constraints: list, root: str) -> tuple[list, str]:
     out = [c for c in constraints if type(c) is not CVarLe]
     if parent:
         out = list(map(rename, out))
-    preds: dict[str, list[str]] = {}
-    for i, c in enumerate(links):
-        if i not in dead:
-            preds.setdefault(c.rhs, []).append(_find(parent, c.lhs))
-    if preds:
-        # a variable's heads without rhs; once its SCC is done, every head
-        # that flows into it
-        flows: dict[str, dict] = {}
-        for c in out:
-            if type(c) is CHead:
-                flows.setdefault(c.rhs, {})[c[:4]] = None
-        # links acyclic and each source listed before its target: the SCCs
-        # are the targets, in this order
-        rank = dict(zip(preds, itertools.count()))
-        acyclic = all(rank.get(u, -1) < rank[v] for v, us in preds.items() for u in us)
-        for comp in [(v,) for v in preds] if acyclic else sccs(list(preds), preds):
-            if comp[0] in preds:  # else a source, which keeps its own heads
-                into: dict = {}
-                for v in comp:
-                    into.update(flows.get(v, ()))
-                    for u in preds[v]:
-                        into.update(flows.get(u, ()))
-                out.extend(_new(CHead, (*h, v))
-                           for v in comp for h in into if h not in flows.get(v, ()))
-                flows.update(dict.fromkeys(comp, into))
-    if len(headed) < len(heads):  # a renaming may have made two heads of one variable equal
-        out = list(dict.fromkeys(out))
-    return out, _find(parent, root)
+    out += (_new(CVarLe, (_find(parent, c.lhs), c.rhs)) for i, c in enumerate(links) if i not in dead)
+    # a renaming may have made two heads of one variable, or two links, equal
+    return list(dict.fromkeys(out)), _find(parent, root)
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +273,40 @@ class MinGraphBuilder:
     kind and peer, labelled from a set (an input or output: the one None).
     A state with one dependency, one head, takes that head's edges as they
     are, in label order; the general rules give the same edges and fail in
-    the same way (`general`)."""
+    the same way (`general`).  A variable tr(C) leaves joined by links
+    depends on the heads that reach it through them, gathered once a state
+    reads it (`_joined`)."""
 
     def __init__(self, tr_constraints: list):
-        self.by_rhs: dict[str, list] = {}
+        self.heads: dict[str, list] = {}  # each variable's own heads
+        self.preds: dict[str, list[str]] = {}  # the sources of the links into each variable
         self.base_eqs: list[CSortEq] = []
         self._alpha = 0
         for c in tr_constraints:
             if type(c) is CSortEq:
                 self.base_eqs.append(c)
+            elif type(c) is CVarLe:
+                self.preds.setdefault(c.rhs, []).append(c.lhs)
             else:
-                self.by_rhs.setdefault(c.rhs, []).append(c)
+                self.heads.setdefault(c.rhs, []).append(c)
+        # each variable's dependencies; a joined one's once `_joined` gives them
+        self.by_rhs = self.heads if not self.preds else {
+            v: cs for v, cs in self.heads.items() if v not in self.preds}
+
+    def _joined(self, v: str) -> list:
+        """The distinct heads of v and of every variable that reaches v
+        through links, depth first in link order, kept in `by_rhs`."""
+        deps: dict = {}  # by the head without its rhs
+        todo, seen = [v], set()
+        while todo:
+            u = todo.pop()
+            if u not in seen:
+                seen.add(u)
+                for c in self.heads.get(u, ()):
+                    deps.setdefault(c[:4], c)
+                todo += reversed(self.preds.get(u, ()))
+        cs = self.by_rhs[v] = list(deps.values())
+        return cs
 
     def _fresh_alpha(self) -> SortVar:
         self._alpha += 1
@@ -324,7 +320,7 @@ class MinGraphBuilder:
         def expand(n: int, s: frozenset[str]):
             deps = []
             for v in sorted(s) if len(s) > 1 else s:
-                cs = by_rhs.get(v)
+                cs = by_rhs.get(v) or self._joined(v)
                 if not cs:
                     raise Untypable(f"variable {v} has no defining constraint", s)
                 deps += cs

@@ -115,6 +115,13 @@ def test_branching_empty_intersection_untypable():
 
 
 def test_tr_no_links_left(rng):
+    """tr(C) keeps only the links renaming cannot remove: each into a
+    variable with heads or with another link into it, with no self-link
+    and no duplicate.  The answers are those of the reference's tr(C),
+    which has no link."""
+    from test_tr_reference import _answers, reference_tr
+
+    kept = 0
     for _ in range(300):
         p = rand_process(rng, 8)
         try:
@@ -122,7 +129,16 @@ def test_tr_no_links_left(rng):
         except Untypable:
             continue
         tr, root = eliminate_transitive(d.constraints, d.root)
-        assert not any(isinstance(c, CVarLe) for c in tr)
+        links = [c for c in tr if type(c) is CVarLe]
+        assert all(c.lhs != c.rhs for c in links) and len(set(links)) == len(links)
+        headed = {c.rhs for c in tr if type(c) is CHead}
+        targets = [c.rhs for c in links]
+        assert all(v in headed or targets.count(v) > 1 for v in targets)
+        want, want_root = reference_tr(d.constraints, d.root)
+        assert not any(type(c) is CVarLe for c in want)
+        assert _answers(tr, root) == _answers(want, want_root)
+        kept += bool(links)
+    assert kept >= 30
 
 
 def test_tr_unchanged_without_links():
@@ -200,7 +216,9 @@ def test_constraint_linearity(rng):
 
 
 def test_soundness_on_corpus(rng):
-    """Every constraint of tr(C) is satisfied by the extracted solution."""
+    """Every constraint of tr(C) is satisfied by the extracted solution: a
+    head below its variable's type, and a kept link x <= v as the type of x
+    below the type of v."""
     from mpstk.inference import apply_sort_subst, solve_sorts as solve
 
     checked = 0
@@ -219,7 +237,9 @@ def test_soundness_on_corpus(rng):
             if isinstance(c, CSortEq):
                 continue
             rhs_t = type_of(c.rhs)
-            if c.kind == ENDK:
+            if type(c) is CVarLe:
+                lhs_t = type_of(c.lhs)
+            elif c.kind == ENDK:
                 lhs_t = TEnd()
             elif c.kind in (IN, OUT):
                 ctor = TIn if c.kind == IN else TOut
@@ -230,7 +250,7 @@ def test_soundness_on_corpus(rng):
                 ctor = TSel if c.kind == SEL else TBra
                 lhs_t = ctor(c.peer, tuple((l, type_of(v)) for l, v in c.succ))
             ok, _ = subtype_sim_matching(lhs_t, rhs_t)
-            assert ok, (show(p), c.kind)
+            assert ok, (show(p), c)
         checked += 1
     assert checked >= 100
 
@@ -302,20 +322,33 @@ def test_value_and_process_variables_have_separate_scopes():
 
 def _reference_build(tr, start):
     """The minimum graph with every state through the general rules, one
-    head or many: the reference for `MinGraphBuilder`'s one-head path.
-    Returns (init, edges, skip, desc, sort equations), or the failure's
-    (reason, node)."""
-    by_rhs, eqs, alphas = {}, [c for c in tr if type(c) is CSortEq], iter(range(1, 10**9))
+    head or many: the reference for `MinGraphBuilder`'s one-head path.  A
+    joined variable reads its heads through the links: its own, then each
+    source's in link order, each head once.  Returns (init, edges, skip,
+    desc, sort equations), or the failure's (reason, node)."""
+    by_rhs, preds, alphas = {}, {}, iter(range(1, 10**9))
+    eqs = [c for c in tr if type(c) is CSortEq]
     for c in tr:
-        if type(c) is not CSortEq:
+        if type(c) is CVarLe:
+            preds.setdefault(c.rhs, []).append(c.lhs)
+        elif type(c) is CHead:
             by_rhs.setdefault(c.rhs, []).append(c)
+
+    def heads(v, seen):
+        seen.add(v)
+        out = list(by_rhs.get(v, ()))
+        for u in preds.get(v, ()):
+            if u not in seen:
+                out += heads(u, seen)
+        return out
 
     def expand(n, s):
         deps = []
         for v in sorted(s):
-            if not by_rhs.get(v):
+            cs = list({c[:4]: c for c in heads(v, set())}.values())
+            if not cs:
                 raise Untypable(f"variable {v} has no defining constraint", s)
-            deps.extend(by_rhs[v])
+            deps.extend(cs)
         if len({c.kind for c in deps}) != 1:
             raise Untypable("mixed dependency heads", s)
         kind = deps[0].kind
