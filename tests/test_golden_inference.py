@@ -11,17 +11,20 @@ fails here.
 
 The main digest records tr(C) sorted.  The second pins tr(C) in order,
 in fresh interpreters under two values of PYTHONHASHSEED: tr(C) is a set
-in first-occurrence order, and the heads copied onto a joined variable
-follow the links in list order, never the iteration order of a set, so the
-order of tr(C) must not depend on the hash seed.  Both digests moved when
-tr(C) became a set: the corpus held 246 duplicate tr constraints in 190
-processes (8,905 -> 8,659).
+in first-occurrence order, the links it keeps last, and a joined
+variable's heads are gathered along the links in list order, never the
+iteration order of a set, so neither order may depend on the hash seed.
+Both digests moved when tr(C) became a set: the corpus held 246 duplicate
+tr constraints in 190 processes (8,905 -> 8,659).  They moved again when
+tr(C) kept the joined links in place of copying heads onto their targets
+(8,659 -> 8,832: 943 links in 382 processes, 770 copied heads gone); the
+list order of each minimum graph's sort equations did not move.
 
-The third pins the answers alone, which no rewrite of tr(C) that keeps it
-the same set may move: the sorted set of tr(C), the root after tr, the
-minimum graph with its node sets and the set of its sort equations, the
-sort-solved graph, and each failure's text and node.  The same record
-without tr(C) pins what inference answers however tr(C) is spelled.
+The third pins the answers with tr(C) as a set: the sorted set of tr(C),
+the root after tr, the minimum graph with its node sets and the set of its
+sort equations, the sort-solved graph, and each failure's text and node.
+It moved with the links too.  The same record without tr(C) pins what
+inference answers however tr(C) is spelled, and did not move.
 
 The fourth pins each typable process's sort-solved graph quotiented by
 bisimulation, every field of it, as the pipelines receive it.
@@ -102,9 +105,9 @@ def _answer(p):
                   sorted({show_constraint(c) for c in mg.sort_eqs}), _graph(r.graph))
 
 
-DUMP_SHA256 = "5700e58b5096006b9bc61d2b91c261d5b1882147f19276f8702eabae5bc48293"
-ORDERED_TR_SHA256 = "62f46213fc08ba48186618a022dab7485967e2979e170658b8704ce9e931257a"
-ANSWERS_SHA256 = "68c2d9c60b3ed208c71e4fd0f74ec1170c2a3749488292ffdc61335d2e1dbe8b"
+DUMP_SHA256 = "71322f225d42a071ac4373f937f6d2d56a2b62d8ff6e4d23083377f38ee1865f"
+ORDERED_TR_SHA256 = "5d1a3bd896fe7b776f1c7832969b9669e51370d520fedf07df599070403c820e"
+ANSWERS_SHA256 = "a9f92411d4ee2f688ccada3f007c3aa35c980916078a40a857f54e4e3a66f04f"
 ANSWERS_WITHOUT_TR_SHA256 = "e6a4d50374862a3b4b71c0a2ff5a541ef19020595f3b20cd93eb306f6985b30c"
 QUOTIENT_SHA256 = "e600d54c95bf41d449517fd1418459a21117fcafe0f826636dc38f33be4cbbce"
 
