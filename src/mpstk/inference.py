@@ -222,7 +222,8 @@ def eliminate_transitive(constraints: list, root: str) -> tuple[list, str]:
     links = [c for c in constraints if type(c) is CVarLe and c.lhs != c.rhs]
     if not links:
         return list(constraints), root
-    headed = {c.rhs for c in constraints if type(c) is CHead}
+    heads = [c.rhs for c in constraints if type(c) is CHead]
+    headed = set(heads)
     ins: dict[str, list[int]] = {}  # the links into each variable, by index
     for i, c in enumerate(links):
         ins.setdefault(c.rhs, []).append(i)
@@ -250,9 +251,11 @@ def eliminate_transitive(constraints: list, root: str) -> tuple[list, str]:
     out = [c for c in constraints if type(c) is not CVarLe]
     if parent:
         out = list(map(rename, out))
-    out += (_new(CVarLe, (_find(parent, c.lhs), c.rhs)) for i, c in enumerate(links) if i not in dead)
-    # a renaming may have made two heads of one variable, or two links, equal
-    return list(dict.fromkeys(out)), _find(parent, root)
+    if len(headed) < len(heads):  # a renaming may have made two heads of one variable equal
+        out = list(dict.fromkeys(out))
+    out += dict.fromkeys(_new(CVarLe, (_find(parent, c.lhs), c.rhs))  # two sources may now be one
+                         for i, c in enumerate(links) if i not in dead)
+    return out, _find(parent, root)
 
 
 # ---------------------------------------------------------------------------
