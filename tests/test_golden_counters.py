@@ -27,9 +27,10 @@ GOLDEN_WORK = [
 ]
 
 # the projection points of the benchmark's paper-families ladder
-# (perfbench/workloads.py; its fullmerge-quadratic is fullmerge-opt here)
+# (perfbench/workloads.py; its fullmerge-quadratic is fullmerge-opt here),
+# and plain-nlogn at 8, past the ladder, whose tree has 131,071 nodes
 GOLDEN_BENCH_POINTS = [
-    ("plain-nlogn", [4, 5, 6], [395, 1643, 6699]),
+    ("plain-nlogn", [4, 5, 6, 8], [395, 1643, 6699, 108715]),
     ("fullmerge-nlog2", [7, 8, 9], [2122, 5140, 11912]),
     ("fullmerge-opt", [100, 170, 250], [718, 1906, 3302]),
     ("fullmerge-naive", [100, 170, 250], [200, 340, 500]),
