@@ -193,7 +193,7 @@ def _naive_merge_ops(g, p) -> int:
         c.tick(min(size(a, sizes), size(b, sizes)))
         return merge_full_naive(a, b)
 
-    _project(g, p, naive_merge)
+    _project(g, p, naive_merge, c)
     return c.ops
 
 

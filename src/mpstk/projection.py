@@ -353,7 +353,7 @@ def merge_full_optimized(t1: LocalT, t2: LocalT, counter: WorkCounter | None = N
 # branches p takes no part in.
 
 
-def _project(g: GlobalT, p: str, merge):
+def _project(g: GlobalT, p: str, merge, counter: WorkCounter | None = None):
     """Project `g` onto `p`.
 
     Where p takes no part in a choice, the projections of all its branches
@@ -361,41 +361,61 @@ def _project(g: GlobalT, p: str, merge):
     failing merge raises ProjUndefined.  `merge=None` keeps the first
     branch without projecting the others, so shared subterms of the
     dropped branches cost nothing.
+
+    Each distinct subterm is projected once per call: a node's projection
+    depends only on the node, p and the merge, so `memo` keeps, for one
+    call, each node's result and the ticks its subtree's merges added to
+    `counter`, the counter those merges tick.  A node met again replays
+    its ticks, so `counter` counts each merge per tree occurrence, as a
+    fold of the whole tree would.  A failing merge raises before its
+    node is stored.
     """
+    memo: dict = {}  # node -> (its projection, the ticks of its subtree)
 
     def enter(g, env):
+        hit = memo.get(g)
+        if hit is not None:
+            if counter is not None:
+                counter.tick(hit[1])
+            return Done(hit[0])
         if type(g) is GRec and p not in participants(g.body) and is_closed(g):
+            memo[g] = (TEnd(), 0)
             return Done(TEnd())
+        ops = 0 if counter is None else counter.ops  # the env: ticks so far
         if type(g) is GChoice and merge is None and p not in (g.frm, g.to):
-            return Visit((g.branches[0][1],), env)
-        return env
+            return Visit((g.branches[0][1],), ops)
+        return ops
 
     def leave(g, kids, env):
         if type(g) is GEnd:
-            return TEnd()
-        if type(g) is GVar:
-            return TVar(g.var)
-        if type(g) is GMsg:
+            out = TEnd()
+        elif type(g) is GVar:
+            out = TVar(g.var)
+        elif type(g) is GMsg:
             if p == g.frm:
-                return TOut(g.to, g.payload, kids[0])
-            if p == g.to:
-                return TIn(g.frm, g.payload, kids[0])
-            return kids[0]
-        if type(g) is GChoice:
+                out = TOut(g.to, g.payload, kids[0])
+            elif p == g.to:
+                out = TIn(g.frm, g.payload, kids[0])
+            else:
+                out = kids[0]
+        elif type(g) is GChoice:
             if p == g.frm:
-                return TSel(g.to, tuple(zip([l for l, _ in g.branches], kids)))
-            if p == g.to:
-                return TBra(g.frm, tuple(zip([l for l, _ in g.branches], kids)))
-            acc = kids[0]
-            for t in kids[1:]:
-                try:
-                    acc = merge(acc, t)
-                except SessionTypeError as e:
-                    raise ProjUndefined(p, str(e), show(g))
-            return acc
-        if type(g) is GRec:
-            return TRec(g.var, kids[0])
-        raise TypeError(f"project: {g!r}")
+                out = TSel(g.to, tuple(zip([l for l, _ in g.branches], kids)))
+            elif p == g.to:
+                out = TBra(g.frm, tuple(zip([l for l, _ in g.branches], kids)))
+            else:
+                out = kids[0]
+                for t in kids[1:]:
+                    try:
+                        out = merge(out, t)
+                    except SessionTypeError as e:
+                        raise ProjUndefined(p, str(e), show(g))
+        elif type(g) is GRec:
+            out = TRec(g.var, kids[0])
+        else:
+            raise TypeError(f"project: {g!r}")
+        memo[g] = (out, 0 if counter is None else counter.ops - env)
+        return out
 
     return fold(g, leave, enter)
 
@@ -406,9 +426,9 @@ def project_inductive(
     """Inductive projection of `g` onto `p` with plain or full merging."""
     if kind == PLAIN:
         sizes: dict = {}
-        out = _project(g, p, lambda a, b: merge_plain(a, b, counter, sizes))
+        out = _project(g, p, lambda a, b: merge_plain(a, b, counter, sizes), counter)
     elif kind == FULL:
-        out = of_tree(_project(g, p, lambda a, b: merge_full_opt(a, b, counter)))
+        out = of_tree(_project(g, p, lambda a, b: merge_full_opt(a, b, counter), counter))
     else:
         raise ValueError(f"unknown merge kind {kind!r}")
     try:
