@@ -128,24 +128,34 @@ def cmd_check_context(args) -> int:
         with open(args.dot, "w") as fh:
             fh.write(ctx_mod.dot_context_graph(v.graph, marked))
     payload = {"prop": args.prop, "holds": v.holds, "states": v.states, "edges": v.edges}
-    lines = [f"{args.prop}: {'holds' if v.holds else 'violated'} "
-             f"({v.states} states, {v.edges} edges)"]
     if args.oracle and args.prop == "live":
-        oracle = brute_force_liveness(ctx, args.oracle_bound, args.budget)
-        payload["oracle"] = oracle
-        lines.append(f"oracle: {'live' if oracle else 'not live'}")
+        payload["oracle"] = brute_force_liveness(ctx, args.oracle_bound, args.budget)
+    final = None
     if v.trace is not None and args.trace:
-        shown = v.trace.rendered()  # one string per state, final last
+        # the payload holds each state a step leaves; only the text shows the final one
+        shown = v.trace.rendered(final=not args.json)
         labels = [str(lab) for _, lab in v.trace.steps]
-        cycle_start = v.trace.cycle_start
         payload["trace"] = [{"context": text, "label": lab} for text, lab in zip(shown, labels)]
-        payload["cycle_start"] = cycle_start
-        for i, (text, lab) in enumerate(zip(shown, labels)):
-            marker = " (cycle)" if cycle_start is not None and i >= cycle_start else ""
-            lines.append(f"  {text}  --[{lab}]-->{marker}")
-        lines.append(f"  {shown[-1]}")
-    _emit(args, payload, "\n".join(lines))
+        payload["cycle_start"] = v.trace.cycle_start
+        final = None if args.json else shown[-1]
+    _emit(args, payload, "" if args.json else _verdict_text(payload, final))
     return OK if v.holds else REJECT
+
+
+def _verdict_text(payload: dict, final: str | None) -> str:
+    """check-context's text output from its JSON payload, with the trace's
+    final state `final`."""
+    lines = [f"{payload['prop']}: {'holds' if payload['holds'] else 'violated'} "
+             f"({payload['states']} states, {payload['edges']} edges)"]
+    if "oracle" in payload:
+        lines.append(f"oracle: {'live' if payload['oracle'] else 'not live'}")
+    if "trace" in payload:
+        cycle_start = payload["cycle_start"]
+        for i, step in enumerate(payload["trace"]):
+            marker = " (cycle)" if cycle_start is not None and i >= cycle_start else ""
+            lines.append(f"  {step['context']}  --[{step['label']}]-->{marker}")
+        lines.append(f"  {final}")
+    return "\n".join(lines)
 
 
 def cmd_check_session(args) -> int:

@@ -360,9 +360,12 @@ class Trace(NamedTuple):
         rg = self.graph
         return [rg.lts.context_of(rg.states[i]) for i in self.states()]
 
-    def rendered(self) -> list[str]:
+    def rendered(self, final: bool = True) -> list[str]:
+        """The text of every state along the path, the final state left out
+        unless `final`."""
         rg = self.graph
-        return [rg.lts.show_state(rg.states[i]) for i in self.states()]
+        ids = self.states() if final else [i for i, _ in self.steps]
+        return [rg.lts.show_state(rg.states[i]) for i in ids]
 
 
 class Verdict(NamedTuple):
