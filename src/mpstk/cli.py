@@ -133,7 +133,7 @@ def cmd_check_context(args) -> int:
     final = None
     if v.trace is not None and args.trace:
         # the payload holds each state a step leaves; only the text shows the final one
-        shown = v.trace.rendered(final=not args.json)
+        shown = v.trace.rendered(with_final=not args.json)
         labels = [str(lab) for _, lab in v.trace.steps]
         payload["trace"] = [{"context": text, "label": lab} for text, lab in zip(shown, labels)]
         payload["cycle_start"] = v.trace.cycle_start

@@ -360,11 +360,11 @@ class Trace(NamedTuple):
         rg = self.graph
         return [rg.lts.context_of(rg.states[i]) for i in self.states()]
 
-    def rendered(self, final: bool = True) -> list[str]:
-        """The text of every state along the path, the final state left out
-        unless `final`."""
+    def rendered(self, with_final: bool = True) -> list[str]:
+        """The text of every state along the path; the final state's is
+        left out unless `with_final`."""
         rg = self.graph
-        ids = self.states() if final else [i for i, _ in self.steps]
+        ids = self.states() if with_final else [i for i, _ in self.steps]
         return [rg.lts.show_state(rg.states[i]) for i in ids]
 
 

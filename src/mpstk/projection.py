@@ -23,7 +23,10 @@ call: None where the head does not involve p, else p's kind, peer and arcs.
 The three inductive projections, and the naive-merge oracle of the bench
 harness, are one fold, `_project`, which differs between them only in
 the merge it folds the branches of a choice with when p takes no part in
-that choice.
+that choice.  Global types are hash-consed and share subterms, so the
+fold projects each distinct subterm once per call.  At each further
+occurrence it replays the ticks the subterm's merges added to the work
+counter, so the counters still count each merge per tree occurrence.
 
 `project(g, p, kind)` runs the algorithm named by `kind`, one of KINDS.
 `project_inductive`/`project_tirore` raise ProjUndefined when the
@@ -365,10 +368,11 @@ def _project(g: GlobalT, p: str, merge, counter: WorkCounter | None = None):
     Each distinct subterm is projected once per call: a node's projection
     depends only on the node, p and the merge, so `memo` keeps, for one
     call, each node's result and the ticks its subtree's merges added to
-    `counter`, the counter those merges tick.  A node met again replays
-    its ticks, so `counter` counts each merge per tree occurrence, as a
-    fold of the whole tree would.  A failing merge raises before its
-    node is stored.
+    `counter`, the counter `merge` ticks, if any.  A node met again
+    replays its ticks, so `counter` counts each merge per tree occurrence,
+    as a fold of the whole tree would.  A failing merge raises before its
+    node is stored, so the first undefined merge in depth-first order is
+    the one reported.
     """
     memo: dict = {}  # node -> (its projection, the ticks of its subtree)
 

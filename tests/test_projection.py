@@ -12,14 +12,14 @@ from conftest import balanced_globals, mutate_local, rand_global, rand_local
 
 from mpstk.ast import (
     GChoice, GEnd, GMsg, GRec, GVar, INT, SessionTypeError, TBra, TEnd, TSel, TVar, TRec,
-    branches, fold, is_closed, participants, size, unfold,
+    branches, fold, free_vars, is_closed, participants, size, unfold,
 )
 from mpstk.context import ContextLTS, Label
 from mpstk.parse import parse
 from mpstk.printer import show
 from mpstk.projection import (
     FULL, KINDS, PLAIN, MBra, NotBalanced, ProjUndefined, WorkCounter, check_association,
-    gen_lowerbound_family, merge_full_naive, merge_full_optimized,
+    gen_lowerbound_family, merge_full_naive, merge_full_optimized, merge_plain,
     project, project_inductive, project_subset, project_tirore, ptrans,
     _project, treap_get, treap_insert, treap_items,
 )
@@ -770,3 +770,144 @@ def test_plain_counter_grows(rng):
     project_inductive(gen_lowerbound_family("plain_nlogn", 8), "r", PLAIN, c2)
     # work grows like m * 2^m: quadrupling the depth far more than doubles it
     assert c2.ops > 8 * c1.ops
+
+
+# ---------------------------------------------------------------------------
+# Inductive projection over shared subterms
+
+
+def _reference_project(g, p: str, merge):
+    """_project as it folded the whole tree, with no memo, kept verbatim as
+    the reference for the fold that projects each distinct subterm once."""
+    from mpstk.ast import Done, TIn, TOut, Visit
+
+    def enter(g, env):
+        if type(g) is GRec and p not in participants(g.body) and is_closed(g):
+            return Done(TEnd())
+        if type(g) is GChoice and merge is None and p not in (g.frm, g.to):
+            return Visit((g.branches[0][1],), env)
+        return env
+
+    def leave(g, kids, env):
+        if type(g) is GEnd:
+            return TEnd()
+        if type(g) is GVar:
+            return TVar(g.var)
+        if type(g) is GMsg:
+            if p == g.frm:
+                return TOut(g.to, g.payload, kids[0])
+            if p == g.to:
+                return TIn(g.frm, g.payload, kids[0])
+            return kids[0]
+        if type(g) is GChoice:
+            if p == g.frm:
+                return TSel(g.to, tuple(zip([l for l, _ in g.branches], kids)))
+            if p == g.to:
+                return TBra(g.frm, tuple(zip([l for l, _ in g.branches], kids)))
+            acc = kids[0]
+            for t in kids[1:]:
+                try:
+                    acc = merge(acc, t)
+                except SessionTypeError as e:
+                    raise ProjUndefined(p, str(e), show(g))
+            return acc
+        if type(g) is GRec:
+            return TRec(g.var, kids[0])
+        raise TypeError(f"project: {g!r}")
+
+    return fold(g, leave, enter)
+
+
+def _shared_globals(rng, count: int, most: int = 100):
+    """`count` random globals over four participants, each made of a head
+    whose continuations are drawn from the globals made before it, so that
+    subterms are shared; none has more than `most` nodes as a tree.  A
+    choice gives all its branches one continuation now and then, so plain
+    merges succeed.  Half the time, each free variable is bound by a
+    recursion around the whole global, which may leave it unguarded."""
+    from conftest import LABELS, SORTS
+
+    pool, sizes = [GEnd(), GVar("t"), GVar("u")], {}
+    while len(pool) < count + 3:
+        frm, to = rng.sample(["p", "q", "r", "s"], 2)
+        kind = rng.choice(["msg", "choice", "choice", "rec"])
+        if kind == "msg":
+            g = GMsg(frm, to, rng.choice(SORTS), rng.choice(pool))
+        elif kind == "rec":
+            g = GRec(rng.choice("tu"), rng.choice(pool))
+        else:
+            labels = rng.sample(LABELS, rng.randint(1, 3))
+            same = rng.choice(pool) if rng.random() < 0.4 else None
+            g = GChoice(frm, to, branches((l, same or rng.choice(pool)) for l in labels))
+        for v in sorted(free_vars(g)) if rng.random() < 0.5 else ():
+            g = GRec(v, g)
+        if size(g, sizes) <= most:
+            pool.append(g)
+    return pool[3:]
+
+
+def _outcome(run):
+    """What `run()` returns, or the text of its ProjUndefined."""
+    try:
+        return run()
+    except ProjUndefined as e:
+        return str(e)
+
+
+def _projections(g, p):
+    """The outcomes of the four inductive projections of `g` onto `p` that
+    fold with `_project`: plain and full with their counters' ops (also
+    where undefined), ptrans, and the naive merge's count."""
+    from mpstk import bench
+
+    def counted(kind):
+        c = WorkCounter()
+        return _outcome(lambda: project_inductive(g, p, kind, c)), c.ops
+
+    return (counted(PLAIN), counted(FULL), _outcome(lambda: ptrans(g, p)),
+            _outcome(lambda: bench._naive_merge_ops(g, p)))
+
+
+def test_projection_equals_the_whole_tree_fold_on_shared_subterms(rng, monkeypatch):
+    """2,000 globals that share subterms, onto each of their participants:
+    the same node or ProjUndefined text, and the same ops, as the fold of
+    the whole tree."""
+    from mpstk import bench, projection
+
+    def reference(g, p, merge, counter=None):
+        return _reference_project(g, p, merge)
+
+    seen = Counter()
+    for g in _shared_globals(rng, 2_000):
+        for p in sorted(participants(g)):
+            got = _projections(g, p)
+            with monkeypatch.context() as m:
+                m.setattr(projection, "_project", reference)
+                m.setattr(bench, "_project", reference)
+                want = _projections(g, p)
+            # hash-consed nodes compare by identity, so == is `is` on them
+            assert got == want, (show(g), p)
+            for out, ops in got[:2]:
+                seen["undefined" if isinstance(out, str) else "defined"] += 1
+                seen["ticked"] += ops > 0
+    assert min(seen.values()) >= 1_000, seen
+
+
+def _merge_calls(project, n: int) -> int:
+    """How many times `project` calls the plain merge onto r of
+    plain_nlogn(n)."""
+    calls = 0
+
+    def merge(a, b):
+        nonlocal calls
+        calls += 1
+        return merge_plain(a, b)
+
+    project(gen_lowerbound_family("plain_nlogn", n), "r", merge)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_plain_nlogn_merges_once_per_distinct_choice(n):
+    assert _merge_calls(_project, n) == n
+    assert _merge_calls(_reference_project, n) == (4 ** n - 1) // 3
