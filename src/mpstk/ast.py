@@ -23,10 +23,16 @@ it, with a pre-order hook for walks that carry an environment or choose the
 children they visit.  Two printers keep a stack of their own, because they
 only append text left to right and a fold's hook calls per node would cost
 more than their work: `printer._text` and `typegraph.graph_text`.  Every
-walk with binders, the parser's included, keeps one scope map per call: a
-binder's pre hook `bind`s its name, keeping the binding it hides in its env,
-and its post hook `unbind`s it.  A copy of the map per binder would stay
-alive on the fold's stack, memory quadratic in the depth of binders.
+walk that looks up a variable's binder, the parser's included, keeps one
+scope map per call: a binder's pre hook `bind`s its name, keeping the
+binding it hides in its env, and its post hook `unbind`s it.  A copy of
+the map per binder would stay alive on the fold's stack, memory quadratic
+in the depth of binders.
+
+Guardedness is a fact of each node, so `check_guarded` folds each distinct
+node once: a node reaches the variables it meets through recursion binders
+and conditionals only, none at a prefix or an expression, and a binder
+whose own variable its body reaches is unguarded.
 
 Three process-wide tables memoise the metrics, keyed by node: `_fv_memo`
 holds free variables, `_canon_memo` alpha-canonical forms, and
@@ -44,7 +50,6 @@ a recursion, so a term still headed by one is unguarded.
 from __future__ import annotations
 
 import weakref
-from itertools import count
 from operator import attrgetter, is_, itemgetter
 
 _first, _second = itemgetter(0), itemgetter(1)
@@ -705,34 +710,24 @@ def check_guarded(t) -> None:
     """Reject recursion binders whose variable occurs without an intervening
     communication prefix.  mu t.t is out; mu t.mu u.p!(int);t is fine.
 
-    The parser's rule: each prefix takes a fresh guard number, and a
-    variable is unguarded while its binder's number is in force.  A
-    conditional is no prefix: mu X. if e then X else X would reduce
+    The rule of the module docstring, folded once per distinct node of t.
+    A conditional is no prefix: mu X. if e then X else X would reduce
     forever without communicating, leaving an inference variable unconstrained.
     """
-    scope: dict = {}  # binder name -> its guard number
-    guards = count(1)
-
-    def enter(u, env):  # env: (the guard number in force, the hidden binding)
-        if type(u) in _VARS:
-            if scope.get(u.var) == env[0]:
-                kind = "process" if type(u) is PVar else "recursion"
-                raise SessionTypeError(f"unguarded {kind} variable {u.var}")
-            return _DONE
-        if type(u) in _RECS:
-            return env[0], bind(scope, u.var, env[0])
-        if type(u) in _EXPRS:
-            return _DONE
-        return (next(guards), None) if type(u) in _PREFIXES else env
-
-    def leave(u, vals, env):
-        if type(u) in _RECS:
-            unbind(scope, u.var, env[1])
-
-    fold(t, leave, enter, (0, None))
+    fold(t, _unguarded, memo={})
 
 
-_DONE = Done(None)
+def _unguarded(u, vals, env):
+    """The variables u reaches through binders and conditionals only."""
+    if type(u) in _VARS:
+        return frozenset([u.var])
+    if not vals or type(u) in _PREFIXES or type(u) in _EXPRS:
+        return _NONE
+    out = vals[0].union(*vals[1:]) if len(vals) > 1 else vals[0]
+    if type(u) in _RECS and u.var in out:
+        kind = "process" if type(u) is PRec else "recursion"
+        raise SessionTypeError(f"unguarded {kind} variable {u.var}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -755,9 +750,10 @@ def _subformulas(u, vals, env):
 # Participants
 
 
-def participants(g) -> frozenset[str]:
-    """pt(G): participants of a global type (pt(end) = pt(t) = {})."""
-    return fold(g, _participants, memo={})
+def participants(g, memo: dict | None = None) -> frozenset[str]:
+    """pt(G): participants of a global type (pt(end) = pt(t) = {}).
+    `memo`, if given, is a participants table the caller keeps across calls."""
+    return fold(g, _participants, memo={} if memo is None else memo)
 
 
 def _participants(u, vals, env):

@@ -372,9 +372,11 @@ def _project(g: GlobalT, p: str, merge, counter: WorkCounter | None = None):
     replays its ticks, so `counter` counts each merge per tree occurrence,
     as a fold of the whole tree would.  A failing merge raises before its
     node is stored, so the first undefined merge in depth-first order is
-    the one reported.
+    the one reported.  The closed-recursion shortcut reads `pts`, a
+    participants table that lives for the call too.
     """
     memo: dict = {}  # node -> (its projection, the ticks of its subtree)
+    pts: dict = {}  # node -> its participants, for the closed-recursion shortcut
 
     def enter(g, env):
         hit = memo.get(g)
@@ -382,7 +384,7 @@ def _project(g: GlobalT, p: str, merge, counter: WorkCounter | None = None):
             if counter is not None:
                 counter.tick(hit[1])
             return Done(hit[0])
-        if type(g) is GRec and p not in participants(g.body) and is_closed(g):
+        if type(g) is GRec and p not in participants(g.body, pts) and is_closed(g):
             memo[g] = (TEnd(), 0)
             return Done(TEnd())
         ops = 0 if counter is None else counter.ops  # the env: ticks so far

@@ -12,7 +12,7 @@ from conftest import balanced_globals, mutate_local, rand_global, rand_local
 
 from mpstk.ast import (
     GChoice, GEnd, GMsg, GRec, GVar, INT, SessionTypeError, TBra, TEnd, TSel, TVar, TRec,
-    branches, fold, free_vars, is_closed, participants, size, unfold,
+    branches, check_guarded, fold, free_vars, is_closed, participants, size, unfold,
 )
 from mpstk.context import ContextLTS, Label
 from mpstk.parse import parse
@@ -911,3 +911,44 @@ def _merge_calls(project, n: int) -> int:
 def test_plain_nlogn_merges_once_per_distinct_choice(n):
     assert _merge_calls(_project, n) == n
     assert _merge_calls(_reference_project, n) == (4 ** n - 1) // 3
+
+
+def _counted(monkeypatch, name: str) -> list:
+    """A list that grows by one at each call of the fold step `ast.<name>`."""
+    from mpstk import ast
+
+    calls, real = [], getattr(ast, name)
+
+    def spy(u, vals, env):
+        calls.append(u)
+        return real(u, vals, env)
+
+    monkeypatch.setattr(ast, name, spy)
+    return calls
+
+
+def test_closed_recursion_shortcut_reads_participants_once_per_node(monkeypatch):
+    """rec X0. ... rec X1999. p->q(int); X0 onto p: the shortcut asks for
+    the participants of each of 2,000 nested bodies, from one table per
+    call, so no node is folded twice (a table per body folds 2 million)."""
+    g = GMsg("p", "q", INT, GVar("X0"))
+    for i in reversed(range(2_000)):
+        g = GRec(f"X{i}", g)
+    nodes: dict = {}
+    size(g, nodes)
+    calls = _counted(monkeypatch, "_participants")
+    for run in (lambda: project_inductive(g, "p", PLAIN), lambda: ptrans(g, "p")):
+        calls.clear()
+        assert show(run()).endswith("q!(int); X0")
+        assert len(calls) == len(set(calls)) <= len(nodes)
+
+
+def test_plain_nlogn_result_is_checked_once_per_distinct_node(monkeypatch):
+    """The plain projection of plain_nlogn(40) onto r has 2^41 - 1 nodes as
+    a tree and 41 distinct ones; check_guarded folds each of those once."""
+    out = project_inductive(gen_lowerbound_family("plain_nlogn", 40), "r", PLAIN)
+    sizes: dict = {}
+    assert size(out, sizes) == 2 ** 41 - 1 and len(sizes) == 41
+    calls = _counted(monkeypatch, "_unguarded")
+    check_guarded(out)
+    assert sorted(map(id, calls)) == sorted(map(id, sizes))
