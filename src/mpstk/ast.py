@@ -737,7 +737,7 @@ def _unguarded(u, vals, env):
 def subformulas(t) -> frozenset:
     """Sub(t) for closed local or global types.  The Rec clause substitutes
     the whole binder into each body subformula, so members are closed."""
-    return fold(t, _subformulas)
+    return fold(t, _subformulas, memo={})
 
 
 def _subformulas(u, vals, env):

@@ -104,19 +104,20 @@ def cmd_infer(args) -> int:
     p = parse("process", _read(args.file))
     r = infer(p, args.budget)
     payload = {"typable": r.typable}
+    lines = []  # the text: each constraint asked for, then the type or the failure
     if args.emit_constraints:
-        payload["constraints"] = [show_constraint(c) for c in r.derivation.constraints]
+        lines = payload["constraints"] = [show_constraint(c) for c in r.derivation.constraints]
     if r.typable:
         payload["min_type"] = graph_text(r.graph, r.graph.init)
         if args.dot:
             with open(args.dot, "w") as fh:
                 fh.write(dot_type_graph(r.graph, "minimum type graph"))
-        _emit(args, payload, payload["min_type"])
+        _emit(args, payload, "\n".join(lines + [payload["min_type"]]))
         return OK
-    payload["failure"] = r.failure
-    if r.failure_node:
-        payload["failure_node"] = sorted(r.failure_node)
-    _emit(args, payload, r.failure)  # Untypable's message, which says "untypable: "
+    payload["failure"] = str(r.error)  # Untypable's message, which says "untypable: "
+    if r.error.node:
+        payload["failure_node"] = sorted(r.error.node)
+    _emit(args, payload, "\n".join(lines + [payload["failure"]]))
     return REJECT
 
 
@@ -133,11 +134,10 @@ def cmd_check_context(args) -> int:
     final = None
     if v.trace is not None and args.trace:
         # the payload holds each state a step leaves; only the text shows the final one
-        shown = v.trace.rendered(with_final=not args.json)
+        *shown, final = v.trace.rendered()
         labels = [str(lab) for _, lab in v.trace.steps]
         payload["trace"] = [{"context": text, "label": lab} for text, lab in zip(shown, labels)]
         payload["cycle_start"] = v.trace.cycle_start
-        final = None if args.json else shown[-1]
     _emit(args, payload, "" if args.json else _verdict_text(payload, final))
     return OK if v.holds else REJECT
 

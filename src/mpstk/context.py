@@ -153,9 +153,9 @@ class ContextLTS:
     Given graphs are checked here, before any is read, and their texts kept
     per LTS by (i, n), as their states name no type.  A context's graphs
     and head rows come from the per-process `_participant` cache, and its
-    texts are kept in `_TEXTS`, per process too (module docstring).  A
-    node's type is extracted once per LTS; `_heads[i][n]` is participant
-    i's `_Head`, its peer looked up in this LTS's participants."""
+    texts are kept in `_TEXTS`, per process too (module docstring).
+    `_heads[i][n]` is participant i's `_Head`, its peer looked up in this
+    LTS's participants."""
 
     def __init__(self, ctx: TypingContext | dict[str, TypeGraph]):
         if type(ctx) is dict:
@@ -169,23 +169,14 @@ class ContextLTS:
         self.graphs = [g for g, _ in parts]
         self.init: State = tuple(g.init for g in self.graphs)
         self._rows: dict[int, list] = {}  # participant -> text_rows of its graph
-        self._types: dict[tuple[int, int], LocalT] = {}
         index = {p: i for i, p in enumerate(self.participants)}
         self._heads = [[_Head(kind, None if q == p else index.get(q), targets, sync, barb)
                         for kind, q, targets, sync, barb in rows]
                        for p, (_, rows) in zip(self.participants, parts)]
 
-    def local_type(self, i: int, n: int) -> LocalT:
-        """The local type of participant i at node n of its graph."""
-        t = self._types.get((i, n))
-        if t is None:
-            t = self._types[i, n] = _extract_type(self.graphs[i], n)
-        return t
-
     def context_of(self, state: State) -> TypingContext:
         return TypingContext(tuple(
-            (p, self.local_type(i, n))
-            for i, (p, n) in enumerate(zip(self.participants, state))
+            (p, _extract_type(g, n)) for p, g, n in zip(self.participants, self.graphs, state)
         ))
 
     def show_state(self, state: State) -> str:
@@ -360,12 +351,10 @@ class Trace(NamedTuple):
         rg = self.graph
         return [rg.lts.context_of(rg.states[i]) for i in self.states()]
 
-    def rendered(self, with_final: bool = True) -> list[str]:
-        """The text of every state along the path; the final state's is
-        left out unless `with_final`."""
+    def rendered(self) -> list[str]:
+        """The text of every state along the path, the final state's last."""
         rg = self.graph
-        ids = self.states() if with_final else [i for i, _ in self.steps]
-        return [rg.lts.show_state(rg.states[i]) for i in ids]
+        return [rg.lts.show_state(rg.states[i]) for i in self.states()]
 
 
 class Verdict(NamedTuple):

@@ -438,8 +438,7 @@ class InferResult(NamedTuple):
     min_graph: MinGraph | None = None
     derivation: Derivation | None = None
     tr_constraints: list | tuple = ()
-    failure: str | None = None
-    failure_node: frozenset | None = None
+    error: Untypable | None = None  # what `infer` caught, node included
 
     @property
     def min_type(self) -> LocalT | None:
@@ -456,8 +455,7 @@ def infer(p: Proc, budget: int = 1_000_000) -> InferResult:
         mg = MinGraphBuilder(tr).build(frozenset([root]), budget)
         subst = solve_sorts(mg.sort_eqs)
     except Untypable as e:
-        return InferResult(False, derivation=d, tr_constraints=tr,
-                           failure=str(e), failure_node=e.node)
+        return InferResult(False, derivation=d, tr_constraints=tr, error=e)
     graph = apply_sort_subst(mg.graph, subst)
     return InferResult(
         True, graph=graph, min_graph=mg,
@@ -466,12 +464,10 @@ def infer(p: Proc, budget: int = 1_000_000) -> InferResult:
 
 
 def infer_min_type(p: Proc) -> LocalT:
-    """The minimum type of `p`; else its failure's reason and node, raised."""
+    """The minimum type of `p`; else the failure `infer` caught, raised."""
     r = infer(p)
     if not r.typable:
-        reason = r.failure.removeprefix("untypable: ")
-        raise Untypable(reason.rpartition(" at node ")[0] if r.failure_node else reason,
-                        r.failure_node)
+        raise r.error
     return r.min_type
 
 

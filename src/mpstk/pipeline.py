@@ -1,9 +1,16 @@
 """Top-down and bottom-up verification pipelines on each process's minimum
 type graph, quotiented by bisimulation and handed on as it is.  Top-down:
-project the global type per participant and accept iff every minimum graph
-is a subtype of the corresponding projection (plus the participant-set side
-condition).  Bottom-up: model-check the LTS of the minimum graphs directly
-for the requested property.
+participants, then projection of the global type per participant, then
+inference, then subtyping, accepting iff the roles are pt(G) and every
+minimum graph is a subtype of the corresponding projection.  Bottom-up:
+inference, then a model check of the LTS of the minimum graphs for the
+requested property.
+
+Both run their (name, step) pairs through one runner, `_run`, which times
+every step the same way and stops at the first failure.  A failure's text
+is made once, where it is raised or returned: an inference failure reaches
+the pipeline as the `Untypable` that `infer` caught, never as text parsed
+back.
 """
 
 from __future__ import annotations
@@ -80,26 +87,32 @@ class PipelineReport(NamedTuple):
         return ""
 
 
-def _timed(stages: list[StageReport], name: str, fn):
-    t0 = time.perf_counter()
-    try:
-        out = fn()
-        ok, detail = True, ""
-    except (ProjUndefined, NotBalanced, Untypable) as e:
-        out, ok, detail = None, False, str(e)
-    ms = (time.perf_counter() - t0) * 1000.0
-    stages.append(StageReport(name, ok, detail, ms))
-    return out, ok
+def _run(stages) -> PipelineReport:
+    """Run the (name, step) pairs in order, each timed the same way, until
+    the first failure.  A step returns nothing when it succeeds, else the
+    detail of its failure; ProjUndefined, NotBalanced and Untypable it
+    raises give their text as the detail."""
+    reports: list[StageReport] = []
+    for name, step in stages:
+        t0 = time.perf_counter()
+        try:
+            detail = step() or ""
+        except (ProjUndefined, NotBalanced, Untypable) as e:
+            detail = str(e)
+        reports.append(StageReport(name, not detail, detail, (time.perf_counter() - t0) * 1000.0))
+        if detail:
+            return PipelineReport(False, reports)
+    return PipelineReport(True, reports)
 
 
 def _minima(sess: Session, budget: int) -> dict[str, TypeGraph]:
     """Each role's minimum type graph, quotiented by bisimulation, in name
-    order; the first untypable role raises."""
+    order; the first untypable role raises its failure, named by the role."""
     minima = {}
     for p, q in sess.roles:
         r = infer(q, budget)
         if not r.typable:
-            raise Untypable(f"{p}: {r.failure.removeprefix('untypable: ')}")
+            raise Untypable(f"{p}: {r.error.reason}", r.error.node)
         minima[p] = quotient(r.graph)
     return minima
 
@@ -108,54 +121,39 @@ def run_topdown(sess: Session, g, kind: str = "full", budget: int = 1_000_000) -
     """kind: one of projection.KINDS.  `budget` bounds the subset
     construction, Tirore's check, each minimum type graph and each subtyping
     product."""
-    stages: list[StageReport] = []
-    roles = dict(sess.roles)
-    pts = participants(g)
-    if set(roles) != set(pts):
-        stages.append(StageReport(
-            "participants", False,
-            f"session roles {sorted(roles)} != pt(G) {sorted(pts)}"))
-        return PipelineReport(False, stages)
-    stages.append(StageReport("participants", True))
-
+    pts: list[str] = []
     projections: dict[str, object] = {}
+    minima: dict[str, TypeGraph] = {}
+
+    def check_participants():
+        pts.extend(sorted(participants(g)))
+        roles = sorted(sess.mapping())
+        if roles != pts:
+            return f"session roles {roles} != pt(G) {pts}"
 
     def project_all():
-        for p in sorted(pts):
+        for p in pts:
             projections[p] = project(g, p, kind, budget)
-        return projections
-
-    _, ok = _timed(stages, "projection", project_all)
-    if not ok:
-        return PipelineReport(False, stages)
-
-    minima, ok = _timed(stages, "inference", lambda: _minima(sess, budget))
-    if not ok:
-        return PipelineReport(False, stages)
 
     def subtype_all():
         # minimum graphs may carry residual sort variables; they must unify
         # with the projection's concrete sorts
-        for p in sorted(pts):
-            ok, _ = subtype_sim_matching(minima[p], projections[p], budget)
-            if not ok:
-                raise Untypable(
-                    f"{p}: minimum type is not a subtype of the projection")
-        return True
+        for p in pts:
+            if not subtype_sim_matching(minima[p], projections[p], budget)[0]:
+                raise Untypable(f"{p}: minimum type is not a subtype of the projection")
 
-    _, ok = _timed(stages, "subtyping", subtype_all)
-    return PipelineReport(ok, stages)
+    return _run([("participants", check_participants),
+                 ("projection", project_all),
+                 ("inference", lambda: minima.update(_minima(sess, budget))),
+                 ("subtyping", subtype_all)])
 
 
 def run_bottomup(sess: Session, prop: str = "safety", budget: int = 1_000_000) -> PipelineReport:
-    stages: list[StageReport] = []
-    minima, ok = _timed(stages, "inference", lambda: _minima(sess, budget))
-    if not ok:
-        return PipelineReport(False, stages)
+    minima: dict[str, TypeGraph] = {}
 
-    t0 = time.perf_counter()
-    verdict = CHECKERS[prop](ContextLTS(minima), budget)
-    ms = (time.perf_counter() - t0) * 1000.0
-    stages.append(StageReport(f"check-{prop}", verdict.holds,
-                              "" if verdict.holds else "property violated", ms))
-    return PipelineReport(verdict.holds, stages)
+    def check():
+        if not CHECKERS[prop](ContextLTS(minima), budget).holds:
+            return "property violated"
+
+    return _run([("inference", lambda: minima.update(_minima(sess, budget))),
+                 (f"check-{prop}", check)])

@@ -154,7 +154,7 @@ def test_project_dot(files, tmp_path, capsys):
     g = files("g.mpst", G_IF)
     dot = str(tmp_path / "out.dot")
     assert main(["project", g, "--role", "p", "--algo", "full", "--dot", dot]) == 0
-    assert "digraph" in open(dot).read()
+    assert "digraph" in Path(dot).read_text()
 
 
 def test_infer(files, capsys):
@@ -164,6 +164,22 @@ def test_infer(files, capsys):
     assert out["typable"] and out["min_type"].startswith("rec")
     bad = files("bad.mpst", "p(+)l; if false then p!<1>; 0 else p?(x); 0")
     assert main(["infer", bad]) == 1
+
+
+def test_infer_emit_constraints_text(files, capsys):
+    """In text mode --emit-constraints prints each constraint on its own
+    line, in the order --json lists them, then the type or the failure."""
+    for text, code in (("rec X. p?(x); p!<x>; X", 0),
+                       ("p(+)l; if false then p!<1>; 0 else p?(x); 0", 1)):
+        f = files("p.mpst", text)
+        assert main(["--json", "infer", f, "--emit-constraints"]) == code
+        out = json.loads(capsys.readouterr().out)
+        assert main(["infer", f]) == code
+        last = capsys.readouterr().out
+        assert main(["infer", f, "--emit-constraints"]) == code
+        assert capsys.readouterr().out == "".join(c + "\n" for c in out["constraints"]) + last
+        assert len(out["constraints"]) > 1
+        assert last == (out["min_type"] if code == 0 else out["failure"]) + "\n"
 
 
 def test_check_context(files, capsys):
@@ -191,7 +207,7 @@ def test_check_context_trace_golden(prop, fmt, capsys):
 
 
 def _highlighted(dot_path) -> set[int]:
-    text = open(dot_path).read()
+    text = Path(dot_path).read_text()
     return {int(n) for n in re.findall(r"^  n(\d+) \[.*fillcolor=lightblue", text, re.M)}
 
 
@@ -210,7 +226,7 @@ def test_check_context_dot_marks_trace_states(files, tmp_path, capsys):
 
     live = str(GOLDEN / "live.ctx")
     assert main(["check-context", live, "--prop", "live", "--dot", dot]) == 1
-    v = check_liveness(parse("context", open(live).read()))
+    v = check_liveness(parse("context", Path(live).read_text()))
     assert v.trace.cycle_start is not None
     assert _highlighted(dot) == set(v.trace.states())
 
@@ -423,7 +439,7 @@ def test_bench_csv(tmp_path, capsys):
     out = str(tmp_path / "bench.csv")
     assert main(["bench", "--family", "coprime", "--params", "3x4,5x7",
                  "--out", out]) == 0
-    rows = open(out).read().strip().splitlines()
+    rows = Path(out).read_text().strip().splitlines()
     assert rows[0] == "family,n,size,time_ns,work,outcome"
     assert rows[1].split(",")[4] == "12"
     assert rows[2].split(",")[4] == "35"
@@ -442,7 +458,7 @@ def test_bench_csv_deterministic_modulo_time(tmp_path):
                      "--out", out]) == 0
 
     def strip_time(path):
-        rows = [r.split(",") for r in open(path).read().strip().splitlines()]
+        rows = [r.split(",") for r in Path(path).read_text().strip().splitlines()]
         return [r[:3] + r[4:] for r in rows]
 
     assert strip_time(out1) == strip_time(out2)

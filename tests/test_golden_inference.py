@@ -65,6 +65,12 @@ def _graph(g):
             [g.label(n) for n in range(g.node_count())])
 
 
+def _failure(r):
+    """The failure's text and sorted node, each None where there is none."""
+    e = r.error
+    return (None, None) if e is None else (str(e), sorted(e.node) if e.node else None)
+
+
 def _record(p, ordered_tr=False):
     try:
         r = infer(p)
@@ -72,7 +78,7 @@ def _record(p, ordered_tr=False):
         return ("underivable", str(e))
     d = r.derivation
     tr = [show_constraint(c) for c in r.tr_constraints]
-    rec = (r.typable, r.failure, sorted(r.failure_node) if r.failure_node else None,
+    rec = (r.typable, *_failure(r),
            d.root, d.judgements, [show_constraint(c) for c in d.constraints],
            eliminate_transitive(d.constraints, d.root)[1],
            tr if ordered_tr else sorted(tr))
@@ -95,7 +101,7 @@ def _answer(p):
         r = infer(p)
     except Untypable as e:
         return ("underivable", str(e))
-    rec = (r.typable, r.failure, sorted(r.failure_node) if r.failure_node else None,
+    rec = (r.typable, *_failure(r),
            eliminate_transitive(r.derivation.constraints, r.derivation.root)[1],
            sorted({show_constraint(c) for c in r.tr_constraints}))
     if not r.typable:

@@ -81,7 +81,7 @@ def test_example2_min_type():
 def test_untypable_example():
     r = infer(UNTYPABLE)
     assert not r.typable
-    assert r.failure_node is not None and len(r.failure_node) == 1
+    assert r.error.node is not None and len(r.error.node) == 1
     with pytest.raises(Untypable):
         infer_min_type(UNTYPABLE)
 

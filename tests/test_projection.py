@@ -12,7 +12,8 @@ from conftest import balanced_globals, mutate_local, rand_global, rand_local
 
 from mpstk.ast import (
     GChoice, GEnd, GMsg, GRec, GVar, INT, SessionTypeError, TBra, TEnd, TSel, TVar, TRec,
-    branches, check_guarded, fold, free_vars, is_closed, participants, size, unfold,
+    branches, check_guarded, fold, free_vars, is_closed, participants, size, subformulas,
+    unfold,
 )
 from mpstk.context import ContextLTS, Label
 from mpstk.parse import parse
@@ -952,3 +953,24 @@ def test_plain_nlogn_result_is_checked_once_per_distinct_node(monkeypatch):
     calls = _counted(monkeypatch, "_unguarded")
     check_guarded(out)
     assert sorted(map(id, calls)) == sorted(map(id, sizes))
+
+
+def test_subformulas_fold_each_distinct_node_once(monkeypatch):
+    """plain_nlogn(40) has 81 distinct subterms and 2^81 - 1 nodes as a
+    tree; subformulas folds each distinct node once, and stops at once at
+    a node folded twice."""
+    from mpstk import ast
+
+    g = gen_lowerbound_family("plain_nlogn", 40)
+    nodes: dict = {}
+    size(g, nodes)
+    folded, real = set(), ast._subformulas
+
+    def spy(u, vals, env):
+        assert id(u) not in folded, u
+        folded.add(id(u))
+        return real(u, vals, env)
+
+    monkeypatch.setattr(ast, "_subformulas", spy)
+    assert len(subformulas(g)) == len(nodes) == 81
+    assert folded == set(map(id, nodes))

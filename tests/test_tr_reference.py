@@ -142,7 +142,8 @@ def _check(p, seen):
     assert _answers(got, root) == _answers(want, want_root)
     r = infer(p)
     assert r.tr_constraints == got
-    assert (r.failure, r.failure_node) == ((None, None) if r.typable else _answers(want, want_root))
+    failure = None if r.error is None else (str(r.error), r.error.node)
+    assert failure == (None if r.typable else _answers(want, want_root))
     seen["typable"] += r.typable
     seen["duplicates"] += len(want) > len(set(want))
     # a joined variable (two links in) that tr renames away or leaves
