@@ -808,6 +808,30 @@ def alpha_eq(a, b) -> bool:
     return alpha_canon(a) is alpha_canon(b)
 
 
+def shape_hash(t, memo: dict) -> int:
+    """An int that alpha-equivalent terms share, folded bottom-up over each
+    node's class, peers, payload or labels and its children's hashes, with
+    binder and variable names left out.  `memo` is the caller's table for
+    one walk over many terms.  Terms that differ in more than names may
+    share a hash too, so a shared hash proves nothing: `alpha_canon`
+    decides."""
+    h = memo.get(t)
+    return h if h is not None else fold(t, _shape, memo=memo)
+
+
+def _shape(u, vals, env):
+    c = type(u)
+    if c is TOut or c is TIn:
+        return hash((c, u.peer, u.payload, vals[0]))
+    if c is TSel or c is TBra:
+        return hash((c, u.peer, tuple(map(_first, u.branches)), *vals))
+    if c is GMsg:
+        return hash((c, u.frm, u.to, u.payload, vals[0]))
+    if c is GChoice:
+        return hash((c, u.frm, u.to, tuple(map(_first, u.branches)), *vals))
+    return hash((c, *vals))  # end, a binder, a variable, or not a type
+
+
 class Renaming:
     """Fresh recursion-binder names for one term.  A binder keeps its name
     if no earlier binder of the term has it; otherwise it gets the first of

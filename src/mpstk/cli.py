@@ -2,7 +2,9 @@
 
 Subcommands: parse, subtype, project, infer, check-context, check-session,
 gen qbf, topdown, bottomup, bench, graph.  Exit codes: 0 accept/holds,
-1 reject/violation, 2 input error, 3 budget or timeout.
+1 reject/violation, 2 input error, 3 budget or timeout.  With --json, an
+input or budget error is an object on stdout, `{"error": kind, "message":
+text}`, with the `offset` of a parse error, and nothing goes to stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .bench import CSV_COLUMNS, FAMILIES, bench_family, read_params, write_csv
 from .context import brute_force_liveness
 from .hardness import eval_qbf, gen_qbf_context, parse_qbf, protocol_summary
 from .inference import infer, show_constraint
-from .parse import parse
+from .parse import ParseError, parse
 from .pipeline import run_bottomup, run_topdown
 from .printer import show, show_context, show_local
 from .projection import KINDS, NotBalanced, ProjUndefined, project
@@ -324,11 +326,23 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except BudgetExceeded as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
-        return BUDGET
+        return _fail(args, e, "budget exceeded", BUDGET)
     except (SessionTypeError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
+        return _fail(args, e, "error", INPUT_ERROR)
+
+
+def _fail(args, e: Exception, prefix: str, code: int) -> int:
+    """Report `e` and return exit code `code`: with --json as an object on
+    stdout, its kind the exception's class, with the offset of a parse
+    error; else as text on stderr."""
+    if args.json:
+        payload = {"error": type(e).__name__, "message": str(e)}
+        if isinstance(e, ParseError):
+            payload["offset"] = e.pos
+        print(json.dumps(payload))
+    else:
+        print(f"{prefix}: {e}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

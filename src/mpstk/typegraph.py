@@ -29,7 +29,7 @@ from typing import NamedTuple
 from .ast import (
     BudgetExceeded, GChoice, GMsg, GlobalT, LocalT, SessionTypeError,
     TBra, TEnd, TIn, TOut, TRec, TSel, TVar, Done, Visit,
-    alpha_canon, branches, children, fold, participants, unfold,
+    alpha_canon, branches, children, fold, participants, shape_hash, unfold,
 )
 
 IN, OUT, SEL, BRA, ENDK = "in", "out", "sel", "bra", "end"
@@ -162,17 +162,29 @@ def head_actions(t: LocalT) -> list[tuple[Action, LocalT]]:
     raise SessionTypeError(f"open local type in graph construction: {h!r}")
 
 
-def explore(start, expand, key=None, budget: int | None = None):
+def explore(start, expand, budget: int | None = None):
     """Intern every state reachable from `start` as a dense node id.
 
     `expand(n, s)` yields the (Action, successor) pairs of state `s`, which
     is node `n`.  Nodes are numbered in the order they are first seen from a
     last-in first-out worklist; every END_ACT edge goes to one shared Skip
-    sink, created on first use, whose state is None.  States are interned by
-    `key(s)` (alpha-canonical form for types), or by themselves when `key`
-    is None.  More than `budget` nodes, Skip included, raise BudgetExceeded.
-    Returns (init, edges, states, skip)."""
+    sink, created on first use, whose state is None.  More than `budget`
+    nodes, Skip included, raise BudgetExceeded.  Returns (init, edges,
+    states, skip).
+
+    A state is looked up by itself first: an AST node by identity, any
+    other state (a frozenset, say) by equality, and that is all for the
+    latter.  A type is interned up to alpha-equivalence: on an identity
+    miss it is looked up by its `shape_hash`, which alpha-equivalent types
+    share, and is new, with no canonical form built, if no earlier state
+    has that hash.  Only states whose hashes collide are compared, by
+    `alpha_canon`, each canonicalised once: from its first collision on, a
+    hash's states are indexed by canonical form, so no lookup scans them."""
     ids: dict = {}
+    shapes: dict = {}  # shape_hash's table for this call
+    # shape hash -> the one node with it, or None once two states have it;
+    # then canonical form -> node, for the states of such hashes
+    alpha: dict = {}
     edges: list[list[tuple[Action, int]]] = []
     states: list = []
     todo: list = []
@@ -185,12 +197,30 @@ def explore(start, expand, key=None, budget: int | None = None):
         edges.append([])
         return len(states) - 1
 
-    def nid(s) -> int:
-        k = s if key is None else key(s)
-        n = ids.get(k)
+    def fresh(s) -> int:
+        n = new(s)
+        todo.append((n, s))
+        return n
+
+    def up_to_alpha(s) -> int:
+        h = shape_hash(s, shapes)
+        n = alpha.get(h, -1)
+        if n == -1:  # the first state with this shape
+            n = alpha[h] = fresh(s)
+            return n
+        if n is not None:  # its first collision: index the hash by canonical form
+            alpha[alpha_canon(states[n])] = n
+            alpha[h] = None
+        c = alpha_canon(s)
+        n = alpha.get(c)
         if n is None:
-            n = ids[k] = new(s)
-            todo.append((n, s))
+            n = alpha[c] = fresh(s)
+        return n
+
+    def nid(s) -> int:
+        n = ids.get(s)
+        if n is None:
+            n = ids[s] = up_to_alpha(s) if isinstance(s, (LocalT, GlobalT)) else fresh(s)
         return n
 
     init = nid(start)
@@ -209,8 +239,9 @@ def explore(start, expand, key=None, budget: int | None = None):
 
 def local_graph(t: LocalT) -> TypeGraph:
     """G(T): the graph reachable from T by the transition rules.  Nodes are
-    interned by alpha-canonical form, so |nodes| <= |Sub(T)| <= |T|."""
-    init, edges, states, skip = explore(t, lambda n, u: head_actions(u), alpha_canon)
+    types interned up to alpha-equivalence by `explore`, so |nodes| <=
+    |Sub(T)| <= |T|, and a node's `desc` is the first of its types reached."""
+    init, edges, states, skip = explore(t, lambda n, u: head_actions(u))
     return TypeGraph(init, edges, skip, states)
 
 
@@ -401,7 +432,8 @@ class GlobalGraph:
 
 
 def global_graph(g: GlobalT) -> GlobalGraph:
-    """The graph of G; each node's head is unfolded here, once."""
+    """The graph of G, its nodes global types interned up to
+    alpha-equivalence by `explore`; each node's head is unfolded here, once."""
     heads: dict = {}
 
     def expand(n: int, u: GlobalT):
@@ -409,7 +441,7 @@ def global_graph(g: GlobalT) -> GlobalGraph:
         heads[n] = h if type(h) in (GMsg, GChoice) else None
         return [(None, c) for c in children(h)]
 
-    init, edges, states, _ = explore(g, expand, alpha_canon)
+    init, edges, states, _ = explore(g, expand)
     return GlobalGraph(init, [[m for _, m in out] for out in edges], states,
                        [heads[n] for n in range(len(states))])
 

@@ -238,6 +238,40 @@ def test_subtype_inductive_budget_exit_code(files, capsys):
     assert "budget exceeded" in capsys.readouterr().err
 
 
+def test_json_errors_are_objects_on_stdout(files, capsys):
+    """With --json an error is one object on stdout, with the offset of a
+    parse error only; the exit codes are those of text mode.  An undefined
+    projection is an answer, not an error."""
+    bad = files("bad.ctx", "p: q!(int; end")
+    assert main(["--json", "check-context", bad, "--prop", "safety"]) == 2
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out) == {"error": "ParseError", "offset": 9,
+                                   "message": "expected ')', found ';' (at offset 9)"}
+    a = files("a.mpst", "rec t. p!(int); p!(int); t")
+    b = files("b.mpst", "rec t. p!(int); t")
+    assert main(["--json", "--budget", "1", "subtype", a, b, "--algo", "inductive"]) == 3
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out) == {"error": "BudgetExceeded", "message": "inductive subtyping exceeded 1 judgements"}
+    g = files("g.mpst", "p->q{l1: r->p(int); end, l2: end}")
+    assert main(["--json", "project", g, "--role", "r", "--algo", "plain"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out) == {
+        "defined": False, "reason": "projection onto r undefined: plain merge requires equal "
+        "branches: p!(int); end  vs  end at p->q{l1: r->p(int); end, l2: end}"}
+    unguarded = files("u.mpst", "rec t. t")
+    assert main(["--json", "project", unguarded, "--role", "p"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "SessionTypeError",
+                                                    "message": "unguarded recursion variable t"}
+    assert main(["--json", "parse", "local", files("none.mpst", "end") + ".missing"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "FileNotFoundError"
+    assert main(["check-context", bad, "--prop", "safety"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: expected ')', found ';' (at offset 9)\n")
+
+
 def test_project_subset_honours_budget(files, capsys):
     """The subset construction counts its 8 closure states plus Skip."""
     g = files("g.mpst", "p->r{l0: rec t. p->q{a: p->q{a: t}, b: end}, "
