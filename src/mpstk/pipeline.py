@@ -140,7 +140,7 @@ def run_topdown(sess: Session, g, kind: str = "full", budget: int = 1_000_000) -
         # with the projection's concrete sorts
         for p in pts:
             if not subtype_sim_matching(minima[p], projections[p], budget)[0]:
-                raise Untypable(f"{p}: minimum type is not a subtype of the projection")
+                return f"{p}: minimum type is not a subtype of the projection"
 
     return _run([("participants", check_participants),
                  ("projection", project_all),

@@ -78,7 +78,7 @@ def _reports(g, sess):
             [[(s.name, s.ok, s.detail) for s in rep.stages] for rep in reps])
 
 
-STAGES_SHA256 = "47a2dfc32908d6b20bd63af1c48c7ffca90e1b5ce72ddd639f865d40070c871e"
+STAGES_SHA256 = "ddb18a346e797ef50cb9a95b7542ffee8b23c4446f03c251a33b6461b2dfb023"
 
 
 def test_stage_reports_are_exact(corpus):
