@@ -4,10 +4,14 @@ else (size, subformulas, unfolding, free variables, guardedness).
 
 All nodes are immutable and hash-consed: constructing a node equal to a
 live one returns the live one, so equality and hashing are object identity.
-Alpha-insensitive comparison goes through :func:`alpha_canon`.  A node's
-fields are its slots, declared by its class's annotations and filled by the
-metaclass `_Interned`, so a node has no `__dict__`; the intern table `_live`
-holds each node by a weak reference, so it keeps no node alive.
+Alpha-insensitive comparison goes through :func:`alpha_canon`.
+`shape_hash` is a cheaper filter before it: an int that alpha-equivalent
+terms share, folded with a memo the caller keeps for one walk.
+`typegraph.explore` interns types by it, and canonicalises only types whose
+hashes collide.  A node's fields are its slots, declared by its class's
+annotations and filled by the metaclass `_Interned`, so a node has no
+`__dict__`; the intern table `_live` holds each node by a weak reference,
+so it keeps no node alive.
 
 Identity is equality only on a canonical representation, so `_check`
 enforces one invariant once per node, when it is made: the labels of a

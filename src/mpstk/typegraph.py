@@ -1,8 +1,8 @@
 """Finite labelled transition graphs for local and global types.
 
-A local type graph has one node per (alpha-canonical) subformula reachable
-from the root, a single shared Skip sink, and action-labelled edges obtained
-by unfolding each node's head.  A global type graph has one node per
+A local type graph has one node per subformula reachable from the root, up
+to alpha-equivalence, a single shared Skip sink, and action-labelled edges
+obtained by unfolding each node's head.  A global type graph has one node per
 reachable subformula too, and keeps each node's unfolded head, so its
 readers (balance, `reaching`, projection, DOT) never unfold a global type
 again.  Node ids are dense ints so the product constructions elsewhere can
@@ -15,9 +15,12 @@ simulation deciders.
 
 `explore` is the single graph builder: local and global type graphs, the
 subset projection's closure states and the minimum type graph's variable
-sets are all interned through it, and kept as its nodes' states.  `sccs`
-is the single strongly-connected component routine, used for the balance
-check and for liveness.  `dot_text` is the one DOT writer, for type, global
+sets are all interned through it, and kept as its nodes' states.  It looks
+a state up by identity (a set of nodes or variables by equality), and a
+type missed that way by `ast.shape_hash`, so it canonicalises, with
+`alpha_canon`, only the types whose shape hashes collide.  `sccs` is the
+single strongly-connected component routine, used for the balance check
+and for liveness.  `dot_text` is the one DOT writer, for type, global
 and context graphs; a node shows its `label`, so DOT is linear in the graph.
 """
 

@@ -118,15 +118,16 @@ def _binders(t):
 
 def _variants(rng, t, pool):
     """t with its binders renamed from `pool`, which names few binders, so
-    shadowing, alpha-equivalent subterms under other names and shapes that
-    types which are not alpha-equivalent share are common; and t next to
-    a copy of itself renamed apart, under one selection or choice."""
+    shadowing and alpha-equivalent subterms under other names are common;
+    and, each under one selection or choice next to t, a copy of t renamed
+    apart (alpha-equivalent to t) and that renaming from `pool` (of t's
+    shape, but often binding its variables elsewhere)."""
     vs = _binders(t)
     crowded = _renamed(t, {v: rng.choice(pool) for v in vs})
     apart = _renamed(t, {v: v + "_" for v in vs})
     if isinstance(t, GlobalT):
-        return crowded, GChoice("p", "q", (("a", t), ("b", apart)))
-    return crowded, TSel("p", (("a", t), ("b", apart)))
+        return crowded, *(GChoice("p", "q", (("a", t), ("b", u))) for u in (apart, crowded))
+    return crowded, *(TSel("p", (("a", t), ("b", u))) for u in (apart, crowded))
 
 
 def test_local_graphs_equal_the_reference_on_random_types(rng):
@@ -210,11 +211,11 @@ def test_each_state_is_canonicalised_at_most_once(monkeypatch):
     calls = _counting(monkeypatch)
     for t in gen_exponential_pair(40):
         calls.clear()
-        g = local_graph(t)
+        local_graph(t)
         assert calls, "the family's loops are alpha-equivalent under other names"
         assert max(calls.values()) == 1
-        assert len(calls) < 2 * len(g.desc)
-    tree = TRec("x", TOut("p", INT, TVar("x")))
+    loop = TRec("x", TOut("p", INT, TVar("x")))
     calls.clear()
-    local_graph(TSel("p", tuple((f"l{i:02}", _renamed(tree, {"x": f"x{i}"})) for i in range(50))))
+    g = local_graph(TSel("p", tuple((f"l{i:02}", _renamed(loop, {"x": f"x{i}"})) for i in range(50))))
+    assert len(g.desc) == 2  # the selection and one loop
     assert max(calls.values()) == 1 and len(calls) == 50
