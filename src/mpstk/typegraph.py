@@ -194,22 +194,20 @@ def explore(start, expand, budget: int | None = None):
     skip = None
 
     def new(s) -> int:
+        """A node for state s, to be expanded unless it is Skip's None."""
         if budget is not None and len(states) >= budget:
             raise BudgetExceeded(f"more than {budget} graph nodes")
         states.append(s)
         edges.append([])
+        if s is not None:
+            todo.append((len(states) - 1, s))
         return len(states) - 1
-
-    def fresh(s) -> int:
-        n = new(s)
-        todo.append((n, s))
-        return n
 
     def up_to_alpha(s) -> int:
         h = shape_hash(s, shapes)
         n = alpha.get(h, -1)
         if n == -1:  # the first state with this shape
-            n = alpha[h] = fresh(s)
+            n = alpha[h] = new(s)
             return n
         if n is not None:  # its first collision: index the hash by canonical form
             alpha[alpha_canon(states[n])] = n
@@ -217,13 +215,13 @@ def explore(start, expand, budget: int | None = None):
         c = alpha_canon(s)
         n = alpha.get(c)
         if n is None:
-            n = alpha[c] = fresh(s)
+            n = alpha[c] = new(s)
         return n
 
     def nid(s) -> int:
         n = ids.get(s)
         if n is None:
-            n = ids[s] = up_to_alpha(s) if isinstance(s, (LocalT, GlobalT)) else fresh(s)
+            n = ids[s] = up_to_alpha(s) if isinstance(s, (LocalT, GlobalT)) else new(s)
         return n
 
     init = nid(start)

@@ -253,7 +253,8 @@ def test_json_errors_are_objects_on_stdout(files, capsys):
     assert main(["--json", "--budget", "1", "subtype", a, b, "--algo", "inductive"]) == 3
     out = capsys.readouterr()
     assert out.err == ""
-    assert json.loads(out.out) == {"error": "BudgetExceeded", "message": "inductive subtyping exceeded 1 judgements"}
+    assert json.loads(out.out) == {"error": "BudgetExceeded",
+                                   "message": "inductive subtyping exceeded 1 judgements"}
     g = files("g.mpst", "p->q{l1: r->p(int); end, l2: end}")
     assert main(["--json", "project", g, "--role", "r", "--algo", "plain"]) == 1
     out = capsys.readouterr()

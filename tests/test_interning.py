@@ -216,6 +216,7 @@ def test_each_state_is_canonicalised_at_most_once(monkeypatch):
         assert max(calls.values()) == 1
     loop = TRec("x", TOut("p", INT, TVar("x")))
     calls.clear()
-    g = local_graph(TSel("p", tuple((f"l{i:02}", _renamed(loop, {"x": f"x{i}"})) for i in range(50))))
+    loops = tuple((f"l{i:02}", _renamed(loop, {"x": f"x{i}"})) for i in range(50))
+    g = local_graph(TSel("p", loops))
     assert len(g.desc) == 2  # the selection and one loop
     assert max(calls.values()) == 1 and len(calls) == 50
